@@ -17,11 +17,11 @@ from .core import (
     ProblemInstance,
     RevenueTerms,
     SupportSolution,
+    best_assortment,
     choice_probability,
     expected_revenue,
     mean_utility,
     optimize_assortment,
-    revenue_ordered_oracle,
     solve_fixed_point,
     support_map,
     total_support_mass,

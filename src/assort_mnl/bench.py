@@ -69,7 +69,7 @@ EXIT_NONCONVERGENCE = 3
 EXIT_TRAIN = 4
 EXIT_IO = 5
 
-# Fraction of requested records allowed to fail fixed-point convergence.
+# Share of requested records allowed to fail fixed-point convergence.
 NONCONVERGENCE_BUDGET = 0.05
 
 DEFAULT_MASTER_SEED = 1729

@@ -12,11 +12,12 @@ componentwise nondecreasing and converges to the smallest fixed point;
 from the all-ones matrix it is nonincreasing and converges to the largest.
 Every fixed point lies between the two limits.
 
-Expected platform revenue is additive over the offered products, so the
-exact optimum over size-k assortments can be found by brute-force subset
-enumeration, and the same answer must fall out of ranking products by
-their individual revenue contributions.  ``revenue_ordered_oracle``
-implements that second route as an independent check on the first.
+Expected platform revenue is additive over the offered products, and the
+support probabilities do not depend on which products are offered.  The
+revenue-maximizing size-k assortment therefore keeps the k products with
+the largest revenue contributions, ties going to the lower product index;
+``best_assortment`` implements that rule and ``optimize_assortment`` pairs
+it with the fixed-point solve.
 
 Everything here is a pure function of its inputs: no mutation, no global
 state, safe to call concurrently.
@@ -25,8 +26,6 @@ state, safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 from scipy.special import expit
@@ -49,8 +48,8 @@ __all__ = [
     "support_map",
     "solve_fixed_point",
     "expected_revenue",
+    "best_assortment",
     "optimize_assortment",
-    "revenue_ordered_oracle",
 ]
 
 ZERO_START = "zero"
@@ -372,6 +371,42 @@ def expected_revenue(instance: ProblemInstance, assortment: Assortment, q) -> fl
     return instance.revenue.per_support * total
 
 
+def _check_selection(instance: ProblemInstance, k: int, mode: str) -> None:
+    if not 1 <= k <= instance.n:
+        raise ValueError(f"k must lie in [1, {instance.n}], got {k}")
+    if mode not in (SHARED, PER_SEGMENT):
+        raise ValueError(f"mode must be {SHARED!r} or {PER_SEGMENT!r}, got {mode!r}")
+
+
+def _top_k(values: np.ndarray, k: int) -> tuple[int, ...]:
+    """Indices of the k largest values as a sorted tuple; ties go to the lower index."""
+    # Stable sort on the negated values puts ties in ascending index order.
+    order = np.argsort(-values, kind="stable")
+    return tuple(sorted(int(i) for i in order[:k]))
+
+
+def best_assortment(instance: ProblemInstance, k: int, q, mode: str = SHARED) -> Assortment:
+    """Revenue-maximizing size-k assortment at the support matrix ``q``.
+
+    Revenue is additive over offered products, so the optimum keeps the k
+    largest contributions: ``sum_j lam_j q_ij`` per product in "shared"
+    mode, ``q_ij`` within each segment in "per-segment" mode, where a
+    zero-weight segment gets products ``0..k-1``.  Ties go to the lower
+    index: the result is the lexicographically smallest optimal set.
+    """
+    _check_selection(instance, k, mode)
+    q = _check_support(instance, q)
+    if mode == SHARED:
+        return Assortment(per_segment=(_top_k(q @ instance.lam, k),) * instance.m, k=k)
+    # Rank q itself rather than lam_j * q: a positive weight keeps the order,
+    # but rounding the products could merge two distinct values into a tie.
+    blocks = tuple(
+        _top_k(q[:, j], k) if instance.lam[j] > 0.0 else tuple(range(k))
+        for j in range(instance.m)
+    )
+    return Assortment(per_segment=blocks, k=k)
+
+
 def optimize_assortment(
     instance: ProblemInstance,
     k: int,
@@ -379,72 +414,18 @@ def optimize_assortment(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[Assortment, float, SupportSolution]:
-    """Exact revenue-maximizing size-k assortment by enumeration.
+    """Exact revenue-maximizing size-k assortment.
 
     Support probabilities are solved once from the all-ones start (the
     largest fixed point); they do not depend on the assortment offered.
-    In "shared" mode all C(n, k) subsets are enumerated and every segment
-    sees the winning set; in "per-segment" mode the best size-k set is
-    chosen independently for each segment.  Revenue ties go to the
-    lexicographically smallest index set.
+    :func:`best_assortment` then picks the set from them.
 
     Returns ``(assortment, revenue, solution)``; raises
     :class:`NonConvergenceError` if the fixed point did not converge.
     """
-    if not 1 <= k <= instance.n:
-        raise ValueError(f"k must lie in [1, {instance.n}], got {k}")
-    if mode not in (SHARED, PER_SEGMENT):
-        raise ValueError(f"mode must be {SHARED!r} or {PER_SEGMENT!r}, got {mode!r}")
+    _check_selection(instance, k, mode)
     solution = solve_fixed_point(instance, ONE_START, tol=tol, max_iter=max_iter)
     if not solution.converged:
         raise NonConvergenceError(solution)
-    q = solution.q
-
-    if mode == SHARED:
-        # Subset sums are compared exactly (floats as rationals): plain
-        # float sums can round two distinct sums to the same value when
-        # probabilities saturate near 1, and the phantom tie would then be
-        # broken differently than by contribution ranking.
-        contribution = [Fraction(c) for c in (q @ instance.lam).tolist()]
-        best_combo = None
-        best_sum = None
-        # combinations() yields index sets in lexicographic order, so strict
-        # improvement keeps the lexicographically smallest argmax.
-        for combo in combinations(range(instance.n), k):
-            s = sum(contribution[i] for i in combo)
-            if best_sum is None or s > best_sum:
-                best_combo, best_sum = combo, s
-        best = Assortment(per_segment=(best_combo,) * instance.m, k=k)
-        return best, expected_revenue(instance, best, q), solution
-
-    blocks = []
-    for j in range(instance.m):
-        weight = Fraction(float(instance.lam[j]))
-        column = [Fraction(v) for v in q[:, j].tolist()]
-        best_block = None
-        best_sum = None
-        for combo in combinations(range(instance.n), k):
-            s = weight * sum(column[i] for i in combo)
-            if best_sum is None or s > best_sum:
-                best_block, best_sum = combo, s
-        blocks.append(best_block)
-    assortment = Assortment(per_segment=tuple(blocks), k=k)
-    return assortment, expected_revenue(instance, assortment, q), solution
-
-
-def revenue_ordered_oracle(instance: ProblemInstance, k: int, q) -> Assortment:
-    """Top-k products by per-product revenue contribution.
-
-    Independent check for shared-mode optimization: because expected
-    revenue is additive over offered products, sorting by the contribution
-    ``sum_j lam_j q_ij`` (ties to the lower index) and keeping the top k
-    must reproduce the enumerated optimum.
-    """
-    if not 1 <= k <= instance.n:
-        raise ValueError(f"k must lie in [1, {instance.n}], got {k}")
-    q = _check_support(instance, q)
-    contribution = q @ instance.lam
-    # Stable sort on the negated values puts ties in ascending index order.
-    order = np.argsort(-contribution, kind="stable")
-    top = tuple(sorted(int(i) for i in order[:k]))
-    return Assortment(per_segment=(top,) * instance.m, k=k)
+    assortment = best_assortment(instance, k, solution.q, mode)
+    return assortment, expected_revenue(instance, assortment, solution.q), solution

@@ -38,6 +38,7 @@ from .core import (
     NonConvergenceError,
     ProblemInstance,
     RevenueTerms,
+    best_assortment,
     expected_revenue,
     optimize_assortment,
 )
@@ -214,10 +215,10 @@ def generate_instance(spec: GenSpec, seed: int) -> ProblemInstance:
 def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledDataset:
     """Generate ``count`` instances and label each with its optimal assortment.
 
-    Record ``t`` uses seed ``record_seed(master_seed, t)``; labels come
-    from exact enumeration at the largest fixed point.  Records whose
-    fixed point fails to converge are dropped and reported in
-    ``excluded``.
+    Record ``t`` uses seed ``record_seed(master_seed, t)``; labels are the
+    exact optima from :func:`optimize_assortment` at the largest fixed
+    point.  Records whose fixed point fails to converge are dropped and
+    reported in ``excluded``.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -248,8 +249,10 @@ def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledData
 def relabel_dataset(dataset: LabeledDataset, k=None, mode=None) -> LabeledDataset:
     """Recompute labels of an existing dataset under a new ``k`` or ``mode``.
 
-    Instances and seeds are kept; q, label and r_a are recomputed.  Useful
-    for sweeping assortment size over one shared set of instances.
+    ``q`` depends on neither ``k`` nor ``mode``, so records keep their
+    instance, seed and stored ``q`` and ``excluded`` carries over; label
+    and r_a are recomputed.  Useful for sweeping assortment size over one
+    shared set of instances.
     """
     spec = replace(
         dataset.spec,
@@ -257,21 +260,12 @@ def relabel_dataset(dataset: LabeledDataset, k=None, mode=None) -> LabeledDatase
         mode=dataset.spec.mode if mode is None else mode,
     )
     records = []
-    excluded = list(dataset.excluded)
     for rec in dataset.records:
-        try:
-            label, r_a, solution = optimize_assortment(rec.instance, spec.k, spec.mode)
-        except NonConvergenceError:
-            excluded.append(rec.idx)
-            continue
-        records.append(replace(rec, q=solution.q, label=label, r_a=r_a))
-    return LabeledDataset(
-        spec=spec,
-        master_seed=dataset.master_seed,
-        count=dataset.count,
-        records=tuple(records),
-        excluded=tuple(sorted(excluded)),
-    )
+        label = best_assortment(rec.instance, spec.k, rec.q, spec.mode)
+        records.append(
+            replace(rec, label=label, r_a=expected_revenue(rec.instance, label, rec.q))
+        )
+    return replace(dataset, spec=spec, records=tuple(records))
 
 
 def _revenue_to_dict(rev: RevenueTerms) -> dict:
@@ -334,6 +328,18 @@ def _record_to_dict(rec: DatasetRecord) -> dict:
     }
 
 
+def _load_object(line: str, lineno: int) -> dict:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise DatasetFormatError(f"line {lineno}: invalid JSON ({e.msg})") from None
+    if not isinstance(obj, dict):
+        raise DatasetFormatError(
+            f"line {lineno}: expected a JSON object, got {type(obj).__name__}"
+        )
+    return obj
+
+
 def _get(obj: dict, key: str, lineno: int):
     try:
         return obj[key]
@@ -341,7 +347,7 @@ def _get(obj: dict, key: str, lineno: int):
         raise DatasetFormatError(f"line {lineno}: missing field {key!r}") from None
 
 
-def _record_from_dict(obj: dict, lineno: int) -> DatasetRecord:
+def _record_from_dict(obj: dict, lineno: int, spec: GenSpec) -> DatasetRecord:
     label_obj = _get(obj, "label", lineno)
     try:
         instance = ProblemInstance(
@@ -361,6 +367,7 @@ def _record_from_dict(obj: dict, lineno: int) -> DatasetRecord:
         )
         q = np.array(_get(obj, "q", lineno), dtype=float)
         q.setflags(write=False)
+        _check_fits_spec(instance, q, label, spec, lineno)
         return DatasetRecord(
             idx=_get(obj, "idx", lineno),
             seed=_get(obj, "seed", lineno),
@@ -373,6 +380,21 @@ def _record_from_dict(obj: dict, lineno: int) -> DatasetRecord:
         raise
     except (TypeError, ValueError) as e:
         raise DatasetFormatError(f"line {lineno}: invalid record ({e})") from None
+
+
+def _check_fits_spec(instance, q, label, spec: GenSpec, lineno: int) -> None:
+    # Relabeling and training trust the stored q and label, so both are
+    # checked here once against the header's spec; NaN fails the range test.
+    n, m = spec.n, spec.m
+    if instance.y.shape != (n, m) or q.shape != (n, m):
+        raise DatasetFormatError(f"line {lineno}: instance and q must have shape {(n, m)}")
+    if not (0.0 <= q.min() and q.max() <= 1.0):
+        raise DatasetFormatError(f"line {lineno}: q must lie in [0, 1]")
+    blocks = label.per_segment
+    if label.k != spec.k or len(blocks) != m or max(b[-1] for b in blocks) >= n:
+        raise DatasetFormatError(
+            f"line {lineno}: label must have {m} block(s) of k={spec.k} products in 1..{n}"
+        )
 
 
 def write_dataset(dataset: LabeledDataset, path) -> None:
@@ -398,17 +420,16 @@ def read_dataset(path) -> LabeledDataset:
     """Read a JSON Lines dataset; inverse of :func:`write_dataset`.
 
     Raises :class:`DatasetFormatError` on malformed content, naming the
-    offending line; nothing partial is ever returned.
+    offending line; nothing partial is ever returned.  Each record's
+    instance, ``q`` and label must also fit the header's spec, with ``q``
+    in [0, 1].
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].strip():
         raise DatasetFormatError("line 1: missing header")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise DatasetFormatError(f"line 1: invalid JSON ({e.msg})") from None
+    header = _load_object(lines[0], 1)
     version = _get(header, "format_version", 1)
     if version != FORMAT_VERSION:
         raise DatasetFormatError(
@@ -422,11 +443,7 @@ def read_dataset(path) -> LabeledDataset:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             raise DatasetFormatError(f"line {lineno}: blank line inside record block")
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise DatasetFormatError(f"line {lineno}: invalid JSON ({e.msg})") from None
-        records.append(_record_from_dict(obj, lineno))
+        records.append(_record_from_dict(_load_object(line, lineno), lineno, spec))
     if len(records) + len(excluded) != count:
         raise DatasetFormatError(
             f"expected {count} records ({len(excluded)} excluded), found {len(records)}"
@@ -448,7 +465,8 @@ def verify_labels(dataset: LabeledDataset, tol: float = 1e-12) -> None:
     """
     for rec in dataset.records:
         w = expected_revenue(rec.instance, rec.label, rec.q)
-        if abs(w - rec.r_a) > tol:
+        # Written so that a NaN on either side fails the check.
+        if not abs(w - rec.r_a) <= tol:
             raise ValueError(
                 f"record {rec.idx}: stored r_a {rec.r_a!r} differs from evaluated {w!r}"
             )

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PER_SEGMENT, SHARED, Assortment, ProblemInstance, expected_revenue
+from .core import PER_SEGMENT, SHARED, Assortment, ProblemInstance, _top_k, expected_revenue
 from .generate import LabeledDataset
 
 __all__ = [
@@ -230,12 +230,6 @@ def predict_scores(model: PredictorModel, x) -> np.ndarray:
     if x.shape != (model.layout.d,):
         raise ValueError(f"feature vector must have length {model.layout.d}, got {x.shape}")
     return model.intercept + model.coefficients @ x
-
-
-def _top_k(values: np.ndarray, k: int) -> tuple[int, ...]:
-    # Stable sort on negated scores sends ties to the lower product index.
-    order = np.argsort(-values, kind="stable")
-    return tuple(sorted(int(i) for i in order[:k]))
 
 
 def decode_assortment(scores, k: int, n: int, m: int, mode: str = SHARED) -> Assortment:

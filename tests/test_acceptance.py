@@ -27,13 +27,13 @@ from assort_mnl import (
     optimize_assortment,
     predict_scores,
     preset,
-    revenue_ordered_oracle,
     solve_fixed_point,
     split_dataset,
     support_map,
     training_matrices,
 )
 from assort_mnl.core import ONE_START, PER_SEGMENT, SHARED, ZERO_START
+from enumeration_oracle import enumerate_optimum
 
 
 def report(num, ok, detail=""):
@@ -147,7 +147,7 @@ def test_criterion_04_and_05_oracle_equivalence_and_monotone_revenue():
         last_w = 0.0
         for k in range(1, inst.n + 1):
             best, w, sol = optimize_assortment(inst, k)
-            oracle = revenue_ordered_oracle(inst, k, sol.q)
+            oracle = enumerate_optimum(inst, k, sol.q)
             w_oracle = expected_revenue(inst, oracle, sol.q)
             agree = agree and best == oracle and abs(w - w_oracle) <= 1e-12
             monotone = monotone and w >= last_w

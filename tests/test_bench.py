@@ -1,6 +1,7 @@
 """Tests for presets, the end-to-end case runner, and run comparison."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from assort_mnl import (
     preset,
     run_case,
     split_dataset,
+    write_dataset,
 )
 from assort_mnl.bench import (
     EXIT_NONCONVERGENCE,
@@ -25,7 +27,32 @@ from assort_mnl.bench import (
 from assort_mnl.core import PER_SEGMENT, SHARED
 
 
+# SHA-256 of each preset's 500-record dataset at master seed 1729, taken
+# while labels still came from exhaustive subset enumeration.  The top-k
+# labeling must reproduce those files byte for byte.
+PRESET_DATASET_SHA256 = {
+    "case1p1": "f239453da49e2c5e0eb57bfd30fd674f11bfa58cb5a730ae1ae9dea0a449dc9a",
+    "case1p2": "4f8d586f492e253cf55aba744b8c39cb0d55234644f8f22a9c96132b6c7c5c34",
+    "case2p1": "28f28818dff274d37d8f78c835052894aaa88535e43b847c13a3e3c32e40ea43",
+    "case2p2": "b3dbdf225312e56a8c1d91df94cf8e53e5e499290ec13cf85fd2f334af9f77bb",
+    "case2p3": "de3a3f30cbb74a873fbdae9d4f3ab34d7e95c381ce0a544999cf1407d99d7331",
+    "case3p1": "4a1665401d7b3c33ed6fcc85204779957f4535ae3c06380af989e9890a9fd630",
+    "case3p2": "65c6b7913a15a8b714830cc4141b3021171a20b1db25617b6fbab2bd5d0047d7",
+    "case3p3": "65625f5aca7993cb746586b211648da684c2d68c65dea41cd9804461f0cae759",
+    "case3p4": "2e54ab3b87f191a955b14884d0bb6542784261843bdd3421ae2b11b99ec92f52",
+    "case3p5": "6adfa5e3a51fc4b5189241aa0ac515e0c6671821112f5b66c0d51f87fc500dc0",
+    "case4": "76d86e4ebc7401a3c978a44964ba13d46903efc3367b68f43eeccf6a21bea1a5",
+}
+
+
 class TestPreset:
+    def test_dataset_bytes_pinned(self, tmp_path):
+        assert set(PRESET_DATASET_SHA256) == set(PRESET_NAMES)
+        for name, digest in PRESET_DATASET_SHA256.items():
+            path = tmp_path / f"{name}.jsonl"
+            write_dataset(generate_dataset(preset(name).spec, 500, 1729), path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
+
     def test_grid(self):
         expected = {
             "case1p1": (2, 1, 1, True, SHARED),

@@ -80,6 +80,52 @@ class TestTrainEval:
         assert "error [read]" in capsys.readouterr().err
 
 
+def _edit(change):
+    """A line mutation that applies ``change`` to the decoded record."""
+
+    def mutate(line):
+        rec = json.loads(line)
+        change(rec)
+        return json.dumps(rec)
+
+    return mutate
+
+
+# Each case breaks one line of a valid n=3, m=1, k=1 dataset: the header
+# (line 1) or the second record (line 3).
+_BAD_LINES = {
+    "header-not-object": (1, lambda line: "[1, 2]"),
+    "record-not-object": (3, lambda line: "[]"),
+    "q-wrong-shape": (3, _edit(lambda rec: rec.update(q=rec["q"][:-1]))),
+    "q-above-one": (3, _edit(lambda rec: rec.update(q=[[1.5]] + rec["q"][1:]))),
+    "q-negative": (3, _edit(lambda rec: rec.update(q=[[-0.25]] + rec["q"][1:]))),
+    "q-nan": (3, _edit(lambda rec: rec.update(q=[[float("nan")]] + rec["q"][1:]))),
+    "label-k-differs": (3, _edit(lambda rec: rec.update(label={"per_segment": [[1, 2]], "k": 2}))),
+    "label-index-exceeds-n": (3, _edit(lambda rec: rec["label"].update(per_segment=[[4]]))),
+    "label-blocks-exceed-m": (3, _edit(lambda rec: rec["label"].update(per_segment=[[1], [2]]))),
+    "record-drops-a-product": (
+        3,
+        _edit(lambda rec: rec.update({f: rec[f][:-1] for f in ("y", "alpha", "beta", "F", "q")})),
+    ),
+}
+
+
+class TestDatasetValidation:
+    @pytest.mark.parametrize("command", ["train", "label"])
+    @pytest.mark.parametrize("case", sorted(_BAD_LINES))
+    def test_bad_line_is_read_error_naming_it(self, tmp_path, capsys, command, case):
+        run("gen", "--n", 3, "--count", 40, "--seed", 5, "--out", tmp_path)
+        path = tmp_path / "dataset.jsonl"
+        lines = path.read_text().splitlines()
+        lineno, mutate = _BAD_LINES[case]
+        lines[lineno - 1] = mutate(lines[lineno - 1])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(command, path, "--out", tmp_path / "out") == 5
+        err = capsys.readouterr().err
+        assert "error [read]" in err and f"line {lineno}" in err
+
+
 class TestCase:
     def test_preset_run(self, tmp_path, capsys):
         code = run(

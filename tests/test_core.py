@@ -8,16 +8,17 @@ from assort_mnl import (
     NonConvergenceError,
     ProblemInstance,
     RevenueTerms,
+    best_assortment,
     choice_probability,
     expected_revenue,
     mean_utility,
     optimize_assortment,
-    revenue_ordered_oracle,
     solve_fixed_point,
     support_map,
     total_support_mass,
 )
 from assort_mnl.core import ONE_START, PER_SEGMENT, SHARED, ZERO_START
+from enumeration_oracle import enumerate_optimum
 
 
 def make_instance(y, alpha, F, lam, beta=None, revenue=None):
@@ -328,7 +329,7 @@ class TestOptimizeAssortment:
             inst = random_instance(rng, n, m)
             for k in range(1, n + 1):
                 best, w, sol = optimize_assortment(inst, k)
-                oracle = revenue_ordered_oracle(inst, k, sol.q)
+                oracle = enumerate_optimum(inst, k, sol.q)
                 assert best == oracle
                 assert w == pytest.approx(
                     expected_revenue(inst, oracle, sol.q), abs=1e-12
@@ -376,31 +377,57 @@ class TestOptimizeAssortment:
 
 
 class TestRevenueOrderedOracle:
+    """``best_assortment`` (revenue-ordered top-k) against exhaustive enumeration."""
+
     def test_tie_prefers_lower_index(self):
         inst = make_instance(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros(2), [1.0])
-        oracle = revenue_ordered_oracle(inst, 1, np.full((2, 1), 0.5))
-        assert oracle.per_segment == ((0,),)
+        q = np.full((2, 1), 0.5)
+        best = best_assortment(inst, 1, q)
+        assert best.per_segment == ((0,),)
+        assert best == enumerate_optimum(inst, 1, q)
 
     def test_tied_pair_both_selected(self):
         inst = make_instance(np.zeros((3, 1)), np.zeros((3, 1)), np.zeros(3), [1.0])
         q = np.array([[0.2], [0.7], [0.7]])
-        oracle = revenue_ordered_oracle(inst, 2, q)
-        assert oracle.per_segment == ((1, 2),)
+        best = best_assortment(inst, 2, q)
+        assert best.per_segment == ((1, 2),)
+        assert best == enumerate_optimum(inst, 2, q)
+
+    def test_per_segment_ranks_unscaled_support(self):
+        # Scaling by lam_0 = 0.3 rounds these neighbouring floats to one
+        # value; the exact comparison still puts product 1 first.
+        a = 0.12265573691637038
+        q = np.array([[a, 0.5], [np.nextafter(a, 1.0), 0.2]])
+        inst = make_instance(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), [0.3, 0.7])
+        assert inst.lam[0] * q[0, 0] == inst.lam[0] * q[1, 0]
+        best = best_assortment(inst, 1, q, PER_SEGMENT)
+        assert best.per_segment == ((1,), (0,))
+        assert best == enumerate_optimum(inst, 1, q, PER_SEGMENT)
 
     def test_oracle_equivalence_under_heavy_ties(self):
         # y in {-60, 0, 60} with alpha = 0 makes q saturate to {~0, 0.5, 1.0}
         # exactly, so many subsets tie; both routes must still pick the
-        # same (lexicographically smallest) optimum.
+        # same (lexicographically smallest) optimum.  The per-segment runs
+        # give one segment zero weight, where every block ties at zero.
         rng = np.random.default_rng(9)
-        for _ in range(60):
+        rng2 = np.random.default_rng(10)
+        for trial in range(60):
             n = int(rng.integers(2, 7))
             y = rng.choice([-60.0, 0.0, 60.0], size=(n, 1))
             inst = make_instance(y, np.zeros((n, 1)), np.zeros(n), [1.0])
+            # 1e-3 puts q a hair above 0.5: distinct, but close to a tie.
+            y2 = rng2.choice([-60.0, 0.0, 60.0, 1e-3], size=(n, 2))
+            lam = [1.0, 0.0] if trial % 2 else [0.0, 1.0]
+            inst2 = make_instance(y2, np.zeros((n, 2)), np.zeros(n), lam)
             for k in range(1, n + 1):
                 best, w, sol = optimize_assortment(inst, k)
-                oracle = revenue_ordered_oracle(inst, k, sol.q)
+                oracle = enumerate_optimum(inst, k, sol.q)
                 assert best == oracle
                 assert w == expected_revenue(inst, oracle, sol.q)
+                best, w, sol = optimize_assortment(inst2, k, PER_SEGMENT)
+                oracle = enumerate_optimum(inst2, k, sol.q, PER_SEGMENT)
+                assert best == oracle
+                assert w == expected_revenue(inst2, oracle, sol.q)
 
     def test_probability_range_strict_at_moderate_scale(self):
         # At M = 15 the utilities stay in float range where sigma is

@@ -1,5 +1,6 @@
 """Tests for seeded instance/dataset generation and JSON Lines persistence."""
 
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -135,6 +136,13 @@ class TestGenerateDataset:
         data = generate_dataset(GenSpec(n=3, m=2, k=1, mode=PER_SEGMENT), 15, 21)
         verify_labels(data, tol=1e-12)
 
+    def test_nan_revenue_rejected(self):
+        data = generate_dataset(GenSpec(n=3, m=1, k=1), 3, 21)
+        bad = dataclasses.replace(data.records[1], r_a=float("nan"))
+        data = dataclasses.replace(data, records=(data.records[0], bad, data.records[2]))
+        with pytest.raises(ValueError, match=f"record {bad.idx}"):
+            verify_labels(data)
+
     def test_count_validated(self):
         with pytest.raises(ValueError):
             generate_dataset(GenSpec(n=2, m=1), count=0, master_seed=0)
@@ -150,6 +158,15 @@ class TestRelabel:
             assert a.instance == b.instance
             assert b.label.k == 3
             assert b.r_a >= a.r_a  # revenue is monotone in k
+
+    @pytest.mark.parametrize("mode", [SHARED, PER_SEGMENT])
+    def test_equals_generating_under_the_new_spec(self, mode):
+        # The stored q is reused, so relabeling must reproduce generation
+        # under the new k and mode exactly, exclusions included.
+        spec = GenSpec(n=5, m=2, k=1)
+        base = generate_dataset(spec, count=40, master_seed=31)
+        fresh = generate_dataset(dataclasses.replace(spec, k=3, mode=mode), 40, 31)
+        assert relabel_dataset(base, k=3, mode=mode) == fresh
 
     def test_mode_switch(self):
         base = generate_dataset(GenSpec(n=2, m=2, k=1), count=8, master_seed=2)
