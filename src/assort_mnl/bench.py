@@ -22,12 +22,12 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
 
 from .core import PER_SEGMENT, SHARED
 from .generate import (
     GenSpec,
     LabeledDataset,
+    _stack,
     generate_dataset,
     spec_to_dict,
     write_dataset,
@@ -36,8 +36,8 @@ from .learner import (
     EvaluationReport,
     FeatureLayout,
     UnderdeterminedFitError,
-    encode_features,
-    encode_label,
+    _features,
+    _indicators,
     evaluate,
     fit_linear,
     write_model,
@@ -223,12 +223,12 @@ def split_dataset(dataset: LabeledDataset, train_fraction: float):
 
 def training_matrices(dataset: LabeledDataset):
     """Stack a dataset into the regression design (X) and indicator targets (Y)."""
-    layout = FeatureLayout(dataset.spec.n, dataset.spec.m)
-    X = np.array([encode_features(rec.instance, layout) for rec in dataset.records])
-    Y = np.array(
-        [encode_label(rec.label, dataset.spec.n, dataset.spec.m) for rec in dataset.records]
+    y, alpha, F, lam, labels = _stack(
+        dataset.records, "instance.y", "instance.alpha", "instance.F", "instance.lam",
+        "label.per_segment",
     )
-    return X, Y, layout
+    layout = FeatureLayout(dataset.spec.n, dataset.spec.m)
+    return _features(y, alpha, F, lam), _indicators(labels, layout.n), layout
 
 
 def check_convergence_budget(dataset: LabeledDataset, budget: float = NONCONVERGENCE_BUDGET):

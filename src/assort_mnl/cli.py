@@ -11,7 +11,8 @@ Subcommands wire the library stages together:
 
 Exit codes: 0 success, 2 argument or configuration error, 3 fixed-point
 non-convergence budget exceeded, 4 training error, 5 I/O or file format
-error.
+error (dataset or model file, including a stored r_a that disagrees with
+its label).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .generate import (
     generate_dataset,
     read_dataset,
     relabel_dataset,
+    verify_labels,
     write_dataset,
 )
 from .learner import (
@@ -157,6 +159,7 @@ def _cmd_label(args) -> int:
 
 def _cmd_train(args) -> int:
     dataset = read_dataset(args.dataset)
+    verify_labels(dataset)
     train, _ = split_dataset(dataset, args.train_fraction)
     X, Y, layout = training_matrices(train)
     model = fit_linear(X, Y, layout)
@@ -170,6 +173,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     dataset = read_dataset(args.dataset)
+    verify_labels(dataset)
     model = read_model(args.model)
     _, test = split_dataset(dataset, args.train_fraction)
     if not test.records:

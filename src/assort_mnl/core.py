@@ -17,7 +17,9 @@ support probabilities do not depend on which products are offered.  The
 revenue-maximizing size-k assortment therefore keeps the k products with
 the largest revenue contributions, ties going to the lower product index;
 ``best_assortment`` implements that rule and ``optimize_assortment`` pairs
-it with the fixed-point solve.
+it with the fixed-point solve.  Selection and revenue are array code over
+records stacked on leading axes, which labels, verifies and evaluates a
+whole dataset at once; the per-instance functions are its one-row case.
 
 Everything here is a pure function of its inputs: no mutation, no global
 state, safe to call concurrently.
@@ -99,6 +101,8 @@ class RevenueTerms:
             raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
         if not 0.0 <= self.xi <= 1.0:
             raise ValueError(f"xi must lie in [0, 1], got {self.xi}")
+        if not np.isfinite(self.per_support):
+            raise ValueError(f"revenue per unit of support must be finite, got a={self.a}, b={self.b}")
 
     @property
     def per_support(self) -> float:
@@ -258,6 +262,15 @@ def _check_support(instance: ProblemInstance, q) -> np.ndarray:
     return q
 
 
+def _check_blocks(assortment: Assortment, n: int, m: int) -> np.ndarray:
+    if len(assortment.per_segment) != m:
+        raise ValueError(f"assortment has {len(assortment.per_segment)} segment blocks, expected {m}")
+    blocks = np.array(assortment.per_segment)
+    if blocks.max() >= n:
+        raise ValueError(f"product index {blocks.max()} out of range for n={n}")
+    return blocks
+
+
 def total_support_mass(instance: ProblemInstance, q) -> np.ndarray:
     """Population support mass per product: ``s_i = sum_j lam_j q_ij``.
 
@@ -357,32 +370,43 @@ def expected_revenue(instance: ProblemInstance, assortment: Assortment, q) -> fl
     ``W = (a+b)/2 * (omega+xi) * sum_j lam_j * sum_{i in G_j} q_ij``.
     """
     q = _check_support(instance, q)
-    if len(assortment.per_segment) != instance.m:
-        raise ValueError(
-            f"assortment has {len(assortment.per_segment)} segment blocks, "
-            f"instance has {instance.m} segments"
-        )
-    total = 0.0
-    for j, block in enumerate(assortment.per_segment):
-        for i in block:
-            if i >= instance.n:
-                raise ValueError(f"product index {i} out of range for n={instance.n}")
-        total += instance.lam[j] * float(q[list(block), j].sum())
-    return instance.revenue.per_support * total
+    blocks = _check_blocks(assortment, instance.n, instance.m)
+    return float(_block_revenue(q, instance.lam, instance.revenue.per_support, blocks))
 
 
-def _check_selection(instance: ProblemInstance, k: int, mode: str) -> None:
-    if not 1 <= k <= instance.n:
-        raise ValueError(f"k must lie in [1, {instance.n}], got {k}")
+def _block_revenue(q, lam, per_support, blocks) -> np.ndarray:
+    """Revenue of offering ``blocks`` (..., m, k) at supports ``q`` (..., n, m)."""
+    # Blocks sum over a contiguous axis and segments add in order, as for
+    # one record, so stacking records changes no bit of any revenue.
+    picked = np.take_along_axis(np.swapaxes(q, -1, -2), blocks, axis=-1).sum(axis=-1)
+    total = np.zeros(picked.shape[:-1])
+    for j in range(picked.shape[-1]):
+        total = total + lam[..., j] * picked[..., j]
+    return per_support * total
+
+
+def _check_selection(n: int, k: int, mode: str) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in [1, {n}], got {k}")
     if mode not in (SHARED, PER_SEGMENT):
         raise ValueError(f"mode must be {SHARED!r} or {PER_SEGMENT!r}, got {mode!r}")
 
 
-def _top_k(values: np.ndarray, k: int) -> tuple[int, ...]:
-    """Indices of the k largest values as a sorted tuple; ties go to the lower index."""
+def _top_k(values: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest entries along the last axis, ascending; ties go to the lower index."""
     # Stable sort on the negated values puts ties in ascending index order.
-    order = np.argsort(-values, kind="stable")
-    return tuple(sorted(int(i) for i in order[:k]))
+    return np.sort(np.argsort(-values, axis=-1, kind="stable")[..., :k], axis=-1)
+
+
+def _best_blocks(q, lam, k: int, mode: str) -> np.ndarray:
+    """Optimal blocks (..., m, k) at supports ``q`` (..., n, m) and weights ``lam`` (..., m)."""
+    if mode == SHARED:
+        # matmul rounds a stack of records exactly as it rounds one.
+        block = _top_k(np.matmul(q, lam[..., None])[..., 0], k)
+        return np.repeat(block[..., None, :], q.shape[-1], axis=-2)
+    # Rank q itself rather than lam_j * q: a positive weight keeps the order,
+    # but rounding the products could merge two distinct values into a tie.
+    return np.where(lam[..., None] > 0.0, _top_k(np.swapaxes(q, -1, -2), k), np.arange(k))
 
 
 def best_assortment(instance: ProblemInstance, k: int, q, mode: str = SHARED) -> Assortment:
@@ -394,17 +418,9 @@ def best_assortment(instance: ProblemInstance, k: int, q, mode: str = SHARED) ->
     zero-weight segment gets products ``0..k-1``.  Ties go to the lower
     index: the result is the lexicographically smallest optimal set.
     """
-    _check_selection(instance, k, mode)
+    _check_selection(instance.n, k, mode)
     q = _check_support(instance, q)
-    if mode == SHARED:
-        return Assortment(per_segment=(_top_k(q @ instance.lam, k),) * instance.m, k=k)
-    # Rank q itself rather than lam_j * q: a positive weight keeps the order,
-    # but rounding the products could merge two distinct values into a tie.
-    blocks = tuple(
-        _top_k(q[:, j], k) if instance.lam[j] > 0.0 else tuple(range(k))
-        for j in range(instance.m)
-    )
-    return Assortment(per_segment=blocks, k=k)
+    return Assortment(per_segment=_best_blocks(q, instance.lam, k, mode).tolist(), k=k)
 
 
 def optimize_assortment(
@@ -423,7 +439,7 @@ def optimize_assortment(
     Returns ``(assortment, revenue, solution)``; raises
     :class:`NonConvergenceError` if the fixed point did not converge.
     """
-    _check_selection(instance, k, mode)
+    _check_selection(instance.n, k, mode)
     solution = solve_fixed_point(instance, ONE_START, tol=tol, max_iter=max_iter)
     if not solution.converged:
         raise NonConvergenceError(solution)

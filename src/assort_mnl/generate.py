@@ -26,7 +26,9 @@ reproduces every number exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +37,11 @@ from .core import (
     PER_SEGMENT,
     SHARED,
     Assortment,
-    NonConvergenceError,
     ProblemInstance,
     RevenueTerms,
-    best_assortment,
-    expected_revenue,
-    optimize_assortment,
+    _best_blocks,
+    _block_revenue,
+    solve_fixed_point,
 )
 
 __all__ = [
@@ -72,7 +73,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 
 class DatasetFormatError(ValueError):
-    """A dataset file could not be parsed or fails its schema."""
+    """A dataset or model file could not be parsed or fails its schema."""
 
 
 @dataclass(frozen=True)
@@ -215,10 +216,11 @@ def generate_instance(spec: GenSpec, seed: int) -> ProblemInstance:
 def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledDataset:
     """Generate ``count`` instances and label each with its optimal assortment.
 
-    Record ``t`` uses seed ``record_seed(master_seed, t)``; labels are the
-    exact optima from :func:`optimize_assortment` at the largest fixed
-    point.  Records whose fixed point fails to converge are dropped and
-    reported in ``excluded``.
+    Record ``t`` uses seed ``record_seed(master_seed, t)``.  Instances are
+    drawn and solved one by one; :func:`relabel_dataset` then labels all of
+    them at once with the exact optima at the largest fixed point.  Records
+    whose fixed point fails to converge are dropped and reported in
+    ``excluded``.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -227,23 +229,23 @@ def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledData
     for idx in range(count):
         seed = record_seed(master_seed, idx)
         instance = generate_instance(spec, seed)
-        try:
-            label, r_a, solution = optimize_assortment(instance, spec.k, spec.mode)
-        except NonConvergenceError:
+        solution = solve_fixed_point(instance)
+        if not solution.converged:
             excluded.append(idx)
             continue
         records.append(
             DatasetRecord(
-                idx=idx, seed=seed, instance=instance, q=solution.q, label=label, r_a=r_a
+                idx=idx, seed=seed, instance=instance, q=solution.q, label=None, r_a=None
             )
         )
-    return LabeledDataset(
+    unlabeled = LabeledDataset(
         spec=spec,
         master_seed=int(master_seed),
         count=count,
         records=tuple(records),
         excluded=tuple(excluded),
     )
+    return relabel_dataset(unlabeled)
 
 
 def relabel_dataset(dataset: LabeledDataset, k=None, mode=None) -> LabeledDataset:
@@ -259,13 +261,23 @@ def relabel_dataset(dataset: LabeledDataset, k=None, mode=None) -> LabeledDatase
         k=dataset.spec.k if k is None else k,
         mode=dataset.spec.mode if mode is None else mode,
     )
-    records = []
-    for rec in dataset.records:
-        label = best_assortment(rec.instance, spec.k, rec.q, spec.mode)
-        records.append(
-            replace(rec, label=label, r_a=expected_revenue(rec.instance, label, rec.q))
-        )
-    return replace(dataset, spec=spec, records=tuple(records))
+    if not dataset.records:
+        return replace(dataset, spec=spec)
+    q, lam, per_support = _stack(dataset.records, "q", "instance.lam", "instance.revenue.per_support")
+    blocks = _best_blocks(q, lam, spec.k, spec.mode)
+    r_a = _block_revenue(q, lam, per_support, blocks)
+    records = tuple(
+        replace(rec, label=Assortment(per_segment=b, k=spec.k), r_a=w)
+        for rec, b, w in zip(dataset.records, blocks.tolist(), r_a.tolist())
+    )
+    return replace(dataset, spec=spec, records=records)
+
+
+def _stack(records, *fields) -> list[np.ndarray]:
+    """Record attributes (dotted names) as arrays with a leading record axis."""
+    if not records:
+        raise ValueError("no records to stack")
+    return [np.array([attrgetter(f)(rec) for rec in records]) for f in fields]
 
 
 def _revenue_to_dict(rev: RevenueTerms) -> dict:
@@ -273,6 +285,8 @@ def _revenue_to_dict(rev: RevenueTerms) -> dict:
 
 
 def _revenue_from_dict(d: dict, where: str) -> RevenueTerms:
+    if not isinstance(d, dict):
+        raise DatasetFormatError(f"{where}: revenue must be a JSON object")
     try:
         return RevenueTerms(a=d["a"], b=d["b"], omega=d["omega"], xi=d["xi"])
     except KeyError as e:
@@ -293,6 +307,8 @@ def spec_to_dict(spec: GenSpec) -> dict:
 
 
 def spec_from_dict(d: dict, where: str = "spec") -> GenSpec:
+    if not isinstance(d, dict):
+        raise DatasetFormatError(f"{where}: spec must be a JSON object")
     try:
         return GenSpec(
             n=d["n"],
@@ -306,6 +322,10 @@ def spec_from_dict(d: dict, where: str = "spec") -> GenSpec:
         )
     except KeyError as e:
         raise DatasetFormatError(f"{where}: missing field {e.args[0]!r}") from None
+    except DatasetFormatError:
+        raise
+    except (TypeError, ValueError, OverflowError) as e:
+        raise DatasetFormatError(f"{where}: invalid spec ({e})") from None
 
 
 def _record_to_dict(rec: DatasetRecord) -> dict:
@@ -368,17 +388,15 @@ def _record_from_dict(obj: dict, lineno: int, spec: GenSpec) -> DatasetRecord:
         q = np.array(_get(obj, "q", lineno), dtype=float)
         q.setflags(write=False)
         _check_fits_spec(instance, q, label, spec, lineno)
-        return DatasetRecord(
-            idx=_get(obj, "idx", lineno),
-            seed=_get(obj, "seed", lineno),
-            instance=instance,
-            q=q,
-            label=label,
-            r_a=_get(obj, "r_a", lineno),
-        )
+        idx, seed, r_a = (_get(obj, key, lineno) for key in ("idx", "seed", "r_a"))
+        if type(idx) is not int or type(seed) is not int:
+            raise DatasetFormatError(f"line {lineno}: idx and seed must be integers")
+        if type(r_a) not in (int, float) or not math.isfinite(r_a):
+            raise DatasetFormatError(f"line {lineno}: r_a must be a finite number, got {r_a!r}")
+        return DatasetRecord(idx=idx, seed=seed, instance=instance, q=q, label=label, r_a=r_a)
     except DatasetFormatError:
         raise
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise DatasetFormatError(f"line {lineno}: invalid record ({e})") from None
 
 
@@ -426,7 +444,10 @@ def read_dataset(path) -> LabeledDataset:
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as e:
+            raise DatasetFormatError(f"not UTF-8 text ({e.reason})") from None
     if not lines or not lines[0].strip():
         raise DatasetFormatError("line 1: missing header")
     header = _load_object(lines[0], 1)
@@ -435,7 +456,7 @@ def read_dataset(path) -> LabeledDataset:
         raise DatasetFormatError(
             f"unsupported format_version {version!r}, expected {FORMAT_VERSION}"
         )
-    spec = spec_from_dict(_get(header, "spec", 1))
+    spec = spec_from_dict(_get(header, "spec", 1), "line 1")
     count = _get(header, "count", 1)
     excluded = tuple(_get(header, "excluded", 1))
 
@@ -460,13 +481,19 @@ def read_dataset(path) -> LabeledDataset:
 def verify_labels(dataset: LabeledDataset, tol: float = 1e-12) -> None:
     """Assert every stored r_a matches a fresh revenue evaluation of its label.
 
-    Cheap consistency check used by file consumers; raises ValueError on
-    the first mismatch.
+    Cheap consistency check used by file consumers; raises
+    :class:`DatasetFormatError` on the first mismatch.
     """
-    for rec in dataset.records:
-        w = expected_revenue(rec.instance, rec.label, rec.q)
-        # Written so that a NaN on either side fails the check.
-        if not abs(w - rec.r_a) <= tol:
-            raise ValueError(
-                f"record {rec.idx}: stored r_a {rec.r_a!r} differs from evaluated {w!r}"
-            )
+    if not dataset.records:
+        return
+    q, lam, per_support, labels, r_a = _stack(
+        dataset.records, "q", "instance.lam", "instance.revenue.per_support", "label.per_segment", "r_a"
+    )
+    w = _block_revenue(q, lam, per_support, labels)
+    # Written so that a NaN on either side fails the check.
+    bad = np.flatnonzero(~(np.abs(w - r_a) <= tol))
+    if bad.size:
+        rec, w = dataset.records[bad[0]], float(w[bad[0]])
+        raise DatasetFormatError(
+            f"record {rec.idx}: stored r_a {rec.r_a!r} differs from evaluated {w!r}"
+        )

@@ -7,6 +7,12 @@ assortments by picking, per segment, the k products whose indicator is
 nearest in l2, which reduces to a top-k selection.  Prediction quality is
 measured by the misclassification rate and by the percentage revenue loss
 (PRL) of offering the predicted assortment instead of the optimal one.
+
+Encoding, prediction, decoding and revenue run as array operations over a
+whole dataset at once (:func:`evaluate`, ``bench.training_matrices``).  The
+per-example functions (:func:`encode_features`, :func:`encode_label`,
+:func:`predict_scores`, :func:`decode_assortment`) check their input and
+then run the same array code on one row, so both give identical bits.
 """
 
 from __future__ import annotations
@@ -17,8 +23,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PER_SEGMENT, SHARED, Assortment, ProblemInstance, _top_k, expected_revenue
-from .generate import LabeledDataset
+from .core import (
+    SHARED,
+    Assortment,
+    ProblemInstance,
+    _block_revenue,
+    _check_blocks,
+    _check_selection,
+    _top_k,
+)
+from .generate import DatasetFormatError, LabeledDataset, _stack
 
 __all__ = [
     "MODEL_FORMAT_VERSION",
@@ -102,6 +116,8 @@ class PredictorModel:
             raise ValueError(f"intercept must have length {L}, got {intercept.shape}")
         if coefficients.shape != (L, d):
             raise ValueError(f"coefficients must have shape {(L, d)}, got {coefficients.shape}")
+        if not (np.all(np.isfinite(intercept)) and np.all(np.isfinite(coefficients))):
+            raise ValueError("intercept and coefficients must be finite")
         intercept.setflags(write=False)
         coefficients.setflags(write=False)
         object.__setattr__(self, "intercept", intercept)
@@ -171,25 +187,26 @@ def encode_features(instance: ProblemInstance, layout: FeatureLayout) -> np.ndar
             f"instance shape {(instance.n, instance.m)} does not match "
             f"layout {(layout.n, layout.m)}"
         )
-    per_product = np.hstack([instance.y, instance.alpha, instance.F[:, None]])
-    if layout.m > 1:
-        return np.concatenate([per_product.ravel(), instance.lam[:-1]])
-    return per_product.ravel()
+    return _features(instance.y, instance.alpha, instance.F, instance.lam)
+
+
+def _features(y, alpha, F, lam) -> np.ndarray:
+    """Feature rows (..., d) of instances with parameters stacked on leading axes."""
+    per_product = np.concatenate([y, alpha, F[..., None]], axis=-1)
+    flat = per_product.reshape(per_product.shape[:-2] + (-1,))
+    return np.concatenate([flat, lam[..., :-1]], axis=-1)
 
 
 def encode_label(assortment: Assortment, n: int, m: int) -> np.ndarray:
     """Indicator vector of length n*m: slot i*m + j is 1 iff product i is in G_j."""
-    if len(assortment.per_segment) != m:
-        raise ValueError(
-            f"assortment has {len(assortment.per_segment)} blocks, expected {m}"
-        )
-    out = np.zeros(n * m)
-    for j, block in enumerate(assortment.per_segment):
-        for i in block:
-            if i >= n:
-                raise ValueError(f"product index {i} out of range for n={n}")
-            out[i * m + j] = 1.0
-    return out
+    return _indicators(_check_blocks(assortment, n, m), n)
+
+
+def _indicators(blocks, n: int) -> np.ndarray:
+    """Label slots (..., n*m) of blocks (..., m, k), product-major as in encode_label."""
+    out = np.zeros(blocks.shape[:-1] + (n,))
+    np.put_along_axis(out, blocks, 1.0, axis=-1)
+    return np.swapaxes(out, -1, -2).reshape(blocks.shape[:-2] + (-1,))
 
 
 def fit_linear(X, Y, layout: FeatureLayout) -> PredictorModel:
@@ -229,7 +246,13 @@ def predict_scores(model: PredictorModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (model.layout.d,):
         raise ValueError(f"feature vector must have length {model.layout.d}, got {x.shape}")
-    return model.intercept + model.coefficients @ x
+    return _predict(model, x)
+
+
+def _predict(model: PredictorModel, X) -> np.ndarray:
+    """Scores (..., L) of feature rows (..., d)."""
+    # One matrix-vector product per row: ``X @ B.T`` would round differently.
+    return np.matmul(model.coefficients, X[..., None])[..., 0] + model.intercept
 
 
 def decode_assortment(scores, k: int, n: int, m: int, mode: str = SHARED) -> Assortment:
@@ -244,21 +267,21 @@ def decode_assortment(scores, k: int, n: int, m: int, mode: str = SHARED) -> Ass
     scores = np.asarray(scores, dtype=float).reshape(-1)
     if scores.shape != (n * m,):
         raise ValueError(f"scores must have length {n * m}, got {scores.shape}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
-    grid = scores.reshape(n, m)
+    _check_selection(n, k, mode)
+    return Assortment(per_segment=_decode_blocks(scores, k, n, m, mode).tolist(), k=k)
+
+
+def _decode_blocks(scores, k: int, n: int, m: int, mode: str) -> np.ndarray:
+    """Decoded blocks (..., m, k) of score rows (..., n*m)."""
+    grid = scores.reshape(scores.shape[:-1] + (n, m))
     if mode == SHARED:
-        block = _top_k(grid.sum(axis=1), k)
-        return Assortment(per_segment=(block,) * m, k=k)
-    if mode == PER_SEGMENT:
-        blocks = tuple(_top_k(grid[:, j], k) for j in range(m))
-        return Assortment(per_segment=blocks, k=k)
-    raise ValueError(f"mode must be {SHARED!r} or {PER_SEGMENT!r}, got {mode!r}")
+        return np.repeat(_top_k(grid.sum(axis=-1), k)[..., None, :], m, axis=-2)
+    return _top_k(np.swapaxes(grid, -1, -2), k)
 
 
-def prl(r_a: float, r_c: float) -> float:
-    """Percentage revenue loss: ``100 * (r_a - r_c) / r_a``; needs r_a > 0."""
-    if not r_a > 0.0:
+def prl(r_a, r_c):
+    """Percentage revenue loss ``100 * (r_a - r_c) / r_a``, elementwise; needs r_a > 0."""
+    if not np.all(np.asarray(r_a) > 0.0):
         raise ValueError(f"PRL is undefined for optimal revenue r_a={r_a!r}")
     return 100.0 * (r_a - r_c) / r_a
 
@@ -279,37 +302,31 @@ def evaluate(model: PredictorModel, test: LabeledDataset) -> EvaluationReport:
             f"dataset shape {(spec.n, spec.m)} does not match model layout "
             f"{(model.layout.n, model.layout.m)}"
         )
-    rows = []
-    prl_values = []
-    errors = 0
-    excluded = 0
-    r_a_all = np.array([rec.r_a for rec in test.records])
-    for rec in test.records:
-        x = encode_features(rec.instance, model.layout)
-        predicted = decode_assortment(
-            predict_scores(model, x), spec.k, spec.n, spec.m, spec.mode
-        )
-        wrong = predicted.per_segment != rec.label.per_segment
-        errors += wrong
-        r_c = expected_revenue(rec.instance, predicted, rec.q)
-        if rec.r_a < PRL_MIN_REVENUE:
-            excluded += 1
-            loss = None
-        else:
-            loss = prl(rec.r_a, r_c)
-            prl_values.append(loss)
-        rows.append(
-            ExampleEval(idx=rec.idx, r_a=rec.r_a, r_c=r_c, prl=loss, misclassified=wrong)
-        )
+    y, alpha, F, lam, q, per_support, labels, r_a = _stack(
+        test.records, "instance.y", "instance.alpha", "instance.F", "instance.lam", "q",
+        "instance.revenue.per_support", "label.per_segment", "r_a",
+    )
+    predicted = _decode_blocks(
+        _predict(model, _features(y, alpha, F, lam)), spec.k, spec.n, spec.m, spec.mode
+    )
+    wrong = np.any(predicted != labels, axis=(1, 2))
+    r_c = _block_revenue(q, lam, per_support, predicted)
+    kept = ~(r_a < PRL_MIN_REVENUE)
+    losses = prl(r_a[kept], r_c[kept])
+    prl_column = np.full(len(r_a), None)
+    prl_column[kept] = losses.tolist()
     return EvaluationReport(
         test_count=len(test.records),
-        error_rate=errors / len(test.records),
-        mean_prl_percent=float(np.mean(prl_values)) if prl_values else None,
-        r_a_min=float(r_a_all.min()),
-        r_a_max=float(r_a_all.max()),
-        r_a_mean=float(r_a_all.mean()),
-        prl_excluded=excluded,
-        examples=tuple(rows),
+        error_rate=int(wrong.sum()) / len(test.records),
+        mean_prl_percent=float(np.mean(losses)) if losses.size else None,
+        r_a_min=float(r_a.min()),
+        r_a_max=float(r_a.max()),
+        r_a_mean=float(r_a.mean()),
+        prl_excluded=int((~kept).sum()),
+        examples=tuple(
+            ExampleEval(idx=rec.idx, r_a=rec.r_a, r_c=r, prl=loss, misclassified=w)
+            for rec, r, loss, w in zip(test.records, r_c.tolist(), prl_column, wrong.tolist())
+        ),
     )
 
 
@@ -327,16 +344,24 @@ def write_model(model: PredictorModel, path) -> None:
 
 
 def read_model(path) -> PredictorModel:
-    """Load a model written by :func:`write_model`."""
+    """Load a model written by :func:`write_model`.
+
+    Raises :class:`DatasetFormatError` when the file does not hold such a
+    model: bad JSON, a missing or mistyped field, or a non-finite number.
+    """
     with open(Path(path), "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"invalid model file: {e.msg}") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise DatasetFormatError(f"invalid model file ({e})") from None
+    if not isinstance(doc, dict):
+        raise DatasetFormatError("model file must hold a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format_version {version!r}")
+        raise DatasetFormatError(f"unsupported model format_version {version!r}")
     try:
+        if not isinstance(doc["layout"], dict):
+            raise DatasetFormatError("model layout must be a JSON object")
         layout = FeatureLayout(n=doc["layout"]["n"], m=doc["layout"]["m"])
         return PredictorModel(
             intercept=np.array(doc["intercept"], dtype=float),
@@ -345,4 +370,8 @@ def read_model(path) -> PredictorModel:
             rank_deficient=bool(doc.get("rank_deficient", False)),
         )
     except KeyError as e:
-        raise ValueError(f"model file is missing field {e.args[0]!r}") from None
+        raise DatasetFormatError(f"model file is missing field {e.args[0]!r}") from None
+    except DatasetFormatError:
+        raise
+    except (TypeError, ValueError, OverflowError) as e:
+        raise DatasetFormatError(f"invalid model file ({e})") from None

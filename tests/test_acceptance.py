@@ -18,7 +18,6 @@ from assort_mnl import (
     GenSpec,
     ProblemInstance,
     choice_probability,
-    decode_assortment,
     evaluate,
     expected_revenue,
     fit_linear,
@@ -33,6 +32,7 @@ from assort_mnl import (
     training_matrices,
 )
 from assort_mnl.core import ONE_START, PER_SEGMENT, SHARED, ZERO_START
+from assort_mnl.learner import _decode_blocks
 from enumeration_oracle import enumerate_optimum
 
 
@@ -232,7 +232,7 @@ def test_criterion_09_decode_equivalence_on_grid():
     # Scores live on the 0.1 grid, so distances are compared exactly in
     # integer units of 0.01: a plain float sum of squares breaks true ties
     # through non-associativity and would misreport the nearest indicator.
-    grid10 = np.arange(11)  # 10x the score grid
+    t0 = time.perf_counter()
     mismatches = 0
     total = 0
     for n, m in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)):
@@ -240,22 +240,31 @@ def test_criterion_09_decode_equivalence_on_grid():
             candidates = [
                 blocks for blocks in product(combinations(range(n), k), repeat=m)
             ]
-            indicators10 = np.zeros((len(candidates), n * m), dtype=np.int64)
+            # Squared distances stay below 6 * 10**2, exact in int16.
+            indicators10 = np.zeros((len(candidates), n * m), dtype=np.int16)
             for c, blocks in enumerate(candidates):
                 for j, block in enumerate(blocks):
                     for i in block:
                         indicators10[c, i * m + j] = 10
-            scores10 = np.array(list(product(grid10, repeat=n * m)), dtype=np.int64)
-            # Exact l2-nearest valid indicator; candidate order is
-            # lexicographic so argmin ties resolve to the declared rule.
-            d2 = ((scores10[:, None, :] - indicators10[None, :, :]) ** 2).sum(axis=2)
-            nearest = np.argmin(d2, axis=1)
-            for row10, c in zip(scores10, nearest):
-                total += 1
-                decoded = decode_assortment(row10 / 10.0, k, n, m, PER_SEGMENT)
-                if decoded.per_segment != candidates[c]:
-                    mismatches += 1
-    report(9, mismatches == 0, f"{total} grid vectors decoded, {mismatches} mismatches")
+            # Every vector of the grid 0, 0.1, ..., 1 (10x) in lexicographic
+            # order, stored one slot per row.
+            slots10 = np.indices((11,) * (n * m), dtype=np.int16).reshape(n * m, -1)
+            # Exact l2-nearest valid indicator, accumulated slot by slot;
+            # candidate order is lexicographic so argmin ties resolve to the
+            # declared rule.
+            d2 = sum((slots10[s] - indicators10[:, s, None]) ** 2 for s in range(n * m))
+            nearest = np.argmin(d2, axis=0)
+            decoded = _decode_blocks(slots10.T / 10.0, k, n, m, PER_SEGMENT)
+            expected = np.array(candidates)[nearest]
+            mismatches += int(np.any(decoded != expected, axis=(1, 2)).sum())
+            total += len(nearest)
+    elapsed = time.perf_counter() - t0
+    report(
+        9,
+        mismatches == 0,
+        f"{total} grid vectors decoded in one batch per shape, {mismatches} mismatches, "
+        f"in {elapsed:.2f}s",
+    )
 
 
 def test_criterion_10_cli_determinism_and_scale(tmp_path):

@@ -44,6 +44,45 @@ PRESET_DATASET_SHA256 = {
     "case4": "76d86e4ebc7401a3c978a44964ba13d46903efc3367b68f43eeccf6a21bea1a5",
 }
 
+# SHA-256 of each preset's model file and of its case report's
+# ``evaluation`` section (``json.dumps(..., sort_keys=True)``) at master
+# seed 1729, taken while labeling, training matrices, prediction, decoding
+# and revenue still ran one record at a time.  The dataset-level array code
+# must reproduce them exactly.
+PRESET_MODEL_SHA256 = {
+    "case1p1": "4857ba5510b92febb661f4ef1aaf0c4713faeda32a7c805f9f82a8c6d35f4261",
+    "case1p2": "2d6ce469b6280501b0b044704e6d0ff0475fb4308c1c82c05be8338145952f23",
+    "case2p1": "ec3369ec435281f1bd6580ed73384c97c80746705146e3cc0fe7ac851549ee88",
+    "case2p2": "9f4e1b13ba36b6559ceec88d8b50e05f69df57007575298a6b6f89714c5723e8",
+    "case2p3": "5967bfccbc2823e49e13022ca547ca8750ceab91202d6ca2dbf8d328025e1059",
+    "case3p1": "20f13309d14314be1c4339b98cddc2f21df03ad5306a15ea90c5753a0410da30",
+    "case3p2": "13549268158fbe6bf4807fbac6bc8eb68959385503b90f19b7b6e124a2b1fb98",
+    "case3p3": "60efae51a7f716f136db75946b25147a1643dd292f2c1f29e76755b3b06d5966",
+    "case3p4": "4f23338c246ec3c2a307a6c1279ce1d1d47d0cd039bedc6149bac2a433411890",
+    "case3p5": "570a36fae2be59c8d8b9c5a51edb56ac4f037a11b0ff631859a98427c5af7ff7",
+    "case4": "1adf2e864ec566a6e334c235f36e821819b127721a374ce052e588c39dc02321",
+}
+PRESET_EVALUATION_SHA256 = {
+    "case1p1": "5071134ff8b49815ef3da4c0ee355d7e6e62658f806a6ab02d7d0d6b0656bb6d",
+    "case1p2": "e65593f8339658e89ab31d77d2e4daa4a5ce9255f8c41ef8248926d781cc3162",
+    "case2p1": "b358583017bc2495f645c3f192d7aa1639d281172575f44b9cb60ad230eeded6",
+    "case2p2": "edee2343644bb7725a57519c5912c7fe30a50e159009014440aed920a006ab31",
+    "case2p3": "625e67c0baeb39e682686fd2d3258198d6f8af65f442a72be2d8636a74fb1789",
+    "case3p1": "f40546d74aee355de61914e450c28ad9daa55cc7ebb992b4bb77f2d1918389ec",
+    "case3p2": "14744b8f3512b3e612a0318403c49e16c52e761a94adb89a7e0ffb436b94d82b",
+    "case3p3": "5e4c491deedbe8fc940631979fadecd5692493a276a3a179b452d648063f5796",
+    "case3p4": "d285a9c603740b100f27cd12427c2edec53f9abbddd03e9a2bceb5030328a5a5",
+    "case3p5": "000ba8c314c635d080436b323bc20d4d176c9e29e050670b43b90e9fc6b9c55a",
+    "case4": "d584a43175fd738d80986cfe7310cb94108dd63229af64a77754ef11653e5e20",
+}
+
+# Datasets with blocks of k = 9 over m = 3 segments, where a revenue sum no
+# longer adds its terms one by one; same seed and the same provenance.
+WIDE_DATASET_SHA256 = {
+    "shared": "0b885a44c69389fbf76674ed60d89394da98b7b9e040e15d2602436d6d97cbbc",
+    "per-segment": "fc75a81c852d4fc6bc856a3d7877e9ffa45fb93b1541d922ea1a73ea22821701",
+}
+
 
 class TestPreset:
     def test_dataset_bytes_pinned(self, tmp_path):
@@ -52,6 +91,20 @@ class TestPreset:
             path = tmp_path / f"{name}.jsonl"
             write_dataset(generate_dataset(preset(name).spec, 500, 1729), path)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
+
+    def test_model_and_evaluation_pinned(self, tmp_path):
+        assert set(PRESET_MODEL_SHA256) == set(PRESET_EVALUATION_SHA256) == set(PRESET_NAMES)
+        for name in PRESET_NAMES:
+            report = run_case(preset(name, out_dir=str(tmp_path)))
+            assert report.artifacts["model"]["sha256"] == PRESET_MODEL_SHA256[name], name
+            evaluation = json.dumps(report.to_dict()["evaluation"], sort_keys=True)
+            assert hashlib.sha256(evaluation.encode()).hexdigest() == PRESET_EVALUATION_SHA256[name], name
+
+    @pytest.mark.parametrize("mode", [SHARED, PER_SEGMENT])
+    def test_wide_dataset_bytes_pinned(self, tmp_path, mode):
+        path = tmp_path / "wide.jsonl"
+        write_dataset(generate_dataset(GenSpec(n=20, m=3, k=9, mode=mode), 200, 1729), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == WIDE_DATASET_SHA256[mode]
 
     def test_grid(self):
         expected = {

@@ -81,7 +81,7 @@ class TestTrainEval:
 
 
 def _edit(change):
-    """A line mutation that applies ``change`` to the decoded record."""
+    """A mutation of one JSON document (a dataset line or a model file) by ``change``."""
 
     def mutate(line):
         rec = json.loads(line)
@@ -95,6 +95,9 @@ def _edit(change):
 # (line 1) or the second record (line 3).
 _BAD_LINES = {
     "header-not-object": (1, lambda line: "[1, 2]"),
+    "header-spec-not-object": (1, _edit(lambda header: header.update(spec=[3, 1]))),
+    "header-k-exceeds-n": (1, _edit(lambda header: header["spec"].update(k=4))),
+    "header-revenue-not-object": (1, _edit(lambda header: header["spec"].update(revenue=[1, 10]))),
     "record-not-object": (3, lambda line: "[]"),
     "q-wrong-shape": (3, _edit(lambda rec: rec.update(q=rec["q"][:-1]))),
     "q-above-one": (3, _edit(lambda rec: rec.update(q=[[1.5]] + rec["q"][1:]))),
@@ -103,6 +106,12 @@ _BAD_LINES = {
     "label-k-differs": (3, _edit(lambda rec: rec.update(label={"per_segment": [[1, 2]], "k": 2}))),
     "label-index-exceeds-n": (3, _edit(lambda rec: rec["label"].update(per_segment=[[4]]))),
     "label-blocks-exceed-m": (3, _edit(lambda rec: rec["label"].update(per_segment=[[1], [2]]))),
+    "idx-not-integer": (3, _edit(lambda rec: rec.update(idx="x"))),
+    "seed-not-integer": (3, _edit(lambda rec: rec.update(seed=1.5))),
+    "r_a-not-number": (3, _edit(lambda rec: rec.update(r_a="y"))),
+    "r_a-nan": (3, _edit(lambda rec: rec.update(r_a=float("nan")))),
+    "r_a-overflows-float": (3, _edit(lambda rec: rec.update(r_a=10**400))),
+    "revenue-overflows-float": (3, _edit(lambda rec: rec["revenue"].update(b=10**400))),
     "record-drops-a-product": (
         3,
         _edit(lambda rec: rec.update({f: rec[f][:-1] for f in ("y", "alpha", "beta", "F", "q")})),
@@ -124,6 +133,49 @@ class TestDatasetValidation:
         assert run(command, path, "--out", tmp_path / "out") == 5
         err = capsys.readouterr().err
         assert "error [read]" in err and f"line {lineno}" in err
+
+
+class TestLabelVerification:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_stored_revenue_must_match_label(self, tmp_path, capsys, command):
+        run("gen", "--n", 3, "--count", 40, "--seed", 5, "--out", tmp_path)
+        run("train", tmp_path / "dataset.jsonl", "--out", tmp_path)
+        path = tmp_path / "dataset.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["r_a"] += 1e-3
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        if command == "train":
+            code = run("train", path, "--out", tmp_path / "out")
+        else:
+            code = run("eval", path, tmp_path / "model.json")
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "error [read]" in err and f"record {record['idx']}" in err
+
+
+_BAD_MODELS = {
+    "document-not-object": lambda text: "[1, 2]",
+    "layout-not-object": _edit(lambda doc: doc.update(layout=[3, 1])),
+    "nan-coefficients": _edit(
+        lambda doc: doc.update(coefficients=[[float("nan")] * len(row) for row in doc["coefficients"]])
+    ),
+    "invalid-json": lambda text: text[: len(text) // 2],
+}
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize("case", sorted(_BAD_MODELS))
+    def test_bad_model_is_read_error(self, tmp_path, capsys, case):
+        run("gen", "--n", 3, "--count", 40, "--seed", 5, "--out", tmp_path)
+        run("train", tmp_path / "dataset.jsonl", "--out", tmp_path)
+        model = tmp_path / "model.json"
+        model.write_text(_BAD_MODELS[case](model.read_text()))
+        capsys.readouterr()
+        assert run("eval", tmp_path / "dataset.jsonl", model) == 5
+        assert "error [read]" in capsys.readouterr().err
 
 
 class TestCase:

@@ -57,6 +57,8 @@ class TestRevenueTerms:
             RevenueTerms(omega=1.5)
         with pytest.raises(ValueError):
             RevenueTerms(xi=-0.1)
+        with pytest.raises(ValueError):
+            RevenueTerms(b=float("inf"))
 
 
 class TestProblemInstance:
