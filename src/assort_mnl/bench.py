@@ -28,6 +28,7 @@ from .generate import (
     GenSpec,
     LabeledDataset,
     _stack,
+    _write_atomic,
     generate_dataset,
     spec_to_dict,
     write_dataset,
@@ -306,9 +307,7 @@ def run_case(config: CaseConfig) -> CaseReport:
             durations=durations,
             artifacts=artifacts,
         )
-        report_path.write_text(
-            json.dumps(case_report.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        _write_atomic(report_path, json.dumps(case_report.to_dict(), indent=2) + "\n")
         written.append(report_path)
     except OSError as e:
         for p in written:

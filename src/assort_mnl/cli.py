@@ -46,6 +46,7 @@ from .generate import (
     UNIT_SCALE,
     DatasetFormatError,
     GenSpec,
+    _write_atomic,
     generate_dataset,
     read_dataset,
     relabel_dataset,
@@ -183,7 +184,7 @@ def _cmd_eval(args) -> int:
     out_path = None
     if args.out is not None:
         out_path = _out_dir(args) / "report.json"
-        out_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        _write_atomic(out_path, json.dumps(doc, indent=2) + "\n")
     mean_prl = "n/a" if report.mean_prl_percent is None else f"{report.mean_prl_percent:.2f}%"
     lines = [
         f"test examples:   {report.test_count}",

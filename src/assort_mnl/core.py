@@ -17,9 +17,11 @@ support probabilities do not depend on which products are offered.  The
 revenue-maximizing size-k assortment therefore keeps the k products with
 the largest revenue contributions, ties going to the lower product index;
 ``best_assortment`` implements that rule and ``optimize_assortment`` pairs
-it with the fixed-point solve.  Selection and revenue are array code over
-records stacked on leading axes, which labels, verifies and evaluates a
-whole dataset at once; the per-instance functions are its one-row case.
+it with the fixed-point solve.  The solve, selection and revenue are array
+code over records stacked on leading axes, which solves, labels, verifies
+and evaluates a whole dataset at once, each record of a solve stopping on
+its own; the per-instance functions, ``solve_fixed_point`` among them, are
+its one-row case.
 
 Everything here is a pure function of its inputs: no mutation, no global
 state, safe to call concurrently.
@@ -317,6 +319,8 @@ def solve_fixed_point(
 ) -> SupportSolution:
     """Solve ``q = sigma(V(q))`` by monotone fixed-point iteration.
 
+    The one-row case of the stacked solve that datasets use.
+
     Parameters
     ----------
     start : "zero" or "one"
@@ -339,29 +343,60 @@ def solve_fixed_point(
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if start == ZERO_START:
-        q = np.zeros((instance.n, instance.m))
-    elif start == ONE_START:
-        q = np.ones((instance.n, instance.m))
-    else:
+    if start not in (ZERO_START, ONE_START):
         raise ValueError(f"start must be {ZERO_START!r} or {ONE_START!r}, got {start!r}")
-
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        q_next = support_map(instance, q)
-        delta = float(np.max(np.abs(q_next - q)))
-        q = q_next
-        iterations += 1
-        if delta <= tol:
-            converged = True
-            break
-
-    residual = float(np.max(np.abs(support_map(instance, q) - q)))
-    q.setflags(write=False)
+    stacked = (x[None] for x in (instance.y, instance.alpha, instance.beta, instance.F, instance.lam))
+    q, iterations, residual, converged = _solve_stack(*stacked, start, tol, max_iter)
     return SupportSolution(
-        q=q, start=start, iterations=iterations, residual=residual, converged=converged
+        q=q[0],
+        start=start,
+        iterations=int(iterations[0]),
+        residual=float(residual[0]),
+        converged=bool(converged[0]),
     )
+
+
+def _solve_stack(y, alpha, beta, F, lam, start: str, tol: float, max_iter: int):
+    """Monotone fixed-point iteration of every record of a stack.
+
+    Instances are stacked on a leading record axis: ``y``, ``alpha`` and
+    ``beta`` (N, n, m), ``F`` (N, n) and ``lam`` (N, m).  Each record
+    iterates until its own step is at most ``tol`` or ``max_iter`` passes;
+    a pass maps only the records still active.  Returns the read-only
+    final iterates ``q`` (N, n, m) and per-record ``iterations``,
+    ``residual`` (``sup|q - sigma(V(q))|``) and ``converged``.
+    """
+    # Computed once per record: the same bits as the leading terms of
+    # mean_utility, which evaluates V left to right.
+    c = y - beta * F[..., None]
+    q = np.full(y.shape, 1.0 if start == ONE_START else 0.0)
+    iterations = np.full(len(q), max_iter)
+    converged = np.zeros(len(q), dtype=bool)
+    active = np.arange(len(q))
+    c_a, alpha_a, lam_a, q_a = c, alpha, lam, q
+    for it in range(1, max_iter + 1):
+        q_next = _demand(c_a, alpha_a, lam_a, q_a)
+        done = np.max(np.abs(q_next - q_a), axis=(-2, -1)) <= tol
+        q_a = q_next
+        if done.any():
+            finished = active[done]
+            q[finished], iterations[finished], converged[finished] = q_a[done], it, True
+            keep = ~done
+            active, c_a, alpha_a, lam_a, q_a = active[keep], c_a[keep], alpha_a[keep], lam_a[keep], q_a[keep]
+            if not active.size:
+                break
+    q[active] = q_a
+    residual = np.max(np.abs(_demand(c, alpha, lam, q) - q), axis=(-2, -1))
+    q.setflags(write=False)
+    return q, iterations, residual, converged
+
+
+def _demand(c, alpha, lam, q) -> np.ndarray:
+    """The map ``q -> sigma(c + alpha * s)`` over stacked records, ``s = q @ lam`` per record."""
+    # matmul rounds a stack of records exactly as it rounds one; einsum
+    # does not, and would move the last bit of some supports.
+    s = np.matmul(q, lam[..., None])[..., 0]
+    return choice_probability(c + alpha * s[..., None])
 
 
 def expected_revenue(instance: ProblemInstance, assortment: Assortment, q) -> float:

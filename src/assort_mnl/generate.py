@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import secrets
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
@@ -34,6 +36,9 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    ONE_START,
     PER_SEGMENT,
     SHARED,
     Assortment,
@@ -41,7 +46,7 @@ from .core import (
     RevenueTerms,
     _best_blocks,
     _block_revenue,
-    solve_fixed_point,
+    _solve_stack,
 )
 
 __all__ = [
@@ -216,34 +221,29 @@ def generate_instance(spec: GenSpec, seed: int) -> ProblemInstance:
 def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledDataset:
     """Generate ``count`` instances and label each with its optimal assortment.
 
-    Record ``t`` uses seed ``record_seed(master_seed, t)``.  Instances are
-    drawn and solved one by one; :func:`relabel_dataset` then labels all of
-    them at once with the exact optima at the largest fixed point.  Records
-    whose fixed point fails to converge are dropped and reported in
+    Record ``t`` draws its instance from seed ``record_seed(master_seed, t)``.
+    The instances are then stacked and their largest fixed points solved in
+    one array iteration, each record stopping on its own, and
+    :func:`relabel_dataset` labels them all at once with the exact optima.
+    Records whose fixed point fails to converge are dropped and reported in
     ``excluded``.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    records = []
-    excluded = []
-    for idx in range(count):
-        seed = record_seed(master_seed, idx)
-        instance = generate_instance(spec, seed)
-        solution = solve_fixed_point(instance)
-        if not solution.converged:
-            excluded.append(idx)
-            continue
-        records.append(
-            DatasetRecord(
-                idx=idx, seed=seed, instance=instance, q=solution.q, label=None, r_a=None
-            )
-        )
+    seeds = [record_seed(master_seed, idx) for idx in range(count)]
+    instances = [generate_instance(spec, seed) for seed in seeds]
+    stacked = _stack(instances, "y", "alpha", "beta", "F", "lam")
+    q, _, _, converged = _solve_stack(*stacked, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    records = tuple(
+        DatasetRecord(idx=idx, seed=seeds[idx], instance=instances[idx], q=q[idx], label=None, r_a=None)
+        for idx in np.flatnonzero(converged).tolist()
+    )
     unlabeled = LabeledDataset(
         spec=spec,
         master_seed=int(master_seed),
         count=count,
-        records=tuple(records),
-        excluded=tuple(excluded),
+        records=records,
+        excluded=tuple(np.flatnonzero(~converged).tolist()),
     )
     return relabel_dataset(unlabeled)
 
@@ -416,8 +416,7 @@ def _check_fits_spec(instance, q, label, spec: GenSpec, lineno: int) -> None:
 
 
 def write_dataset(dataset: LabeledDataset, path) -> None:
-    """Write a dataset as JSON Lines (see the module docstring for the schema)."""
-    path = Path(path)
+    """Write a dataset as JSON Lines (see the module docstring for the schema), atomically."""
     header = {
         "format_version": FORMAT_VERSION,
         "spec": spec_to_dict(dataset.spec),
@@ -430,8 +429,27 @@ def write_dataset(dataset: LabeledDataset, path) -> None:
     lines.extend(
         json.dumps(_record_to_dict(rec), separators=(",", ":")) for rec in dataset.records
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _write_atomic(path, text: str) -> None:
+    """Replace ``path`` by a file holding ``text``, or leave it untouched on failure.
+
+    The text goes to a fresh temporary file in the same directory, which
+    ``os.replace`` then moves over ``path``; on any failure the temporary
+    file is removed and the error propagates.
+    """
+    path = Path(path)
+    # Opened with "x" rather than made by tempfile.mkstemp, so the file gets
+    # the permissions a plain open gives it instead of owner-only ones.
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_dataset(path) -> LabeledDataset:
@@ -457,8 +475,7 @@ def read_dataset(path) -> LabeledDataset:
             f"unsupported format_version {version!r}, expected {FORMAT_VERSION}"
         )
     spec = spec_from_dict(_get(header, "spec", 1), "line 1")
-    count = _get(header, "count", 1)
-    excluded = tuple(_get(header, "excluded", 1))
+    count, excluded, master_seed = _header_fields(header)
 
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -471,11 +488,26 @@ def read_dataset(path) -> LabeledDataset:
         )
     return LabeledDataset(
         spec=spec,
-        master_seed=_get(header, "master_seed", 1),
+        master_seed=master_seed,
         count=count,
         records=tuple(records),
         excluded=excluded,
     )
+
+
+def _header_fields(header: dict) -> tuple[int, tuple[int, ...], int]:
+    """``count``, ``excluded`` and ``master_seed`` of a header, type-checked."""
+    count, excluded, master_seed = (_get(header, key, 1) for key in ("count", "excluded", "master_seed"))
+    # write_dataset gives a dataset without records a count of 0.
+    if type(count) is not int or count < 0:
+        raise DatasetFormatError(f"line 1: count must be an integer >= 0, got {count!r}")
+    if not isinstance(excluded, list):
+        raise DatasetFormatError(f"line 1: excluded must be a list, got {excluded!r}")
+    if not all(type(i) is int and 0 <= i < count for i in excluded) or len(set(excluded)) != len(excluded):
+        raise DatasetFormatError(f"line 1: excluded must list distinct record indices in [0, {count})")
+    if type(master_seed) is not int:
+        raise DatasetFormatError(f"line 1: master_seed must be an integer, got {master_seed!r}")
+    return count, tuple(excluded), master_seed
 
 
 def verify_labels(dataset: LabeledDataset, tol: float = 1e-12) -> None:

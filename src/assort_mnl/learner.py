@@ -32,7 +32,7 @@ from .core import (
     _check_selection,
     _top_k,
 )
-from .generate import DatasetFormatError, LabeledDataset, _stack
+from .generate import DatasetFormatError, LabeledDataset, _stack, _write_atomic
 
 __all__ = [
     "MODEL_FORMAT_VERSION",
@@ -331,7 +331,7 @@ def evaluate(model: PredictorModel, test: LabeledDataset) -> EvaluationReport:
 
 
 def write_model(model: PredictorModel, path) -> None:
-    """Persist a fitted model as a JSON document."""
+    """Persist a fitted model as a JSON document, atomically."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "layout": {"n": model.layout.n, "m": model.layout.m},
@@ -339,8 +339,7 @@ def write_model(model: PredictorModel, path) -> None:
         "coefficients": model.coefficients.tolist(),
         "rank_deficient": model.rank_deficient,
     }
-    with open(Path(path), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
+    _write_atomic(path, json.dumps(doc, separators=(",", ":")) + "\n")
 
 
 def read_model(path) -> PredictorModel:

@@ -1,6 +1,7 @@
 """Tests for the assort-mnl command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -98,6 +99,10 @@ _BAD_LINES = {
     "header-spec-not-object": (1, _edit(lambda header: header.update(spec=[3, 1]))),
     "header-k-exceeds-n": (1, _edit(lambda header: header["spec"].update(k=4))),
     "header-revenue-not-object": (1, _edit(lambda header: header["spec"].update(revenue=[1, 10]))),
+    "header-count-not-int": (1, _edit(lambda header: header.update(count=40.0))),
+    "header-excluded-not-list": (1, _edit(lambda header: header.update(excluded=5))),
+    "header-excluded-not-int": (1, _edit(lambda header: header.update(count=41, excluded=[0.5]))),
+    "header-master-seed-not-int": (1, _edit(lambda header: header.update(master_seed=[1]))),
     "record-not-object": (3, lambda line: "[]"),
     "q-wrong-shape": (3, _edit(lambda rec: rec.update(q=rec["q"][:-1]))),
     "q-above-one": (3, _edit(lambda rec: rec.update(q=[[1.5]] + rec["q"][1:]))),
@@ -176,6 +181,43 @@ class TestModelValidation:
         capsys.readouterr()
         assert run("eval", tmp_path / "dataset.jsonl", model) == 5
         assert "error [read]" in capsys.readouterr().err
+
+
+class TestAtomicWrites:
+    # Each command rewrites one existing artifact; os.replace fails for it.
+    @pytest.mark.parametrize(
+        "target,argv",
+        [
+            ("dataset.jsonl", ["gen", "--n", 3, "--count", 40, "--seed", 6]),
+            ("model.json", ["train", "dataset.jsonl", "--train-fraction", 0.5]),
+            ("report.json", ["eval", "dataset.jsonl", "model.json", "--train-fraction", 0.5]),
+            ("case1p1_report.json", ["case", "--preset", "case1p1", "--count", 40, "--seed", 8]),
+        ],
+    )
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch, capsys, target, argv):
+        monkeypatch.chdir(tmp_path)
+        run("gen", "--n", 3, "--count", 40, "--seed", 5, "--out", ".")
+        run("train", "dataset.jsonl", "--out", ".")
+        run("eval", "dataset.jsonl", "model.json", "--out", ".")
+        run("case", "--preset", "case1p1", "--count", 40, "--seed", 7, "--out", ".")
+        before = (tmp_path / target).read_bytes()
+        names = sorted(p.name for p in tmp_path.iterdir())
+        replace = os.replace
+
+        def fail_on_target(src, dst):
+            if os.path.basename(dst) == target:
+                raise OSError("simulated failure")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on_target)
+        capsys.readouterr()
+        assert run(*argv, "--out", ".") == 5
+        assert "simulated failure" in capsys.readouterr().err
+        assert (tmp_path / target).read_bytes() == before
+        if argv[0] == "case":
+            # The failed case removes the dataset and model it wrote.
+            names = [n for n in names if n not in ("case1p1_dataset.jsonl", "case1p1_model.json")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
 
 
 class TestCase:
