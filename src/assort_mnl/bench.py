@@ -19,15 +19,15 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from pathlib import Path
-
 
 from .core import PER_SEGMENT, SHARED
 from .generate import (
+    DatasetFormatError,
     GenSpec,
     LabeledDataset,
-    _stack,
     _write_atomic,
     generate_dataset,
     spec_to_dict,
@@ -212,24 +212,21 @@ def split_dataset(dataset: LabeledDataset, train_fraction: float):
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must lie in (0, 1), got {train_fraction}")
     n_train = int(dataset.count * train_fraction)
-    if n_train > len(dataset.records):
+    if n_train > len(dataset):
         raise ValueError(
             f"training split needs {n_train} records but only "
-            f"{len(dataset.records)} survived generation"
+            f"{len(dataset)} survived generation"
         )
-    train = replace(dataset, records=dataset.records[:n_train])
-    test = replace(dataset, records=dataset.records[n_train:])
-    return train, test
+    return dataset.take(slice(None, n_train)), dataset.take(slice(n_train, None))
 
 
 def training_matrices(dataset: LabeledDataset):
-    """Stack a dataset into the regression design (X) and indicator targets (Y)."""
-    y, alpha, F, lam, labels = _stack(
-        dataset.records, "instance.y", "instance.alpha", "instance.F", "instance.lam",
-        "label.per_segment",
-    )
+    """A dataset's regression design (X) and indicator targets (Y)."""
+    if not len(dataset):
+        raise ValueError("no records to train on")
     layout = FeatureLayout(dataset.spec.n, dataset.spec.m)
-    return _features(y, alpha, F, lam), _indicators(labels, layout.n), layout
+    X = _features(dataset.y, dataset.alpha, dataset.F, dataset.lam)
+    return X, _indicators(dataset.blocks, layout.n), layout
 
 
 def check_convergence_budget(dataset: LabeledDataset, budget: float = NONCONVERGENCE_BUDGET):
@@ -271,7 +268,7 @@ def run_case(config: CaseConfig) -> CaseReport:
     durations["train"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if not test.records:
+    if not len(test):
         raise StageError("evaluate", EXIT_CONFIG, "test split is empty")
     report = evaluate(model, test)
     durations["evaluate"] = time.perf_counter() - t0
@@ -299,15 +296,15 @@ def run_case(config: CaseConfig) -> CaseReport:
             evaluation=report,
             counts={
                 "requested": config.count,
-                "generated": len(dataset.records),
+                "generated": len(dataset),
                 "excluded": len(dataset.excluded),
-                "train": len(train.records),
-                "test": len(test.records),
+                "train": len(train),
+                "test": len(test),
             },
             durations=durations,
             artifacts=artifacts,
         )
-        _write_atomic(report_path, json.dumps(case_report.to_dict(), indent=2) + "\n")
+        _write_atomic(report_path, [json.dumps(case_report.to_dict(), indent=2) + "\n"])
         written.append(report_path)
     except OSError as e:
         for p in written:
@@ -323,21 +320,17 @@ def compare_runs(report_a, report_b) -> dict:
     """Metric deltas (b minus a) between two case reports.
 
     Accepts CaseReport objects or their dict form.  Both runs must share
-    the same product and segment counts.
+    the same product and segment counts.  A dict that lacks a compared
+    field, or holds a compared metric that is neither null nor a finite
+    number, raises :class:`DatasetFormatError` naming the field.
     """
-    a = report_a.to_dict() if isinstance(report_a, CaseReport) else report_a
-    b = report_b.to_dict() if isinstance(report_b, CaseReport) else report_b
-    try:
-        shape_a = (a["config"]["spec"]["n"], a["config"]["spec"]["m"])
-        shape_b = (b["config"]["spec"]["n"], b["config"]["spec"]["m"])
-        eval_a, eval_b = a["evaluation"], b["evaluation"]
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"malformed case report: missing {e}") from None
+    case_a, shape_a, eval_a = _report_fields(report_a, "report a")
+    case_b, shape_b, eval_b = _report_fields(report_b, "report b")
     if shape_a != shape_b:
         raise ValueError(f"cannot compare runs with shapes {shape_a} and {shape_b}")
     metrics = {}
     for name in _COMPARE_METRICS:
-        va, vb = eval_a.get(name), eval_b.get(name)
+        va, vb = eval_a[name], eval_b[name]
         if va is None or vb is None:
             metrics[name] = {"a": va, "b": vb, "delta": None, "direction": "undefined"}
             continue
@@ -345,8 +338,32 @@ def compare_runs(report_a, report_b) -> dict:
         direction = "equal" if delta == 0 else ("higher" if delta > 0 else "lower")
         metrics[name] = {"a": va, "b": vb, "delta": delta, "direction": direction}
     return {
-        "case_a": a["config"]["case_id"],
-        "case_b": b["config"]["case_id"],
+        "case_a": case_a,
+        "case_b": case_b,
         "shape": {"n": shape_a[0], "m": shape_a[1]},
         "metrics": metrics,
     }
+
+
+def _report_fields(report, where: str):
+    """``case_id``, ``(n, m)`` and the compared metrics of a case report; errors name ``where`` and the field."""
+    doc = report.to_dict() if isinstance(report, CaseReport) else report
+
+    def field(*keys):
+        value = doc
+        for depth, key in enumerate(keys):
+            if not isinstance(value, dict):
+                parent = ".".join(keys[:depth]) or "report"
+                raise DatasetFormatError(f"{where}: {parent} must be a JSON object, got {value!r}")
+            if key not in value:
+                raise DatasetFormatError(f"{where}: missing field {'.'.join(keys[: depth + 1])!r}")
+            value = value[key]
+        return value
+
+    metrics = {name: field("evaluation", name) for name in _COMPARE_METRICS}
+    for name, value in metrics.items():
+        if value is not None and (type(value) not in (int, float) or not math.isfinite(value)):
+            raise DatasetFormatError(
+                f"{where}: field 'evaluation.{name}' must be a finite number or null, got {value!r}"
+            )
+    return field("config", "case_id"), (field("config", "spec", "n"), field("config", "spec", "m")), metrics

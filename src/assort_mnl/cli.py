@@ -11,8 +11,12 @@ Subcommands wire the library stages together:
 
 Exit codes: 0 success, 2 argument or configuration error, 3 fixed-point
 non-convergence budget exceeded, 4 training error, 5 I/O or file format
-error (dataset or model file, including a stored r_a that disagrees with
-its label).
+error.  The files read are datasets (a record that does not fit its
+header, such as an ``idx`` out of sequence or a ``seed`` that is not the
+header's SplitMix64 mix, or a stored r_a that disagrees with its label),
+models, and the case reports that ``compare`` reads (not JSON, or a
+missing or mistyped ``config``/``evaluation`` field); each error names
+the line, file or field at fault.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .bench import (
     PRESET_NAMES,
     CaseConfig,
     StageError,
+    _report_fields,
     check_convergence_budget,
     compare_runs,
     preset,
@@ -132,10 +137,10 @@ def _cmd_gen(args) -> int:
     write_dataset(dataset, out)
     doc = {
         "dataset": str(out),
-        "records": len(dataset.records),
+        "records": len(dataset),
         "excluded": len(dataset.excluded),
     }
-    _emit(args, doc, [f"wrote {len(dataset.records)} records to {out} "
+    _emit(args, doc, [f"wrote {len(dataset)} records to {out} "
                       f"({len(dataset.excluded)} excluded)"])
     return EXIT_OK
 
@@ -148,12 +153,12 @@ def _cmd_label(args) -> int:
     write_dataset(relabeled, out)
     doc = {
         "dataset": str(out),
-        "records": len(relabeled.records),
+        "records": len(relabeled),
         "excluded": len(relabeled.excluded),
         "k": relabeled.spec.k,
         "mode": relabeled.spec.mode,
     }
-    _emit(args, doc, [f"relabeled {len(relabeled.records)} records "
+    _emit(args, doc, [f"relabeled {len(relabeled)} records "
                       f"(k={relabeled.spec.k}, mode={relabeled.spec.mode}) into {out}"])
     return EXIT_OK
 
@@ -166,8 +171,8 @@ def _cmd_train(args) -> int:
     model = fit_linear(X, Y, layout)
     out = _out_dir(args) / "model.json"
     write_model(model, out)
-    doc = {"model": str(out), "train_rows": len(train.records), "features": layout.d}
-    _emit(args, doc, [f"fit {layout.label_slots} outputs on {len(train.records)} rows "
+    doc = {"model": str(out), "train_rows": len(train), "features": layout.d}
+    _emit(args, doc, [f"fit {layout.label_slots} outputs on {len(train)} rows "
                       f"({layout.d} features); wrote {out}"])
     return EXIT_OK
 
@@ -177,14 +182,14 @@ def _cmd_eval(args) -> int:
     verify_labels(dataset)
     model = read_model(args.model)
     _, test = split_dataset(dataset, args.train_fraction)
-    if not test.records:
+    if not len(test):
         raise ValueError("test split is empty")
     report = evaluate(model, test)
     doc = report.to_dict()
     out_path = None
     if args.out is not None:
         out_path = _out_dir(args) / "report.json"
-        _write_atomic(out_path, json.dumps(doc, indent=2) + "\n")
+        _write_atomic(out_path, [json.dumps(doc, indent=2) + "\n"])
     mean_prl = "n/a" if report.mean_prl_percent is None else f"{report.mean_prl_percent:.2f}%"
     lines = [
         f"test examples:   {report.test_count}",
@@ -240,12 +245,19 @@ def _cmd_case(args) -> int:
     return EXIT_OK
 
 
+def _read_report(path) -> dict:
+    """A case report file, checked as :func:`compare_runs` checks it; errors name the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise DatasetFormatError(f"{path}: invalid report file ({e})") from None
+    _report_fields(doc, str(path))
+    return doc
+
+
 def _cmd_compare(args) -> int:
-    with open(args.report_a, encoding="utf-8") as fh:
-        a = json.load(fh)
-    with open(args.report_b, encoding="utf-8") as fh:
-        b = json.load(fh)
-    summary = compare_runs(a, b)
+    summary = compare_runs(_read_report(args.report_a), _read_report(args.report_b))
     lines = [f"{summary['case_a']} vs {summary['case_b']}"]
     for name, row in summary["metrics"].items():
         lines.append(f"  {name}: {row['a']} -> {row['b']} ({row['direction']})")

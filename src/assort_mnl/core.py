@@ -109,7 +109,12 @@ class RevenueTerms:
     @property
     def per_support(self) -> float:
         """Expected revenue from one unit of weighted support mass."""
-        return 0.5 * (self.a + self.b) * (self.omega + self.xi)
+        return _per_support(self.a, self.b, self.omega, self.xi)
+
+
+def _per_support(a, b, omega, xi):
+    """``(a + b) / 2 * (omega + xi)``, for scalars or for terms stacked over records."""
+    return 0.5 * (a + b) * (omega + xi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,17 +169,9 @@ class ProblemInstance:
             raise ValueError(f"F must have length {n}, got {F.shape}")
         if lam.shape != (m,):
             raise ValueError(f"lam must have length {m}, got {lam.shape}")
-        for name, arr in (("y", y), ("alpha", alpha), ("beta", beta), ("F", F), ("lam", lam)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-        if np.any(alpha < 0.0):
-            raise ValueError("alpha must be componentwise nonnegative")
-        if np.any(F < 0.0):
-            raise ValueError("F must be componentwise nonnegative")
-        if np.any(lam < 0.0):
-            raise ValueError("lam must be componentwise nonnegative")
-        if abs(lam.sum() - 1.0) > 1e-12:
-            raise ValueError(f"lam must sum to 1 within 1e-12, got sum {lam.sum()!r}")
+        for message, bad in _instance_faults(y[None], alpha[None], beta[None], F[None], lam[None]):
+            if bad[0]:
+                raise ValueError(message)
 
         for name, arr in (("y", y), ("alpha", alpha), ("beta", beta), ("F", F), ("lam", lam)):
             arr.setflags(write=False)
@@ -199,6 +196,20 @@ class ProblemInstance:
             and np.array_equal(self.lam, other.lam)
             and self.revenue == other.revenue
         )
+
+
+def _instance_faults(y, alpha, beta, F, lam):
+    """The value rules of :class:`ProblemInstance` over records stacked on a leading axis.
+
+    Yields, rule by rule, ``(message, bad)`` where ``bad`` flags the records
+    that break the rule; the arrays already have their stacked shapes.
+    """
+    for name, arr in (("y", y), ("alpha", alpha), ("beta", beta), ("F", F), ("lam", lam)):
+        yield f"{name} must be finite", ~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
+    yield "alpha must be componentwise nonnegative", (alpha < 0.0).any(axis=(1, 2))
+    yield "F must be componentwise nonnegative", (F < 0.0).any(axis=1)
+    yield "lam must be componentwise nonnegative", (lam < 0.0).any(axis=1)
+    yield "lam must sum to 1 within 1e-12", np.abs(lam.sum(axis=1) - 1.0) > 1e-12
 
 
 @dataclass(frozen=True)
@@ -278,8 +289,14 @@ def total_support_mass(instance: ProblemInstance, q) -> np.ndarray:
 
     Each ``s_i`` lies in [0, 1] because the weights sum to one.
     """
-    q = _check_support(instance, q)
-    return q @ instance.lam
+    return _mass(_check_support(instance, q), instance.lam)
+
+
+def _mass(q, lam) -> np.ndarray:
+    """Support mass ``s = q @ lam`` per record of supports (..., n, m) and weights (..., m)."""
+    # matmul rounds a stack of records exactly as it rounds one; einsum
+    # does not, and would move the last bit of some supports.
+    return np.matmul(q, lam[..., None])[..., 0]
 
 
 def mean_utility(instance: ProblemInstance, q) -> np.ndarray:
@@ -289,8 +306,18 @@ def mean_utility(instance: ProblemInstance, q) -> np.ndarray:
     the network bonus for a product is driven by backers of that product
     across all segments.
     """
-    s = total_support_mass(instance, q)
-    return instance.y - instance.beta * instance.F[:, None] + instance.alpha * s[:, None]
+    q = _check_support(instance, q)
+    return _utility(_fixed_utility(instance.y, instance.beta, instance.F), instance.alpha, instance.lam, q)
+
+
+def _fixed_utility(y, beta, F) -> np.ndarray:
+    """The part ``y - beta F`` of the mean utilities that support does not move, over stacked records."""
+    return y - beta * F[..., None]
+
+
+def _utility(c, alpha, lam, q) -> np.ndarray:
+    """Mean utilities ``c + alpha * s`` over stacked records, with ``c`` from :func:`_fixed_utility`."""
+    return c + alpha * _mass(q, lam)[..., None]
 
 
 def choice_probability(V) -> np.ndarray:
@@ -366,16 +393,14 @@ def _solve_stack(y, alpha, beta, F, lam, start: str, tol: float, max_iter: int):
     final iterates ``q`` (N, n, m) and per-record ``iterations``,
     ``residual`` (``sup|q - sigma(V(q))|``) and ``converged``.
     """
-    # Computed once per record: the same bits as the leading terms of
-    # mean_utility, which evaluates V left to right.
-    c = y - beta * F[..., None]
+    c = _fixed_utility(y, beta, F)
     q = np.full(y.shape, 1.0 if start == ONE_START else 0.0)
     iterations = np.full(len(q), max_iter)
     converged = np.zeros(len(q), dtype=bool)
     active = np.arange(len(q))
     c_a, alpha_a, lam_a, q_a = c, alpha, lam, q
     for it in range(1, max_iter + 1):
-        q_next = _demand(c_a, alpha_a, lam_a, q_a)
+        q_next = choice_probability(_utility(c_a, alpha_a, lam_a, q_a))
         done = np.max(np.abs(q_next - q_a), axis=(-2, -1)) <= tol
         q_a = q_next
         if done.any():
@@ -386,17 +411,9 @@ def _solve_stack(y, alpha, beta, F, lam, start: str, tol: float, max_iter: int):
             if not active.size:
                 break
     q[active] = q_a
-    residual = np.max(np.abs(_demand(c, alpha, lam, q) - q), axis=(-2, -1))
+    residual = np.max(np.abs(choice_probability(_utility(c, alpha, lam, q)) - q), axis=(-2, -1))
     q.setflags(write=False)
     return q, iterations, residual, converged
-
-
-def _demand(c, alpha, lam, q) -> np.ndarray:
-    """The map ``q -> sigma(c + alpha * s)`` over stacked records, ``s = q @ lam`` per record."""
-    # matmul rounds a stack of records exactly as it rounds one; einsum
-    # does not, and would move the last bit of some supports.
-    s = np.matmul(q, lam[..., None])[..., 0]
-    return choice_probability(c + alpha * s[..., None])
 
 
 def expected_revenue(instance: ProblemInstance, assortment: Assortment, q) -> float:
@@ -436,8 +453,7 @@ def _top_k(values: np.ndarray, k: int) -> np.ndarray:
 def _best_blocks(q, lam, k: int, mode: str) -> np.ndarray:
     """Optimal blocks (..., m, k) at supports ``q`` (..., n, m) and weights ``lam`` (..., m)."""
     if mode == SHARED:
-        # matmul rounds a stack of records exactly as it rounds one.
-        block = _top_k(np.matmul(q, lam[..., None])[..., 0], k)
+        block = _top_k(_mass(q, lam), k)
         return np.repeat(block[..., None, :], q.shape[-1], axis=-2)
     # Rank q itself rather than lam_j * q: a positive weight keeps the order,
     # but rounding the products could merge two distinct values into a tie.

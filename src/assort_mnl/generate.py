@@ -6,6 +6,15 @@ Generation is deterministic: an instance is a pure function of
 and records could be produced in any order or in parallel without
 changing the result.
 
+A :class:`LabeledDataset` holds its records as columns: arrays with a
+leading record axis, which generation draws straight into and which
+labeling, verification, splitting, training and evaluation read and slice
+directly.  :attr:`LabeledDataset.records` presents them as
+:class:`DatasetRecord` objects for inspection.  Validation sits at the
+boundaries: the drawn stack is checked once with
+:class:`~assort_mnl.core.ProblemInstance`'s rules, and reading checks each
+field of the file as a whole.
+
 Datasets persist as JSON Lines.  Line 1 is a header object::
 
     {"format_version": 1, "spec": {...}, "master_seed": ..., "count": ...,
@@ -20,17 +29,20 @@ and each following line is one record::
 
 Product indices are 1-based inside files and 0-based in memory.  Floats
 are serialized with ``repr`` precision, so a read after a write
-reproduces every number exactly.
+reproduces every number exactly.  The records of a file carry the idx
+``range(count)`` without the ``excluded`` ones, in order, and each record's
+seed is ``record_seed(master_seed, idx)``, the SplitMix64 mix the header's
+``seed_mix`` names; :func:`read_dataset` rejects a file that breaks either
+rule, naming the line.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import secrets
 from dataclasses import dataclass, replace
-from operator import attrgetter
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +58,8 @@ from .core import (
     RevenueTerms,
     _best_blocks,
     _block_revenue,
+    _instance_faults,
+    _per_support,
     _solve_stack,
 )
 
@@ -78,7 +92,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 
 class DatasetFormatError(ValueError):
-    """A dataset or model file could not be parsed or fails its schema."""
+    """A dataset, model or case report file could not be parsed or fails its schema."""
 
 
 @dataclass(frozen=True)
@@ -141,19 +155,48 @@ class DatasetRecord:
         )
 
 
+_COLUMNS = ("idx", "seed", "y", "alpha", "beta", "F", "lam", "revenue", "q", "blocks", "r_a")
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """A reproducible sequence of labeled examples.
+    """A reproducible sequence of labeled examples, stored as columns.
 
     ``count`` is the requested number of records; indices listed in
     ``excluded`` hit the fixed-point iteration cap and carry no record.
+    Each other field is a read-only array whose leading axis runs over the
+    N records: ``idx`` (int64), ``seed`` (uint64), the instances' ``y``,
+    ``alpha``, ``beta`` (N, n, m), ``F`` (N, n) and ``lam`` (N, m), the
+    revenue terms a, b, omega, xi (N, 4), the supports ``q`` (N, n, m) and
+    the label: 0-based sorted ``blocks`` (N, m, k) with revenue ``r_a``.
+    :attr:`records` and :meth:`from_records` convert to and from
+    :class:`DatasetRecord` objects.
     """
 
     spec: GenSpec
     master_seed: int
     count: int
-    records: tuple[DatasetRecord, ...]
+    idx: np.ndarray
+    seed: np.ndarray
+    y: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    F: np.ndarray
+    lam: np.ndarray
+    revenue: np.ndarray
+    q: np.ndarray
+    blocks: np.ndarray
+    r_a: np.ndarray
     excluded: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        for name in _COLUMNS:
+            column = np.asarray(getattr(self, name)).view()
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.idx)
 
     def __eq__(self, other):
         if not isinstance(other, LabeledDataset):
@@ -163,9 +206,54 @@ class LabeledDataset:
             and self.master_seed == other.master_seed
             and self.count == other.count
             and self.excluded == other.excluded
-            and len(self.records) == len(other.records)
-            and all(a == b for a, b in zip(self.records, other.records))
+            and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _COLUMNS)
         )
+
+    @property
+    def per_support(self) -> np.ndarray:
+        """Each record's revenue per unit of support (``RevenueTerms.per_support``)."""
+        return _per_support(*self.revenue.T)
+
+    def take(self, rows) -> "LabeledDataset":
+        """The records at ``rows`` (a slice, indices or a mask), with the same header."""
+        return replace(self, **{f: getattr(self, f)[rows] for f in _COLUMNS})
+
+    @property
+    def records(self) -> tuple[DatasetRecord, ...]:
+        """The records as :class:`DatasetRecord` objects, built anew on each access.
+
+        For tests, demos and inspection; the package's stages read the columns.
+        """
+        columns = (
+            self.idx.tolist(), self.seed.tolist(), self.y, self.alpha, self.beta, self.F, self.lam,
+            self.revenue.tolist(), self.q, self.blocks.tolist(), self.r_a.tolist(),
+        )
+        return tuple(
+            DatasetRecord(idx, seed, ProblemInstance(y, alpha, beta, F, lam, RevenueTerms(*revenue)),
+                          q, Assortment(blocks, self.spec.k), r_a)
+            for idx, seed, y, alpha, beta, F, lam, revenue, q, blocks, r_a in zip(*columns)
+        )
+
+    @classmethod
+    def from_records(cls, spec: GenSpec, master_seed: int, count: int, records, excluded=()) -> "LabeledDataset":
+        """A dataset holding ``records`` (:class:`DatasetRecord` objects); the inverse of :attr:`records`."""
+        rows = [
+            (rec.idx, rec.seed, rec.instance.y, rec.instance.alpha, rec.instance.beta, rec.instance.F,
+             rec.instance.lam, _revenue_row(rec.instance.revenue), rec.q, rec.label.per_segment, rec.r_a)
+            for rec in records
+        ]
+        columns = (
+            np.array([row[i] for row in rows], dtype).reshape((len(rows),) + shape)
+            for i, (shape, dtype) in enumerate(_layout(spec))
+        )
+        return cls(spec, master_seed, count, *columns, excluded=tuple(excluded))
+
+
+def _layout(spec: GenSpec) -> list[tuple[tuple, type]]:
+    """Shape of one record's entry and dtype of each column, in ``_COLUMNS`` order."""
+    n, m = spec.n, spec.m
+    floats = [((n, m), float)] * 3 + [((n,), float), ((m,), float), ((4,), float), ((n, m), float)]
+    return [((), np.int64), ((), np.uint64), *floats, ((m, spec.k), np.int64), ((), float)]
 
 
 def record_seed(master_seed: int, index: int) -> int:
@@ -183,14 +271,14 @@ def record_seed(master_seed: int, index: int) -> int:
 
 
 def normalize_weights(raw) -> np.ndarray:
-    """Scale nonnegative draws to a probability vector: ``raw / sum(raw)``."""
+    """Scale nonnegative draws to a probability vector, ``raw / sum(raw)``, along the last axis."""
     raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 1 or raw.size < 1:
-        raise ValueError("raw weights must be a nonempty 1-d sequence")
+    if raw.ndim < 1 or raw.shape[-1] < 1:
+        raise ValueError("raw weights must be a nonempty sequence")
     if np.any(raw < 0.0) or not np.all(np.isfinite(raw)):
         raise ValueError("raw weights must be finite and nonnegative")
-    total = raw.sum()
-    if total <= 0.0:
+    total = raw.sum(axis=-1, keepdims=True)
+    if not np.all(total > 0.0):
         raise ValueError("raw weights must not all be zero")
     return raw / total
 
@@ -201,218 +289,130 @@ def generate_instance(spec: GenSpec, seed: int) -> ProblemInstance:
     Draw order is fixed (y, alpha, F, lambda).  alpha is always consumed
     from the stream and only zeroed afterwards when network effects are
     off, so flipping the toggle under a shared seed changes nothing else.
+    The one-record case of the stacked draw that datasets use.
     """
-    rng = np.random.default_rng(seed)
-    n, m = spec.n, spec.m
-    y = rng.uniform(0.0, spec.M, size=(n, m))
-    alpha = rng.uniform(0.0, spec.M, size=(n, m))
+    y, alpha, beta, F, lam = (column[0] for column in _draw(spec, [seed]))
+    return ProblemInstance(y=y, alpha=alpha, beta=beta, F=F, lam=lam, revenue=spec.revenue)
+
+
+def _draw(spec: GenSpec, seeds) -> list[np.ndarray]:
+    """Instances drawn from ``spec``, one per seed, stacked: ``y``, ``alpha``, ``beta``, ``F``, ``lam``.
+
+    Each seed's generator fills its record's row: y | alpha | F | raw weights
+    from one uniform call in "unit" f_mode, from three calls in "dollar"
+    f_mode (F is integers there).  Splitting a run of uniform draws into
+    calls changes none of them.  The stack is then checked once with
+    :class:`ProblemInstance`'s rules.
+    """
+    n, m, nm = spec.n, spec.m, spec.n * spec.m
+    draws = np.empty((len(seeds), 2 * nm + n + m))
+    for row, seed in zip(draws, seeds):
+        rng = np.random.default_rng(seed)
+        if spec.f_mode == UNIT_SCALE:
+            row[:] = rng.uniform(0.0, spec.M, row.size)
+        else:
+            row[: 2 * nm] = rng.uniform(0.0, spec.M, 2 * nm)
+            row[2 * nm : 2 * nm + n] = rng.integers(1, DOLLAR_MAX + 1, size=n)
+            row[2 * nm + n :] = rng.uniform(0.0, spec.M, m)
+    # Contiguous copies: matmul rounds a stack of records exactly as it
+    # rounds one only for contiguous operands.
+    y, alpha, F, raw = (np.ascontiguousarray(c) for c in np.split(draws, [nm, 2 * nm, 2 * nm + n], axis=1))
+    y, alpha = y.reshape(-1, n, m), alpha.reshape(-1, n, m)
     if not spec.network_effects:
-        alpha = np.zeros((n, m))
-    if spec.f_mode == UNIT_SCALE:
-        F = rng.uniform(0.0, spec.M, size=n)
-    else:
-        F = rng.integers(1, DOLLAR_MAX + 1, size=n).astype(float)
-    lam = normalize_weights(rng.uniform(0.0, spec.M, size=m))
-    return ProblemInstance(
-        y=y, alpha=alpha, beta=np.ones((n, m)), F=F, lam=lam, revenue=spec.revenue
-    )
+        alpha = np.zeros_like(alpha)
+    stacked = [y, alpha, np.ones_like(y), F, normalize_weights(raw)]
+    for message, bad in _instance_faults(*stacked):
+        if bad.any():
+            raise ValueError(message)
+    return stacked
 
 
 def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledDataset:
     """Generate ``count`` instances and label each with its optimal assortment.
 
-    Record ``t`` draws its instance from seed ``record_seed(master_seed, t)``.
-    The instances are then stacked and their largest fixed points solved in
-    one array iteration, each record stopping on its own, and
-    :func:`relabel_dataset` labels them all at once with the exact optima.
-    Records whose fixed point fails to converge are dropped and reported in
-    ``excluded``.
+    Record ``t`` draws its instance from seed ``record_seed(master_seed, t)``
+    straight into row ``t`` of the dataset's columns.  The largest fixed
+    points of all records are then solved in one array iteration, each
+    record stopping on its own, and all records are labeled at once with
+    the exact optima.  Records whose fixed point fails to converge are
+    then dropped and reported in ``excluded``.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    seeds = [record_seed(master_seed, idx) for idx in range(count)]
-    instances = [generate_instance(spec, seed) for seed in seeds]
-    stacked = _stack(instances, "y", "alpha", "beta", "F", "lam")
-    q, _, _, converged = _solve_stack(*stacked, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
-    records = tuple(
-        DatasetRecord(idx=idx, seed=seeds[idx], instance=instances[idx], q=q[idx], label=None, r_a=None)
-        for idx in np.flatnonzero(converged).tolist()
-    )
-    unlabeled = LabeledDataset(
-        spec=spec,
-        master_seed=int(master_seed),
-        count=count,
-        records=records,
-        excluded=tuple(np.flatnonzero(~converged).tolist()),
-    )
-    return relabel_dataset(unlabeled)
+    seeds = np.array([record_seed(master_seed, idx) for idx in range(count)], dtype=np.uint64)
+    y, alpha, beta, F, lam = _draw(spec, seeds.tolist())
+    q, _, _, converged = _solve_stack(y, alpha, beta, F, lam, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    revenue = np.tile(_revenue_row(spec.revenue), (count, 1))
+    blocks = _best_blocks(q, lam, spec.k, spec.mode)
+    r_a = _block_revenue(q, lam, _per_support(*revenue.T), blocks)
+    excluded = tuple(np.flatnonzero(~converged).tolist())
+    columns = (np.arange(count), seeds, y, alpha, beta, F, lam, revenue, q, blocks, r_a)
+    return LabeledDataset(spec, int(master_seed), count, *columns, excluded).take(converged)
 
 
 def relabel_dataset(dataset: LabeledDataset, k=None, mode=None) -> LabeledDataset:
     """Recompute labels of an existing dataset under a new ``k`` or ``mode``.
 
     ``q`` depends on neither ``k`` nor ``mode``, so records keep their
-    instance, seed and stored ``q`` and ``excluded`` carries over; label
-    and r_a are recomputed.  Useful for sweeping assortment size over one
-    shared set of instances.
+    instance, seed and stored ``q`` and ``excluded`` carries over; the
+    ``blocks`` and ``r_a`` columns are recomputed.  Useful for sweeping
+    assortment size over one shared set of instances.
     """
     spec = replace(
         dataset.spec,
         k=dataset.spec.k if k is None else k,
         mode=dataset.spec.mode if mode is None else mode,
     )
-    if not dataset.records:
-        return replace(dataset, spec=spec)
-    q, lam, per_support = _stack(dataset.records, "q", "instance.lam", "instance.revenue.per_support")
-    blocks = _best_blocks(q, lam, spec.k, spec.mode)
-    r_a = _block_revenue(q, lam, per_support, blocks)
-    records = tuple(
-        replace(rec, label=Assortment(per_segment=b, k=spec.k), r_a=w)
-        for rec, b, w in zip(dataset.records, blocks.tolist(), r_a.tolist())
-    )
-    return replace(dataset, spec=spec, records=records)
+    blocks = _best_blocks(dataset.q, dataset.lam, spec.k, spec.mode)
+    r_a = _block_revenue(dataset.q, dataset.lam, dataset.per_support, blocks)
+    return replace(dataset, spec=spec, blocks=blocks, r_a=r_a)
 
 
-def _stack(records, *fields) -> list[np.ndarray]:
-    """Record attributes (dotted names) as arrays with a leading record axis."""
-    if not records:
-        raise ValueError("no records to stack")
-    return [np.array([attrgetter(f)(rec) for rec in records]) for f in fields]
+_SPEC_KEYS = ("n", "m", "M", "network_effects", "f_mode", "revenue", "k", "mode")
+_REVENUE_KEYS = ("a", "b", "omega", "xi")
+_RECORD_KEYS = ("idx", "seed", "y", "alpha", "beta", "F", "lambda", "revenue", "q", "label", "r_a")
 
 
-def _revenue_to_dict(rev: RevenueTerms) -> dict:
-    return {"a": rev.a, "b": rev.b, "omega": rev.omega, "xi": rev.xi}
+def _revenue_row(rev: RevenueTerms) -> list:
+    return [rev.a, rev.b, rev.omega, rev.xi]
 
 
-def _revenue_from_dict(d: dict, where: str) -> RevenueTerms:
-    if not isinstance(d, dict):
-        raise DatasetFormatError(f"{where}: revenue must be a JSON object")
+def _fields(obj, keys, where: str, what: str) -> tuple:
+    """The values of ``keys`` in the JSON object ``obj``, which ``where`` and ``what`` name in errors."""
+    if not isinstance(obj, dict):
+        raise DatasetFormatError(f"{where}: {what} must be a JSON object, got {type(obj).__name__}")
     try:
-        return RevenueTerms(a=d["a"], b=d["b"], omega=d["omega"], xi=d["xi"])
+        return tuple(obj[key] for key in keys)
     except KeyError as e:
-        raise DatasetFormatError(f"{where}: revenue is missing field {e.args[0]!r}") from None
+        raise DatasetFormatError(f"{where}: {what} is missing field {e.args[0]!r}") from None
 
 
 def spec_to_dict(spec: GenSpec) -> dict:
-    return {
-        "n": spec.n,
-        "m": spec.m,
-        "M": spec.M,
-        "network_effects": spec.network_effects,
-        "f_mode": spec.f_mode,
-        "revenue": _revenue_to_dict(spec.revenue),
-        "k": spec.k,
-        "mode": spec.mode,
-    }
+    d = {key: getattr(spec, key) for key in _SPEC_KEYS}
+    return {**d, "revenue": dict(zip(_REVENUE_KEYS, _revenue_row(spec.revenue)))}
 
 
 def spec_from_dict(d: dict, where: str = "spec") -> GenSpec:
-    if not isinstance(d, dict):
-        raise DatasetFormatError(f"{where}: spec must be a JSON object")
+    fields = dict(zip(_SPEC_KEYS, _fields(d, _SPEC_KEYS, where, "spec")))
     try:
-        return GenSpec(
-            n=d["n"],
-            m=d["m"],
-            M=d["M"],
-            network_effects=d["network_effects"],
-            f_mode=d["f_mode"],
-            revenue=_revenue_from_dict(d["revenue"], where),
-            k=d["k"],
-            mode=d["mode"],
-        )
-    except KeyError as e:
-        raise DatasetFormatError(f"{where}: missing field {e.args[0]!r}") from None
+        revenue = RevenueTerms(*_fields(fields["revenue"], _REVENUE_KEYS, where, "revenue"))
+        return GenSpec(**{**fields, "revenue": revenue})
     except DatasetFormatError:
         raise
     except (TypeError, ValueError, OverflowError) as e:
         raise DatasetFormatError(f"{where}: invalid spec ({e})") from None
 
 
-def _record_to_dict(rec: DatasetRecord) -> dict:
-    inst = rec.instance
-    return {
-        "idx": rec.idx,
-        "seed": rec.seed,
-        "y": inst.y.tolist(),
-        "alpha": inst.alpha.tolist(),
-        "beta": inst.beta.tolist(),
-        "F": inst.F.tolist(),
-        "lambda": inst.lam.tolist(),
-        "revenue": _revenue_to_dict(inst.revenue),
-        "q": rec.q.tolist(),
-        "label": {
-            "per_segment": [[i + 1 for i in block] for block in rec.label.per_segment],
-            "k": rec.label.k,
-        },
-        "r_a": rec.r_a,
-    }
-
-
-def _load_object(line: str, lineno: int) -> dict:
+def _load_json(line: str, lineno: int):
     try:
-        obj = json.loads(line)
+        return json.loads(line)
     except json.JSONDecodeError as e:
         raise DatasetFormatError(f"line {lineno}: invalid JSON ({e.msg})") from None
-    if not isinstance(obj, dict):
-        raise DatasetFormatError(
-            f"line {lineno}: expected a JSON object, got {type(obj).__name__}"
-        )
-    return obj
 
 
-def _get(obj: dict, key: str, lineno: int):
-    try:
-        return obj[key]
-    except KeyError:
-        raise DatasetFormatError(f"line {lineno}: missing field {key!r}") from None
-
-
-def _record_from_dict(obj: dict, lineno: int, spec: GenSpec) -> DatasetRecord:
-    label_obj = _get(obj, "label", lineno)
-    try:
-        instance = ProblemInstance(
-            y=_get(obj, "y", lineno),
-            alpha=_get(obj, "alpha", lineno),
-            beta=_get(obj, "beta", lineno),
-            F=_get(obj, "F", lineno),
-            lam=_get(obj, "lambda", lineno),
-            revenue=_revenue_from_dict(_get(obj, "revenue", lineno), f"line {lineno}"),
-        )
-        label = Assortment(
-            per_segment=tuple(
-                tuple(int(i) - 1 for i in block)
-                for block in _get(label_obj, "per_segment", lineno)
-            ),
-            k=_get(label_obj, "k", lineno),
-        )
-        q = np.array(_get(obj, "q", lineno), dtype=float)
-        q.setflags(write=False)
-        _check_fits_spec(instance, q, label, spec, lineno)
-        idx, seed, r_a = (_get(obj, key, lineno) for key in ("idx", "seed", "r_a"))
-        if type(idx) is not int or type(seed) is not int:
-            raise DatasetFormatError(f"line {lineno}: idx and seed must be integers")
-        if type(r_a) not in (int, float) or not math.isfinite(r_a):
-            raise DatasetFormatError(f"line {lineno}: r_a must be a finite number, got {r_a!r}")
-        return DatasetRecord(idx=idx, seed=seed, instance=instance, q=q, label=label, r_a=r_a)
-    except DatasetFormatError:
-        raise
-    except (TypeError, ValueError, OverflowError) as e:
-        raise DatasetFormatError(f"line {lineno}: invalid record ({e})") from None
-
-
-def _check_fits_spec(instance, q, label, spec: GenSpec, lineno: int) -> None:
-    # Relabeling and training trust the stored q and label, so both are
-    # checked here once against the header's spec; NaN fails the range test.
-    n, m = spec.n, spec.m
-    if instance.y.shape != (n, m) or q.shape != (n, m):
-        raise DatasetFormatError(f"line {lineno}: instance and q must have shape {(n, m)}")
-    if not (0.0 <= q.min() and q.max() <= 1.0):
-        raise DatasetFormatError(f"line {lineno}: q must lie in [0, 1]")
-    blocks = label.per_segment
-    if label.k != spec.k or len(blocks) != m or max(b[-1] for b in blocks) >= n:
-        raise DatasetFormatError(
-            f"line {lineno}: label must have {m} block(s) of k={spec.k} products in 1..{n}"
-        )
+# Records held as Python objects at a time while a dataset is written or
+# read: bounds the memory either holds beyond the dataset itself.
+_CHUNK = 256
 
 
 def write_dataset(dataset: LabeledDataset, path) -> None:
@@ -425,19 +425,30 @@ def write_dataset(dataset: LabeledDataset, path) -> None:
         "seed_mix": "splitmix64",
         "excluded": list(dataset.excluded),
     }
-    lines = [json.dumps(header, separators=(",", ":"))]
-    lines.extend(
-        json.dumps(_record_to_dict(rec), separators=(",", ":")) for rec in dataset.records
-    )
-    _write_atomic(path, "\n".join(lines) + "\n")
+    # Files carry 1-based product indices.
+    columns = [dataset.blocks + 1 if f == "blocks" else getattr(dataset, f) for f in _COLUMNS]
+
+    def lines():
+        yield json.dumps(header, separators=(",", ":")) + "\n"
+        for start in range(0, len(dataset), _CHUNK):
+            rows = zip(*(column[start : start + _CHUNK].tolist() for column in columns))
+            for idx, seed, y, alpha, beta, F, lam, (a, b, omega, xi), q, blocks, r_a in rows:
+                record = {
+                    "idx": idx, "seed": seed, "y": y, "alpha": alpha, "beta": beta, "F": F, "lambda": lam,
+                    "revenue": {"a": a, "b": b, "omega": omega, "xi": xi},
+                    "q": q, "label": {"per_segment": blocks, "k": dataset.spec.k}, "r_a": r_a,
+                }
+                yield json.dumps(record, separators=(",", ":")) + "\n"
+
+    _write_atomic(path, lines())
 
 
-def _write_atomic(path, text: str) -> None:
-    """Replace ``path`` by a file holding ``text``, or leave it untouched on failure.
+def _write_atomic(path, chunks) -> None:
+    """Replace ``path`` by a file holding the strings ``chunks``, or leave it untouched on failure.
 
-    The text goes to a fresh temporary file in the same directory, which
-    ``os.replace`` then moves over ``path``; on any failure the temporary
-    file is removed and the error propagates.
+    The chunks go, one by one, to a fresh temporary file in the same
+    directory, which ``os.replace`` then moves over ``path``; on any failure
+    the temporary file is removed and the error propagates.
     """
     path = Path(path)
     # Opened with "x" rather than made by tempfile.mkstemp, so the file gets
@@ -445,7 +456,7 @@ def _write_atomic(path, text: str) -> None:
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -456,48 +467,49 @@ def read_dataset(path) -> LabeledDataset:
     """Read a JSON Lines dataset; inverse of :func:`write_dataset`.
 
     Raises :class:`DatasetFormatError` on malformed content, naming the
-    offending line; nothing partial is ever returned.  Each record's
-    instance, ``q`` and label must also fit the header's spec, with ``q``
-    in [0, 1].
+    offending line; nothing partial is ever returned.  Lines are streamed,
+    and every ``_CHUNK`` records become arrays, field by field, each
+    checked as a whole; an error names the first line that breaks the rule.
+    The header's types are checked, and the records must fit it: their
+    ``idx`` run through ``range(count)`` without the ``excluded`` indices,
+    in order, and each ``seed`` is ``record_seed(master_seed, idx)`` (the
+    header's ``"seed_mix": "splitmix64"``).  Each instance must fit the
+    header's spec and :class:`ProblemInstance`'s rules, ``q`` must lie in
+    [0, 1], each label must hold k distinct products in 1..n per segment,
+    and ``r_a`` must be a finite number.
     """
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(Path(path), "r", encoding="utf-8") as fh:
         try:
-            lines = fh.read().splitlines()
+            spec, master_seed, count, excluded = _read_header(fh.readline())
+            skipped = set(excluded)
+            expected = [i for i in range(count) if i not in skipped]
+            parts, rows, first = [], [], 2
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    raise DatasetFormatError(f"line {lineno}: blank line inside record block")
+                rows.append(_fields(_load_json(line, lineno), _RECORD_KEYS, f"line {lineno}", "record"))
+                if len(rows) == _CHUNK:
+                    parts.append(_record_columns(rows, first, spec, master_seed, expected))
+                    rows, first = [], lineno + 1
+            parts.append(_record_columns(rows, first, spec, master_seed, expected))
         except UnicodeDecodeError as e:
             raise DatasetFormatError(f"not UTF-8 text ({e.reason})") from None
-    if not lines or not lines[0].strip():
+    found = sum(len(part[0]) for part in parts)
+    if found + len(excluded) != count:
+        raise DatasetFormatError(f"expected {count} records ({len(excluded)} excluded), found {found}")
+    columns = (np.concatenate(column) for column in zip(*parts))
+    return LabeledDataset(spec, master_seed, count, *columns, excluded)
+
+
+def _read_header(line: str) -> tuple[GenSpec, int, int, tuple[int, ...]]:
+    """``spec``, ``master_seed``, ``count`` and ``excluded`` of a header line, type-checked."""
+    if not line.strip():
         raise DatasetFormatError("line 1: missing header")
-    header = _load_object(lines[0], 1)
-    version = _get(header, "format_version", 1)
+    header = _load_json(line, 1)
+    (version,) = _fields(header, ("format_version",), "line 1", "header")
     if version != FORMAT_VERSION:
-        raise DatasetFormatError(
-            f"unsupported format_version {version!r}, expected {FORMAT_VERSION}"
-        )
-    spec = spec_from_dict(_get(header, "spec", 1), "line 1")
-    count, excluded, master_seed = _header_fields(header)
-
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            raise DatasetFormatError(f"line {lineno}: blank line inside record block")
-        records.append(_record_from_dict(_load_object(line, lineno), lineno, spec))
-    if len(records) + len(excluded) != count:
-        raise DatasetFormatError(
-            f"expected {count} records ({len(excluded)} excluded), found {len(records)}"
-        )
-    return LabeledDataset(
-        spec=spec,
-        master_seed=master_seed,
-        count=count,
-        records=tuple(records),
-        excluded=excluded,
-    )
-
-
-def _header_fields(header: dict) -> tuple[int, tuple[int, ...], int]:
-    """``count``, ``excluded`` and ``master_seed`` of a header, type-checked."""
-    count, excluded, master_seed = (_get(header, key, 1) for key in ("count", "excluded", "master_seed"))
+        raise DatasetFormatError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION}")
+    spec, master_seed, count, excluded = _fields(header, ("spec", "master_seed", "count", "excluded"), "line 1", "header")
     # write_dataset gives a dataset without records a count of 0.
     if type(count) is not int or count < 0:
         raise DatasetFormatError(f"line 1: count must be an integer >= 0, got {count!r}")
@@ -507,7 +519,85 @@ def _header_fields(header: dict) -> tuple[int, tuple[int, ...], int]:
         raise DatasetFormatError(f"line 1: excluded must list distinct record indices in [0, {count})")
     if type(master_seed) is not int:
         raise DatasetFormatError(f"line 1: master_seed must be an integer, got {master_seed!r}")
-    return count, tuple(excluded), master_seed
+    return spec_from_dict(spec, "line 1"), master_seed, count, tuple(excluded)
+
+
+def _record_columns(rows: list, line: int, spec: GenSpec, master_seed: int, expected: list) -> list:
+    """The columns of parsed records ``rows``, the first on file line ``line``, checked field by field.
+
+    ``expected`` lists the idx of every record in the file.
+    """
+    idx, seed, y, alpha, beta, F, lam, revenue, q, label, r_a = list(zip(*rows)) or [()] * len(_RECORD_KEYS)
+    n, m, k = spec.n, spec.m, spec.k
+    expected = expected[line - 2 : line - 2 + len(rows)]
+    # A record beyond the last expected one meets None.
+    _reject(line, [type(i) is not int or i != e for i, e in zip_longest(idx, expected)],
+            "idx must run through range(count) without the excluded indices, in order")
+    _reject(line, [type(s) is not int or s != record_seed(master_seed, i) for s, i in zip(seed, expected)],
+            "seed must be record_seed(master_seed, idx), as seed_mix splitmix64 declares")
+    labels = [_fields(d, ("per_segment", "k"), f"line {lineno}", "label") for lineno, d in enumerate(label, start=line)]
+    _reject(line, [label_k != k for _, label_k in labels], f"label k must be {k}")
+    _reject(line, [type(r) not in (int, float) for r in r_a], "r_a must be a number")
+    revenue = [_fields(d, _REVENUE_KEYS, f"line {lineno}", "revenue") for lineno, d in enumerate(revenue, start=line)]
+    # Records share their terms, so only a change is checked again.
+    for lineno, (previous, terms) in enumerate(zip([None] + revenue, revenue), start=line):
+        if terms != previous:
+            try:
+                RevenueTerms(*terms)
+            except (TypeError, ValueError, OverflowError) as e:
+                raise DatasetFormatError(f"line {lineno}: invalid revenue ({e})") from None
+    # idx and seed are checked ints already; a seed column built without its
+    # dtype would be float64 as soon as one seed is 2**63 or more.
+    idx, seed = np.array(idx, dtype=np.int64), np.array(seed, dtype=np.uint64)
+    values = (y, alpha, beta, F, lam, revenue, q, [b for b, _ in labels], r_a)
+    y, alpha, beta, F, lam, revenue, q, blocks, r_a = (
+        _column(v, line, shape, dtype, key)
+        for v, key, (shape, dtype) in zip(values, _RECORD_KEYS[2:], _layout(spec)[2:])
+    )
+    for message, bad in _instance_faults(y, alpha, beta, F, lam):
+        _reject(line, bad, message)
+    _reject(line, ~((q >= 0.0) & (q <= 1.0)).all(axis=(1, 2)), "q must lie in [0, 1]")
+    blocks = np.sort(blocks - 1, axis=-1)
+    _reject(
+        line,
+        ~((blocks >= 0) & (blocks < n)).all(axis=(1, 2)) | (np.diff(blocks, axis=-1) == 0).any(axis=(1, 2)),
+        f"label must have {m} block(s) of k={k} distinct products in 1..{n}",
+    )
+    _reject(line, ~np.isfinite(r_a), "r_a must be a finite number")
+    return [idx, seed, y, alpha, beta, F, lam, revenue, q, blocks, r_a]
+
+
+def _reject(line: int, bad, message: str) -> None:
+    """Name the line of the first record flagged in ``bad``, which covers records from line ``line`` on."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        raise DatasetFormatError(f"line {line + rows[0]}: {message}")
+
+
+def _column(values, line: int, shape: tuple, dtype, name: str) -> np.ndarray:
+    """A field of records from line ``line`` on as one (N, *shape) array; errors name the first bad line.
+
+    Only JSON numbers and booleans are accepted: a string, null or an
+    integer too large for 64 bits is an error, not a value to convert.
+    """
+    if not values:
+        return np.empty((0,) + shape, dtype)
+    try:
+        column = np.array(values)
+    except ValueError:
+        column = None
+    if column is None or column.dtype.kind not in "biuf" or column.shape != (len(values),) + shape:
+        # Only this error path looks at the records one by one.
+        for lineno, value in enumerate(values, start=line):
+            try:
+                row = np.array(value)
+            except ValueError as e:
+                raise DatasetFormatError(f"line {lineno}: invalid {name} ({e})") from None
+            if row.dtype.kind not in "biuf":
+                raise DatasetFormatError(f"line {lineno}: {name} must hold numbers that fit in 64 bits")
+            if row.shape != shape:
+                raise DatasetFormatError(f"line {lineno}: {name} must have shape {shape}")
+    return column.astype(dtype, copy=False)
 
 
 def verify_labels(dataset: LabeledDataset, tol: float = 1e-12) -> None:
@@ -516,16 +606,11 @@ def verify_labels(dataset: LabeledDataset, tol: float = 1e-12) -> None:
     Cheap consistency check used by file consumers; raises
     :class:`DatasetFormatError` on the first mismatch.
     """
-    if not dataset.records:
-        return
-    q, lam, per_support, labels, r_a = _stack(
-        dataset.records, "q", "instance.lam", "instance.revenue.per_support", "label.per_segment", "r_a"
-    )
-    w = _block_revenue(q, lam, per_support, labels)
+    w = _block_revenue(dataset.q, dataset.lam, dataset.per_support, dataset.blocks)
     # Written so that a NaN on either side fails the check.
-    bad = np.flatnonzero(~(np.abs(w - r_a) <= tol))
+    bad = np.flatnonzero(~(np.abs(w - dataset.r_a) <= tol))
     if bad.size:
-        rec, w = dataset.records[bad[0]], float(w[bad[0]])
+        t = bad[0]
         raise DatasetFormatError(
-            f"record {rec.idx}: stored r_a {rec.r_a!r} differs from evaluated {w!r}"
+            f"record {dataset.idx[t]}: stored r_a {float(dataset.r_a[t])!r} differs from evaluated {float(w[t])!r}"
         )

@@ -32,7 +32,7 @@ from .core import (
     _check_selection,
     _top_k,
 )
-from .generate import DatasetFormatError, LabeledDataset, _stack, _write_atomic
+from .generate import DatasetFormatError, LabeledDataset, _write_atomic
 
 __all__ = [
     "MODEL_FORMAT_VERSION",
@@ -294,7 +294,7 @@ def evaluate(model: PredictorModel, test: LabeledDataset) -> EvaluationReport:
     is evaluated at the example's stored support matrix.  Examples with
     r_a below ``PRL_MIN_REVENUE`` are excluded from mean PRL and counted.
     """
-    if not test.records:
+    if not len(test):
         raise ValueError("test dataset has no records")
     spec = test.spec
     if (spec.n, spec.m) != (model.layout.n, model.layout.m):
@@ -302,30 +302,27 @@ def evaluate(model: PredictorModel, test: LabeledDataset) -> EvaluationReport:
             f"dataset shape {(spec.n, spec.m)} does not match model layout "
             f"{(model.layout.n, model.layout.m)}"
         )
-    y, alpha, F, lam, q, per_support, labels, r_a = _stack(
-        test.records, "instance.y", "instance.alpha", "instance.F", "instance.lam", "q",
-        "instance.revenue.per_support", "label.per_segment", "r_a",
-    )
     predicted = _decode_blocks(
-        _predict(model, _features(y, alpha, F, lam)), spec.k, spec.n, spec.m, spec.mode
+        _predict(model, _features(test.y, test.alpha, test.F, test.lam)), spec.k, spec.n, spec.m, spec.mode
     )
-    wrong = np.any(predicted != labels, axis=(1, 2))
-    r_c = _block_revenue(q, lam, per_support, predicted)
+    wrong = np.any(predicted != test.blocks, axis=(1, 2))
+    r_c = _block_revenue(test.q, test.lam, test.per_support, predicted)
+    r_a = test.r_a
     kept = ~(r_a < PRL_MIN_REVENUE)
     losses = prl(r_a[kept], r_c[kept])
     prl_column = np.full(len(r_a), None)
     prl_column[kept] = losses.tolist()
     return EvaluationReport(
-        test_count=len(test.records),
-        error_rate=int(wrong.sum()) / len(test.records),
+        test_count=len(test),
+        error_rate=int(wrong.sum()) / len(test),
         mean_prl_percent=float(np.mean(losses)) if losses.size else None,
         r_a_min=float(r_a.min()),
         r_a_max=float(r_a.max()),
         r_a_mean=float(r_a.mean()),
         prl_excluded=int((~kept).sum()),
         examples=tuple(
-            ExampleEval(idx=rec.idx, r_a=rec.r_a, r_c=r, prl=loss, misclassified=w)
-            for rec, r, loss, w in zip(test.records, r_c.tolist(), prl_column, wrong.tolist())
+            ExampleEval(idx=idx, r_a=a, r_c=r, prl=loss, misclassified=w)
+            for idx, a, r, loss, w in zip(test.idx.tolist(), r_a.tolist(), r_c.tolist(), prl_column, wrong.tolist())
         ),
     )
 
@@ -339,7 +336,7 @@ def write_model(model: PredictorModel, path) -> None:
         "coefficients": model.coefficients.tolist(),
         "rank_deficient": model.rank_deficient,
     }
-    _write_atomic(path, json.dumps(doc, separators=(",", ":")) + "\n")
+    _write_atomic(path, [json.dumps(doc, separators=(",", ":")) + "\n"])
 
 
 def read_model(path) -> PredictorModel:

@@ -1,14 +1,16 @@
 """The dataset-level array kernels against per-record loop references.
 
 Each reference below is the loop the package ran one record at a time
-before the fixed-point solve, labeling, revenue, encoding, prediction and
-decoding became array code.  The arithmetic is unchanged, so every
-comparison is exact: a kernel that reorders a sum or swaps a matrix
-product fails here even where no stored artifact moves.
+before instance synthesis, the fixed-point solve, labeling, revenue,
+encoding, prediction and decoding became array code, and before datasets
+became columns.  The arithmetic is unchanged, so every comparison is
+exact: a kernel that reorders a sum, swaps a matrix product or splits a
+random stream differently fails here even where no stored artifact moves.
 """
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from assort_mnl import generate
 from assort_mnl.core import (
@@ -18,21 +20,28 @@ from assort_mnl.core import (
     PER_SEGMENT,
     SHARED,
     ZERO_START,
+    Assortment,
+    ProblemInstance,
     _best_blocks,
     _block_revenue,
     _solve_stack,
+    mean_utility,
     solve_fixed_point,
     support_map,
 )
 from assort_mnl.generate import (
+    _COLUMNS,
+    DOLLAR_MAX,
+    DOLLAR_SCALE,
+    UNIT_SCALE,
     DatasetRecord,
     GenSpec,
     LabeledDataset,
-    _stack,
     generate_dataset,
     generate_instance,
+    read_dataset,
     record_seed,
-    relabel_dataset,
+    write_dataset,
 )
 from assort_mnl.learner import (
     FeatureLayout,
@@ -68,25 +77,68 @@ def loop_decode(scores, k, n, m, mode):
     return [loop_top_k(grid[:, j], k) for j in range(m)]
 
 
+def loop_instance(spec, seed):
+    rng = np.random.default_rng(seed)
+    n, m = spec.n, spec.m
+    y = rng.uniform(0.0, spec.M, size=(n, m))
+    alpha = rng.uniform(0.0, spec.M, size=(n, m))
+    if not spec.network_effects:
+        alpha = np.zeros((n, m))
+    if spec.f_mode == UNIT_SCALE:
+        F = rng.uniform(0.0, spec.M, size=n)
+    else:
+        F = rng.integers(1, DOLLAR_MAX + 1, size=n).astype(float)
+    raw = rng.uniform(0.0, spec.M, size=m)
+    return ProblemInstance(
+        y=y, alpha=alpha, beta=np.ones((n, m)), F=F, lam=raw / raw.sum(), revenue=spec.revenue
+    )
+
+
+def loop_support_map(instance, q):
+    s = q @ instance.lam
+    return expit(instance.y - instance.beta * instance.F[:, None] + instance.alpha * s[:, None])
+
+
 def loop_solve(instance, start, max_iter=DEFAULT_MAX_ITER):
     q = np.full((instance.n, instance.m), 1.0 if start == ONE_START else 0.0)
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        q_next = support_map(instance, q)
+        q_next = loop_support_map(instance, q)
         delta = float(np.max(np.abs(q_next - q)))
         q = q_next
         iterations += 1
         if delta <= DEFAULT_TOL:
             converged = True
             break
-    residual = float(np.max(np.abs(support_map(instance, q) - q)))
+    residual = float(np.max(np.abs(loop_support_map(instance, q) - q)))
     return q, iterations, residual, converged
+
+
+def loop_records(spec, count, master_seed, max_iter=DEFAULT_MAX_ITER):
+    """Records and excluded indices as generation made them one record at a time."""
+    records, excluded = [], []
+    for idx in range(count):
+        seed = record_seed(master_seed, idx)
+        instance = loop_instance(spec, seed)
+        q, _, _, converged = loop_solve(instance, ONE_START, max_iter)
+        if not converged:
+            excluded.append(idx)
+            continue
+        blocks = loop_best_blocks(q, instance.lam, spec.k, spec.mode)
+        r_a = loop_revenue(q, instance.lam, instance.revenue.per_support, blocks)
+        label = Assortment(per_segment=blocks, k=spec.k)
+        records.append(DatasetRecord(idx=idx, seed=seed, instance=instance, q=q, label=label, r_a=r_a))
+    return records, excluded
 
 
 def instances(n, m, network_effects, count):
     spec = GenSpec(n=n, m=m, network_effects=network_effects)
-    return [generate_instance(spec, record_seed(n * 10 + m, t)) for t in range(count)]
+    return [loop_instance(spec, record_seed(n * 10 + m, t)) for t in range(count)]
+
+
+def stacked(batch):
+    return [np.array([getattr(instance, f) for instance in batch]) for f in ("y", "alpha", "beta", "F", "lam")]
 
 
 def assert_solves_match(batch, expected):
@@ -171,8 +223,7 @@ def test_features_and_indicators_match_the_loops():
 def test_solve_matches_the_loop(n, m, network_effects, start):
     batch = instances(n, m, network_effects, 60 if n == 100 else 300)
     expected = [loop_solve(instance, start) for instance in batch]
-    stacked = _stack(batch, "y", "alpha", "beta", "F", "lam")
-    assert_solves_match(_solve_stack(*stacked, start, DEFAULT_TOL, DEFAULT_MAX_ITER), expected)
+    assert_solves_match(_solve_stack(*stacked(batch), start, DEFAULT_TOL, DEFAULT_MAX_ITER), expected)
     # solve_fixed_point is the one-row case of the same kernel.
     for instance, (q, iterations, residual, converged) in zip(batch[:10], expected):
         solution = solve_fixed_point(instance, start)
@@ -188,24 +239,68 @@ def test_solve_stops_each_record_on_its_own(start):
     expected = [loop_solve(instance, start, max_iter=8) for instance in batch]
     converged = [c for *_, c in expected]
     assert any(converged) and not all(converged)
-    stacked = _stack(batch, "y", "alpha", "beta", "F", "lam")
-    assert_solves_match(_solve_stack(*stacked, start, DEFAULT_TOL, 8), expected)
+    assert_solves_match(_solve_stack(*stacked(batch), start, DEFAULT_TOL, 8), expected)
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (3, 2), (20, 4), (100, 7)])
+def test_demand_is_the_loop_formula(n, m):
+    # mean_utility and support_map compute through the solver's expression.
+    rng = np.random.default_rng(n * m)
+    for instance in instances(n, m, True, 20):
+        q = rng.uniform(0.0, 1.0, size=(n, m))
+        s = q @ instance.lam
+        V = instance.y - instance.beta * instance.F[:, None] + instance.alpha * s[:, None]
+        assert mean_utility(instance, q).tobytes() == V.tobytes()
+        assert support_map(instance, q).tobytes() == loop_support_map(instance, q).tobytes()
+
+
+def assert_same_columns(dataset, reference):
+    # Equal values in another dtype, such as a float64 seed column, also fail.
+    assert dataset == reference
+    for f in _COLUMNS:
+        assert getattr(dataset, f).dtype == getattr(reference, f).dtype, f
+
+
+@pytest.mark.parametrize("f_mode", [UNIT_SCALE, DOLLAR_SCALE])
+@pytest.mark.parametrize("network_effects", [True, False])
+@pytest.mark.parametrize("n,m", [(2, 1), (5, 1), (2, 2), (10, 2), (20, 4)])
+def test_columnar_generation_matches_the_record_loop(n, m, network_effects, f_mode):
+    spec = GenSpec(n=n, m=m, k=2, network_effects=network_effects, f_mode=f_mode, mode=PER_SEGMENT)
+    count, master_seed = 40, n * 100 + m
+    records, excluded = loop_records(spec, count, master_seed)
+    reference = LabeledDataset.from_records(spec, master_seed, count, records, excluded)
+    assert_same_columns(generate_dataset(spec, count, master_seed), reference)
+    # generate_instance is the one-record case of the same draw.
+    for rec in records[:5]:
+        assert generate_instance(spec, rec.seed) == rec.instance
 
 
 def test_generate_dataset_matches_the_record_loop(monkeypatch):
     # The kernel's last argument is the iteration cap.
     monkeypatch.setattr(generate, "_solve_stack", lambda *args: _solve_stack(*args[:-1], 8))
     spec, count, master_seed = GenSpec(n=5, m=2, k=2), 120, 77
-    dataset = generate_dataset(spec, count, master_seed)
-    records, excluded = [], []
-    for idx in range(count):
-        seed = record_seed(master_seed, idx)
-        instance = generate_instance(spec, seed)
-        q, _, _, converged = loop_solve(instance, ONE_START, max_iter=8)
-        if converged:
-            records.append(DatasetRecord(idx=idx, seed=seed, instance=instance, q=q, label=None, r_a=None))
-        else:
-            excluded.append(idx)
+    records, excluded = loop_records(spec, count, master_seed, max_iter=8)
     assert excluded and records
-    reference = LabeledDataset(spec, master_seed, count, tuple(records), tuple(excluded))
-    assert dataset == relabel_dataset(reference)
+    reference = LabeledDataset.from_records(spec, master_seed, count, records, excluded)
+    assert_same_columns(generate_dataset(spec, count, master_seed), reference)
+
+
+@pytest.mark.parametrize("mode", [SHARED, PER_SEGMENT])
+def test_records_are_the_record_loop(mode):
+    spec = GenSpec(n=4, m=2, k=2, mode=mode)
+    records, _ = loop_records(spec, 30, 5)
+    materialized = generate_dataset(spec, 30, 5).records
+    assert materialized == tuple(records)
+    for rec in materialized:
+        assert (type(rec.idx), type(rec.seed), type(rec.r_a)) == (int, int, float)
+        assert not rec.q.flags.writeable
+
+
+def test_round_trip_keeps_every_column(tmp_path):
+    data = generate_dataset(GenSpec(n=3, m=2, k=2, f_mode=DOLLAR_SCALE), 25, 2**64 - 5)
+    assert max(data.seed.tolist()) >= 2**63
+    path = tmp_path / "data.jsonl"
+    write_dataset(data, path)
+    back = read_dataset(path)
+    assert_same_columns(back, data)
+    assert back.seed.tolist() == [record_seed(2**64 - 5, idx) for idx in back.idx.tolist()]

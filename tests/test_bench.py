@@ -1,6 +1,5 @@
 """Tests for presets, the end-to-end case runner, and run comparison."""
 
-import dataclasses
 import hashlib
 import json
 
@@ -10,6 +9,7 @@ import pytest
 from assort_mnl import (
     CaseConfig,
     GenSpec,
+    LabeledDataset,
     StageError,
     compare_runs,
     generate_dataset,
@@ -165,8 +165,8 @@ class TestConvergenceBudget:
     def _with_exclusions(self, count, n_excluded):
         data = generate_dataset(GenSpec(n=2, m=1), count=count, master_seed=3)
         kept = data.records[: count - n_excluded]
-        return dataclasses.replace(
-            data, records=kept, excluded=tuple(range(n_excluded))
+        return LabeledDataset.from_records(
+            data.spec, data.master_seed, data.count, kept, excluded=tuple(range(n_excluded))
         )
 
     def test_within_budget_passes(self):

@@ -108,11 +108,15 @@ _BAD_LINES = {
     "q-above-one": (3, _edit(lambda rec: rec.update(q=[[1.5]] + rec["q"][1:]))),
     "q-negative": (3, _edit(lambda rec: rec.update(q=[[-0.25]] + rec["q"][1:]))),
     "q-nan": (3, _edit(lambda rec: rec.update(q=[[float("nan")]] + rec["q"][1:]))),
+    "y-string": (3, _edit(lambda rec: rec.update(y=[["12.5"]] + rec["y"][1:]))),
     "label-k-differs": (3, _edit(lambda rec: rec.update(label={"per_segment": [[1, 2]], "k": 2}))),
     "label-index-exceeds-n": (3, _edit(lambda rec: rec["label"].update(per_segment=[[4]]))),
     "label-blocks-exceed-m": (3, _edit(lambda rec: rec["label"].update(per_segment=[[1], [2]]))),
+    "label-index-string": (3, _edit(lambda rec: rec["label"].update(per_segment=[["1"]]))),
     "idx-not-integer": (3, _edit(lambda rec: rec.update(idx="x"))),
+    "idx-duplicated": (3, _edit(lambda rec: rec.update(idx=0))),
     "seed-not-integer": (3, _edit(lambda rec: rec.update(seed=1.5))),
+    "seed-not-splitmix": (3, _edit(lambda rec: rec.update(seed=12345))),
     "r_a-not-number": (3, _edit(lambda rec: rec.update(r_a="y"))),
     "r_a-nan": (3, _edit(lambda rec: rec.update(r_a=float("nan")))),
     "r_a-overflows-float": (3, _edit(lambda rec: rec.update(r_a=10**400))),
@@ -264,3 +268,25 @@ class TestCompare:
         doc = json.loads(capsys.readouterr().out)
         assert doc["case_a"] == "case1p1" and doc["case_b"] == "case1p2"
         assert doc["metrics"]["r_a_mean"]["direction"] == "lower"
+
+
+# Each case breaks the second report given to compare.
+_BAD_REPORTS = {
+    "evaluation-not-object": ("evaluation", _edit(lambda doc: doc.update(evaluation=[1]))),
+    "error-rate-not-number": ("evaluation.error_rate", _edit(lambda doc: doc["evaluation"].update(error_rate="x"))),
+    "not-json": ("invalid report file", lambda text: text[: len(text) // 2]),
+}
+
+
+class TestReportValidation:
+    @pytest.mark.parametrize("case", sorted(_BAD_REPORTS))
+    def test_bad_report_is_read_error_naming_it(self, tmp_path, capsys, case):
+        run("case", "--preset", "case1p1", "--count", 40, "--seed", 7, "--out", tmp_path)
+        good = tmp_path / "case1p1_report.json"
+        bad = tmp_path / "bad_report.json"
+        field, mutate = _BAD_REPORTS[case]
+        bad.write_text(mutate(good.read_text()))
+        capsys.readouterr()
+        assert run("compare", good, bad) == 5
+        err = capsys.readouterr().err
+        assert "error [read]" in err and str(bad) in err and field in err

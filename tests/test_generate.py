@@ -9,6 +9,7 @@ import pytest
 from assort_mnl import (
     DatasetFormatError,
     GenSpec,
+    LabeledDataset,
     generate_dataset,
     generate_instance,
     normalize_weights,
@@ -139,7 +140,9 @@ class TestGenerateDataset:
     def test_nan_revenue_rejected(self):
         data = generate_dataset(GenSpec(n=3, m=1, k=1), 3, 21)
         bad = dataclasses.replace(data.records[1], r_a=float("nan"))
-        data = dataclasses.replace(data, records=(data.records[0], bad, data.records[2]))
+        data = LabeledDataset.from_records(
+            data.spec, data.master_seed, data.count, (data.records[0], bad, data.records[2])
+        )
         with pytest.raises(ValueError, match=f"record {bad.idx}"):
             verify_labels(data)
 
@@ -203,9 +206,7 @@ class TestDatasetRoundTrip:
 
     def test_empty_records_header_only(self, tmp_path):
         data = generate_dataset(GenSpec(n=2, m=1), count=1, master_seed=0)
-        import dataclasses
-
-        empty = dataclasses.replace(data, count=0, records=())
+        empty = LabeledDataset.from_records(data.spec, data.master_seed, 0, ())
         path = tmp_path / "empty.jsonl"
         write_dataset(empty, path)
         back = read_dataset(path)
@@ -219,6 +220,32 @@ class TestDatasetRoundTrip:
         # Cut the last record in half: a JSON error on its line.
         path.write_text(text[: len(text) - 40])
         with pytest.raises(DatasetFormatError, match="line 4"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("lineno", [257, 258, 601])
+    def test_bad_line_in_a_later_chunk_is_named(self, tmp_path, lineno):
+        # Records become arrays 256 at a time: lines 2-257, 258-513, 514-601.
+        import json
+
+        data = generate_dataset(GenSpec(n=2, m=1), count=600, master_seed=8)
+        path = tmp_path / "data.jsonl"
+        write_dataset(data, path)
+        assert read_dataset(path) == data
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[lineno - 1])
+        record["q"][0][0] = 1.5
+        lines[lineno - 1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match=f"line {lineno}: q"):
+            read_dataset(path)
+
+    def test_extra_record_named(self, tmp_path):
+        data = generate_dataset(GenSpec(n=2, m=1), count=3, master_seed=0)
+        path = tmp_path / "data.jsonl"
+        write_dataset(data, path)
+        text = path.read_text()
+        path.write_text(text + text.splitlines()[-1].replace('"idx":2', '"idx":"x"') + "\n")
+        with pytest.raises(DatasetFormatError, match="line 5: idx"):
             read_dataset(path)
 
     def test_missing_record_detected(self, tmp_path):

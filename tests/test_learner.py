@@ -10,6 +10,7 @@ from assort_mnl import (
     EvaluationReport,
     FeatureLayout,
     GenSpec,
+    LabeledDataset,
     PredictorModel,
     ProblemInstance,
     UnderdeterminedFitError,
@@ -296,9 +297,7 @@ class TestEvaluate:
         # Keep only records labeled {product 0} and hardwire that answer.
         keep = tuple(r for r in data.records if r.label.per_segment == ((0,),))
         assert keep, "seed must produce at least one such record"
-        import dataclasses
-
-        subset = dataclasses.replace(data, records=keep)
+        subset = LabeledDataset.from_records(data.spec, data.master_seed, data.count, keep)
         model = PredictorModel(
             intercept=np.array([1.0, 0.0]),
             coefficients=np.zeros((2, layout.d)),
@@ -312,9 +311,7 @@ class TestEvaluate:
     def test_single_wrong_prediction(self):
         data = self._dataset()
         keep = tuple(r for r in data.records if r.label.per_segment == ((0,),))[:1]
-        import dataclasses
-
-        subset = dataclasses.replace(data, records=keep)
+        subset = LabeledDataset.from_records(data.spec, data.master_seed, data.count, keep)
         layout = FeatureLayout(2, 1)
         model = PredictorModel(
             intercept=np.array([0.0, 1.0]),  # always predicts product 1
@@ -343,9 +340,7 @@ class TestEvaluate:
 
     def test_empty_test_rejected(self):
         data = self._dataset()
-        import dataclasses
-
-        empty = dataclasses.replace(data, records=())
+        empty = LabeledDataset.from_records(data.spec, data.master_seed, data.count, ())
         layout = FeatureLayout(2, 1)
         model = PredictorModel(
             intercept=np.zeros(2), coefficients=np.zeros((2, layout.d)), layout=layout

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from assort_mnl.bench import DEFAULT_MASTER_SEED, preset
-from assort_mnl.core import DEFAULT_MAX_ITER, DEFAULT_TOL, ONE_START, SHARED, _solve_stack, solve_fixed_point
-from assort_mnl.generate import _stack, generate_instance, record_seed
+from assort_mnl.core import DEFAULT_MAX_ITER, DEFAULT_TOL, ONE_START, PER_SEGMENT, SHARED, _solve_stack, solve_fixed_point
+from assort_mnl.generate import GenSpec, _draw, generate_dataset, generate_instance, read_dataset, record_seed, write_dataset
 from assort_mnl.learner import _decode_blocks
 
 pytestmark = pytest.mark.microbench
@@ -24,10 +24,20 @@ def test_solve_one_record(benchmark):
 
 
 def test_solve_stack_of_500_records(benchmark):
-    instances = [generate_instance(SPEC, record_seed(DEFAULT_MASTER_SEED, t)) for t in range(500)]
-    stacked = _stack(instances, "y", "alpha", "beta", "F", "lam")
+    stacked = _draw(SPEC, [record_seed(DEFAULT_MASTER_SEED, t) for t in range(500)])
     _, _, _, converged = benchmark(_solve_stack, *stacked, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
     assert converged.all()
+
+
+def test_generate_dataset_of_500_records(benchmark):
+    assert len(benchmark(generate_dataset, SPEC, 500, DEFAULT_MASTER_SEED)) == 500
+
+
+def test_read_dataset_of_2000_records(benchmark, tmp_path):
+    # The shape of the benchmark's learn_io workload.
+    path = tmp_path / "dataset.jsonl"
+    write_dataset(generate_dataset(GenSpec(n=10, m=2, k=1, mode=PER_SEGMENT), 2000, DEFAULT_MASTER_SEED), path)
+    assert len(benchmark(read_dataset, path)) == 2000
 
 
 def test_decode_blocks_of_10000_rows(benchmark):
