@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -265,7 +266,12 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every :func:`main` call.
+
+    Parsing leaves it unchanged; callers must not change it either.
+    """
     parser = argparse.ArgumentParser(
         prog="assort-mnl",
         description="Assortment optimization and prediction benchmark harness.",

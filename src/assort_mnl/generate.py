@@ -29,7 +29,8 @@ and each following line is one record::
 
 Product indices are 1-based inside files and 0-based in memory.  Floats
 are serialized with ``repr`` precision, so a read after a write
-reproduces every number exactly.  The records of a file carry the idx
+reproduces every number exactly; JSON has no NaN or infinity, so a
+dataset holding one is refused, not written.  The records of a file carry the idx
 ``range(count)`` without the ``excluded`` ones, in order, and each record's
 seed is ``record_seed(master_seed, idx)``, the SplitMix64 mix the header's
 ``seed_mix`` names; :func:`read_dataset` rejects a file that breaks either
@@ -39,6 +40,7 @@ rule, naming the line.
 from __future__ import annotations
 
 import json
+import math
 import os
 import secrets
 from dataclasses import dataclass, replace
@@ -87,8 +89,15 @@ UNIT_SCALE = "unit"
 DOLLAR_SCALE = "dollar"
 DOLLAR_MAX = 10_000
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 class DatasetFormatError(ValueError):
@@ -121,8 +130,8 @@ class GenSpec:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if not self.M > 0:
-            raise ValueError(f"M must be positive, got {self.M}")
+        if not 0 < self.M < math.inf:
+            raise ValueError(f"M must be positive and finite, got {self.M}")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"k must lie in [1, {self.n}], got {self.k}")
         if self.f_mode not in (UNIT_SCALE, DOLLAR_SCALE):
@@ -264,10 +273,19 @@ def record_seed(master_seed: int, index: int) -> int:
     """
     if index < 0:
         raise ValueError(f"index must be >= 0, got {index}")
-    z = (int(master_seed) + (index + 1) * _GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    return int(_record_seeds(master_seed, [index])[0])
+
+
+def _record_seeds(master_seed: int, indices) -> np.ndarray:
+    """``record_seed(master_seed, t)`` for each nonnegative index ``t`` of ``indices``, as uint64.
+
+    The mix in uint64 arithmetic, which wraps modulo 2**64 as the formula does.
+    """
+    u64 = np.uint64
+    z = u64(int(master_seed) & _MASK64) + (np.asarray(indices, dtype=u64) + u64(1)) * u64(_GAMMA)
+    z = (z ^ (z >> u64(30))) * u64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
+    return z ^ (z >> u64(31))
 
 
 def normalize_weights(raw) -> np.ndarray:
@@ -289,25 +307,92 @@ def generate_instance(spec: GenSpec, seed: int) -> ProblemInstance:
     Draw order is fixed (y, alpha, F, lambda).  alpha is always consumed
     from the stream and only zeroed afterwards when network effects are
     off, so flipping the toggle under a shared seed changes nothing else.
-    The one-record case of the stacked draw that datasets use.
+    The one-record case of the stacked draw that datasets use.  The draws
+    are those of ``np.random.default_rng(seed)``; ``seed`` must lie in
+    [0, 2**64), the range of record seeds.
     """
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     y, alpha, beta, F, lam = (column[0] for column in _draw(spec, [seed]))
     return ProblemInstance(y=y, alpha=alpha, beta=beta, F=F, lam=lam, revenue=spec.revenue)
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for each seed ``s`` in [0, 2**64), as (N, 4) uint64.
+
+    numpy's SeedSequence algorithm run on all seeds at once in uint32
+    arithmetic.  A seed's entropy words are (low, high, 0, 0), which for a
+    seed below 2**32 is the pool of its one-word entropy too.  The hash
+    constants advance the same way for every seed, so they stay Python ints.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    u32 = np.uint32
+    pool = np.zeros((4, seeds.size), u32)
+    pool[0], pool[1] = seeds & np.uint64(_MASK32), seeds >> np.uint64(32)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ u32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * u32(hash_const)
+        return value ^ (value >> u32(16))
+
+    def mix(x, y):
+        result = x * u32(_MIX_MULT_L) - y * u32(_MIX_MULT_R)
+        return result ^ (result >> u32(16))
+
+    for i in range(4):
+        pool[i] = hashmix(pool[i])
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hash_const = _INIT_B
+    state = np.empty((8, seeds.size), np.uint64)
+    for i in range(8):
+        value = pool[i % 4] ^ u32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * u32(hash_const)
+        state[i] = value ^ (value >> u32(16))
+    # uint64 word j is uint32 words 2j (low half) and 2j + 1.
+    return (state[0::2] | (state[1::2] << np.uint64(32))).T
+
+
+def _pcg64_states(seeds) -> list[dict]:
+    """``np.random.PCG64(s).state`` for each seed ``s`` in [0, 2**64), without building a generator.
+
+    PCG64 seeds from the four words w of ``_seed_words``: its increment is
+    ``(w[2:4] << 1) | 1`` and its state ``(inc + w[0:2]) * MULT + inc``,
+    both modulo 2**128, with the high word first.
+    """
+    states = []
+    for hi, lo, inc_hi, inc_lo in _seed_words(seeds).tolist():
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = ((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append(
+            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        )
+    return states
 
 
 def _draw(spec: GenSpec, seeds) -> list[np.ndarray]:
     """Instances drawn from ``spec``, one per seed, stacked: ``y``, ``alpha``, ``beta``, ``F``, ``lam``.
 
-    Each seed's generator fills its record's row: y | alpha | F | raw weights
-    from one uniform call in "unit" f_mode, from three calls in "dollar"
-    f_mode (F is integers there).  Splitting a run of uniform draws into
-    calls changes none of them.  The stack is then checked once with
+    Record t draws what ``np.random.default_rng(seeds[t])`` draws: one
+    generator is reused, set to each seed's PCG64 state (``_pcg64_states``,
+    computed for all seeds at once, seeds in [0, 2**64)) before the record's
+    draws.  They fill its row: y | alpha | F | raw weights from one uniform
+    call in "unit" f_mode, from three calls in "dollar" f_mode (F is
+    integers there).  Splitting a run of uniform draws into calls changes
+    none of them.  The stack is then checked once with
     :class:`ProblemInstance`'s rules.
     """
     n, m, nm = spec.n, spec.m, spec.n * spec.m
     draws = np.empty((len(seeds), 2 * nm + n + m))
-    for row, seed in zip(draws, seeds):
-        rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.PCG64(0))
+    for row, state in zip(draws, _pcg64_states(seeds)):
+        rng.bit_generator.state = state
         if spec.f_mode == UNIT_SCALE:
             row[:] = rng.uniform(0.0, spec.M, row.size)
         else:
@@ -339,8 +424,8 @@ def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledData
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    seeds = np.array([record_seed(master_seed, idx) for idx in range(count)], dtype=np.uint64)
-    y, alpha, beta, F, lam = _draw(spec, seeds.tolist())
+    seeds = _record_seeds(master_seed, np.arange(count))
+    y, alpha, beta, F, lam = _draw(spec, seeds)
     q, _, _, converged = _solve_stack(y, alpha, beta, F, lam, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
     revenue = np.tile(_revenue_row(spec.revenue), (count, 1))
     blocks = _best_blocks(q, lam, spec.k, spec.mode)
@@ -371,6 +456,9 @@ def relabel_dataset(dataset: LabeledDataset, k=None, mode=None) -> LabeledDatase
 _SPEC_KEYS = ("n", "m", "M", "network_effects", "f_mode", "revenue", "k", "mode")
 _REVENUE_KEYS = ("a", "b", "omega", "xi")
 _RECORD_KEYS = ("idx", "seed", "y", "alpha", "beta", "F", "lambda", "revenue", "q", "label", "r_a")
+# The positions, in _COLUMNS and _RECORD_KEYS alike, of the float fields:
+# all but idx, seed and the label, in line order.
+_FLOAT_FIELDS = [i for i, name in enumerate(_COLUMNS) if name not in ("idx", "seed", "blocks")]
 
 
 def _revenue_row(rev: RevenueTerms) -> list:
@@ -416,7 +504,15 @@ _CHUNK = 256
 
 
 def write_dataset(dataset: LabeledDataset, path) -> None:
-    """Write a dataset as JSON Lines (see the module docstring for the schema), atomically."""
+    """Write a dataset as JSON Lines (see the module docstring for the schema), atomically.
+
+    The header goes through ``json.dumps``; each record line fills one
+    ``%``-format template made for the spec (``_line_template``), every
+    ``_CHUNK`` records from one ``tolist()`` of their floats, so the bytes
+    are those ``json.dumps`` writes for the record.  JSON has no
+    non-finite numbers: a NaN or infinite float raises ``ValueError``
+    naming the record's idx and field, and no file is written.
+    """
     header = {
         "format_version": FORMAT_VERSION,
         "spec": spec_to_dict(dataset.spec),
@@ -425,22 +521,47 @@ def write_dataset(dataset: LabeledDataset, path) -> None:
         "seed_mix": "splitmix64",
         "excluded": list(dataset.excluded),
     }
-    # Files carry 1-based product indices.
-    columns = [dataset.blocks + 1 if f == "blocks" else getattr(dataset, f) for f in _COLUMNS]
+    template = _line_template(dataset.spec)
+    floats = [getattr(dataset, _COLUMNS[i]) for i in _FLOAT_FIELDS]
+    ends = np.cumsum([math.prod(column.shape[1:]) for column in floats])
 
     def lines():
         yield json.dumps(header, separators=(",", ":")) + "\n"
         for start in range(0, len(dataset), _CHUNK):
-            rows = zip(*(column[start : start + _CHUNK].tolist() for column in columns))
-            for idx, seed, y, alpha, beta, F, lam, (a, b, omega, xi), q, blocks, r_a in rows:
-                record = {
-                    "idx": idx, "seed": seed, "y": y, "alpha": alpha, "beta": beta, "F": F, "lambda": lam,
-                    "revenue": {"a": a, "b": b, "omega": omega, "xi": xi},
-                    "q": q, "label": {"per_segment": blocks, "k": dataset.spec.k}, "r_a": r_a,
-                }
-                yield json.dumps(record, separators=(",", ":")) + "\n"
+            rows = slice(start, start + _CHUNK)
+            idx = dataset.idx[rows]
+            values = np.concatenate([column[rows].reshape(len(idx), -1) for column in floats], axis=1)
+            bad = np.argwhere(~np.isfinite(values))
+            if bad.size:
+                row, col = bad[0]
+                field = _RECORD_KEYS[_FLOAT_FIELDS[np.searchsorted(ends, col, side="right")]]
+                value = float(values[row, col])
+                raise ValueError(f"record {idx[row]}: {field} holds {value!r}, which JSON cannot carry")
+            # Files carry 1-based product indices.
+            blocks = (dataset.blocks[rows] + 1).reshape(len(idx), -1).tolist()
+            seed, head, r_a = dataset.seed[rows].tolist(), values[:, :-1].tolist(), values[:, -1].tolist()
+            yield from (template % (i, s, *f, *b, r) for i, s, f, b, r in zip(idx.tolist(), seed, head, blocks, r_a))
 
     _write_atomic(path, lines())
+
+
+def _line_template(spec: GenSpec) -> str:
+    """The ``%``-format string of a record line under ``spec``, keys and nesting as in the module docstring.
+
+    ``%d`` stands for an int and ``%r`` for a float: ``float.__repr__``,
+    which is what ``json.dumps`` writes for a finite float.
+    """
+
+    def nested(shape, slot):
+        return slot if not shape else "[" + ",".join([nested(shape[1:], slot)] * shape[0]) + "]"
+
+    grid = nested((spec.n, spec.m), "%r")
+    revenue = ",".join(f'"{key}":%r' for key in _REVENUE_KEYS)
+    label = f'{{"per_segment":{nested((spec.m, spec.k), "%d")},"k":{json.dumps(spec.k)}}}'
+    return (
+        f'{{"idx":%d,"seed":%d,"y":{grid},"alpha":{grid},"beta":{grid},"F":{nested((spec.n,), "%r")},'
+        f'"lambda":{nested((spec.m,), "%r")},"revenue":{{{revenue}}},"q":{grid},"label":{label},"r_a":%r}}\n'
+    )
 
 
 def _write_atomic(path, chunks) -> None:
@@ -533,7 +654,8 @@ def _record_columns(rows: list, line: int, spec: GenSpec, master_seed: int, expe
     # A record beyond the last expected one meets None.
     _reject(line, [type(i) is not int or i != e for i, e in zip_longest(idx, expected)],
             "idx must run through range(count) without the excluded indices, in order")
-    _reject(line, [type(s) is not int or s != record_seed(master_seed, i) for s, i in zip(seed, expected)],
+    seeds = _record_seeds(master_seed, expected).tolist()
+    _reject(line, [type(s) is not int or s != e for s, e in zip(seed, seeds)],
             "seed must be record_seed(master_seed, idx), as seed_mix splitmix64 declares")
     labels = [_fields(d, ("per_segment", "k"), f"line {lineno}", "label") for lineno, d in enumerate(label, start=line)]
     _reject(line, [label_k != k for _, label_k in labels], f"label k must be {k}")

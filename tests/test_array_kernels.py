@@ -2,11 +2,15 @@
 
 Each reference below is the loop the package ran one record at a time
 before instance synthesis, the fixed-point solve, labeling, revenue,
-encoding, prediction and decoding became array code, and before datasets
-became columns.  The arithmetic is unchanged, so every comparison is
-exact: a kernel that reorders a sum, swaps a matrix product or splits a
-random stream differently fails here even where no stored artifact moves.
+encoding, prediction, decoding and the JSONL write became array code, and
+before datasets became columns.  The arithmetic is unchanged, so every
+comparison is exact: a kernel that reorders a sum, swaps a matrix product
+or splits a random stream differently fails here even where no stored
+artifact moves.
 """
+
+import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from assort_mnl.core import (
 )
 from assort_mnl.generate import (
     _COLUMNS,
+    _CHUNK,
     DOLLAR_MAX,
     DOLLAR_SCALE,
     UNIT_SCALE,
@@ -92,6 +97,28 @@ def loop_instance(spec, seed):
     return ProblemInstance(
         y=y, alpha=alpha, beta=np.ones((n, m)), F=F, lam=raw / raw.sum(), revenue=spec.revenue
     )
+
+
+def loop_write(dataset, path):
+    """The dataset file as written with one dict per record through ``json.dumps``."""
+    header = {
+        "format_version": generate.FORMAT_VERSION,
+        "spec": generate.spec_to_dict(dataset.spec),
+        "master_seed": dataset.master_seed,
+        "count": dataset.count,
+        "seed_mix": "splitmix64",
+        "excluded": list(dataset.excluded),
+    }
+    columns = [dataset.blocks + 1 if f == "blocks" else getattr(dataset, f) for f in _COLUMNS]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+        for idx, seed, y, alpha, beta, F, lam, (a, b, omega, xi), q, blocks, r_a in zip(*(c.tolist() for c in columns)):
+            record = {
+                "idx": idx, "seed": seed, "y": y, "alpha": alpha, "beta": beta, "F": F, "lambda": lam,
+                "revenue": {"a": a, "b": b, "omega": omega, "xi": xi},
+                "q": q, "label": {"per_segment": blocks, "k": dataset.spec.k}, "r_a": r_a,
+            }
+            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
 def loop_support_map(instance, q):
@@ -304,3 +331,63 @@ def test_round_trip_keeps_every_column(tmp_path):
     back = read_dataset(path)
     assert_same_columns(back, data)
     assert back.seed.tolist() == [record_seed(2**64 - 5, idx) for idx in back.idx.tolist()]
+
+
+# Seeds at the edges of the 32- and 64-bit word splits.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def test_batched_seeding_is_pcg64s():
+    seeds = EDGE_SEEDS + np.random.default_rng(2024).integers(0, 2**64, 1000, dtype=np.uint64).tolist()
+    assert generate._pcg64_states(seeds) == [np.random.PCG64(s).state for s in seeds]
+
+
+@pytest.mark.parametrize("f_mode", [UNIT_SCALE, DOLLAR_SCALE])
+@pytest.mark.parametrize("n,m", [(1, 1), (3, 2), (7, 3)])
+def test_draw_is_default_rng_per_seed(n, m, f_mode):
+    # An odd count of dollar integers leaves half a 64-bit word buffered in
+    # the reused generator; the next record must not see it.
+    spec = GenSpec(n=n, m=m, f_mode=f_mode)
+    seeds = EDGE_SEEDS + [record_seed(9, t) for t in range(20)]
+    stacked_draws = generate._draw(spec, seeds)
+    for t, seed in enumerate(seeds):
+        expected = loop_instance(spec, seed)
+        for name, column in zip(("y", "alpha", "beta", "F", "lam"), stacked_draws):
+            assert column[t].tobytes() == getattr(expected, name).tobytes(), (seed, name)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_instance_seed_must_fit_64_bits(seed):
+    with pytest.raises(ValueError, match="seed must lie in"):
+        generate_instance(GenSpec(n=2, m=1), seed)
+
+
+def assert_writes_the_reference(dataset, tmp_path):
+    written, reference = tmp_path / "written.jsonl", tmp_path / "reference.jsonl"
+    write_dataset(dataset, written)
+    loop_write(dataset, reference)
+    assert written.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("f_mode", [UNIT_SCALE, DOLLAR_SCALE])
+@pytest.mark.parametrize("mode", [SHARED, PER_SEGMENT])
+@pytest.mark.parametrize("n,m,k", [(2, 1, 1), (5, 1, 4), (2, 2, 1), (20, 3, 9), (100, 4, 3), (4, 3, 4)])
+def test_writer_matches_the_reference(tmp_path, n, m, k, mode, f_mode):
+    # More records than one chunk, except for the largest shape.
+    count = 60 if n == 100 else _CHUNK + 44
+    spec = GenSpec(n=n, m=m, k=k, mode=mode, f_mode=f_mode)
+    assert_writes_the_reference(generate_dataset(spec, count, 2**64 - n), tmp_path)
+
+
+def test_writer_matches_the_reference_without_records(tmp_path):
+    data = generate_dataset(GenSpec(n=3, m=2, k=2), 5, 1)
+    assert_writes_the_reference(data.take(slice(0, 0)), tmp_path)
+
+
+def test_writer_matches_the_reference_on_extreme_floats(tmp_path):
+    data = generate_dataset(GenSpec(n=3, m=2, k=2), 10, 1)
+    extremes = np.array([5e-324, 1e-05, 1e16, 1.7976931348623157e308, -0.0, 0.1, 1.0, 123456789.125])
+    rng = np.random.default_rng(0)
+    floats = ("y", "alpha", "beta", "F", "lam", "revenue", "q", "r_a")
+    columns = {f: rng.choice(extremes, size=getattr(data, f).shape) for f in floats}
+    assert_writes_the_reference(dataclasses.replace(data, **columns), tmp_path)

@@ -37,6 +37,33 @@ class TestGen:
         assert "error [config]" in capsys.readouterr().err
 
 
+class TestNonFiniteM:
+    @pytest.mark.parametrize("command", ["gen", "case"])
+    @pytest.mark.parametrize("M", ["inf", "nan"])
+    def test_is_config_error(self, tmp_path, capsys, command, M):
+        assert run(command, "--n", 2, "--count", 20, "--M", M, "--out", tmp_path) == 2
+        assert "error [config] M must be positive and finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestParserReuse:
+    def test_back_to_back_calls_behave_as_if_fresh(self, tmp_path, capsys):
+        # The parser is built once per process; each call must still see
+        # only its own arguments and its subcommand's defaults.
+        assert run("gen", "--n", 3, "--k", 2, "--count", 20, "--seed", 5, "--out", tmp_path, "--format", "json") == 0
+        assert json.loads(capsys.readouterr().out)["records"] == 20
+        assert run("gen", "--n", 2, "--count", 12, "--seed", 5, "--out", tmp_path / "b") == 0
+        assert capsys.readouterr().out.startswith("wrote 12 records")
+        data = read_dataset(tmp_path / "b" / "dataset.jsonl")
+        assert (data.spec.n, data.spec.k, data.spec.mode) == (2, 1, "shared")
+        assert run("label", tmp_path / "dataset.jsonl", "--out", tmp_path / "c", "--format", "json") == 0
+        assert json.loads(capsys.readouterr().out)["k"] == 2
+        assert run("label", tmp_path / "dataset.jsonl", "--k", 3, "--out", tmp_path / "d") == 0
+        assert capsys.readouterr().out.startswith("relabeled 20 records (k=3, mode=shared)")
+        assert run("gen", "--out", tmp_path) == 2
+        assert "either --preset or --n is required" in capsys.readouterr().err
+
+
 class TestLabel:
     def test_relabel_new_k(self, tmp_path):
         run("gen", "--n", 5, "--k", 1, "--count", 12, "--seed", 3, "--out", tmp_path)
@@ -103,6 +130,7 @@ _BAD_LINES = {
     "header-excluded-not-list": (1, _edit(lambda header: header.update(excluded=5))),
     "header-excluded-not-int": (1, _edit(lambda header: header.update(count=41, excluded=[0.5]))),
     "header-master-seed-not-int": (1, _edit(lambda header: header.update(master_seed=[1]))),
+    "header-M-infinite": (1, _edit(lambda header: header["spec"].update(M=float("inf")))),
     "record-not-object": (3, lambda line: "[]"),
     "q-wrong-shape": (3, _edit(lambda rec: rec.update(q=rec["q"][:-1]))),
     "q-above-one": (3, _edit(lambda rec: rec.update(q=[[1.5]] + rec["q"][1:]))),

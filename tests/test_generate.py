@@ -20,7 +20,7 @@ from assort_mnl import (
     write_dataset,
 )
 from assort_mnl.core import PER_SEGMENT, SHARED
-from assort_mnl.generate import DOLLAR_SCALE, UNIT_SCALE
+from assort_mnl.generate import DOLLAR_SCALE, UNIT_SCALE, _record_seeds
 
 
 class TestGenSpec:
@@ -38,6 +38,11 @@ class TestGenSpec:
         with pytest.raises(ValueError):
             GenSpec(n=2, m=1, mode="both")
 
+    @pytest.mark.parametrize("M", [float("inf"), float("nan"), -float("inf")])
+    def test_non_finite_M_rejected(self, M):
+        with pytest.raises(ValueError, match="M must be positive and finite"):
+            GenSpec(n=2, m=1, M=M)
+
 
 class TestRecordSeed:
     def test_pure_and_64bit(self):
@@ -54,6 +59,22 @@ class TestRecordSeed:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             record_seed(1, -1)
+
+    @pytest.mark.parametrize("master_seed", [0, -1, 2**64 - 1, 2**70])
+    def test_array_mix_is_the_scalar_formula(self, master_seed):
+        mask = 2**64 - 1
+
+        def splitmix64(index):
+            z = (master_seed + (index + 1) * 0x9E3779B97F4A7C15) & mask
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            return z ^ (z >> 31)
+
+        indices = list(range(300)) + [2**40, 2**63 - 1]
+        seeds = _record_seeds(master_seed, indices)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [splitmix64(i) for i in indices]
+        assert [record_seed(master_seed, i) for i in indices[:20]] == seeds.tolist()[:20]
 
 
 class TestNormalizeWeights:
@@ -211,6 +232,25 @@ class TestDatasetRoundTrip:
         write_dataset(empty, path)
         back = read_dataset(path)
         assert back.records == ()
+
+    def test_non_finite_float_refused_and_nothing_written(self, tmp_path):
+        data = generate_dataset(GenSpec(n=3, m=1, k=1), 3, 21)
+        bad = dataclasses.replace(data.records[1], r_a=float("nan"))
+        data = LabeledDataset.from_records(
+            data.spec, data.master_seed, data.count, (data.records[0], bad, data.records[2])
+        )
+        with pytest.raises(ValueError, match=f"record {bad.idx}: r_a holds nan"):
+            write_dataset(data, tmp_path / "data.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("field", ["y", "F", "lam", "revenue", "q"])
+    def test_non_finite_float_names_its_field(self, tmp_path, field):
+        data = generate_dataset(GenSpec(n=3, m=2, k=1), 300, 5)
+        column = getattr(data, field).copy()
+        column[280].flat[-1] = float("inf")
+        with pytest.raises(ValueError, match=f"record 280: {'lambda' if field == 'lam' else field} holds inf"):
+            write_dataset(dataclasses.replace(data, **{field: column}), tmp_path / "data.jsonl")
+        assert list(tmp_path.iterdir()) == []
 
     def test_truncated_file_names_line(self, tmp_path):
         data = generate_dataset(GenSpec(n=2, m=1), count=3, master_seed=0)

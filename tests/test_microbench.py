@@ -33,10 +33,25 @@ def test_generate_dataset_of_500_records(benchmark):
     assert len(benchmark(generate_dataset, SPEC, 500, DEFAULT_MASTER_SEED)) == 500
 
 
-def test_read_dataset_of_2000_records(benchmark, tmp_path):
-    # The shape of the benchmark's learn_io workload.
+def test_draw_of_5500_records(benchmark):
+    # The records of one presets pass, all drawn under one preset's spec.
+    seeds = [record_seed(DEFAULT_MASTER_SEED, t) for t in range(5500)]
+    assert len(benchmark(_draw, SPEC, seeds)[0]) == 5500
+
+
+# The shape of the benchmark's learn_io workload.
+LEARN_IO_SPEC = GenSpec(n=10, m=2, k=1, mode=PER_SEGMENT)
+
+
+def test_write_dataset_of_2000_records(benchmark, tmp_path):
     path = tmp_path / "dataset.jsonl"
-    write_dataset(generate_dataset(GenSpec(n=10, m=2, k=1, mode=PER_SEGMENT), 2000, DEFAULT_MASTER_SEED), path)
+    benchmark(write_dataset, generate_dataset(LEARN_IO_SPEC, 2000, DEFAULT_MASTER_SEED), path)
+    assert len(path.read_text().splitlines()) == 2001
+
+
+def test_read_dataset_of_2000_records(benchmark, tmp_path):
+    path = tmp_path / "dataset.jsonl"
+    write_dataset(generate_dataset(LEARN_IO_SPEC, 2000, DEFAULT_MASTER_SEED), path)
     assert len(benchmark(read_dataset, path)) == 2000
 
 
