@@ -38,6 +38,7 @@ from .bench import (
     PRESET_NAMES,
     CaseConfig,
     StageError,
+    _dumps_report,
     _report_fields,
     check_convergence_budget,
     compare_runs,
@@ -124,7 +125,7 @@ def _out_dir(args) -> Path:
 
 def _emit(args, doc: dict, summary_lines) -> None:
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        print(_dumps_report(doc))
     else:
         for line in summary_lines:
             print(line)
@@ -190,7 +191,7 @@ def _cmd_eval(args) -> int:
     out_path = None
     if args.out is not None:
         out_path = _out_dir(args) / "report.json"
-        _write_atomic(out_path, [json.dumps(doc, indent=2) + "\n"])
+        _write_atomic(out_path, [_dumps_report(doc) + "\n"])
     mean_prl = "n/a" if report.mean_prl_percent is None else f"{report.mean_prl_percent:.2f}%"
     lines = [
         f"test examples:   {report.test_count}",

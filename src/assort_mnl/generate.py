@@ -39,10 +39,13 @@ rule, naming the line.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import json
 import math
 import os
 import secrets
+import sys
 from dataclasses import dataclass, replace
 from itertools import zip_longest
 from pathlib import Path
@@ -98,6 +101,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# uint64 shift counts and mask for the 128-bit arithmetic.
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(b) for b in (1, 11, 32, 58, 63, 64))
+_LOW32 = np.uint64(_MASK32)
 
 
 class DatasetFormatError(ValueError):
@@ -126,11 +132,22 @@ class GenSpec:
     mode: str = SHARED
 
     def __post_init__(self):
+        for name in ("n", "m", "k"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            # A numpy integer is stored as the int it equals, which json writes.
+            object.__setattr__(self, name, int(value))
+        if isinstance(self.M, bool) or not isinstance(self.M, (int, float)):
+            raise TypeError(f"M must be an int or a float, got {self.M!r}")
+        if not isinstance(self.network_effects, bool):
+            raise TypeError(f"network_effects must be a bool, got {self.network_effects!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if not 0 < self.M < math.inf:
+        # Compared exactly, so an int beyond the float range is not finite either.
+        if not 0 < self.M <= sys.float_info.max:
             raise ValueError(f"M must be positive and finite, got {self.M}")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"k must lie in [1, {self.n}], got {self.k}")
@@ -317,88 +334,209 @@ def generate_instance(spec: GenSpec, seed: int) -> ProblemInstance:
     return ProblemInstance(y=y, alpha=alpha, beta=beta, F=F, lam=lam, revenue=spec.revenue)
 
 
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiply) constants of ``calls`` successive SeedSequence hash calls, as (calls, 1) uint32.
+
+    Each call XORs with the current constant, advances it by ``mult`` and
+    multiplies by the new one; the sequence is the same for every seed.
+    """
+    constants = [init]
+    for _ in range(calls):
+        constants.append(constants[-1] * mult & _MASK32)
+    return np.array(constants[:-1], np.uint32)[:, None], np.array(constants[1:], np.uint32)[:, None]
+
+
+# Four hash calls mix in the entropy, twelve mix the pool, eight draw the output.
+_HASH_MIX = _hash_constants(_INIT_A, _MULT_A, 16)
+_HASH_OUT = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
 def _seed_words(seeds) -> np.ndarray:
     """``SeedSequence(s).generate_state(4, np.uint64)`` for each seed ``s`` in [0, 2**64), as (N, 4) uint64.
 
     numpy's SeedSequence algorithm run on all seeds at once in uint32
     arithmetic.  A seed's entropy words are (low, high, 0, 0), which for a
-    seed below 2**32 is the pool of its one-word entropy too.  The hash
-    constants advance the same way for every seed, so they stay Python ints.
+    seed below 2**32 is the pool of its one-word entropy too.  Hash calls
+    whose inputs do not depend on each other's results run as one array
+    operation, each with its own constants (``_hash_constants``).
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     u32 = np.uint32
-    pool = np.zeros((4, seeds.size), u32)
-    pool[0], pool[1] = seeds & np.uint64(_MASK32), seeds >> np.uint64(32)
-    hash_const = _INIT_A
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ u32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * u32(hash_const)
-        return value ^ (value >> u32(16))
+    def hashmix(values, calls, constants=_HASH_MIX):
+        xor, mult = (c[calls] for c in constants)
+        values = (values ^ xor) * mult
+        return values ^ (values >> u32(16))
 
     def mix(x, y):
         result = x * u32(_MIX_MULT_L) - y * u32(_MIX_MULT_R)
         return result ^ (result >> u32(16))
 
-    for i in range(4):
-        pool[i] = hashmix(pool[i])
+    pool = np.zeros((4, seeds.size), u32)
+    pool[0], pool[1] = seeds & np.uint64(_MASK32), seeds >> np.uint64(32)
+    pool = hashmix(pool, slice(0, 4))
+    # Word src is hashed once for each other word, in order, and none of
+    # those words' updates changes it.
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    hash_const = _INIT_B
-    state = np.empty((8, seeds.size), np.uint64)
-    for i in range(8):
-        value = pool[i % 4] ^ u32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * u32(hash_const)
-        state[i] = value ^ (value >> u32(16))
+        others = [dst for dst in range(4) if dst != src]
+        pool[others] = mix(pool[others], hashmix(pool[src], slice(4 + 3 * src, 7 + 3 * src)))
+    state = hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], slice(0, 8), _HASH_OUT).astype(np.uint64)
     # uint64 word j is uint32 words 2j (low half) and 2j + 1.
     return (state[0::2] | (state[1::2] << np.uint64(32))).T
 
 
-def _pcg64_states(seeds) -> list[dict]:
-    """``np.random.PCG64(s).state`` for each seed ``s`` in [0, 2**64), without building a generator.
+def _pcg64_seeding(seeds) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """PCG64's state one step before it is seeded, and its increment, for each seed in [0, 2**64).
 
-    PCG64 seeds from the four words w of ``_seed_words``: its increment is
-    ``(w[2:4] << 1) | 1`` and its state ``(inc + w[0:2]) * MULT + inc``,
-    both modulo 2**128, with the high word first.
+    ``np.random.PCG64(s)`` seeds from the four words w of ``_seed_words``:
+    its increment is ``inc = (w[2:4] << 1) | 1`` and its state ``P * MULT +
+    inc``, one step from ``P = inc + w[0:2]``, all modulo 2**128.  Returns
+    ``(P, inc)`` in array code, each 128-bit number a (high word, low word)
+    pair of uint64 arrays.
     """
+    hi, lo, inc_hi, inc_lo = _seed_words(seeds).T
+    inc = ((inc_hi << _U1) | (inc_lo >> _U63), (inc_lo << _U1) | _U1)
+    before_lo = inc[1] + lo
+    return (inc[0] + hi + (before_lo < lo), before_lo), inc
+
+
+def _pcg64_states(seeds) -> list[dict]:
+    """``np.random.PCG64(s).state`` for each seed ``s`` in [0, 2**64), built from ``_pcg64_seeding``."""
+    (before_hi, before_lo), (inc_hi, inc_lo) = _pcg64_seeding(seeds)
     states = []
-    for hi, lo, inc_hi, inc_lo in _seed_words(seeds).tolist():
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        state = ((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append(
-            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-        )
+    for bh, bl, ih, il in zip(before_hi.tolist(), before_lo.tolist(), inc_hi.tolist(), inc_lo.tolist()):
+        inc = ih << 64 | il
+        state = ((bh << 64 | bl) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0})
     return states
+
+
+def _split(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The 128-bit Python ints ``values`` as a (high words, low words) pair of uint64 arrays."""
+    return np.array([v >> 64 for v in values], np.uint64), np.array([v & _MASK64 for v in values], np.uint64)
+
+
+def _mul_hi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the 128-bit products ``a * b`` of uint64 arrays, from 32-bit halves."""
+    a0, a1, b0, b1 = a & _LOW32, a >> _U32, b & _LOW32, b >> _U32
+    p01, p10 = a0 * b1, a1 * b0
+    middle = ((a0 * b0) >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    return a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (middle >> _U32)
+
+
+def _mul_add(a, x, b, y) -> tuple[np.ndarray, np.ndarray]:
+    """``a * x + b * y`` modulo 2**128 for (high, low) uint64 pairs, broadcast elementwise.
+
+    Modulo 2**128 the high word of a product is ``mulhi(a_lo, x_lo) +
+    a_lo * x_hi + a_hi * x_lo``, in wrapping uint64 arithmetic.
+    """
+    (a_hi, a_lo), (x_hi, x_lo), (b_hi, b_lo), (y_hi, y_lo) = a, x, b, y
+    ax_lo = a_lo * x_lo
+    low = ax_lo + b_lo * y_lo
+    high = (
+        _mul_hi(a_lo, x_lo) + a_lo * x_hi + a_hi * x_lo
+        + _mul_hi(b_lo, y_lo) + b_lo * y_hi + b_hi * y_lo
+        + (low < ax_lo)
+    )
+    return high, low
+
+
+@functools.cache
+def _jump_constants(steps: int) -> tuple:
+    """``MULT**j`` and ``sum(MULT**i for i < j)`` modulo 2**128 for j = 2..steps + 1, as (high, low) pairs.
+
+    PCG64 steps its state S to ``S * MULT + inc``, so j steps take P to
+    ``MULT**j * P + sum(MULT**i for i < j) * inc``; from the state P of
+    ``_pcg64_seeding``, output t reads the state j = t + 2 steps on.
+    """
+    powers, sums = [1], [0]
+    for _ in range(steps + 1):
+        powers.append(powers[-1] * _PCG64_MULT & _MASK128)
+        sums.append((sums[-1] * _PCG64_MULT + 1) & _MASK128)
+    pairs = (_split(powers[2:]), _split(sums[2:]))
+    for column in (c for pair in pairs for c in pair):
+        column.setflags(write=False)
+    return pairs
+
+
+def _pcg64_raw(before, inc, steps: int) -> np.ndarray:
+    """The first ``steps`` raw outputs of PCG64 for each ``(P, inc)`` of ``_pcg64_seeding``, as (N, steps) uint64.
+
+    Jump-ahead instead of a generator: output t is ``rotr64(hi ^ lo, hi >>
+    58)`` of the state after t + 1 steps from the seeded one, (hi, lo) being
+    its words, and ``_jump_constants`` gives all those states at once.
+    """
+    powers, sums = (tuple(word[None, :] for word in pair) for pair in _jump_constants(steps))
+    high, low = _mul_add(powers, tuple(word[:, None] for word in before), sums, tuple(word[:, None] for word in inc))
+    mixed, rotation = high ^ low, high >> _U58
+    return (mixed >> rotation) | (mixed << ((_U64 - rotation) & _U63))
+
+
+# Records _pcg64_uniforms draws at a time take at most this many outputs,
+# so its temporaries stay a few 128 KB arrays.
+_JUMP_BLOCK = 1 << 14
+
+
+def _pcg64_uniforms(seeds, steps: int, high: float) -> np.ndarray:
+    """``np.random.default_rng(s).uniform(0.0, high, steps)`` for each seed ``s``, as (N, steps) rows.
+
+    ``uniform`` maps a raw output r to ``0.0 + high * ((r >> 11) * 2**-53)``,
+    which is ``high * ((r >> 11) * 2**-53)`` as the product is never -0.0.
+    The raw outputs come from ``_pcg64_raw``, a block of records at a time.
+    """
+    before, inc = _pcg64_seeding(seeds)
+    out = np.empty((len(inc[0]), steps))
+    rows = max(1, _JUMP_BLOCK // steps)
+    for start in range(0, len(out), rows):
+        block = slice(start, start + rows)
+        raw = _pcg64_raw((before[0][block], before[1][block]), (inc[0][block], inc[1][block]), steps)
+        np.multiply((raw >> _U11).astype(float), 2.0**-53, out=out[block])
+    out *= high
+    return out
+
+
+# _draw's rule for the jump-ahead.  A generator costs several microseconds
+# a record whatever its length, the jump-ahead a fixed set-up plus a share
+# of a microsecond an output: at 500 records it is about 3-6x faster at
+# 16-32 draws a record and about 2x at 64, and at about 20 records the two
+# are even.  The rule keeps a margin on both counts.
+_JUMP_MAX_DRAWS = 32
+_JUMP_MIN_RECORDS = 32
 
 
 def _draw(spec: GenSpec, seeds) -> list[np.ndarray]:
     """Instances drawn from ``spec``, one per seed, stacked: ``y``, ``alpha``, ``beta``, ``F``, ``lam``.
 
-    Record t draws what ``np.random.default_rng(seeds[t])`` draws: one
-    generator is reused, set to each seed's PCG64 state (``_pcg64_states``,
-    computed for all seeds at once, seeds in [0, 2**64)) before the record's
-    draws.  They fill its row: y | alpha | F | raw weights from one uniform
-    call in "unit" f_mode, from three calls in "dollar" f_mode (F is
-    integers there).  Splitting a run of uniform draws into calls changes
-    none of them.  The stack is then checked once with
-    :class:`ProblemInstance`'s rules.
+    Record t draws what ``np.random.default_rng(seeds[t])`` draws, seeds in
+    [0, 2**64), into its row: y | alpha | F | raw weights.  Two ways give
+    the same bits, chosen from the stack's shape:
+
+    - jump-ahead (``_pcg64_uniforms``): every draw of every record at once
+      in array code, for "unit" f_mode with at most ``_JUMP_MAX_DRAWS``
+      draws per record and at least ``_JUMP_MIN_RECORDS`` records;
+    - a generator per record otherwise: one ``Generator`` is reused, set to
+      each seed's PCG64 state (``_pcg64_states``) before the record's draws,
+      one uniform call in "unit" f_mode, three in "dollar" f_mode (F is
+      integers there, drawn by rejection, which only numpy repeats).
+      Splitting a run of uniform draws into calls changes none of them.
+
+    The stack is then checked once with :class:`ProblemInstance`'s rules.
     """
     n, m, nm = spec.n, spec.m, spec.n * spec.m
-    draws = np.empty((len(seeds), 2 * nm + n + m))
-    rng = np.random.Generator(np.random.PCG64(0))
-    for row, state in zip(draws, _pcg64_states(seeds)):
-        rng.bit_generator.state = state
-        if spec.f_mode == UNIT_SCALE:
-            row[:] = rng.uniform(0.0, spec.M, row.size)
-        else:
-            row[: 2 * nm] = rng.uniform(0.0, spec.M, 2 * nm)
-            row[2 * nm : 2 * nm + n] = rng.integers(1, DOLLAR_MAX + 1, size=n)
-            row[2 * nm + n :] = rng.uniform(0.0, spec.M, m)
+    size = 2 * nm + n + m
+    if spec.f_mode == UNIT_SCALE and size <= _JUMP_MAX_DRAWS and len(seeds) >= _JUMP_MIN_RECORDS:
+        draws = _pcg64_uniforms(seeds, size, spec.M)
+    else:
+        draws = np.empty((len(seeds), size))
+        rng = np.random.Generator(np.random.PCG64(0))
+        for row, state in zip(draws, _pcg64_states(seeds)):
+            rng.bit_generator.state = state
+            if spec.f_mode == UNIT_SCALE:
+                row[:] = rng.uniform(0.0, spec.M, size)
+            else:
+                row[: 2 * nm] = rng.uniform(0.0, spec.M, 2 * nm)
+                row[2 * nm : 2 * nm + n] = rng.integers(1, DOLLAR_MAX + 1, size=n)
+                row[2 * nm + n :] = rng.uniform(0.0, spec.M, m)
     # Contiguous copies: matmul rounds a stack of records exactly as it
     # rounds one only for contiguous operands.
     y, alpha, F, raw = (np.ascontiguousarray(c) for c in np.split(draws, [nm, 2 * nm, 2 * nm + n], axis=1))
@@ -602,17 +740,16 @@ def read_dataset(path) -> LabeledDataset:
     with open(Path(path), "r", encoding="utf-8") as fh:
         try:
             spec, master_seed, count, excluded = _read_header(fh.readline())
-            skipped = set(excluded)
-            expected = [i for i in range(count) if i not in skipped]
+            kept = _kept_indices(count, excluded)
             parts, rows, first = [], [], 2
             for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     raise DatasetFormatError(f"line {lineno}: blank line inside record block")
                 rows.append(_fields(_load_json(line, lineno), _RECORD_KEYS, f"line {lineno}", "record"))
                 if len(rows) == _CHUNK:
-                    parts.append(_record_columns(rows, first, spec, master_seed, expected))
+                    parts.append(_record_columns(rows, first, spec, master_seed, kept))
                     rows, first = [], lineno + 1
-            parts.append(_record_columns(rows, first, spec, master_seed, expected))
+            parts.append(_record_columns(rows, first, spec, master_seed, kept))
         except UnicodeDecodeError as e:
             raise DatasetFormatError(f"not UTF-8 text ({e.reason})") from None
     found = sum(len(part[0]) for part in parts)
@@ -643,14 +780,33 @@ def _read_header(line: str) -> tuple[GenSpec, int, int, tuple[int, ...]]:
     return spec_from_dict(spec, "line 1"), master_seed, count, tuple(excluded)
 
 
-def _record_columns(rows: list, line: int, spec: GenSpec, master_seed: int, expected: list) -> list:
+def _kept_indices(count: int, excluded):
+    """The idx a file's records carry, by position: ``range(count)`` without ``excluded``.
+
+    Returns ``kept(start, stop)``, the idx of the records at 0-based
+    positions ``start`` up to ``stop``, ending early after the last one.
+    It holds only the sorted ``excluded``, whatever ``count`` is: the j-th
+    smallest excluded index e has e - j kept indices below it, so the
+    record at position p carries p plus the number of those differences at
+    most p.
+    """
+    total = count - len(excluded)
+    shifted = [e - j for j, e in enumerate(sorted(excluded))]
+
+    def kept(start: int, stop: int) -> list[int]:
+        return [p + bisect.bisect_right(shifted, p) for p in range(start, min(stop, total))]
+
+    return kept
+
+
+def _record_columns(rows: list, line: int, spec: GenSpec, master_seed: int, kept) -> list:
     """The columns of parsed records ``rows``, the first on file line ``line``, checked field by field.
 
-    ``expected`` lists the idx of every record in the file.
+    ``kept`` gives the idx each record of the file must carry.
     """
     idx, seed, y, alpha, beta, F, lam, revenue, q, label, r_a = list(zip(*rows)) or [()] * len(_RECORD_KEYS)
     n, m, k = spec.n, spec.m, spec.k
-    expected = expected[line - 2 : line - 2 + len(rows)]
+    expected = kept(line - 2, line - 2 + len(rows))
     # A record beyond the last expected one meets None.
     _reject(line, [type(i) is not int or i != e for i, e in zip_longest(idx, expected)],
             "idx must run through range(count) without the excluded indices, in order")

@@ -36,6 +36,7 @@ from assort_mnl.core import (
 from assort_mnl.generate import (
     _COLUMNS,
     _CHUNK,
+    _record_seeds,
     DOLLAR_MAX,
     DOLLAR_SCALE,
     UNIT_SCALE,
@@ -354,6 +355,44 @@ def test_draw_is_default_rng_per_seed(n, m, f_mode):
         expected = loop_instance(spec, seed)
         for name, column in zip(("y", "alpha", "beta", "F", "lam"), stacked_draws):
             assert column[t].tobytes() == getattr(expected, name).tobytes(), (seed, name)
+
+
+def test_jump_ahead_raw_outputs_are_pcg64s():
+    seeds = EDGE_SEEDS + np.random.default_rng(2025).integers(0, 2**64, 1000, dtype=np.uint64).tolist()
+    raw = generate._pcg64_raw(*generate._pcg64_seeding(seeds), 40)
+    assert raw.dtype == np.uint64
+    assert raw.tolist() == [np.random.PCG64(s).random_raw(40).tolist() for s in seeds]
+
+
+# Shapes (n, m) by draws per record 2nm + n + m.  No shape draws 33, the
+# first count past the jump-ahead's limit of 32: 2 * 33 + 1 = 67 would have
+# to be (2n + 1)(2m + 1), and 67 is prime.
+DRAW_SHAPES = {7: (2, 1), 16: (5, 1), 32: (6, 2), 34: (11, 1), 52: (10, 2)}
+
+
+@pytest.mark.parametrize("count", [1, 31, 32, 500])
+@pytest.mark.parametrize("draws", sorted(DRAW_SHAPES))
+@pytest.mark.parametrize("f_mode,network_effects", [(UNIT_SCALE, True), (UNIT_SCALE, False), (DOLLAR_SCALE, True)])
+def test_draw_is_default_rng_on_both_sides_of_the_rule(monkeypatch, draws, count, f_mode, network_effects):
+    n, m = DRAW_SHAPES[draws]
+    spec = GenSpec(n=n, m=m, network_effects=network_effects, f_mode=f_mode)
+    jumped = []
+    uniforms = generate._pcg64_uniforms
+    monkeypatch.setattr(generate, "_pcg64_uniforms", lambda *args: jumped.append(args[1]) or uniforms(*args))
+    seeds = _record_seeds(2**64 - draws, np.arange(count))
+    stacked_draws = generate._draw(spec, seeds)
+    assert jumped == ([draws] if f_mode == UNIT_SCALE and draws <= 32 and count >= 32 else [])
+    expected = [loop_instance(spec, seed) for seed in seeds.tolist()]
+    for name, column in zip(("y", "alpha", "beta", "F", "lam"), stacked_draws):
+        assert column.tobytes() == np.stack([getattr(instance, name) for instance in expected]).tobytes(), name
+
+
+def test_jump_ahead_blocks_cover_every_record(monkeypatch):
+    # Blocks of 3 records: the last block is partial.
+    monkeypatch.setattr(generate, "_JUMP_BLOCK", 3 * 16)
+    seeds = _record_seeds(5, np.arange(40))
+    blocked = generate._pcg64_uniforms(seeds, 16, 50.0)
+    assert blocked.tolist() == [np.random.default_rng(s).uniform(0.0, 50.0, 16).tolist() for s in seeds.tolist()]
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

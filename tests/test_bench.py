@@ -22,6 +22,8 @@ from assort_mnl.bench import (
     EXIT_NONCONVERGENCE,
     EXIT_TRAIN,
     PRESET_NAMES,
+    _EXAMPLES_SLOT,
+    _dumps_report,
     check_convergence_budget,
 )
 from assort_mnl.core import PER_SEGMENT, SHARED
@@ -290,3 +292,55 @@ class TestCompareRuns:
         doc = json.loads((tmp_path / "case1p1_report.json").read_text())
         summary = compare_runs(doc, report)
         assert summary["case_a"] == summary["case_b"] == "case1p1"
+
+
+def _example_doc_mutations():
+    """Changes to a case report's examples that the report encoder must pass to json unchanged."""
+
+    def example(doc, **change):
+        doc["evaluation"]["examples"][0].update(change)
+
+    return {
+        "tiny-r_a-null-prl": lambda doc: example(doc, r_a=1e-35, prl=None),
+        "nan-prl": lambda doc: example(doc, prl=float("nan")),
+        "infinite-r_c": lambda doc: example(doc, r_c=-float("inf")),
+        "int-r_a": lambda doc: example(doc, r_a=0),
+        "bool-idx": lambda doc: example(doc, idx=True),
+        "numpy-float": lambda doc: example(doc, r_c=np.float64(0.25)),
+        "extra-key": lambda doc: example(doc, note="x"),
+        "reordered-keys": lambda doc: doc["evaluation"]["examples"].__setitem__(
+            0, dict(reversed(list(doc["evaluation"]["examples"][0].items())))
+        ),
+        "not-a-dict": lambda doc: doc["evaluation"]["examples"].__setitem__(0, [1, 2]),
+        "no-examples": lambda doc: doc["evaluation"].update(examples=[]),
+        "placeholder-text-in-a-field": lambda doc: doc["config"].update(case_id=_EXAMPLES_SLOT),
+        "top-level-examples": lambda doc: doc.update(examples=doc.pop("evaluation")["examples"]),
+    }
+
+
+class TestReportEncoder:
+    def test_case_and_eval_reports_are_json_bytes(self, tmp_path):
+        # case1p2 at seed 1 has test examples below PRL_MIN_REVENUE (prl
+        # null) and both misclassified values.
+        report = run_case(preset("case1p2", master_seed=1, out_dir=str(tmp_path)))
+        examples = report.evaluation.examples
+        assert any(ex.prl is None for ex in examples)
+        assert {ex.misclassified for ex in examples} == {True, False}
+        for doc in (report.to_dict(), report.evaluation.to_dict()):
+            assert _dumps_report(doc) == json.dumps(doc, indent=2)
+        text = (tmp_path / "case1p2_report.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    @pytest.fixture(scope="class")
+    def case_report(self, tmp_path_factory):
+        return run_case(preset("case1p1", count=40, master_seed=7, out_dir=str(tmp_path_factory.mktemp("case"))))
+
+    @pytest.mark.parametrize("case", sorted(_example_doc_mutations()))
+    def test_any_document_is_json_bytes(self, case_report, case):
+        doc = case_report.to_dict()
+        _example_doc_mutations()[case](doc)
+        assert _dumps_report(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [{}, [], {"examples": 3}, {"a": [{"examples": []}]}, {"a": {"b": {"examples": []}}}])
+    def test_documents_without_example_rows(self, doc):
+        assert _dumps_report(doc) == json.dumps(doc, indent=2)

@@ -1,12 +1,21 @@
 """Tests for the assort-mnl command-line interface."""
 
+import contextlib
+import io
 import json
 import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from assort_mnl import read_dataset, read_model
+from assort_mnl import GenSpec, read_dataset, read_model
 from assort_mnl.cli import main
+from assort_mnl.generate import spec_to_dict
 
 
 def run(*argv):
@@ -131,6 +140,10 @@ _BAD_LINES = {
     "header-excluded-not-int": (1, _edit(lambda header: header.update(count=41, excluded=[0.5]))),
     "header-master-seed-not-int": (1, _edit(lambda header: header.update(master_seed=[1]))),
     "header-M-infinite": (1, _edit(lambda header: header["spec"].update(M=float("inf")))),
+    "header-n-float": (1, _edit(lambda header: header["spec"].update(n=3.0))),
+    "header-n-bool": (1, _edit(lambda header: header["spec"].update(n=True))),
+    "header-k-float": (1, _edit(lambda header: header["spec"].update(k=1.0))),
+    "header-network-effects-string": (1, _edit(lambda header: header["spec"].update(network_effects="no"))),
     "record-not-object": (3, lambda line: "[]"),
     "q-wrong-shape": (3, _edit(lambda rec: rec.update(q=rec["q"][:-1]))),
     "q-above-one": (3, _edit(lambda rec: rec.update(q=[[1.5]] + rec["q"][1:]))),
@@ -170,6 +183,88 @@ class TestDatasetValidation:
         assert run(command, path, "--out", tmp_path / "out") == 5
         err = capsys.readouterr().err
         assert "error [read]" in err and f"line {lineno}" in err
+
+
+class TestHeaderCount:
+    def test_reader_memory_does_not_grow_with_count(self, tmp_path):
+        # A header claiming 10**12 records over a file of 5: the reader must
+        # fail on the count without first listing every expected idx.  The
+        # address-space cap turns a reader that does into a MemoryError.
+        run("gen", "--n", 2, "--count", 5, "--seed", 5, "--out", tmp_path)
+        path = tmp_path / "dataset.jsonl"
+        lines = path.read_text().splitlines()
+        lines[0] = _edit(lambda header: header.update(count=10**12))(lines[0])
+        path.write_text("\n".join(lines) + "\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # A BLAS thread pool reserves address space per thread; one thread
+        # keeps numpy's import well under the cap on any core count.
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "assort_mnl", "train", str(path), "--out", str(tmp_path / "out")],
+            env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 5, proc.stderr
+        assert "expected 1000000000000 records (0 excluded), found 5" in proc.stderr
+
+
+# The header spec of the valid dataset below, as written.
+_SPEC = spec_to_dict(GenSpec(n=3, m=1))
+_FIELDS = [("spec", key) for key in _SPEC] + [("revenue", key) for key in _SPEC["revenue"]]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _retyped(value) -> list:
+    """``value`` carried over, as far as it goes, to each other JSON type."""
+    number = value if isinstance(value, (int, float)) and not isinstance(value, bool) else 1
+    others = [int(number), float(number), bool(number), json.dumps(value), None, [value], {"value": value}]
+    return [other for other in others if type(other) is not type(value)]
+
+
+def _mutations():
+    """A header field and a value of another JSON type for it: the field's own value retyped, or any."""
+    def values(field):
+        where, key = field
+        original = _SPEC[key] if where == "spec" else _SPEC["revenue"][key]
+        return st.tuples(st.just(field), st.sampled_from(_retyped(original)) | _JSON_VALUES)
+
+    return st.sampled_from(_FIELDS).flatmap(values)
+
+
+@pytest.fixture(scope="module")
+def valid_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("valid")
+    assert run("gen", "--n", 3, "--count", 40, "--seed", 5, "--out", out) == 0
+    lines = (out / "dataset.jsonl").read_text().splitlines()
+    assert json.loads(lines[0])["spec"] == _SPEC
+    return lines
+
+
+class TestHeaderSpecMutations:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(mutation=_mutations())
+    def test_train_exits_cleanly(self, tmp_path_factory, valid_dataset, mutation):
+        (where, key), value = mutation
+        header = json.loads(valid_dataset[0])
+        (header["spec"] if where == "spec" else header["spec"]["revenue"])[key] = value
+        out = tmp_path_factory.mktemp("mutated")
+        path = out / "dataset.jsonl"
+        path.write_text("\n".join([json.dumps(header)] + valid_dataset[1:]) + "\n")
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["train", str(path), "--out", str(out)])
+        assert code in (0, 5), stderr.getvalue()
+        assert "Traceback" not in stderr.getvalue()
+        if code == 5:
+            assert "error [read] line 1" in stderr.getvalue()
 
 
 class TestLabelVerification:

@@ -38,10 +38,24 @@ class TestGenSpec:
         with pytest.raises(ValueError):
             GenSpec(n=2, m=1, mode="both")
 
-    @pytest.mark.parametrize("M", [float("inf"), float("nan"), -float("inf")])
+    @pytest.mark.parametrize("M", [float("inf"), float("nan"), -float("inf"), 10**400])
     def test_non_finite_M_rejected(self, M):
         with pytest.raises(ValueError, match="M must be positive and finite"):
             GenSpec(n=2, m=1, M=M)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n", 2.0), ("n", True), ("m", "1"), ("k", 1.0), ("k", None), ("M", True), ("M", "50"),
+         ("network_effects", "no"), ("network_effects", 1)],
+    )
+    def test_field_types_rejected(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be"):
+            GenSpec(**{"n": 2, "m": 1, field: value})
+
+    def test_numpy_integers_become_ints(self):
+        spec = GenSpec(n=np.int64(3), m=np.uint8(2), k=np.int32(2), M=50)
+        assert (type(spec.n), type(spec.m), type(spec.k)) == (int, int, int)
+        assert spec == GenSpec(n=3, m=2, k=2, M=50)
 
 
 class TestRecordSeed:

@@ -8,7 +8,7 @@ They are deselected by default; run them with
 import numpy as np
 import pytest
 
-from assort_mnl.bench import DEFAULT_MASTER_SEED, preset
+from assort_mnl.bench import DEFAULT_MASTER_SEED, _dumps_report, preset, run_case
 from assort_mnl.core import DEFAULT_MAX_ITER, DEFAULT_TOL, ONE_START, PER_SEGMENT, SHARED, _solve_stack, solve_fixed_point
 from assort_mnl.generate import GenSpec, _draw, generate_dataset, generate_instance, read_dataset, record_seed, write_dataset
 from assort_mnl.learner import _decode_blocks
@@ -53,6 +53,12 @@ def test_read_dataset_of_2000_records(benchmark, tmp_path):
     path = tmp_path / "dataset.jsonl"
     write_dataset(generate_dataset(LEARN_IO_SPEC, 2000, DEFAULT_MASTER_SEED), path)
     assert len(benchmark(read_dataset, path)) == 2000
+
+
+def test_encode_case_report(benchmark, tmp_path):
+    doc = run_case(preset("case3p5", out_dir=str(tmp_path))).to_dict()
+    assert len(doc["evaluation"]["examples"]) == 125
+    assert benchmark(_dumps_report, doc).startswith("{\n")
 
 
 def test_decode_blocks_of_10000_rows(benchmark):
