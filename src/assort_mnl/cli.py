@@ -12,9 +12,10 @@ Subcommands wire the library stages together:
 Exit codes: 0 success, 2 argument or configuration error, 3 fixed-point
 non-convergence budget exceeded, 4 training error, 5 I/O or file format
 error.  The files read are datasets (a record that does not fit its
-header, such as an ``idx`` out of sequence or a ``seed`` that is not the
-header's SplitMix64 mix, or a stored r_a that disagrees with its label),
-models, and the case reports that ``compare`` reads (not JSON, or a
+header, such as an ``idx`` out of sequence, a ``seed`` that is not the
+header's SplitMix64 mix, a beta or revenue other than the header's or a
+value outside the spec's ranges, or a stored r_a that disagrees with its
+label), models, and the case reports that ``compare`` reads (not JSON, or a
 missing or mistyped ``config``/``evaluation`` field); each error names
 the line, file or field at fault.
 """

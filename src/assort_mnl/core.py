@@ -108,13 +108,9 @@ class RevenueTerms:
 
     @property
     def per_support(self) -> float:
-        """Expected revenue from one unit of weighted support mass."""
-        return _per_support(self.a, self.b, self.omega, self.xi)
-
-
-def _per_support(a, b, omega, xi):
-    """``(a + b) / 2 * (omega + xi)``, for scalars or for terms stacked over records."""
-    return 0.5 * (a + b) * (omega + xi)
+        """Expected revenue from one unit of weighted support mass, from the terms as float64 (as files hold them)."""
+        a, b, omega, xi = (float(term) for term in (self.a, self.b, self.omega, self.xi))
+        return 0.5 * (a + b) * (omega + xi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,9 +199,11 @@ def _instance_faults(y, alpha, beta, F, lam):
 
     Yields, rule by rule, ``(message, bad)`` where ``bad`` flags the records
     that break the rule; the arrays already have their stacked shapes.
+    ``beta`` is None for records whose beta is all ones.
     """
     for name, arr in (("y", y), ("alpha", alpha), ("beta", beta), ("F", F), ("lam", lam)):
-        yield f"{name} must be finite", ~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
+        if arr is not None:
+            yield f"{name} must be finite", ~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
     yield "alpha must be componentwise nonnegative", (alpha < 0.0).any(axis=(1, 2))
     yield "F must be componentwise nonnegative", (F < 0.0).any(axis=1)
     yield "lam must be componentwise nonnegative", (lam < 0.0).any(axis=1)

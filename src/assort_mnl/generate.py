@@ -23,18 +23,24 @@ Datasets persist as JSON Lines.  Line 1 is a header object::
 and each following line is one record::
 
     {"idx": ..., "seed": ..., "y": [[...]], "alpha": [[...]],
-     "beta": [[...]], "F": [...], "lambda": [...],
+     "beta": [[1.0, ...]], "F": [...], "lambda": [...],
      "revenue": {"a": ..., "b": ..., "omega": ..., "xi": ...},
      "q": [[...]], "label": {"per_segment": [[...]], "k": ...}, "r_a": ...}
 
 Product indices are 1-based inside files and 0-based in memory.  Floats
 are serialized with ``repr`` precision, so a read after a write
 reproduces every number exactly; JSON has no NaN or infinity, so a
-dataset holding one is refused, not written.  The records of a file carry the idx
-``range(count)`` without the ``excluded`` ones, in order, and each record's
-seed is ``record_seed(master_seed, idx)``, the SplitMix64 mix the header's
-``seed_mix`` names; :func:`read_dataset` rejects a file that breaks either
-rule, naming the line.
+dataset holding one is refused, not written.  The header fixes what does
+not vary between records: each record's ``seed`` is
+``record_seed(master_seed, idx)``, the SplitMix64 mix the header's
+``seed_mix`` names, its ``beta`` is all 1.0 and its ``revenue`` is the
+spec's terms as floats.  Each line carries them so that it stands alone;
+a :class:`LabeledDataset` keeps only the header's.  The records of a file
+carry the idx ``range(count)`` without the ``excluded`` ones, in order,
+and their values fit the spec: ``y`` and ``alpha`` in [0, M], ``alpha``
+zero without network effects, and ``F`` in [0, M] ("unit" f_mode) or an
+integer in 1..10000 ("dollar").  :func:`read_dataset` rejects a file
+that breaks any of these rules, naming the line.
 """
 
 from __future__ import annotations
@@ -64,7 +70,6 @@ from .core import (
     _best_blocks,
     _block_revenue,
     _instance_faults,
-    _per_support,
     _solve_stack,
 )
 
@@ -181,7 +186,7 @@ class DatasetRecord:
         )
 
 
-_COLUMNS = ("idx", "seed", "y", "alpha", "beta", "F", "lam", "revenue", "q", "blocks", "r_a")
+_COLUMNS = ("idx", "y", "alpha", "F", "lam", "q", "blocks", "r_a")
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,25 +196,22 @@ class LabeledDataset:
     ``count`` is the requested number of records; indices listed in
     ``excluded`` hit the fixed-point iteration cap and carry no record.
     Each other field is a read-only array whose leading axis runs over the
-    N records: ``idx`` (int64), ``seed`` (uint64), the instances' ``y``,
-    ``alpha``, ``beta`` (N, n, m), ``F`` (N, n) and ``lam`` (N, m), the
-    revenue terms a, b, omega, xi (N, 4), the supports ``q`` (N, n, m) and
-    the label: 0-based sorted ``blocks`` (N, m, k) with revenue ``r_a``.
-    :attr:`records` and :meth:`from_records` convert to and from
-    :class:`DatasetRecord` objects.
+    N records: ``idx`` (int64), the instances' ``y``, ``alpha`` (N, n, m),
+    ``F`` (N, n) and ``lam`` (N, m), the supports ``q`` (N, n, m) and the
+    label: 0-based sorted ``blocks`` (N, m, k) with revenue ``r_a``.  The
+    header fixes beta (all ones), the revenue terms (``spec.revenue``) and
+    :attr:`seed`.  :attr:`records` and :meth:`from_records` convert to and
+    from :class:`DatasetRecord` objects.
     """
 
     spec: GenSpec
     master_seed: int
     count: int
     idx: np.ndarray
-    seed: np.ndarray
     y: np.ndarray
     alpha: np.ndarray
-    beta: np.ndarray
     F: np.ndarray
     lam: np.ndarray
-    revenue: np.ndarray
     q: np.ndarray
     blocks: np.ndarray
     r_a: np.ndarray
@@ -236,9 +238,9 @@ class LabeledDataset:
         )
 
     @property
-    def per_support(self) -> np.ndarray:
-        """Each record's revenue per unit of support (``RevenueTerms.per_support``)."""
-        return _per_support(*self.revenue.T)
+    def seed(self) -> np.ndarray:
+        """Each record's seed, ``record_seed(master_seed, idx)``, as uint64."""
+        return _record_seeds(self.master_seed, self.idx)
 
     def take(self, rows) -> "LabeledDataset":
         """The records at ``rows`` (a slice, indices or a mask), with the same header."""
@@ -251,21 +253,25 @@ class LabeledDataset:
         For tests, demos and inspection; the package's stages read the columns.
         """
         columns = (
-            self.idx.tolist(), self.seed.tolist(), self.y, self.alpha, self.beta, self.F, self.lam,
-            self.revenue.tolist(), self.q, self.blocks.tolist(), self.r_a.tolist(),
+            self.idx.tolist(), self.seed.tolist(), self.y, self.alpha, self.F, self.lam, self.q,
+            self.blocks.tolist(), self.r_a.tolist(),
         )
         return tuple(
-            DatasetRecord(idx, seed, ProblemInstance(y, alpha, beta, F, lam, RevenueTerms(*revenue)),
+            DatasetRecord(idx, seed, ProblemInstance(y, alpha, None, F, lam, self.spec.revenue),
                           q, Assortment(blocks, self.spec.k), r_a)
-            for idx, seed, y, alpha, beta, F, lam, revenue, q, blocks, r_a in zip(*columns)
+            for idx, seed, y, alpha, F, lam, q, blocks, r_a in zip(*columns)
         )
 
     @classmethod
     def from_records(cls, spec: GenSpec, master_seed: int, count: int, records, excluded=()) -> "LabeledDataset":
         """A dataset holding ``records`` (:class:`DatasetRecord` objects); the inverse of :attr:`records`."""
+        records = tuple(records)
+        for rec, seed in zip(records, _record_seeds(master_seed, [rec.idx for rec in records]).tolist()):
+            if rec.seed != seed or not (rec.instance.beta == 1.0).all() or rec.instance.revenue != spec.revenue:
+                raise ValueError(f"record {rec.idx}: its seed, beta or revenue is not the one the header fixes")
         rows = [
-            (rec.idx, rec.seed, rec.instance.y, rec.instance.alpha, rec.instance.beta, rec.instance.F,
-             rec.instance.lam, _revenue_row(rec.instance.revenue), rec.q, rec.label.per_segment, rec.r_a)
+            (rec.idx, rec.instance.y, rec.instance.alpha, rec.instance.F, rec.instance.lam, rec.q,
+             rec.label.per_segment, rec.r_a)
             for rec in records
         ]
         columns = (
@@ -278,8 +284,8 @@ class LabeledDataset:
 def _layout(spec: GenSpec) -> list[tuple[tuple, type]]:
     """Shape of one record's entry and dtype of each column, in ``_COLUMNS`` order."""
     n, m = spec.n, spec.m
-    floats = [((n, m), float)] * 3 + [((n,), float), ((m,), float), ((4,), float), ((n, m), float)]
-    return [((), np.int64), ((), np.uint64), *floats, ((m, spec.k), np.int64), ((), float)]
+    floats = [((n, m), float)] * 2 + [((n,), float), ((m,), float), ((n, m), float)]
+    return [((), np.int64), *floats, ((m, spec.k), np.int64), ((), float)]
 
 
 def record_seed(master_seed: int, index: int) -> int:
@@ -565,11 +571,10 @@ def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledData
     seeds = _record_seeds(master_seed, np.arange(count))
     y, alpha, beta, F, lam = _draw(spec, seeds)
     q, _, _, converged = _solve_stack(y, alpha, beta, F, lam, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
-    revenue = np.tile(_revenue_row(spec.revenue), (count, 1))
     blocks = _best_blocks(q, lam, spec.k, spec.mode)
-    r_a = _block_revenue(q, lam, _per_support(*revenue.T), blocks)
+    r_a = _block_revenue(q, lam, spec.revenue.per_support, blocks)
     excluded = tuple(np.flatnonzero(~converged).tolist())
-    columns = (np.arange(count), seeds, y, alpha, beta, F, lam, revenue, q, blocks, r_a)
+    columns = (np.arange(count), y, alpha, F, lam, q, blocks, r_a)
     return LabeledDataset(spec, int(master_seed), count, *columns, excluded).take(converged)
 
 
@@ -587,20 +592,22 @@ def relabel_dataset(dataset: LabeledDataset, k=None, mode=None) -> LabeledDatase
         mode=dataset.spec.mode if mode is None else mode,
     )
     blocks = _best_blocks(dataset.q, dataset.lam, spec.k, spec.mode)
-    r_a = _block_revenue(dataset.q, dataset.lam, dataset.per_support, blocks)
+    r_a = _block_revenue(dataset.q, dataset.lam, spec.revenue.per_support, blocks)
     return replace(dataset, spec=spec, blocks=blocks, r_a=r_a)
 
 
 _SPEC_KEYS = ("n", "m", "M", "network_effects", "f_mode", "revenue", "k", "mode")
 _REVENUE_KEYS = ("a", "b", "omega", "xi")
 _RECORD_KEYS = ("idx", "seed", "y", "alpha", "beta", "F", "lambda", "revenue", "q", "label", "r_a")
-# The positions, in _COLUMNS and _RECORD_KEYS alike, of the float fields:
-# all but idx, seed and the label, in line order.
-_FLOAT_FIELDS = [i for i, name in enumerate(_COLUMNS) if name not in ("idx", "seed", "blocks")]
+# The keys of the columns, in _COLUMNS order: all but the fields the header
+# fixes.  The positions, in both, of the float fields: all but idx and the label.
+_COLUMN_KEYS = [key for key in _RECORD_KEYS if key not in ("seed", "beta", "revenue")]
+_FLOAT_FIELDS = [i for i, name in enumerate(_COLUMNS) if name not in ("idx", "blocks")]
 
 
-def _revenue_row(rev: RevenueTerms) -> list:
-    return [rev.a, rev.b, rev.omega, rev.xi]
+def _file_revenue(spec: GenSpec) -> dict:
+    """The revenue object every record line carries: the spec's terms as float64."""
+    return {key: float(getattr(spec.revenue, key)) for key in _REVENUE_KEYS}
 
 
 def _fields(obj, keys, where: str, what: str) -> tuple:
@@ -615,7 +622,7 @@ def _fields(obj, keys, where: str, what: str) -> tuple:
 
 def spec_to_dict(spec: GenSpec) -> dict:
     d = {key: getattr(spec, key) for key in _SPEC_KEYS}
-    return {**d, "revenue": dict(zip(_REVENUE_KEYS, _revenue_row(spec.revenue)))}
+    return {**d, "revenue": {key: getattr(spec.revenue, key) for key in _REVENUE_KEYS}}
 
 
 def spec_from_dict(d: dict, where: str = "spec") -> GenSpec:
@@ -672,12 +679,13 @@ def write_dataset(dataset: LabeledDataset, path) -> None:
             bad = np.argwhere(~np.isfinite(values))
             if bad.size:
                 row, col = bad[0]
-                field = _RECORD_KEYS[_FLOAT_FIELDS[np.searchsorted(ends, col, side="right")]]
+                field = _COLUMN_KEYS[_FLOAT_FIELDS[np.searchsorted(ends, col, side="right")]]
                 value = float(values[row, col])
                 raise ValueError(f"record {idx[row]}: {field} holds {value!r}, which JSON cannot carry")
             # Files carry 1-based product indices.
             blocks = (dataset.blocks[rows] + 1).reshape(len(idx), -1).tolist()
-            seed, head, r_a = dataset.seed[rows].tolist(), values[:, :-1].tolist(), values[:, -1].tolist()
+            seed = _record_seeds(dataset.master_seed, idx).tolist()
+            head, r_a = values[:, :-1].tolist(), values[:, -1].tolist()
             yield from (template % (i, s, *f, *b, r) for i, s, f, b, r in zip(idx.tolist(), seed, head, blocks, r_a))
 
     _write_atomic(path, lines())
@@ -687,17 +695,18 @@ def _line_template(spec: GenSpec) -> str:
     """The ``%``-format string of a record line under ``spec``, keys and nesting as in the module docstring.
 
     ``%d`` stands for an int and ``%r`` for a float: ``float.__repr__``,
-    which is what ``json.dumps`` writes for a finite float.
+    which is what ``json.dumps`` writes for a finite float.  Beta and the
+    revenue terms, which the header fixes, are literal text.
     """
 
     def nested(shape, slot):
         return slot if not shape else "[" + ",".join([nested(shape[1:], slot)] * shape[0]) + "]"
 
-    grid = nested((spec.n, spec.m), "%r")
-    revenue = ",".join(f'"{key}":%r' for key in _REVENUE_KEYS)
+    grid, ones = nested((spec.n, spec.m), "%r"), nested((spec.n, spec.m), "1.0")
+    revenue = ",".join(f'"{key}":{term!r}' for key, term in _file_revenue(spec).items())
     label = f'{{"per_segment":{nested((spec.m, spec.k), "%d")},"k":{json.dumps(spec.k)}}}'
     return (
-        f'{{"idx":%d,"seed":%d,"y":{grid},"alpha":{grid},"beta":{grid},"F":{nested((spec.n,), "%r")},'
+        f'{{"idx":%d,"seed":%d,"y":{grid},"alpha":{grid},"beta":{ones},"F":{nested((spec.n,), "%r")},'
         f'"lambda":{nested((spec.m,), "%r")},"revenue":{{{revenue}}},"q":{grid},"label":{label},"r_a":%r}}\n'
     )
 
@@ -729,13 +738,12 @@ def read_dataset(path) -> LabeledDataset:
     offending line; nothing partial is ever returned.  Lines are streamed,
     and every ``_CHUNK`` records become arrays, field by field, each
     checked as a whole; an error names the first line that breaks the rule.
-    The header's types are checked, and the records must fit it: their
-    ``idx`` run through ``range(count)`` without the ``excluded`` indices,
-    in order, and each ``seed`` is ``record_seed(master_seed, idx)`` (the
-    header's ``"seed_mix": "splitmix64"``).  Each instance must fit the
-    header's spec and :class:`ProblemInstance`'s rules, ``q`` must lie in
-    [0, 1], each label must hold k distinct products in 1..n per segment,
-    and ``r_a`` must be a finite number.
+    The header's types are checked, and the records must fit it as the
+    module docstring says: their idx in sequence, the seed, beta and
+    revenue the header fixes (checked, then dropped) and values within the
+    spec's ranges.  Each instance must fit :class:`ProblemInstance`'s
+    rules too, ``q`` must lie in [0, 1], each label must hold k distinct
+    products in 1..n per segment, and ``r_a`` must be a finite number.
     """
     with open(Path(path), "r", encoding="utf-8") as fh:
         try:
@@ -767,7 +775,9 @@ def _read_header(line: str) -> tuple[GenSpec, int, int, tuple[int, ...]]:
     (version,) = _fields(header, ("format_version",), "line 1", "header")
     if version != FORMAT_VERSION:
         raise DatasetFormatError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION}")
-    spec, master_seed, count, excluded = _fields(header, ("spec", "master_seed", "count", "excluded"), "line 1", "header")
+    spec, master_seed, count, seed_mix, excluded = _fields(
+        header, ("spec", "master_seed", "count", "seed_mix", "excluded"), "line 1", "header"
+    )
     # write_dataset gives a dataset without records a count of 0.
     if type(count) is not int or count < 0:
         raise DatasetFormatError(f"line 1: count must be an integer >= 0, got {count!r}")
@@ -777,6 +787,9 @@ def _read_header(line: str) -> tuple[GenSpec, int, int, tuple[int, ...]]:
         raise DatasetFormatError(f"line 1: excluded must list distinct record indices in [0, {count})")
     if type(master_seed) is not int:
         raise DatasetFormatError(f"line 1: master_seed must be an integer, got {master_seed!r}")
+    # Record seeds are derived from master_seed by this mix alone.
+    if seed_mix != "splitmix64":
+        raise DatasetFormatError(f"line 1: seed_mix must be 'splitmix64', got {seed_mix!r}")
     return spec_from_dict(spec, "line 1"), master_seed, count, tuple(excluded)
 
 
@@ -813,26 +826,21 @@ def _record_columns(rows: list, line: int, spec: GenSpec, master_seed: int, kept
     seeds = _record_seeds(master_seed, expected).tolist()
     _reject(line, [type(s) is not int or s != e for s, e in zip(seed, seeds)],
             "seed must be record_seed(master_seed, idx), as seed_mix splitmix64 declares")
+    # Compared as JSON values, so 1 and true pass for 1.0, as they do in numeric fields.
+    ones, terms = [[1.0] * m] * n, _file_revenue(spec)
+    _reject(line, [b != ones for b in beta], "beta must be all 1.0 under the header's spec")
+    _reject(line, [r != terms for r in revenue], f"revenue must be the header's spec revenue {terms}")
     labels = [_fields(d, ("per_segment", "k"), f"line {lineno}", "label") for lineno, d in enumerate(label, start=line)]
     _reject(line, [label_k != k for _, label_k in labels], f"label k must be {k}")
     _reject(line, [type(r) not in (int, float) for r in r_a], "r_a must be a number")
-    revenue = [_fields(d, _REVENUE_KEYS, f"line {lineno}", "revenue") for lineno, d in enumerate(revenue, start=line)]
-    # Records share their terms, so only a change is checked again.
-    for lineno, (previous, terms) in enumerate(zip([None] + revenue, revenue), start=line):
-        if terms != previous:
-            try:
-                RevenueTerms(*terms)
-            except (TypeError, ValueError, OverflowError) as e:
-                raise DatasetFormatError(f"line {lineno}: invalid revenue ({e})") from None
-    # idx and seed are checked ints already; a seed column built without its
-    # dtype would be float64 as soon as one seed is 2**63 or more.
-    idx, seed = np.array(idx, dtype=np.int64), np.array(seed, dtype=np.uint64)
-    values = (y, alpha, beta, F, lam, revenue, q, [b for b, _ in labels], r_a)
-    y, alpha, beta, F, lam, revenue, q, blocks, r_a = (
+    values = (idx, y, alpha, F, lam, q, [b for b, _ in labels], r_a)
+    idx, y, alpha, F, lam, q, blocks, r_a = (
         _column(v, line, shape, dtype, key)
-        for v, key, (shape, dtype) in zip(values, _RECORD_KEYS[2:], _layout(spec)[2:])
+        for v, key, (shape, dtype) in zip(values, _COLUMN_KEYS, _layout(spec))
     )
-    for message, bad in _instance_faults(y, alpha, beta, F, lam):
+    for message, bad in _instance_faults(y, alpha, None, F, lam):
+        _reject(line, bad, message)
+    for message, bad in _spec_faults(spec, y, alpha, F):
         _reject(line, bad, message)
     _reject(line, ~((q >= 0.0) & (q <= 1.0)).all(axis=(1, 2)), "q must lie in [0, 1]")
     blocks = np.sort(blocks - 1, axis=-1)
@@ -842,7 +850,27 @@ def _record_columns(rows: list, line: int, spec: GenSpec, master_seed: int, kept
         f"label must have {m} block(s) of k={k} distinct products in 1..{n}",
     )
     _reject(line, ~np.isfinite(r_a), "r_a must be a finite number")
-    return [idx, seed, y, alpha, beta, F, lam, revenue, q, blocks, r_a]
+    return [idx, y, alpha, F, lam, q, blocks, r_a]
+
+
+def _spec_faults(spec: GenSpec, y, alpha, F):
+    """The value rules ``spec`` sets for its drawn instances, over records stacked on a leading axis.
+
+    Yields ``(message, bad)`` as ``core._instance_faults`` does; the
+    records already passed those rules, so nothing here is NaN and alpha
+    and F are not negative.
+    """
+    M = float(spec.M)
+    yield f"y must lie in [0, M] with the header's M={spec.M!r}", ~((y >= 0.0) & (y <= M)).all(axis=(1, 2))
+    if spec.network_effects:
+        yield f"alpha must lie in [0, M] with the header's M={spec.M!r}", (alpha > M).any(axis=(1, 2))
+    else:
+        yield "alpha must be all zero under the header's network_effects false", (alpha != 0.0).any(axis=(1, 2))
+    if spec.f_mode == UNIT_SCALE:
+        yield f"F must lie in [0, M] with the header's M={spec.M!r} in unit f_mode", (F > M).any(axis=1)
+    else:
+        integral = (F >= 1.0) & (F <= DOLLAR_MAX) & (F == np.floor(F))
+        yield f"F must be an integer in 1..{DOLLAR_MAX} under the header's dollar f_mode", ~integral.all(axis=1)
 
 
 def _reject(line: int, bad, message: str) -> None:
@@ -884,7 +912,7 @@ def verify_labels(dataset: LabeledDataset, tol: float = 1e-12) -> None:
     Cheap consistency check used by file consumers; raises
     :class:`DatasetFormatError` on the first mismatch.
     """
-    w = _block_revenue(dataset.q, dataset.lam, dataset.per_support, dataset.blocks)
+    w = _block_revenue(dataset.q, dataset.lam, dataset.spec.revenue.per_support, dataset.blocks)
     # Written so that a NaN on either side fails the check.
     bad = np.flatnonzero(~(np.abs(w - dataset.r_a) <= tol))
     if bad.size:

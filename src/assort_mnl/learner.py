@@ -306,7 +306,7 @@ def evaluate(model: PredictorModel, test: LabeledDataset) -> EvaluationReport:
         _predict(model, _features(test.y, test.alpha, test.F, test.lam)), spec.k, spec.n, spec.m, spec.mode
     )
     wrong = np.any(predicted != test.blocks, axis=(1, 2))
-    r_c = _block_revenue(test.q, test.lam, test.per_support, predicted)
+    r_c = _block_revenue(test.q, test.lam, spec.revenue.per_support, predicted)
     r_a = test.r_a
     kept = ~(r_a < PRL_MIN_REVENUE)
     losses = prl(r_a[kept], r_c[kept])
@@ -344,6 +344,8 @@ def read_model(path) -> PredictorModel:
 
     Raises :class:`DatasetFormatError` when the file does not hold such a
     model: bad JSON, a missing or mistyped field, or a non-finite number.
+    ``intercept`` and ``coefficients`` must hold JSON numbers and
+    ``rank_deficient`` must be true or false.
     """
     with open(Path(path), "r", encoding="utf-8") as fh:
         try:
@@ -359,11 +361,14 @@ def read_model(path) -> PredictorModel:
         if not isinstance(doc["layout"], dict):
             raise DatasetFormatError("model layout must be a JSON object")
         layout = FeatureLayout(n=doc["layout"]["n"], m=doc["layout"]["m"])
+        rank_deficient = doc.get("rank_deficient", False)
+        if type(rank_deficient) is not bool:
+            raise DatasetFormatError(f"model field 'rank_deficient' must be true or false, got {rank_deficient!r}")
         return PredictorModel(
-            intercept=np.array(doc["intercept"], dtype=float),
-            coefficients=np.array(doc["coefficients"], dtype=float),
+            intercept=_numbers(doc["intercept"], "intercept"),
+            coefficients=_numbers(doc["coefficients"], "coefficients"),
             layout=layout,
-            rank_deficient=bool(doc.get("rank_deficient", False)),
+            rank_deficient=rank_deficient,
         )
     except KeyError as e:
         raise DatasetFormatError(f"model file is missing field {e.args[0]!r}") from None
@@ -371,3 +376,14 @@ def read_model(path) -> PredictorModel:
         raise
     except (TypeError, ValueError, OverflowError) as e:
         raise DatasetFormatError(f"invalid model file ({e})") from None
+
+
+def _numbers(value, name: str) -> np.ndarray:
+    """The JSON numbers of model field ``name`` as a float array; anything else, booleans too, is an error."""
+    try:
+        array = np.array(value)
+    except ValueError:
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        raise DatasetFormatError(f"model field {name!r} must hold JSON numbers")
+    return array.astype(float)

@@ -26,6 +26,7 @@ from assort_mnl.core import (
     ZERO_START,
     Assortment,
     ProblemInstance,
+    RevenueTerms,
     _best_blocks,
     _block_revenue,
     _solve_stack,
@@ -101,7 +102,11 @@ def loop_instance(spec, seed):
 
 
 def loop_write(dataset, path):
-    """The dataset file as written with one dict per record through ``json.dumps``."""
+    """The dataset file as written with one dict per record through ``json.dumps``.
+
+    Each record carries what its header fixes: all-ones beta, the spec's
+    revenue terms as floats and the seed ``record_seed(master_seed, idx)``.
+    """
     header = {
         "format_version": generate.FORMAT_VERSION,
         "spec": generate.spec_to_dict(dataset.spec),
@@ -110,14 +115,17 @@ def loop_write(dataset, path):
         "seed_mix": "splitmix64",
         "excluded": list(dataset.excluded),
     }
-    columns = [dataset.blocks + 1 if f == "blocks" else getattr(dataset, f) for f in _COLUMNS]
+    spec = dataset.spec
+    beta = [[1.0] * spec.m for _ in range(spec.n)]
+    revenue = {key: float(getattr(spec.revenue, key)) for key in ("a", "b", "omega", "xi")}
+    columns = (dataset.idx, dataset.y, dataset.alpha, dataset.F, dataset.lam, dataset.q, dataset.blocks + 1, dataset.r_a)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for idx, seed, y, alpha, beta, F, lam, (a, b, omega, xi), q, blocks, r_a in zip(*(c.tolist() for c in columns)):
+        for idx, y, alpha, F, lam, q, blocks, r_a in zip(*(c.tolist() for c in columns)):
             record = {
-                "idx": idx, "seed": seed, "y": y, "alpha": alpha, "beta": beta, "F": F, "lambda": lam,
-                "revenue": {"a": a, "b": b, "omega": omega, "xi": xi},
-                "q": q, "label": {"per_segment": blocks, "k": dataset.spec.k}, "r_a": r_a,
+                "idx": idx, "seed": record_seed(dataset.master_seed, idx), "y": y, "alpha": alpha, "beta": beta,
+                "F": F, "lambda": lam, "revenue": revenue,
+                "q": q, "label": {"per_segment": blocks, "k": spec.k}, "r_a": r_a,
             }
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
@@ -427,6 +435,23 @@ def test_writer_matches_the_reference_on_extreme_floats(tmp_path):
     data = generate_dataset(GenSpec(n=3, m=2, k=2), 10, 1)
     extremes = np.array([5e-324, 1e-05, 1e16, 1.7976931348623157e308, -0.0, 0.1, 1.0, 123456789.125])
     rng = np.random.default_rng(0)
-    floats = ("y", "alpha", "beta", "F", "lam", "revenue", "q", "r_a")
+    floats = ("y", "alpha", "F", "lam", "q", "r_a")
     columns = {f: rng.choice(extremes, size=getattr(data, f).shape) for f in floats}
-    assert_writes_the_reference(dataclasses.replace(data, **columns), tmp_path)
+    # The revenue terms are the spec's, written once per line.
+    for terms in [RevenueTerms(5e-324, 1e16, 1e-05, 0.1), RevenueTerms(-0.0, 1.7976931348623157e308, 0.0, 1.0)]:
+        spec = dataclasses.replace(data.spec, revenue=terms)
+        assert_writes_the_reference(dataclasses.replace(data, spec=spec, **columns), tmp_path)
+
+
+def test_integer_revenue_terms_act_as_their_floats(tmp_path):
+    # Above 2**53 an int sum differs from the sum of the floats: 1 + (2**53 + 1)
+    # is 2**53 + 2 exactly, while 1.0 + float(2**53 + 1) rounds to 2**53.
+    spec = GenSpec(n=3, m=2, k=2, revenue=RevenueTerms(a=1, b=2**53 + 1, omega=0, xi=1))
+    data = generate_dataset(spec, 40, 3)
+    a, b, omega, xi = np.array([1, 2**53 + 1, 0, 1], dtype=np.float64)
+    per_support = 0.5 * (a + b) * (omega + xi)
+    assert per_support != 0.5 * (1 + 2**53 + 1) * (0 + 1)
+    for rec in data.records:
+        assert rec.r_a == loop_revenue(rec.q, rec.instance.lam, per_support, rec.label.per_segment)
+    assert_writes_the_reference(data, tmp_path)
+    assert read_dataset(tmp_path / "written.jsonl") == data

@@ -4,18 +4,20 @@ import contextlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assort_mnl import GenSpec, read_dataset, read_model
 from assort_mnl.cli import main
-from assort_mnl.generate import spec_to_dict
+from assort_mnl.generate import DatasetFormatError, spec_from_dict, spec_to_dict
 
 
 def run(*argv):
@@ -128,8 +130,9 @@ def _edit(change):
     return mutate
 
 
-# Each case breaks one line of a valid n=3, m=1, k=1 dataset: the header
-# (line 1) or the second record (line 3).
+# Each case breaks one line of a valid n=3, m=1, k=1 dataset, made with
+# M=50 and any gen flags the case lists: the header (line 1) or the second
+# record (line 3).
 _BAD_LINES = {
     "header-not-object": (1, lambda line: "[1, 2]"),
     "header-spec-not-object": (1, _edit(lambda header: header.update(spec=[3, 1]))),
@@ -144,6 +147,7 @@ _BAD_LINES = {
     "header-n-bool": (1, _edit(lambda header: header["spec"].update(n=True))),
     "header-k-float": (1, _edit(lambda header: header["spec"].update(k=1.0))),
     "header-network-effects-string": (1, _edit(lambda header: header["spec"].update(network_effects="no"))),
+    "header-seed-mix-other": (1, _edit(lambda header: header.update(seed_mix="pcg"))),
     "record-not-object": (3, lambda line: "[]"),
     "q-wrong-shape": (3, _edit(lambda rec: rec.update(q=rec["q"][:-1]))),
     "q-above-one": (3, _edit(lambda rec: rec.update(q=[[1.5]] + rec["q"][1:]))),
@@ -162,6 +166,17 @@ _BAD_LINES = {
     "r_a-nan": (3, _edit(lambda rec: rec.update(r_a=float("nan")))),
     "r_a-overflows-float": (3, _edit(lambda rec: rec.update(r_a=10**400))),
     "revenue-overflows-float": (3, _edit(lambda rec: rec["revenue"].update(b=10**400))),
+    "revenue-a-differs": (3, _edit(lambda rec: rec["revenue"].update(a=5.0))),
+    "beta-not-one": (3, _edit(lambda rec: rec.update(beta=[[2.0]] + rec["beta"][1:]))),
+    "y-above-M": (3, _edit(lambda rec: rec.update(y=[[50.5]] + rec["y"][1:]))),
+    "y-negative": (3, _edit(lambda rec: rec.update(y=[[-0.5]] + rec["y"][1:]))),
+    "alpha-above-M": (3, _edit(lambda rec: rec.update(alpha=[[50.5]] + rec["alpha"][1:]))),
+    "alpha-without-network-effects": (
+        3, _edit(lambda rec: rec.update(alpha=[[0.5]] + rec["alpha"][1:])), "--no-network-effects",
+    ),
+    "F-above-M-unit": (3, _edit(lambda rec: rec.update(F=[50.5] + rec["F"][1:]))),
+    "F-fractional-dollar": (3, _edit(lambda rec: rec.update(F=[12.5] + rec["F"][1:])), "--f-mode", "dollar"),
+    "F-beyond-dollar-max": (3, _edit(lambda rec: rec.update(F=[10001.0] + rec["F"][1:])), "--f-mode", "dollar"),
     "record-drops-a-product": (
         3,
         _edit(lambda rec: rec.update({f: rec[f][:-1] for f in ("y", "alpha", "beta", "F", "q")})),
@@ -173,10 +188,10 @@ class TestDatasetValidation:
     @pytest.mark.parametrize("command", ["train", "label"])
     @pytest.mark.parametrize("case", sorted(_BAD_LINES))
     def test_bad_line_is_read_error_naming_it(self, tmp_path, capsys, command, case):
-        run("gen", "--n", 3, "--count", 40, "--seed", 5, "--out", tmp_path)
+        lineno, mutate, *flags = _BAD_LINES[case]
+        run("gen", "--n", 3, "--count", 40, "--seed", 5, *flags, "--out", tmp_path)
         path = tmp_path / "dataset.jsonl"
         lines = path.read_text().splitlines()
-        lineno, mutate = _BAD_LINES[case]
         lines[lineno - 1] = mutate(lines[lineno - 1])
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
@@ -229,12 +244,20 @@ def _retyped(value) -> list:
     return [other for other in others if type(other) is not type(value)]
 
 
+# Values of a field's own type: all but M=100 contradict the valid records.
+_REVALUED = {
+    "M": [10.0, 100.0], "network_effects": [False], "f_mode": ["dollar"],
+    "a": [0.0, 2.0], "b": [20.0], "omega": [0.1], "xi": [0.0],
+}
+
+
 def _mutations():
-    """A header field and a value of another JSON type for it: the field's own value retyped, or any."""
+    """A header field and a new value for it: the field's own value retyped, revalued, or any."""
     def values(field):
         where, key = field
         original = _SPEC[key] if where == "spec" else _SPEC["revenue"][key]
-        return st.tuples(st.just(field), st.sampled_from(_retyped(original)) | _JSON_VALUES)
+        new = st.sampled_from(_retyped(original) + _REVALUED.get(key, [])) | _JSON_VALUES
+        return st.tuples(st.just(field), new)
 
     return st.sampled_from(_FIELDS).flatmap(values)
 
@@ -245,26 +268,66 @@ def valid_dataset(tmp_path_factory):
     assert run("gen", "--n", 3, "--count", 40, "--seed", 5, "--out", out) == 0
     lines = (out / "dataset.jsonl").read_text().splitlines()
     assert json.loads(lines[0])["spec"] == _SPEC
-    return lines
+    return lines, read_dataset(out / "dataset.jsonl")
+
+
+def _contradicts(spec, data) -> bool:
+    """Whether the records of ``data`` break a value the parsed header ``spec`` sets for them."""
+    def terms(revenue):
+        return [float(getattr(revenue, key)) for key in ("a", "b", "omega", "xi")]
+
+    M = float(spec.M)
+    return (
+        terms(spec.revenue) != terms(data.spec.revenue)
+        or max(data.y.max(), data.alpha.max()) > M
+        or (not spec.network_effects and data.alpha.any())
+        or (spec.f_mode == "unit" and data.F.max() > M)
+        or (spec.f_mode == "dollar" and not np.array_equal(data.F, np.round(data.F)))
+    )
 
 
 class TestHeaderSpecMutations:
-    @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(mutation=_mutations())
-    def test_train_exits_cleanly(self, tmp_path_factory, valid_dataset, mutation):
-        (where, key), value = mutation
-        header = json.loads(valid_dataset[0])
+    @staticmethod
+    def train(out, lines, field, value):
+        """Exit code and stderr of ``train`` on the valid dataset with header ``field`` set to ``value``."""
+        where, key = field
+        header = json.loads(lines[0])
         (header["spec"] if where == "spec" else header["spec"]["revenue"])[key] = value
-        out = tmp_path_factory.mktemp("mutated")
         path = out / "dataset.jsonl"
-        path.write_text("\n".join([json.dumps(header)] + valid_dataset[1:]) + "\n")
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main(["train", str(path), "--out", str(out)])
-        assert code in (0, 5), stderr.getvalue()
-        assert "Traceback" not in stderr.getvalue()
+        return code, stderr.getvalue(), header["spec"]
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(mutation=_mutations())
+    def test_train_exits_cleanly(self, tmp_path_factory, valid_dataset, mutation):
+        lines, data = valid_dataset
+        code, err, spec = self.train(tmp_path_factory.mktemp("mutated"), lines, *mutation)
+        assert code in (0, 5), err
+        assert "Traceback" not in err
+        # A header that fails to parse names line 1; one that parses but
+        # sets values the records break names a record line and the rule.
         if code == 5:
-            assert "error [read] line 1" in stderr.getvalue()
+            assert "error [read] line 1:" in err or re.search(r"error \[read\] line \d+: .*the header's", err), err
+        try:
+            spec = spec_from_dict(spec)
+        except DatasetFormatError:
+            return
+        if _contradicts(spec, data):
+            assert code == 5, (spec, err)
+
+    @pytest.mark.parametrize("key,value", [(key, value) for key, values in _REVALUED.items() for value in values])
+    def test_values_the_records_break_are_read_errors(self, tmp_path, valid_dataset, key, value):
+        lines, data = valid_dataset
+        field = ("spec" if key in _SPEC else "revenue", key)
+        code, err, spec = self.train(tmp_path, lines, field, value)
+        if (key, value) == ("M", 100.0):
+            assert not _contradicts(spec_from_dict(spec), data) and code == 0, err
+        else:
+            assert _contradicts(spec_from_dict(spec), data)
+            assert code == 5 and re.search(r"error \[read\] line \d+: .*the header's", err), err
 
 
 class TestLabelVerification:
@@ -288,13 +351,19 @@ class TestLabelVerification:
         assert "error [read]" in err and f"record {record['idx']}" in err
 
 
+# Each case breaks the model of an n=3, m=1 dataset; the message names what it says.
 _BAD_MODELS = {
-    "document-not-object": lambda text: "[1, 2]",
-    "layout-not-object": _edit(lambda doc: doc.update(layout=[3, 1])),
-    "nan-coefficients": _edit(
+    "document-not-object": ("model file", lambda text: "[1, 2]"),
+    "layout-not-object": ("layout", _edit(lambda doc: doc.update(layout=[3, 1]))),
+    "nan-coefficients": ("coefficients", _edit(
         lambda doc: doc.update(coefficients=[[float("nan")] * len(row) for row in doc["coefficients"]])
-    ),
-    "invalid-json": lambda text: text[: len(text) // 2],
+    )),
+    "invalid-json": ("invalid model file", lambda text: text[: len(text) // 2]),
+    "intercept-strings": ("intercept", _edit(lambda doc: doc.update(intercept=["1", "1", "1"]))),
+    "coefficients-booleans": ("coefficients", _edit(
+        lambda doc: doc.update(coefficients=[[True] * len(row) for row in doc["coefficients"]])
+    )),
+    "rank-deficient-string": ("rank_deficient", _edit(lambda doc: doc.update(rank_deficient="no"))),
 }
 
 
@@ -304,10 +373,12 @@ class TestModelValidation:
         run("gen", "--n", 3, "--count", 40, "--seed", 5, "--out", tmp_path)
         run("train", tmp_path / "dataset.jsonl", "--out", tmp_path)
         model = tmp_path / "model.json"
-        model.write_text(_BAD_MODELS[case](model.read_text()))
+        named, mutate = _BAD_MODELS[case]
+        model.write_text(mutate(model.read_text()))
         capsys.readouterr()
         assert run("eval", tmp_path / "dataset.jsonl", model) == 5
-        assert "error [read]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error [read]" in err and named in err
 
 
 class TestAtomicWrites:

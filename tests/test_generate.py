@@ -10,6 +10,7 @@ from assort_mnl import (
     DatasetFormatError,
     GenSpec,
     LabeledDataset,
+    RevenueTerms,
     generate_dataset,
     generate_instance,
     normalize_weights,
@@ -186,6 +187,26 @@ class TestGenerateDataset:
             generate_dataset(GenSpec(n=2, m=1), count=0, master_seed=0)
 
 
+class TestFromRecords:
+    @pytest.mark.parametrize("field", ["seed", "beta", "revenue"])
+    def test_record_must_carry_what_the_header_fixes(self, field):
+        data = generate_dataset(GenSpec(n=3, m=2, k=1), 5, 21)
+        records = data.records
+        rec = records[2]
+        bad = {
+            "seed": lambda: dataclasses.replace(rec, seed=rec.seed ^ 1),
+            "beta": lambda: dataclasses.replace(
+                rec, instance=dataclasses.replace(rec.instance, beta=np.full((3, 2), 2.0))
+            ),
+            "revenue": lambda: dataclasses.replace(
+                rec, instance=dataclasses.replace(rec.instance, revenue=RevenueTerms(a=2.0))
+            ),
+        }[field]()
+        assert LabeledDataset.from_records(data.spec, data.master_seed, data.count, records) == data
+        with pytest.raises(ValueError, match=f"record {rec.idx}: its seed, beta or revenue"):
+            LabeledDataset.from_records(data.spec, data.master_seed, data.count, records[:2] + (bad,) + records[3:])
+
+
 class TestRelabel:
     def test_k_sweep_keeps_instances(self):
         base = generate_dataset(GenSpec(n=5, m=1, k=1), count=12, master_seed=9)
@@ -257,7 +278,7 @@ class TestDatasetRoundTrip:
             write_dataset(data, tmp_path / "data.jsonl")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("field", ["y", "F", "lam", "revenue", "q"])
+    @pytest.mark.parametrize("field", ["y", "F", "lam", "q"])
     def test_non_finite_float_names_its_field(self, tmp_path, field):
         data = generate_dataset(GenSpec(n=3, m=2, k=1), 300, 5)
         column = getattr(data, field).copy()
