@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -54,6 +53,7 @@ from .generate import (
     UNIT_SCALE,
     DatasetFormatError,
     GenSpec,
+    _load_json_file,
     _write_atomic,
     generate_dataset,
     read_dataset,
@@ -207,32 +207,17 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_case(args) -> int:
-    if args.preset:
-        config = preset(
-            args.preset,
-            count=args.count,
-            train_fraction=args.train_fraction,
-            master_seed=args.seed,
-            out_dir=args.out,
-        )
-        if args.no_network_effects:
-            # The spec changed, so the preset's reference metrics no
-            # longer describe this run.
-            config = dataclasses.replace(
-                config,
-                spec=dataclasses.replace(config.spec, network_effects=False),
-                reference=None,
-            )
-    else:
-        spec = _spec_from_args(args)
-        config = CaseConfig(
-            case_id=args.case_id,
-            spec=spec,
-            count=args.count,
-            train_fraction=args.train_fraction,
-            master_seed=args.seed,
-            out_dir=args.out,
-        )
+    config = CaseConfig(
+        case_id=args.preset or args.case_id,
+        spec=_spec_from_args(args),
+        count=args.count,
+        train_fraction=args.train_fraction,
+        master_seed=args.seed,
+        out_dir=args.out,
+        # A preset's reference metrics describe its own spec, not one
+        # without network effects.
+        reference=preset(args.preset).reference if args.preset and not args.no_network_effects else None,
+    )
     report = run_case(config)
     doc = report.to_dict()
     ev = report.evaluation
@@ -250,11 +235,7 @@ def _cmd_case(args) -> int:
 
 def _read_report(path) -> dict:
     """A case report file, checked as :func:`compare_runs` checks it; errors name the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise DatasetFormatError(f"{path}: invalid report file ({e})") from None
+    doc = _load_json_file(path, "report")
     _report_fields(doc, str(path))
     return doc
 

@@ -45,7 +45,6 @@ that breaks any of these rules, naming the line.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import json
 import math
@@ -53,7 +52,7 @@ import os
 import secrets
 import sys
 from dataclasses import dataclass, replace
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -138,11 +137,7 @@ class GenSpec:
 
     def __post_init__(self):
         for name in ("n", "m", "k"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            # A numpy integer is stored as the int it equals, which json writes.
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if isinstance(self.M, bool) or not isinstance(self.M, (int, float)):
             raise TypeError(f"M must be an int or a float, got {self.M!r}")
         if not isinstance(self.network_effects, bool):
@@ -160,6 +155,13 @@ class GenSpec:
             raise ValueError(f"f_mode must be {UNIT_SCALE!r} or {DOLLAR_SCALE!r}, got {self.f_mode!r}")
         if self.mode not in (SHARED, PER_SEGMENT):
             raise ValueError(f"mode must be {SHARED!r} or {PER_SEGMENT!r}, got {self.mode!r}")
+
+
+def _integer(name: str, value) -> int:
+    """An int or numpy integer ``value`` as the int it equals, which json writes; anything else raises ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -643,6 +645,15 @@ def _load_json(line: str, lineno: int):
         raise DatasetFormatError(f"line {lineno}: invalid JSON ({e.msg})") from None
 
 
+def _load_json_file(path, what: str):
+    """The JSON document in file ``path``; a file that is not UTF-8 JSON raises, naming it as a ``what`` file."""
+    with open(Path(path), "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise DatasetFormatError(f"{path}: invalid {what} file ({e})") from None
+
+
 # Records held as Python objects at a time while a dataset is written or
 # read: bounds the memory either holds beyond the dataset itself.
 _CHUNK = 256
@@ -738,26 +749,30 @@ def read_dataset(path) -> LabeledDataset:
     offending line; nothing partial is ever returned.  Lines are streamed,
     and every ``_CHUNK`` records become arrays, field by field, each
     checked as a whole; an error names the first line that breaks the rule.
-    The header's types are checked, and the records must fit it as the
-    module docstring says: their idx in sequence, the seed, beta and
-    revenue the header fixes (checked, then dropped) and values within the
-    spec's ranges.  Each instance must fit :class:`ProblemInstance`'s
-    rules too, ``q`` must lie in [0, 1], each label must hold k distinct
-    products in 1..n per segment, and ``r_a`` must be a finite number.
+    Each chunk takes the idx its records must carry from one lazy, in-order
+    stream over ``range(count)`` without ``excluded``, so memory does not
+    grow with the header's ``count``.  The header's types are checked, and
+    the records must fit it as the module docstring says: their idx in
+    sequence, the seed, beta and revenue the header fixes (checked, then
+    dropped) and values within the spec's ranges.  Each instance must fit
+    :class:`ProblemInstance`'s rules too, ``q`` must lie in [0, 1], each
+    label must hold k distinct products in 1..n per segment, and ``r_a``
+    must be a finite number.
     """
     with open(Path(path), "r", encoding="utf-8") as fh:
         try:
             spec, master_seed, count, excluded = _read_header(fh.readline())
-            kept = _kept_indices(count, excluded)
+            skipped = set(excluded)
+            expected = (i for i in range(count) if i not in skipped)
             parts, rows, first = [], [], 2
             for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     raise DatasetFormatError(f"line {lineno}: blank line inside record block")
                 rows.append(_fields(_load_json(line, lineno), _RECORD_KEYS, f"line {lineno}", "record"))
                 if len(rows) == _CHUNK:
-                    parts.append(_record_columns(rows, first, spec, master_seed, kept))
+                    parts.append(_record_columns(rows, first, spec, master_seed, expected))
                     rows, first = [], lineno + 1
-            parts.append(_record_columns(rows, first, spec, master_seed, kept))
+            parts.append(_record_columns(rows, first, spec, master_seed, expected))
         except UnicodeDecodeError as e:
             raise DatasetFormatError(f"not UTF-8 text ({e.reason})") from None
     found = sum(len(part[0]) for part in parts)
@@ -793,33 +808,15 @@ def _read_header(line: str) -> tuple[GenSpec, int, int, tuple[int, ...]]:
     return spec_from_dict(spec, "line 1"), master_seed, count, tuple(excluded)
 
 
-def _kept_indices(count: int, excluded):
-    """The idx a file's records carry, by position: ``range(count)`` without ``excluded``.
-
-    Returns ``kept(start, stop)``, the idx of the records at 0-based
-    positions ``start`` up to ``stop``, ending early after the last one.
-    It holds only the sorted ``excluded``, whatever ``count`` is: the j-th
-    smallest excluded index e has e - j kept indices below it, so the
-    record at position p carries p plus the number of those differences at
-    most p.
-    """
-    total = count - len(excluded)
-    shifted = [e - j for j, e in enumerate(sorted(excluded))]
-
-    def kept(start: int, stop: int) -> list[int]:
-        return [p + bisect.bisect_right(shifted, p) for p in range(start, min(stop, total))]
-
-    return kept
-
-
-def _record_columns(rows: list, line: int, spec: GenSpec, master_seed: int, kept) -> list:
+def _record_columns(rows: list, line: int, spec: GenSpec, master_seed: int, expected) -> list:
     """The columns of parsed records ``rows``, the first on file line ``line``, checked field by field.
 
-    ``kept`` gives the idx each record of the file must carry.
+    ``expected`` yields, in order, the idx each record of the file must
+    carry; the records take the next ``len(rows)`` of them.
     """
     idx, seed, y, alpha, beta, F, lam, revenue, q, label, r_a = list(zip(*rows)) or [()] * len(_RECORD_KEYS)
     n, m, k = spec.n, spec.m, spec.k
-    expected = kept(line - 2, line - 2 + len(rows))
+    expected = list(islice(expected, len(rows)))
     # A record beyond the last expected one meets None.
     _reject(line, [type(i) is not int or i != e for i, e in zip_longest(idx, expected)],
             "idx must run through range(count) without the excluded indices, in order")

@@ -18,8 +18,8 @@ then run the same array code on one row, so both give identical bits.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .core import (
     _check_selection,
     _top_k,
 )
-from .generate import DatasetFormatError, LabeledDataset, _write_atomic
+from .generate import DatasetFormatError, LabeledDataset, _integer, _load_json_file, _write_atomic
 
 __all__ = [
     "MODEL_FORMAT_VERSION",
@@ -77,6 +77,8 @@ class FeatureLayout:
     m: int
 
     def __post_init__(self):
+        for name in ("n", "m"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n < 1 or self.m < 1:
             raise ValueError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
 
@@ -286,6 +288,8 @@ def prl(r_a, r_c):
     return 100.0 * (r_a - r_c) / r_a
 
 
+# Overflow is caught by name before the report returns, instead of warned about.
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(model: PredictorModel, test: LabeledDataset) -> EvaluationReport:
     """Score a fitted model against a labeled test set.
 
@@ -293,6 +297,9 @@ def evaluate(model: PredictorModel, test: LabeledDataset) -> EvaluationReport:
     from the label in any segment (set comparison).  Realized revenue r_c
     is evaluated at the example's stored support matrix.  Examples with
     r_a below ``PRL_MIN_REVENUE`` are excluded from mean PRL and counted.
+    A report carries finite numbers only: a metric or an example value
+    that overflows (a sum of large finite revenues, say) raises
+    ``ValueError`` naming it.
     """
     if not len(test):
         raise ValueError("test dataset has no records")
@@ -312,7 +319,7 @@ def evaluate(model: PredictorModel, test: LabeledDataset) -> EvaluationReport:
     losses = prl(r_a[kept], r_c[kept])
     prl_column = np.full(len(r_a), None)
     prl_column[kept] = losses.tolist()
-    return EvaluationReport(
+    report = EvaluationReport(
         test_count=len(test),
         error_rate=int(wrong.sum()) / len(test),
         mean_prl_percent=float(np.mean(losses)) if losses.size else None,
@@ -325,6 +332,15 @@ def evaluate(model: PredictorModel, test: LabeledDataset) -> EvaluationReport:
             for idx, a, r, loss, w in zip(test.idx.tolist(), r_a.tolist(), r_c.tolist(), prl_column, wrong.tolist())
         ),
     )
+    for name in ("mean_prl_percent", "r_a_min", "r_a_max", "r_a_mean"):
+        value = getattr(report, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"evaluation metric {name} is {value!r}, which a report cannot carry")
+    # Each example's r_a and prl enter a metric above; its r_c does not.
+    bad = np.flatnonzero(~np.isfinite(r_c))
+    if bad.size:
+        raise ValueError(f"example {test.idx[bad[0]]}: r_c is {float(r_c[bad[0]])!r}, which a report cannot carry")
+    return report
 
 
 def write_model(model: PredictorModel, path) -> None:
@@ -344,23 +360,24 @@ def read_model(path) -> PredictorModel:
 
     Raises :class:`DatasetFormatError` when the file does not hold such a
     model: bad JSON, a missing or mistyped field, or a non-finite number.
-    ``intercept`` and ``coefficients`` must hold JSON numbers and
-    ``rank_deficient`` must be true or false.
+    ``layout``'s ``n`` and ``m`` must be JSON integers, ``intercept`` and
+    ``coefficients`` must hold JSON numbers and ``rank_deficient`` must be
+    true or false.
     """
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise DatasetFormatError(f"invalid model file ({e})") from None
+    doc = _load_json_file(path, "model")
     if not isinstance(doc, dict):
         raise DatasetFormatError("model file must hold a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise DatasetFormatError(f"unsupported model format_version {version!r}")
     try:
-        if not isinstance(doc["layout"], dict):
+        layout = doc["layout"]
+        if not isinstance(layout, dict):
             raise DatasetFormatError("model layout must be a JSON object")
-        layout = FeatureLayout(n=doc["layout"]["n"], m=doc["layout"]["m"])
+        try:
+            layout = FeatureLayout(n=layout["n"], m=layout["m"])
+        except (TypeError, ValueError) as e:
+            raise DatasetFormatError(f"invalid model layout ({e})") from None
         rank_deficient = doc.get("rank_deficient", False)
         if type(rank_deficient) is not bool:
             raise DatasetFormatError(f"model field 'rank_deficient' must be true or false, got {rank_deficient!r}")

@@ -1,23 +1,28 @@
 """Tests for the assort-mnl command-line interface."""
 
 import contextlib
+import functools
 import io
 import json
+import operator
 import os
 import re
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from assort_mnl import GenSpec, read_dataset, read_model
+from assort_mnl import GenSpec, RevenueTerms, generate_dataset, read_dataset, read_model, write_dataset
+from assort_mnl import cli
+from assort_mnl.bench import CaseConfig, run_case
 from assort_mnl.cli import main
-from assort_mnl.generate import DatasetFormatError, spec_from_dict, spec_to_dict
+from assort_mnl.generate import _CHUNK, DatasetFormatError, record_seed, spec_from_dict, spec_to_dict
 
 
 def run(*argv):
@@ -199,6 +204,21 @@ class TestDatasetValidation:
         err = capsys.readouterr().err
         assert "error [read]" in err and f"line {lineno}" in err
 
+    @pytest.mark.parametrize("count", [40, _CHUNK])
+    def test_record_after_the_last_expected_idx_is_named(self, tmp_path, capsys, count):
+        # At count=_CHUNK the extra record is alone in a chunk of its own.
+        run("gen", "--n", 2, "--count", count, "--seed", 5, "--out", tmp_path)
+        path = tmp_path / "dataset.jsonl"
+        lines = path.read_text().splitlines()
+        assert len(lines) == count + 1
+        record = json.loads(lines[-1])
+        record.update(idx=count, seed=record_seed(5, count))
+        path.write_text("\n".join(lines + [json.dumps(record)]) + "\n")
+        capsys.readouterr()
+        assert run("train", path, "--out", tmp_path / "out") == 5
+        err = capsys.readouterr().err
+        assert f"error [read] line {count + 2}: idx must run through range(count)" in err, err
+
 
 class TestHeaderCount:
     def test_reader_memory_does_not_grow_with_count(self, tmp_path):
@@ -364,6 +384,8 @@ _BAD_MODELS = {
         lambda doc: doc.update(coefficients=[[True] * len(row) for row in doc["coefficients"]])
     )),
     "rank-deficient-string": ("rank_deficient", _edit(lambda doc: doc.update(rank_deficient="no"))),
+    "layout-n-float": ("layout (n must be an integer", _edit(lambda doc: doc["layout"].update(n=3.0))),
+    "layout-m-bool": ("layout (m must be an integer", _edit(lambda doc: doc["layout"].update(m=True))),
 }
 
 
@@ -379,6 +401,89 @@ class TestModelValidation:
         assert run("eval", tmp_path / "dataset.jsonl", model) == 5
         err = capsys.readouterr().err
         assert "error [read]" in err and named in err
+
+
+# Where one value of a model file sits, for an n=3, m=1 model: a top-level
+# field, a layout field, or an entry of intercept (3) or coefficients (3 x 9).
+_MODEL_VALUES = (
+    st.sampled_from([("format_version",), ("layout", "n"), ("layout", "m"), ("rank_deficient",)])
+    | st.tuples(st.just("intercept"), st.integers(0, 2))
+    | st.tuples(st.just("coefficients"), st.integers(0, 2), st.integers(0, 8))
+)
+_MODEL_FIELDS = ("format_version", "layout", "intercept", "coefficients", "rank_deficient")
+# JSON number tokens beyond a finite float: NaN, Infinity and an int that overflows one.
+_NUMBER_TOKENS = [float("nan"), float("inf"), 10**400]
+
+
+@pytest.fixture(scope="module")
+def valid_model(tmp_path_factory):
+    out = tmp_path_factory.mktemp("model")
+    assert run("gen", "--n", 3, "--count", 40, "--seed", 5, "--out", out) == 0
+    assert run("train", out / "dataset.jsonl", "--out", out) == 0
+    return out / "dataset.jsonl", (out / "model.json").read_text()
+
+
+class TestModelMutations:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(where=_MODEL_VALUES, choice=st.integers(0, 8))
+    @example(where=("layout", "n"), choice=0)
+    def test_eval_exits_cleanly(self, tmp_path_factory, valid_model, where, choice):
+        # choice picks the value's retyped form or a number token.
+        dataset, text = valid_model
+        doc = json.loads(text)
+        *parents, key = where
+        holder = functools.reduce(operator.getitem, parents, doc)
+        values = _retyped(holder[key]) + _NUMBER_TOKENS
+        holder[key] = values[choice % len(values)]
+        path = tmp_path_factory.mktemp("mutated") / "model.json"
+        path.write_text(json.dumps(doc))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["eval", str(dataset), str(path)])
+        err = stderr.getvalue()
+        assert code in (0, 2, 5), err
+        assert "Traceback" not in err
+        if code == 5:
+            assert str(path) in err or any(field in err for field in _MODEL_FIELDS), err
+        try:
+            model = read_model(path)
+        except DatasetFormatError:
+            return
+        assert type(model.layout.n) is int and type(model.layout.m) is int, doc["layout"]
+        assert type(model.rank_deficient) is bool, doc.get("rank_deficient")
+
+
+# Each record's r_a is finite, but the sum of the test split's overflows.
+_HUGE_REVENUE = GenSpec(n=2, m=1, k=1, revenue=RevenueTerms(0.0, 1.7976931348623157e308, 1.0, 1.0))
+
+
+class TestNonFiniteReport:
+    def test_run_case_raises_before_writing(self, tmp_path):
+        config = CaseConfig("huge", _HUGE_REVENUE, count=40, master_seed=3, out_dir=str(tmp_path / "out"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="evaluation metric r_a_mean is inf"):
+                run_case(config)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["case", "eval"])
+    def test_is_config_error_without_report(self, tmp_path, capsys, monkeypatch, command):
+        if command == "case":
+            monkeypatch.setattr(cli, "_spec_from_args", lambda args: _HUGE_REVENUE)
+            argv = ["case", "--n", 2, "--count", 40, "--seed", 3, "--case-id", "huge"]
+        else:
+            write_dataset(generate_dataset(_HUGE_REVENUE, 40, 3), tmp_path / "dataset.jsonl")
+            assert run("train", tmp_path / "dataset.jsonl", "--out", tmp_path) == 0
+            argv = ["eval", tmp_path / "dataset.jsonl", tmp_path / "model.json"]
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(*argv, "--out", tmp_path / "out", "--format", "json")
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error [config] evaluation metric r_a_mean is inf, which a report cannot carry"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestAtomicWrites:

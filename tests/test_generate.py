@@ -21,7 +21,7 @@ from assort_mnl import (
     write_dataset,
 )
 from assort_mnl.core import PER_SEGMENT, SHARED
-from assort_mnl.generate import DOLLAR_SCALE, UNIT_SCALE, _record_seeds
+from assort_mnl.generate import _CHUNK, DOLLAR_SCALE, UNIT_SCALE, _record_seeds
 
 
 class TestGenSpec:
@@ -313,6 +313,30 @@ class TestDatasetRoundTrip:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetFormatError, match=f"line {lineno}: q"):
             read_dataset(path)
+
+    @pytest.mark.parametrize("count", [_CHUNK, 2 * _CHUNK])
+    def test_whole_chunks_round_trip(self, tmp_path, count):
+        # The reader then ends on an empty chunk.
+        data = generate_dataset(GenSpec(n=2, m=1), count=count, master_seed=8)
+        assert len(data) == count
+        path = tmp_path / "data.jsonl"
+        write_dataset(data, path)
+        assert read_dataset(path) == data
+
+    def test_excluded_indices_after_the_last_record(self, tmp_path):
+        import json
+
+        data = generate_dataset(GenSpec(n=2, m=1), count=40, master_seed=8)
+        assert len(data) == 40
+        path = tmp_path / "data.jsonl"
+        write_dataset(data, path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header.update(count=42, excluded=[41, 40])
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        back = read_dataset(path)
+        assert (back.count, back.excluded) == (42, (41, 40))
+        assert dataclasses.replace(back, count=40, excluded=()) == data
 
     def test_extra_record_named(self, tmp_path):
         data = generate_dataset(GenSpec(n=2, m=1), count=3, master_seed=0)
