@@ -79,7 +79,7 @@ def _add_gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=1, help="assortment size (default 1)")
     p.add_argument("--M", type=float, default=50.0, help="parameter upper bound (default 50)")
     p.add_argument("--count", type=int, default=500, help="number of records (default 500)")
-    p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED, help="master seed")
+    p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED, help="master seed, in [0, 2**64)")
     p.add_argument(
         "--no-network-effects",
         action="store_true",

@@ -66,6 +66,7 @@ from .core import (
     Assortment,
     ProblemInstance,
     RevenueTerms,
+    _NonFiniteUtility,
     _best_blocks,
     _block_revenue,
     _instance_faults,
@@ -505,11 +506,20 @@ def _pcg64_uniforms(seeds, steps: int, high: float) -> np.ndarray:
 
 # _draw's rule for the jump-ahead.  A generator costs several microseconds
 # a record whatever its length, the jump-ahead a fixed set-up plus a share
-# of a microsecond an output: at 500 records it is about 3-6x faster at
-# 16-32 draws a record and about 2x at 64, and at about 20 records the two
-# are even.  The rule keeps a margin on both counts.
-_JUMP_MAX_DRAWS = 32
-_JUMP_MIN_RECORDS = 32
+# of a microsecond an output.  Generator time over jump-ahead time, one
+# thread:
+#
+#   draws a record    16 records   40 records   500 records
+#   37                1.17         1.49         3.34
+#   62                1.07         1.43         2.17
+#   64                0.97-1.07    1.38         2.14
+#   128               1.04         1.25         1.57
+#   904               -            -            0.60 (0.56 at 100)
+#
+# At 8 records the two are even up to 64 draws.  The rule takes the
+# jump-ahead where it is at least even.
+_JUMP_MAX_DRAWS = 64
+_JUMP_MIN_RECORDS = 16
 
 
 def _draw(spec: GenSpec, seeds) -> list[np.ndarray]:
@@ -566,13 +576,20 @@ def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledData
     points of all records are then solved in one array iteration, each
     record stopping on its own, and all records are labeled at once with
     the exact optima.  Records whose fixed point fails to converge are
-    then dropped and reported in ``excluded``.
+    then dropped and reported in ``excluded``.  ``master_seed`` must lie in
+    [0, 2**64), where the seed mix tells every seed apart.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError(f"master_seed must lie in [0, 2**64), got {master_seed}")
     seeds = _record_seeds(master_seed, np.arange(count))
     y, alpha, beta, F, lam = _draw(spec, seeds)
-    q, _, _, converged = _solve_stack(y, alpha, beta, F, lam, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    try:
+        q, _, _, converged = _solve_stack(y, alpha, beta, F, lam, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    except _NonFiniteUtility as e:
+        # Record t sits at position t of the stack.
+        raise ValueError(f"record {e.position}: mean utilities must be finite") from None
     blocks = _best_blocks(q, lam, spec.k, spec.mode)
     r_a = _block_revenue(q, lam, spec.revenue.per_support, blocks)
     excluded = tuple(np.flatnonzero(~converged).tolist())
@@ -788,8 +805,8 @@ def _read_header(line: str) -> tuple[GenSpec, int, int, tuple[int, ...]]:
         raise DatasetFormatError("line 1: missing header")
     header = _load_json(line, 1)
     (version,) = _fields(header, ("format_version",), "line 1", "header")
-    if version != FORMAT_VERSION:
-        raise DatasetFormatError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION}")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise DatasetFormatError(f"line 1: format_version must be the integer {FORMAT_VERSION}, got {version!r}")
     spec, master_seed, count, seed_mix, excluded = _fields(
         header, ("spec", "master_seed", "count", "seed_mix", "excluded"), "line 1", "header"
     )
@@ -800,8 +817,8 @@ def _read_header(line: str) -> tuple[GenSpec, int, int, tuple[int, ...]]:
         raise DatasetFormatError(f"line 1: excluded must be a list, got {excluded!r}")
     if not all(type(i) is int and 0 <= i < count for i in excluded) or len(set(excluded)) != len(excluded):
         raise DatasetFormatError(f"line 1: excluded must list distinct record indices in [0, {count})")
-    if type(master_seed) is not int:
-        raise DatasetFormatError(f"line 1: master_seed must be an integer, got {master_seed!r}")
+    if type(master_seed) is not int or not 0 <= master_seed <= _MASK64:
+        raise DatasetFormatError(f"line 1: master_seed must be an integer in [0, 2**64), got {master_seed!r}")
     # Record seeds are derived from master_seed by this mix alone.
     if seed_mix != "splitmix64":
         raise DatasetFormatError(f"line 1: seed_mix must be 'splitmix64', got {seed_mix!r}")

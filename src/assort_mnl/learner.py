@@ -360,16 +360,16 @@ def read_model(path) -> PredictorModel:
 
     Raises :class:`DatasetFormatError` when the file does not hold such a
     model: bad JSON, a missing or mistyped field, or a non-finite number.
-    ``layout``'s ``n`` and ``m`` must be JSON integers, ``intercept`` and
-    ``coefficients`` must hold JSON numbers and ``rank_deficient`` must be
-    true or false.
+    ``format_version`` and ``layout``'s ``n`` and ``m`` must be JSON
+    integers, ``intercept`` and ``coefficients`` must hold JSON numbers
+    only, no booleans, and ``rank_deficient`` must be true or false.
     """
     doc = _load_json_file(path, "model")
     if not isinstance(doc, dict):
         raise DatasetFormatError("model file must hold a JSON object")
     version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise DatasetFormatError(f"unsupported model format_version {version!r}")
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
+        raise DatasetFormatError(f"model format_version must be the integer {MODEL_FORMAT_VERSION}, got {version!r}")
     try:
         layout = doc["layout"]
         if not isinstance(layout, dict):
@@ -396,11 +396,13 @@ def read_model(path) -> PredictorModel:
 
 
 def _numbers(value, name: str) -> np.ndarray:
-    """The JSON numbers of model field ``name`` as a float array; anything else, booleans too, is an error."""
+    """The JSON numbers of model field ``name`` as a float array; anything else, a boolean among numbers too, is an error."""
     try:
-        array = np.array(value)
-    except ValueError:
-        array = None
-    if array is None or array.dtype.kind not in "iuf":
-        raise DatasetFormatError(f"model field {name!r} must hold JSON numbers")
-    return array.astype(float)
+        # An object array keeps each value's JSON type, which a numeric one
+        # would lose: [true, 0.5] would become [1.0, 0.5].
+        array = np.array(value, dtype=object)
+        if all(type(v) in (int, float) for v in array.flat):
+            return array.astype(float)
+    except (ValueError, OverflowError):
+        pass
+    raise DatasetFormatError(f"model field {name!r} must hold JSON numbers that fit in a float")

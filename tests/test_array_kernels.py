@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from assort_mnl import generate
+from assort_mnl import core, generate
 from assort_mnl.core import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -278,6 +278,55 @@ def test_solve_stops_each_record_on_its_own(start):
     assert_solves_match(_solve_stack(*stacked(batch), start, DEFAULT_TOL, 8), expected)
 
 
+def tangent_instances(fast):
+    """Records that finish at widely spread iterations, and ``fast`` random ones after them.
+
+    Product 0 of each record follows criterion 03's family ``q = sigma(10 q
+    - F)`` (y = 0, alpha = 10), with F offset on either side of a value
+    where a fixed point appears or vanishes by touching the diagonal: the
+    smaller the offset, the slower the iteration.  The smallest offset
+    stops at any cap of a few thousand passes.
+    """
+    # The map's slope, 10 sigma (1 - sigma), is 1 where sigma (1 - sigma) = 0.1.
+    sigma = (1.0 - np.sqrt(0.6)) / 2.0
+    tangent_F = 10.0 * sigma - np.log(sigma / (1.0 - sigma))
+    offsets = [sign * 0.1 * 3.0**-j for j in range(11) for sign in (1.0, -1.0)] + [-1e-12]
+    rng = np.random.default_rng(11)
+    batch = []
+    for F_star in (tangent_F, 10.0 - tangent_F):
+        for offset in offsets:
+            y, alpha, F = rng.uniform(0.0, 50.0, (3, 2)), rng.uniform(0.0, 50.0, (3, 2)), rng.uniform(0.0, 50.0, 3)
+            y[0], alpha[0], F[0] = 0.0, 10.0, F_star + offset
+            lam = rng.uniform(0.0, 1.0, 2)
+            batch.append(ProblemInstance(y, alpha, None, F, lam / lam.sum()))
+    return batch + instances(3, 2, True, fast)
+
+
+# A record of tangent_instances holds 6 entries: a ride limit of 6 compacts
+# the working set whenever a record finishes.
+@pytest.mark.parametrize("ride_limit", [core._RIDE_LIMIT, 6])
+@pytest.mark.parametrize("start", [ONE_START, ZERO_START])
+def test_solve_matches_the_loop_through_compactions_and_the_cap(monkeypatch, start, ride_limit):
+    # Records finish one or two at a time over thousands of passes, so the
+    # working set is compacted several times before the last ones reach
+    # the cap.
+    monkeypatch.setattr(core, "_RIDE_LIMIT", ride_limit)
+    batch, max_iter = tangent_instances(4), 3000
+    expected = [loop_solve(instance, start, max_iter) for instance in batch]
+    iterations = np.array([it for _, it, _, _ in expected])
+    converged = np.array([conv for *_, conv in expected])
+    assert 1 < (~converged).sum() < len(batch) // 8 and len(set(iterations.tolist())) > len(batch) // 2
+    # Under the default ride limit, which these small records never reach,
+    # the working set is compacted when at most half of it is live.
+    working, compactions = len(batch), 0
+    for it in sorted(set(iterations[converged].tolist())):
+        live = np.count_nonzero(iterations > it)
+        if 2 * live <= working:
+            working, compactions = live, compactions + 1
+    assert compactions >= 3
+    assert_solves_match(_solve_stack(*stacked(batch), start, DEFAULT_TOL, max_iter), expected)
+
+
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 2), (20, 4), (100, 7)])
 def test_demand_is_the_loop_formula(n, m):
     # mean_utility and support_map compute through the solver's expression.
@@ -372,13 +421,24 @@ def test_jump_ahead_raw_outputs_are_pcg64s():
     assert raw.tolist() == [np.random.PCG64(s).random_raw(40).tolist() for s in seeds]
 
 
-# Shapes (n, m) by draws per record 2nm + n + m.  No shape draws 33, the
-# first count past the jump-ahead's limit of 32: 2 * 33 + 1 = 67 would have
-# to be (2n + 1)(2m + 1), and 67 is prime.
-DRAW_SHAPES = {7: (2, 1), 16: (5, 1), 32: (6, 2), 34: (11, 1), 52: (10, 2)}
+# Shapes (n, m) by draws per record 2nm + n + m, on both sides of the
+# jump-ahead's limit of 64 draws, with the benchmark's shapes (37, 52 and
+# 62 draws) among them.  No shape draws 65, the first count past the limit:
+# 2 * 65 + 1 = 131 would have to be (2n + 1)(2m + 1), and 131 is prime.
+DRAW_SHAPES = {7: (2, 1), 16: (5, 1), 32: (6, 2), 34: (11, 1), 37: (12, 1), 52: (10, 2), 62: (12, 2), 64: (21, 1),
+               66: (9, 3)}
+# Record counts on both sides of the jump-ahead's minimum of 16 records.
+DRAW_COUNTS = [1, 15, 16, 31, 32, 500]
 
 
-@pytest.mark.parametrize("count", [1, 31, 32, 500])
+def test_draw_shapes_straddle_the_rule():
+    assert generate._JUMP_MAX_DRAWS in DRAW_SHAPES and generate._JUMP_MAX_DRAWS + 2 in DRAW_SHAPES
+    assert {generate._JUMP_MIN_RECORDS - 1, generate._JUMP_MIN_RECORDS} <= set(DRAW_COUNTS)
+    for draws, (n, m) in DRAW_SHAPES.items():
+        assert 2 * n * m + n + m == draws
+
+
+@pytest.mark.parametrize("count", DRAW_COUNTS)
 @pytest.mark.parametrize("draws", sorted(DRAW_SHAPES))
 @pytest.mark.parametrize("f_mode,network_effects", [(UNIT_SCALE, True), (UNIT_SCALE, False), (DOLLAR_SCALE, True)])
 def test_draw_is_default_rng_on_both_sides_of_the_rule(monkeypatch, draws, count, f_mode, network_effects):
@@ -389,7 +449,8 @@ def test_draw_is_default_rng_on_both_sides_of_the_rule(monkeypatch, draws, count
     monkeypatch.setattr(generate, "_pcg64_uniforms", lambda *args: jumped.append(args[1]) or uniforms(*args))
     seeds = _record_seeds(2**64 - draws, np.arange(count))
     stacked_draws = generate._draw(spec, seeds)
-    assert jumped == ([draws] if f_mode == UNIT_SCALE and draws <= 32 and count >= 32 else [])
+    rule = draws <= generate._JUMP_MAX_DRAWS and count >= generate._JUMP_MIN_RECORDS
+    assert jumped == ([draws] if f_mode == UNIT_SCALE and rule else [])
     expected = [loop_instance(spec, seed) for seed in seeds.tolist()]
     for name, column in zip(("y", "alpha", "beta", "F", "lam"), stacked_draws):
         assert column.tobytes() == np.stack([getattr(instance, name) for instance in expected]).tobytes(), name

@@ -62,6 +62,29 @@ class TestNonFiniteM:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestMasterSeedRange:
+    @pytest.mark.parametrize("command", ["gen", "case"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_is_config_error(self, tmp_path, capsys, command, seed):
+        # The seed mix reads a master seed modulo 2**64: -1 would alias 2**64 - 1.
+        assert run(command, "--n", 2, "--count", 40, "--seed", seed, "--out", tmp_path) == 2
+        assert capsys.readouterr().err == f"error [config] master_seed must lie in [0, 2**64), got {seed}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestOverflowingUtilities:
+    def test_is_one_config_line(self, tmp_path, capsys):
+        # At M = 1e308 some record's V(1) = y - F + alpha overflows.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("gen", "--n", 3, "--M", "1e308", "--count", 2000, "--out", tmp_path)
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"error \[config\] record \d+: mean utilities must be finite\n", err), err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestParserReuse:
     def test_back_to_back_calls_behave_as_if_fresh(self, tmp_path, capsys):
         # The parser is built once per process; each call must still see
@@ -147,6 +170,11 @@ _BAD_LINES = {
     "header-excluded-not-list": (1, _edit(lambda header: header.update(excluded=5))),
     "header-excluded-not-int": (1, _edit(lambda header: header.update(count=41, excluded=[0.5]))),
     "header-master-seed-not-int": (1, _edit(lambda header: header.update(master_seed=[1]))),
+    # The records were made with master seed 5, which 5 + 2**64 aliases.
+    "header-master-seed-past-64-bits": (1, _edit(lambda header: header.update(master_seed=5 + 2**64))),
+    "header-master-seed-negative": (1, _edit(lambda header: header.update(master_seed=-1))),
+    "header-format-version-float": (1, _edit(lambda header: header.update(format_version=1.0))),
+    "header-format-version-bool": (1, _edit(lambda header: header.update(format_version=True))),
     "header-M-infinite": (1, _edit(lambda header: header["spec"].update(M=float("inf")))),
     "header-n-float": (1, _edit(lambda header: header["spec"].update(n=3.0))),
     "header-n-bool": (1, _edit(lambda header: header["spec"].update(n=True))),
@@ -386,6 +414,9 @@ _BAD_MODELS = {
     "rank-deficient-string": ("rank_deficient", _edit(lambda doc: doc.update(rank_deficient="no"))),
     "layout-n-float": ("layout (n must be an integer", _edit(lambda doc: doc["layout"].update(n=3.0))),
     "layout-m-bool": ("layout (m must be an integer", _edit(lambda doc: doc["layout"].update(m=True))),
+    "intercept-bool-among-numbers": ("intercept", _edit(lambda doc: doc.update(intercept=[True] + doc["intercept"][1:]))),
+    "format-version-float": ("format_version", _edit(lambda doc: doc.update(format_version=1.0))),
+    "format-version-bool": ("format_version", _edit(lambda doc: doc.update(format_version=True))),
 }
 
 

@@ -1,5 +1,7 @@
 """Unit and property tests for the choice core."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,22 @@ class TestSolveFixedPoint:
             solve_fixed_point(inst, ZERO_START, max_iter=0)
         with pytest.raises(ValueError):
             solve_fixed_point(inst, "both")
+
+
+    def test_finiteness_is_checked_once_at_the_all_ones_utilities(self):
+        # V(1) overflows in segment 0 (c = 1e308, alpha = 1e308, s = 1).  The
+        # zero-start iterates stop at q = [1, 0], where s = 0.5 and V =
+        # 1.5e308: a check of every pass's V would pass this instance from
+        # the zero start, the one check of V(1) before the loop does not.
+        inst = make_instance([[1e308, -1e308]], [[1e308, 0.0]], [0.0], [0.5, 0.5])
+        with np.errstate(over="ignore"):
+            assert np.isfinite(mean_utility(inst, [[1.0, 0.0]])).all()
+            assert not np.isfinite(mean_utility(inst, np.ones((1, 2)))).all()
+        for start in (ZERO_START, ONE_START):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^mean utilities must be finite$"):
+                    solve_fixed_point(inst, start)
 
 
 class TestExpectedRevenue:

@@ -1,6 +1,7 @@
 """Tests for seeded instance/dataset generation and JSON Lines persistence."""
 
 import dataclasses
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -185,6 +186,26 @@ class TestGenerateDataset:
     def test_count_validated(self):
         with pytest.raises(ValueError):
             generate_dataset(GenSpec(n=2, m=1), count=0, master_seed=0)
+
+    @pytest.mark.parametrize("master_seed", [-1, 2**64])
+    def test_master_seed_must_fit_64_bits(self, master_seed):
+        # The seed mix reads a master seed modulo 2**64: -1 would alias 2**64 - 1.
+        with pytest.raises(ValueError, match=r"master_seed must lie in \[0, 2\*\*64\), got "):
+            generate_dataset(GenSpec(n=2, m=1), count=5, master_seed=master_seed)
+
+    def test_overflowing_utilities_name_the_first_record(self):
+        # Near the float maximum, V(1) = y - F + alpha overflows for some records.
+        spec, count, master_seed = GenSpec(n=3, m=1, M=1e308), 2000, 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^record (\d+): mean utilities must be finite$") as caught:
+                generate_dataset(spec, count, master_seed)
+        named = int(caught.value.args[0].split(":")[0].split()[1])
+        y, alpha, F = (np.stack([getattr(generate_instance(spec, record_seed(master_seed, t)), f) for t in range(named + 1)])
+                       for f in ("y", "alpha", "F"))
+        with np.errstate(over="ignore"):
+            overflows = ~np.isfinite(y - F[..., None] + alpha).all(axis=(1, 2))
+        assert overflows.tolist() == [False] * named + [True]
 
 
 class TestFromRecords:

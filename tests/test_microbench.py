@@ -29,6 +29,29 @@ def test_solve_stack_of_500_records(benchmark):
     assert converged.all()
 
 
+# The benchmark's wide_menu jobs: (spec, records).
+WIDE_MENU_JOBS = {
+    "shared": (GenSpec(n=12, m=1, k=6, mode=SHARED), 40),
+    "per-segment": (GenSpec(n=12, m=2, k=6, mode=PER_SEGMENT), 16),
+}
+
+
+@pytest.mark.parametrize("job", sorted(WIDE_MENU_JOBS))
+def test_solve_stack_of_a_wide_menu_job(benchmark, job):
+    spec, count = WIDE_MENU_JOBS[job]
+    stacked = _draw(spec, [record_seed(DEFAULT_MASTER_SEED, t) for t in range(count)])
+    _, _, _, converged = benchmark(_solve_stack, *stacked, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert converged.all()
+
+
+@pytest.mark.parametrize("job", sorted(WIDE_MENU_JOBS))
+def test_draw_of_a_wide_menu_job(benchmark, job):
+    # 37 draws a record in the shared job, 62 in the per-segment one.
+    spec, count = WIDE_MENU_JOBS[job]
+    seeds = [record_seed(DEFAULT_MASTER_SEED, t) for t in range(count)]
+    assert len(benchmark(_draw, spec, seeds)[0]) == count
+
+
 def test_generate_dataset_of_500_records(benchmark):
     assert len(benchmark(generate_dataset, SPEC, 500, DEFAULT_MASTER_SEED)) == 500
 
