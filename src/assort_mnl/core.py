@@ -28,9 +28,9 @@ arrays when built, and a solve checks once, before its loop, that the
 utilities at the all-ones matrix are finite, which bounds those of every
 iterate; the loop itself checks nothing.  From the zero start this is
 stricter than checking each pass only when ``V(1)`` overflows, near
-1e308.  Records that finish ride along in the solve's buffers, masked
-out, until half of the stack is done (or they grow large); only then is
-it compacted.
+1e308.  The loop tests convergence once per block of up to 16 passes,
+and records that finish ride along in its buffers, masked out, until half
+of the stack is done (or they grow large); only then is it compacted.
 
 Everything here is a pure function of its inputs: no mutation, no global
 state, safe to call concurrently.
@@ -393,11 +393,11 @@ def solve_fixed_point(
     )
 
 
-class _NonFiniteUtility(ValueError):
-    """Mean utilities that are not finite, first at the record ``position`` of a stack."""
+class _RecordFault(ValueError):
+    """A value rule broken first at the record ``position`` of a stack; the message names the rule."""
 
-    def __init__(self, position: int):
-        super().__init__("mean utilities must be finite")
+    def __init__(self, message: str, position: int):
+        super().__init__(message)
         self.position = position
 
 
@@ -407,6 +407,19 @@ class _NonFiniteUtility(ValueError):
 # records, so at large n * m compacting sooner pays: at (N, n, m) =
 # (2000, 100, 4) the half rule alone made the solve 10% slower.
 _RIDE_LIMIT = 1 << 14
+
+# A stacked solve tests convergence once per block of up to 16 passes whose
+# history holds at most this many entries (256 KiB).  At (N, n, m) = (40,
+# 12, 1), on one Xeon core, a pass's arithmetic takes some 8 us, a test
+# after every pass some 7 us more and one test over 16 passes some 30 us;
+# larger working sets run one-pass blocks, where the test is a small share.
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _block_buffers(stores, like: np.ndarray) -> list[np.ndarray]:
+    """History ``(K + 1, *like.shape)``, steps ``(K, *like.shape)`` and their test, as views of flat ``stores``."""
+    passes = max(1, min(16, _BLOCK_ENTRIES // like.size))
+    return [store[: (passes + i) * like.size].reshape((passes + i,) + like.shape) for store, i in zip(stores, (1, 0, 0))]
 
 
 def _solve_stack(y, alpha, beta, F, lam, start: str, tol: float, max_iter: int):
@@ -420,63 +433,82 @@ def _solve_stack(y, alpha, beta, F, lam, start: str, tol: float, max_iter: int):
     sigma(V(q))|``) and ``converged``.
 
     Validation happens once, before the loop: the mean utilities at the
-    all-ones matrix, ``V(1)``, must be finite, or
-    :class:`_NonFiniteUtility` names the first record at fault.  This check
-    is exact: iterates lie in [0, 1] and alpha and lam are nonnegative, so,
-    rounding being monotone, every iterate's utilities lie between ``y -
-    beta F`` and ``V(1)``.  From the one start ``V(1)`` is the first pass's
-    V, so the check costs nothing and gives the verdict that checking every
-    pass gives.  From the zero start it is stricter only when ``V(1)``
-    overflows while no iterate's utilities do, which takes values near
-    1e308.
+    all-ones matrix, ``V(1)``, must be finite, or :class:`_RecordFault`
+    names the first record at fault.  This check is exact: iterates lie in
+    [0, 1] and alpha and lam are nonnegative, so, rounding being monotone,
+    every iterate's utilities lie between ``y - beta F`` and ``V(1)``.
+    From the one start ``V(1)`` is the first pass's V, so the check costs
+    nothing and gives the verdict that checking every pass gives.  From the
+    zero start it is stricter only when ``V(1)`` overflows while no
+    iterate's utilities do, which takes values near 1e308.
 
-    A pass fills buffers allocated once per working set.  A record that
-    finishes has its iterate, count and flag stored at once, then rides
-    along, masked out, until at most half of the working set is live (or
-    the finished records hold ``_RIDE_LIMIT`` entries); only then are the
-    live records compacted.  The copies are contiguous, as every operand
-    is, so each record's bits are those of the record solved alone.
+    The loop runs blocks of up to 16 passes (``_BLOCK_ENTRIES``), cut short
+    at ``max_iter``, into a history, forward and backward in turn.  One
+    test per block finds each record's first pass with a step of at most
+    ``tol``; a record finishing there stores that pass's iterate, count and
+    flag, then rides along, masked out, until at most half of the working
+    set is live (or the finished records hold ``_RIDE_LIMIT`` entries).
+    Only then are the live records compacted, into buffers of stores
+    allocated once.  Every slab, like every operand, is C-contiguous, so
+    each record's bits are those of the record solved alone; with one
+    segment the mass is one product, which ``multiply`` rounds as
+    ``matmul`` does.
     """
+    mass = np.multiply if y.shape[-1] == 1 else np.matmul
+    # Flat stores of every working set's buffers: a set of x entries takes
+    # K x <= max(x, min(16 x, _BLOCK_ENTRIES)) steps a block, history K x + x.
+    n_steps = max(y.size, min(16 * y.size, _BLOCK_ENTRIES))
+    stores = np.empty(n_steps + y.size), np.empty(n_steps), np.empty(n_steps, dtype=bool)
+    history, steps, small = _block_buffers(stores, y)
+    slabs, work, s, lam_a = list(history), steps[0], np.empty(y.shape[:-1] + (1,)), lam[..., None]
+    # V(1), computed as a pass computes V and into the buffer the passes use.
+    history[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         c = _fixed_utility(y, beta, F)
-        work = _utility(c, alpha, lam, np.ones_like(c))
-    finite = np.isfinite(work).all(axis=(1, 2))
+        V = np.add(c, np.multiply(alpha, mass(history[0], lam_a, out=s), out=work), out=work)
+    finite = np.isfinite(V).all(axis=(1, 2))
     if not finite.all():
-        raise _NonFiniteUtility(int(np.argmin(finite)))
-    q = np.empty(c.shape)
-    iterations = np.full(len(q), max_iter)
-    converged = np.zeros(len(q), dtype=bool)
+        raise _RecordFault("mean utilities must be finite", int(np.argmin(finite)))
+    history[0] = float(start == ONE_START)
+    q, iterations, converged = np.empty(c.shape), np.full(len(c), max_iter), np.zeros(len(c), dtype=bool)
     active, live, live_count = np.arange(len(q)), np.ones(len(q), dtype=bool), len(q)
-    c_a, alpha_a, lam_a = c, alpha, lam[..., None]
-    q_a = np.full(c.shape, float(start == ONE_START))
-    q_next, s, small = np.empty(c.shape), np.empty(c.shape[:-1] + (1,)), np.empty(c.shape, dtype=bool)
-    for it in range(1, max_iter + 1):
-        # work holds V(q_a), which is V(1) on the first pass from the one
-        # start, and then the step |q_next - q_a|.
-        if it > 1 or start != ONE_START:
-            np.matmul(q_a, lam_a, out=s)
-            np.add(c_a, np.multiply(alpha_a, s, out=work), out=work)
-        expit(work, out=q_next)
-        np.abs(np.subtract(q_next, q_a, out=work), out=work)
-        q_a, q_next = q_next, q_a
-        # A record is done when its sup-norm step is at most tol.
-        done = np.less_equal(work, tol, out=small).reshape(len(small), -1).all(axis=1)
-        done &= live
-        finished = np.count_nonzero(done)
+    c_a, alpha_a, at, it = c, alpha, 0, 0
+    while it < max_iter:
+        # Passes it + 1 .. it + size, from slab `at` to slab `end`, with V(1) on the first pass
+        # from the one start; V sits in the first step slab until the block's steps fill it.
+        size, way = min(len(steps), max_iter - it), (1 if at == 0 else -1)
+        end = at + way * size
+        for slab in range(at, end, way):
+            if it or start != ONE_START:
+                mass(slabs[slab], lam_a, out=s)
+                V = np.add(c_a, np.multiply(alpha_a, s, out=work), out=work)
+            expit(V, out=slabs[slab + way])
+            it += 1
+        lo, at, block = min(at, end), end, steps[:size]
+        np.abs(np.subtract(history[lo + 1 : lo + size + 1], history[lo : lo + size], out=block), out=block)
+        # done[j] flags the records whose step on the block's pass j + 1 is at most tol.
+        done = np.less_equal(block, tol, out=small[:size]).reshape(size, len(live), -1).all(axis=2)
+        if way < 0:
+            done = done[::-1]
+        newly = done.any(axis=0) & live
+        finished = np.count_nonzero(newly)
         if not finished:
             continue
-        rows = active[done]
-        q[rows], iterations[rows], converged[rows] = q_a[done], it, True
-        live &= ~done
+        first = done[:, newly].argmax(axis=0)
+        rows = active[newly]
+        q[rows] = history[end - way * (size - 1 - first), np.flatnonzero(newly)]
+        iterations[rows], converged[rows] = it - size + 1 + first, True
+        live &= ~newly
         live_count -= finished
         if not live_count:
             break
-        if 2 * live_count <= len(live) or (len(live) - live_count) * q_a[0].size >= _RIDE_LIMIT:
-            active, c_a, alpha_a, lam_a, q_a = (x[live] for x in (active, c_a, alpha_a, lam_a, q_a))
+        if 2 * live_count <= len(live) or (len(live) - live_count) * c_a[0].size >= _RIDE_LIMIT:
+            active, c_a, alpha_a, lam_a = (x[live] for x in (active, c_a, alpha_a, lam_a))
+            current, (history, steps, small) = history[at], _block_buffers(stores, c_a)
+            history[0] = current[live]
+            slabs, work, s, at = list(history), steps[0], s[:live_count], 0
             live = np.ones(live_count, dtype=bool)
-            work, q_next, small = np.empty_like(q_a), np.empty_like(q_a), np.empty(q_a.shape, dtype=bool)
-            s = np.empty((live_count,) + s.shape[1:])
-    q[active[live]] = q_a[live]
+    q[active[live]] = history[at][live]
     residual = np.max(np.abs(expit(_utility(c, alpha, lam, q)) - q), axis=(-2, -1))
     q.setflags(write=False)
     return q, iterations, residual, converged

@@ -66,7 +66,7 @@ from .core import (
     Assortment,
     ProblemInstance,
     RevenueTerms,
-    _NonFiniteUtility,
+    _RecordFault,
     _best_blocks,
     _block_revenue,
     _instance_faults,
@@ -321,9 +321,12 @@ def normalize_weights(raw) -> np.ndarray:
         raise ValueError("raw weights must be a nonempty sequence")
     if np.any(raw < 0.0) or not np.all(np.isfinite(raw)):
         raise ValueError("raw weights must be finite and nonnegative")
-    total = raw.sum(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        total = raw.sum(axis=-1, keepdims=True)
+    if np.isinf(total).any():
+        raise _RecordFault("segment weights overflowed: their sum exceeds the float maximum", int(np.isinf(total).argmax()))
     if not np.all(total > 0.0):
-        raise ValueError("raw weights must not all be zero")
+        raise _RecordFault("raw weights must not all be zero", int(np.argmin(total > 0.0)))
     return raw / total
 
 
@@ -538,7 +541,8 @@ def _draw(spec: GenSpec, seeds) -> list[np.ndarray]:
       integers there, drawn by rejection, which only numpy repeats).
       Splitting a run of uniform draws into calls changes none of them.
 
-    The stack is then checked once with :class:`ProblemInstance`'s rules.
+    The stack is then checked once with :class:`ProblemInstance`'s rules,
+    a fault naming the first record that breaks one.
     """
     n, m, nm = spec.n, spec.m, spec.n * spec.m
     size = 2 * nm + n + m
@@ -564,7 +568,7 @@ def _draw(spec: GenSpec, seeds) -> list[np.ndarray]:
     stacked = [y, alpha, np.ones_like(y), F, normalize_weights(raw)]
     for message, bad in _instance_faults(*stacked):
         if bad.any():
-            raise ValueError(message)
+            raise _RecordFault(message, int(np.argmax(bad)))
     return stacked
 
 
@@ -583,18 +587,19 @@ def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledData
         raise ValueError(f"count must be >= 1, got {count}")
     if not 0 <= master_seed <= _MASK64:
         raise ValueError(f"master_seed must lie in [0, 2**64), got {master_seed}")
-    seeds = _record_seeds(master_seed, np.arange(count))
-    y, alpha, beta, F, lam = _draw(spec, seeds)
     try:
+        y, alpha, beta, F, lam = _draw(spec, _record_seeds(master_seed, np.arange(count)))
         q, _, _, converged = _solve_stack(y, alpha, beta, F, lam, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
-    except _NonFiniteUtility as e:
+    except _RecordFault as e:
         # Record t sits at position t of the stack.
-        raise ValueError(f"record {e.position}: mean utilities must be finite") from None
+        raise ValueError(f"record {e.position}: {e}") from None
     blocks = _best_blocks(q, lam, spec.k, spec.mode)
     r_a = _block_revenue(q, lam, spec.revenue.per_support, blocks)
-    excluded = tuple(np.flatnonzero(~converged).tolist())
+    excluded = np.flatnonzero(~converged)
     columns = (np.arange(count), y, alpha, F, lam, q, blocks, r_a)
-    return LabeledDataset(spec, int(master_seed), count, *columns, excluded).take(converged)
+    if len(excluded):
+        columns = (column[converged] for column in columns)
+    return LabeledDataset(spec, int(master_seed), count, *columns, tuple(excluded.tolist()))
 
 
 def relabel_dataset(dataset: LabeledDataset, k=None, mode=None) -> LabeledDataset:

@@ -10,10 +10,14 @@ artifact moves.
 """
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
 from assort_mnl import core, generate
@@ -302,17 +306,34 @@ def tangent_instances(fast):
     return batch + instances(3, 2, True, fast)
 
 
+@functools.cache
+def tangent_solves(start, max_iter):
+    """``tangent_instances(4)`` and each record's ``loop_solve``, computed once per start and cap."""
+    batch = tangent_instances(4)
+    return batch, [loop_solve(instance, start, max_iter) for instance in batch]
+
+
 # A record of tangent_instances holds 6 entries: a ride limit of 6 compacts
-# the working set whenever a record finishes.
-@pytest.mark.parametrize("ride_limit", [core._RIDE_LIMIT, 6])
+# the working set whenever a record finishes.  A block entry budget of 1
+# makes every block one pass long and one of 2**40 makes every block 16
+# passes long, as the default does for these 300-entry stacks.
+@pytest.mark.parametrize(
+    "ride_limit,block_entries",
+    [
+        pytest.param(ride_limit, block_entries, id=f"{ride_limit}{name}")
+        for name, block_entries in [("", core._BLOCK_ENTRIES), ("-one-pass-blocks", 1), ("-full-blocks", 1 << 40)]
+        for ride_limit in [core._RIDE_LIMIT, 6]
+    ],
+)
 @pytest.mark.parametrize("start", [ONE_START, ZERO_START])
-def test_solve_matches_the_loop_through_compactions_and_the_cap(monkeypatch, start, ride_limit):
+def test_solve_matches_the_loop_through_compactions_and_the_cap(monkeypatch, start, ride_limit, block_entries):
     # Records finish one or two at a time over thousands of passes, so the
     # working set is compacted several times before the last ones reach
     # the cap.
     monkeypatch.setattr(core, "_RIDE_LIMIT", ride_limit)
-    batch, max_iter = tangent_instances(4), 3000
-    expected = [loop_solve(instance, start, max_iter) for instance in batch]
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
+    max_iter = 3000
+    batch, expected = tangent_solves(start, max_iter)
     iterations = np.array([it for _, it, _, _ in expected])
     converged = np.array([conv for *_, conv in expected])
     assert 1 < (~converged).sum() < len(batch) // 8 and len(set(iterations.tolist())) > len(batch) // 2
@@ -325,6 +346,61 @@ def test_solve_matches_the_loop_through_compactions_and_the_cap(monkeypatch, sta
             working, compactions = live, compactions + 1
     assert compactions >= 3
     assert_solves_match(_solve_stack(*stacked(batch), start, DEFAULT_TOL, max_iter), expected)
+
+
+@pytest.mark.parametrize("block_entries", [core._BLOCK_ENTRIES, 1])
+@pytest.mark.parametrize("max_iter", [1, 2, 13, 17])
+@pytest.mark.parametrize("start", [ONE_START, ZERO_START])
+def test_solve_matches_the_loop_at_caps_that_end_mid_block(monkeypatch, start, max_iter, block_entries):
+    # The default budget gives this stack blocks of 16 passes, so each cap
+    # cuts a block short.  Under caps 13 and 17 some records finish inside
+    # the block and the rest stop at the cap.
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
+    batch, expected = tangent_solves(start, max_iter)
+    assert block_entries == 1 or block_entries // stacked(batch)[0].size >= 16
+    converged = [c for *_, c in expected]
+    assert max_iter < 13 or (any(converged) and not all(converged))
+    assert_solves_match(_solve_stack(*stacked(batch), start, DEFAULT_TOL, max_iter), expected)
+
+
+@pytest.mark.parametrize("block_entries", [core._BLOCK_ENTRIES, 1])
+def test_solve_stops_at_the_first_small_step_of_a_block(monkeypatch, block_entries):
+    # q = sigma(c + 1e4 q) creeps past a fixed point that vanished near
+    # q = 1 - 1e-4: its step dips to at most tol at pass 2217 and exceeds
+    # tol again a few passes later, so the block test must stop the record
+    # at the block's first small step, not at its last pass.
+    monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
+    instance = ProblemInstance(y=[[-9989.789760638025]], alpha=[[1e4]], beta=None, F=[0.0], lam=[1.0])
+    expected = loop_solve(instance, ONE_START)
+    assert expected[1] == 2217 and expected[3]
+    q, later = expected[0], []
+    for _ in range(15):
+        q, previous = loop_support_map(instance, q), q
+        later.append(np.abs(q - previous).max())
+    assert max(later) > DEFAULT_TOL
+    assert_solves_match(_solve_stack(*stacked([instance]), ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER), [expected])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    hnp.arrays(
+        float,
+        hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+        elements=st.one_of(
+            st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1.0 - 2.0**-53]),
+            st.floats(0.0, 1.0),
+        ),
+    ),
+    st.data(),
+)
+def test_one_segment_mass_is_matmuls(q, data):
+    # With one segment the solve's mass is a product, whose bits must be
+    # those of matmul's one-term sum, on zeros, saturated ones and
+    # subnormals alike.
+    q = q[..., None]
+    elements = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1e-310]), st.floats(0.0, 1.0))
+    lam = data.draw(hnp.arrays(float, (len(q), 1), elements=elements))[..., None]
+    assert np.multiply(q, lam).tobytes() == np.matmul(q, lam).tobytes()
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 2), (20, 4), (100, 7)])

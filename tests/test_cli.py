@@ -22,7 +22,7 @@ from assort_mnl import GenSpec, RevenueTerms, generate_dataset, read_dataset, re
 from assort_mnl import cli
 from assort_mnl.bench import CaseConfig, run_case
 from assort_mnl.cli import main
-from assort_mnl.generate import _CHUNK, DatasetFormatError, record_seed, spec_from_dict, spec_to_dict
+from assort_mnl.generate import _CHUNK, DatasetFormatError, generate_instance, record_seed, spec_from_dict, spec_to_dict
 
 
 def run(*argv):
@@ -83,6 +83,33 @@ class TestOverflowingUtilities:
         assert code == 2 and out == ""
         assert re.fullmatch(r"error \[config\] record \d+: mean utilities must be finite\n", err), err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestDegenerateSegmentWeights:
+    @pytest.mark.parametrize(
+        "M,message",
+        [
+            # Two segment draws can sum past the float maximum.
+            (1e308, "segment weights overflowed: their sum exceeds the float maximum"),
+            # Both segment draws can round to zero.
+            (5e-324, "raw weights must not all be zero"),
+        ],
+    )
+    def test_names_the_first_record(self, tmp_path, capsys, M, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("gen", "--n", 3, "--m", 2, "--M", M, "--count", 50, "--seed", 5, "--out", tmp_path)
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        match = re.fullmatch(rf"error \[config\] record (\d+): {message}\n", err)
+        assert match, err
+        assert list(tmp_path.iterdir()) == []
+        spec, first = GenSpec(n=3, m=2, M=M), int(match[1])
+        for t in range(first):
+            generate_instance(spec, record_seed(5, t))
+        with pytest.raises(ValueError, match=message):
+            generate_instance(spec, record_seed(5, first))
 
 
 class TestParserReuse:

@@ -29,6 +29,14 @@ def test_solve_stack_of_500_records(benchmark):
     assert converged.all()
 
 
+def test_solve_stack_of_200_records_at_n100_m4(benchmark):
+    # 80,000 entries, far more than a block may hold: every block is one
+    # pass until compaction shrinks the stack.
+    stacked = _draw(GenSpec(n=100, m=4), [record_seed(DEFAULT_MASTER_SEED, t) for t in range(200)])
+    _, _, _, converged = benchmark(_solve_stack, *stacked, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert converged.all()
+
+
 # The benchmark's wide_menu jobs: (spec, records).
 WIDE_MENU_JOBS = {
     "shared": (GenSpec(n=12, m=1, k=6, mode=SHARED), 40),
