@@ -18,13 +18,10 @@ from .core import (
     RevenueTerms,
     SupportSolution,
     best_assortment,
-    choice_probability,
     expected_revenue,
-    mean_utility,
     optimize_assortment,
     solve_fixed_point,
     support_map,
-    total_support_mass,
 )
 from .generate import (
     DOLLAR_SCALE,
@@ -51,7 +48,6 @@ from .learner import (
     UnderdeterminedFitError,
     decode_assortment,
     encode_features,
-    encode_label,
     evaluate,
     fit_linear,
     predict_scores,

@@ -2,10 +2,10 @@
 
 A case ties a generation recipe to a train/test split and produces three
 artifacts in its output directory: the labeled dataset (JSON Lines), the
-fitted model (JSON), and a case report (JSON).  Reports echo their full
-configuration, so rerunning a case with the same master seed reproduces
-every artifact byte for byte and every report field except the wall-clock
-durations.
+fitted model (JSON), and a case report (``json.dumps(doc, indent=2)``, as
+are eval reports).  Reports echo their full configuration, so rerunning a
+case with the same master seed reproduces every artifact byte for byte and
+every report field except the wall-clock durations.
 
 Named presets cover the standard benchmark grid: two to five products,
 one or two segments, assortment sizes one to four, network effects on or
@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import time
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -240,74 +240,6 @@ def check_convergence_budget(dataset: LabeledDataset, budget: float = NONCONVERG
         )
 
 
-_EXAMPLE_KEYS = ("idx", "r_a", "r_c", "prl", "misclassified")
-# Holds the place of the examples list while json writes the rest of a report.
-_EXAMPLES_SLOT = "\0examples\0"
-
-
-def _dumps_report(doc) -> str:
-    """``json.dumps(doc, indent=2)``, with a report's ``examples`` list written from a template.
-
-    json's indenting encoder is pure Python, and the example rows
-    (``ExampleEval.to_dict``) are most of a case or eval report.  The first
-    list under an ``examples`` key, in ``doc`` or in an object nested in
-    it, is swapped for a placeholder, json writes the rest, and the rows
-    fill one ``%`` template at the placeholder's indent: ``%d`` for idx,
-    ``%r`` for the floats (what json writes for a finite float), null for
-    a missing prl and true/false from a lookup.  A document whose rows do not fit the
-    template is written by json alone, so the bytes are always json's.
-    """
-    shell, examples = _without_examples(doc)
-    if examples is not None:
-        text, slot = json.dumps(shell, indent=2), json.dumps(_EXAMPLES_SLOT)
-        if text.count(slot) == 1:
-            before, _, after = text.partition(slot)
-            line = before[before.rfind("\n") + 1 :]
-            rows = _example_rows(examples, len(line) - len(line.lstrip(" ")))
-            if rows is not None:
-                return before + rows + after
-    return json.dumps(doc, indent=2)
-
-
-def _without_examples(obj):
-    """``obj`` with its first ``examples`` list swapped for ``_EXAMPLES_SLOT``, and that list; ``(obj, None)`` if none."""
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            if key == "examples" and type(value) is list:
-                return {**obj, key: _EXAMPLES_SLOT}, value
-            shell, examples = _without_examples(value)
-            if examples is not None:
-                return {**obj, key: shell}, examples
-    return obj, None
-
-
-_JSON_BOOLS = ("false", "true")
-
-
-def _example_rows(examples: list, indent: int) -> str | None:
-    """The JSON text of the example rows, a list whose key sits at ``indent`` spaces; None if one does not fit."""
-    if not examples:
-        return "[]"
-    row, field = " " * (indent + 2), " " * (indent + 4)
-    slots = ("%d", "%r", "%r", "%s", "%s")
-    template = f"{row}{{\n" + ",\n".join(f'{field}"{key}": {slot}' for key, slot in zip(_EXAMPLE_KEYS, slots)) + f"\n{row}}}"
-    rows = []
-    for example in examples:
-        if type(example) is not dict or tuple(example) != _EXAMPLE_KEYS:
-            return None
-        idx, r_a, r_c, prl, wrong = example.values()
-        if not (type(idx) is int and type(r_a) is type(r_c) is float and type(wrong) is bool
-                and (prl is None or type(prl) is float)):
-            return None
-        rows.append(template % (idx, r_a, r_c, "null" if prl is None else repr(prl), _JSON_BOOLS[wrong]))
-    text = ",\n".join(rows)
-    # repr writes a non-finite float as nan or inf, json as NaN or Infinity;
-    # no other text of the rows holds "nan" or "inf".
-    if "nan" in text or "inf" in text:
-        return None
-    return "[\n" + text + "\n" + " " * indent + "]"
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -372,7 +304,7 @@ def run_case(config: CaseConfig) -> CaseReport:
             durations=durations,
             artifacts=artifacts,
         )
-        _write_atomic(report_path, [_dumps_report(case_report.to_dict()) + "\n"])
+        _write_atomic(report_path, [json.dumps(case_report.to_dict(), indent=2) + "\n"])
         written.append(report_path)
     except OSError as e:
         for p in written:
@@ -430,8 +362,9 @@ def _report_fields(report, where: str):
 
     metrics = {name: field("evaluation", name) for name in _COMPARE_METRICS}
     for name, value in metrics.items():
-        if value is not None and (type(value) not in (int, float) or not math.isfinite(value)):
+        # Compared exactly, so NaN, the infinities and an int beyond the float range all fail.
+        if value is not None and (type(value) not in (int, float) or not abs(value) <= sys.float_info.max):
             raise DatasetFormatError(
-                f"{where}: field 'evaluation.{name}' must be a finite number or null, got {value!r}"
+                f"{where}: field 'evaluation.{name}' must be null or a finite number that fits in a float, got {value!r}"
             )
     return field("config", "case_id"), (field("config", "spec", "n"), field("config", "spec", "m")), metrics

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import json
 import sys
 from pathlib import Path
 
@@ -38,7 +39,6 @@ from .bench import (
     PRESET_NAMES,
     CaseConfig,
     StageError,
-    _dumps_report,
     _report_fields,
     check_convergence_budget,
     compare_runs,
@@ -126,7 +126,7 @@ def _out_dir(args) -> Path:
 
 def _emit(args, doc: dict, summary_lines) -> None:
     if args.format == "json":
-        print(_dumps_report(doc))
+        print(json.dumps(doc, indent=2))
     else:
         for line in summary_lines:
             print(line)
@@ -192,7 +192,7 @@ def _cmd_eval(args) -> int:
     out_path = None
     if args.out is not None:
         out_path = _out_dir(args) / "report.json"
-        _write_atomic(out_path, [_dumps_report(doc) + "\n"])
+        _write_atomic(out_path, [json.dumps(doc, indent=2) + "\n"])
     mean_prl = "n/a" if report.mean_prl_percent is None else f"{report.mean_prl_percent:.2f}%"
     lines = [
         f"test examples:   {report.test_count}",
@@ -208,7 +208,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_case(args) -> int:
     config = CaseConfig(
-        case_id=args.preset or args.case_id,
+        case_id=args.case_id or args.preset or "custom",
         spec=_spec_from_args(args),
         count=args.count,
         train_fraction=args.train_fraction,
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("case", help="run generate/train/evaluate end to end")
     _add_gen_flags(p)
-    p.add_argument("--case-id", default="custom", help="case name for artifact files")
+    p.add_argument("--case-id", help="case name for artifact files (default: the preset's, else custom)")
     p.add_argument("--train-fraction", type=float, default=0.75)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", choices=("json", "text"), default="text")

@@ -24,9 +24,10 @@ its own; the per-instance functions, ``solve_fixed_point`` among them, are
 its one-row case.
 
 Validation sits at the boundaries: :class:`ProblemInstance` checks its
-arrays when built, and a solve checks once, before its loop, that the
-utilities at the all-ones matrix are finite, which bounds those of every
-iterate; the loop itself checks nothing.  From the zero start this is
+arrays when built, :func:`support_map` its support matrix and utilities,
+and a solve checks once, before its loop, that the utilities at the
+all-ones matrix are finite, which bounds those of every iterate; the loop
+itself checks nothing.  From the zero start this is
 stricter than checking each pass only when ``V(1)`` overflows, near
 1e308.  The loop tests convergence once per block of up to 16 passes,
 and records that finish ride along in its buffers, masked out, until half
@@ -55,9 +56,6 @@ __all__ = [
     "ProblemInstance",
     "SupportSolution",
     "Assortment",
-    "total_support_mass",
-    "mean_utility",
-    "choice_probability",
     "support_map",
     "solve_fixed_point",
     "expected_revenue",
@@ -291,30 +289,11 @@ def _check_blocks(assortment: Assortment, n: int, m: int) -> np.ndarray:
     return blocks
 
 
-def total_support_mass(instance: ProblemInstance, q) -> np.ndarray:
-    """Population support mass per product: ``s_i = sum_j lam_j q_ij``.
-
-    Each ``s_i`` lies in [0, 1] because the weights sum to one.
-    """
-    return _mass(_check_support(instance, q), instance.lam)
-
-
 def _mass(q, lam) -> np.ndarray:
     """Support mass ``s = q @ lam`` per record of supports (..., n, m) and weights (..., m)."""
     # matmul rounds a stack of records exactly as it rounds one; einsum
     # does not, and would move the last bit of some supports.
     return np.matmul(q, lam[..., None])[..., 0]
-
-
-def mean_utility(instance: ProblemInstance, q) -> np.ndarray:
-    """Mean utilities ``V_ij = y_ij - beta_ij F_i + alpha_ij s_i``.
-
-    ``s`` is the population support mass from :func:`total_support_mass`;
-    the network bonus for a product is driven by backers of that product
-    across all segments.
-    """
-    q = _check_support(instance, q)
-    return _utility(_fixed_utility(instance.y, instance.beta, instance.F), instance.alpha, instance.lam, q)
 
 
 def _fixed_utility(y, beta, F) -> np.ndarray:
@@ -327,22 +306,20 @@ def _utility(c, alpha, lam, q) -> np.ndarray:
     return c + alpha * _mass(q, lam)[..., None]
 
 
-def choice_probability(V) -> np.ndarray:
-    """Per-product logit choice probabilities ``sigma(V_ij)``.
+def support_map(instance: ProblemInstance, q) -> np.ndarray:
+    """One application of the demand map ``q -> sigma(V(q))`` to an (n, m) matrix of probabilities.
 
-    Evaluated in the overflow-safe form that branches on the sign of V
-    (scipy's expit), so large |V| saturates cleanly instead of producing
-    NaN.
+    ``V_ij = y_ij - beta_ij F_i + alpha_ij s_i``, where ``s_i = sum_j lam_j
+    q_ij``, in [0, 1], is the population support mass behind product i, and
+    ``sigma`` is scipy's ``expit``, which saturates at large ``|V|``
+    instead of overflowing.  Utilities that are not finite raise
+    ``ValueError("mean utilities must be finite")``.
     """
-    V = np.asarray(V, dtype=float)
+    q = _check_support(instance, q)
+    V = _utility(_fixed_utility(instance.y, instance.beta, instance.F), instance.alpha, instance.lam, q)
     if not np.all(np.isfinite(V)):
         raise ValueError("mean utilities must be finite")
     return expit(V)
-
-
-def support_map(instance: ProblemInstance, q) -> np.ndarray:
-    """One application of the demand map ``q -> sigma(V(q))``."""
-    return choice_probability(mean_utility(instance, q))
 
 
 def solve_fixed_point(
@@ -382,7 +359,10 @@ def solve_fixed_point(
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if start not in (ZERO_START, ONE_START):
         raise ValueError(f"start must be {ZERO_START!r} or {ONE_START!r}, got {start!r}")
-    stacked = (x[None] for x in (instance.y, instance.alpha, instance.beta, instance.F, instance.lam))
+    # An overflow here leaves an infinite utility, which the solve refuses by name.
+    with np.errstate(over="ignore"):
+        c = _fixed_utility(instance.y, instance.beta, instance.F)
+    stacked = (x[None] for x in (c, instance.alpha, instance.lam))
     q, iterations, residual, converged = _solve_stack(*stacked, start, tol, max_iter)
     return SupportSolution(
         q=q[0],
@@ -422,11 +402,11 @@ def _block_buffers(stores, like: np.ndarray) -> list[np.ndarray]:
     return [store[: (passes + i) * like.size].reshape((passes + i,) + like.shape) for store, i in zip(stores, (1, 0, 0))]
 
 
-def _solve_stack(y, alpha, beta, F, lam, start: str, tol: float, max_iter: int):
+def _solve_stack(c, alpha, lam, start: str, tol: float, max_iter: int):
     """Monotone fixed-point iteration of every record of a stack.
 
-    Instances are stacked on a leading record axis: ``y``, ``alpha`` and
-    ``beta`` (N, n, m), ``F`` (N, n) and ``lam`` (N, m), all C-contiguous.
+    Instances are stacked on a leading record axis: ``c = y - beta F`` and
+    ``alpha`` (N, n, m) and ``lam`` (N, m), all C-contiguous.
     Each record iterates until its own step is at most ``tol`` or
     ``max_iter`` passes.  Returns the read-only final iterates ``q`` (N, n,
     m) and per-record ``iterations``, ``residual`` (``sup|q -
@@ -436,7 +416,7 @@ def _solve_stack(y, alpha, beta, F, lam, start: str, tol: float, max_iter: int):
     all-ones matrix, ``V(1)``, must be finite, or :class:`_RecordFault`
     names the first record at fault.  This check is exact: iterates lie in
     [0, 1] and alpha and lam are nonnegative, so, rounding being monotone,
-    every iterate's utilities lie between ``y - beta F`` and ``V(1)``.
+    every iterate's utilities lie between ``c`` and ``V(1)``.
     From the one start ``V(1)`` is the first pass's V, so the check costs
     nothing and gives the verdict that checking every pass gives.  From the
     zero start it is stricter only when ``V(1)`` overflows while no
@@ -454,17 +434,16 @@ def _solve_stack(y, alpha, beta, F, lam, start: str, tol: float, max_iter: int):
     segment the mass is one product, which ``multiply`` rounds as
     ``matmul`` does.
     """
-    mass = np.multiply if y.shape[-1] == 1 else np.matmul
+    mass = np.multiply if c.shape[-1] == 1 else np.matmul
     # Flat stores of every working set's buffers: a set of x entries takes
     # K x <= max(x, min(16 x, _BLOCK_ENTRIES)) steps a block, history K x + x.
-    n_steps = max(y.size, min(16 * y.size, _BLOCK_ENTRIES))
-    stores = np.empty(n_steps + y.size), np.empty(n_steps), np.empty(n_steps, dtype=bool)
-    history, steps, small = _block_buffers(stores, y)
-    slabs, work, s, lam_a = list(history), steps[0], np.empty(y.shape[:-1] + (1,)), lam[..., None]
+    n_steps = max(c.size, min(16 * c.size, _BLOCK_ENTRIES))
+    stores = np.empty(n_steps + c.size), np.empty(n_steps), np.empty(n_steps, dtype=bool)
+    history, steps, small = _block_buffers(stores, c)
+    slabs, work, s, lam_a = list(history), steps[0], np.empty(c.shape[:-1] + (1,)), lam[..., None]
     # V(1), computed as a pass computes V and into the buffer the passes use.
     history[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        c = _fixed_utility(y, beta, F)
         V = np.add(c, np.multiply(alpha, mass(history[0], lam_a, out=s), out=work), out=work)
     finite = np.isfinite(V).all(axis=(1, 2))
     if not finite.all():

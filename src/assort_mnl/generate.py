@@ -342,8 +342,8 @@ def generate_instance(spec: GenSpec, seed: int) -> ProblemInstance:
     """
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    y, alpha, beta, F, lam = (column[0] for column in _draw(spec, [seed]))
-    return ProblemInstance(y=y, alpha=alpha, beta=beta, F=F, lam=lam, revenue=spec.revenue)
+    y, alpha, F, lam = (column[0] for column in _draw(spec, [seed]))
+    return ProblemInstance(y=y, alpha=alpha, F=F, lam=lam, revenue=spec.revenue)
 
 
 def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
@@ -526,7 +526,7 @@ _JUMP_MIN_RECORDS = 16
 
 
 def _draw(spec: GenSpec, seeds) -> list[np.ndarray]:
-    """Instances drawn from ``spec``, one per seed, stacked: ``y``, ``alpha``, ``beta``, ``F``, ``lam``.
+    """Instances drawn from ``spec``, one per seed, stacked: ``y``, ``alpha``, ``F``, ``lam`` (beta is all ones).
 
     Record t draws what ``np.random.default_rng(seeds[t])`` draws, seeds in
     [0, 2**64), into its row: y | alpha | F | raw weights.  Two ways give
@@ -565,11 +565,11 @@ def _draw(spec: GenSpec, seeds) -> list[np.ndarray]:
     y, alpha = y.reshape(-1, n, m), alpha.reshape(-1, n, m)
     if not spec.network_effects:
         alpha = np.zeros_like(alpha)
-    stacked = [y, alpha, np.ones_like(y), F, normalize_weights(raw)]
-    for message, bad in _instance_faults(*stacked):
+    lam = normalize_weights(raw)
+    for message, bad in _instance_faults(y, alpha, None, F, lam):
         if bad.any():
             raise _RecordFault(message, int(np.argmax(bad)))
-    return stacked
+    return [y, alpha, F, lam]
 
 
 def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledDataset:
@@ -588,8 +588,9 @@ def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledData
     if not 0 <= master_seed <= _MASK64:
         raise ValueError(f"master_seed must lie in [0, 2**64), got {master_seed}")
     try:
-        y, alpha, beta, F, lam = _draw(spec, _record_seeds(master_seed, np.arange(count)))
-        q, _, _, converged = _solve_stack(y, alpha, beta, F, lam, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        y, alpha, F, lam = _draw(spec, _record_seeds(master_seed, np.arange(count)))
+        # y - F is y - beta F at beta = 1, bit for bit.
+        q, _, _, converged = _solve_stack(y - F[..., None], alpha, lam, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
     except _RecordFault as e:
         # Record t sits at position t of the stack.
         raise ValueError(f"record {e.position}: {e}") from None
@@ -660,20 +661,26 @@ def spec_from_dict(d: dict, where: str = "spec") -> GenSpec:
         raise DatasetFormatError(f"{where}: invalid spec ({e})") from None
 
 
-def _load_json(line: str, lineno: int):
+def _load_json(line: bytes, lineno: int):
+    """The JSON document on file line ``lineno``, which must be UTF-8 text."""
     try:
-        return json.loads(line)
+        return json.loads(line.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise DatasetFormatError(f"line {lineno}: not UTF-8 text ({e.reason})") from None
     except json.JSONDecodeError as e:
         raise DatasetFormatError(f"line {lineno}: invalid JSON ({e.msg})") from None
 
 
 def _load_json_file(path, what: str):
-    """The JSON document in file ``path``; a file that is not UTF-8 JSON raises, naming it as a ``what`` file."""
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise DatasetFormatError(f"{path}: invalid {what} file ({e})") from None
+    """The JSON document in file ``path``; a file that is not UTF-8 JSON raises, naming it as a ``what`` file and the line."""
+    data = Path(path).read_bytes()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        lineno = data.count(b"\n", 0, e.start) + 1
+        raise DatasetFormatError(f"{path}: invalid {what} file (line {lineno}: not UTF-8 text, {e.reason})") from None
+    except json.JSONDecodeError as e:
+        raise DatasetFormatError(f"{path}: invalid {what} file ({e})") from None
 
 
 # Records held as Python objects at a time while a dataset is written or
@@ -778,25 +785,23 @@ def read_dataset(path) -> LabeledDataset:
     sequence, the seed, beta and revenue the header fixes (checked, then
     dropped) and values within the spec's ranges.  Each instance must fit
     :class:`ProblemInstance`'s rules too, ``q`` must lie in [0, 1], each
-    label must hold k distinct products in 1..n per segment, and ``r_a``
-    must be a finite number.
+    label must hold the JSON integer k and k distinct products, JSON
+    integers in 1..n, per segment, and ``r_a`` must be a finite number.
     """
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        try:
-            spec, master_seed, count, excluded = _read_header(fh.readline())
-            skipped = set(excluded)
-            expected = (i for i in range(count) if i not in skipped)
-            parts, rows, first = [], [], 2
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    raise DatasetFormatError(f"line {lineno}: blank line inside record block")
-                rows.append(_fields(_load_json(line, lineno), _RECORD_KEYS, f"line {lineno}", "record"))
-                if len(rows) == _CHUNK:
-                    parts.append(_record_columns(rows, first, spec, master_seed, expected))
-                    rows, first = [], lineno + 1
-            parts.append(_record_columns(rows, first, spec, master_seed, expected))
-        except UnicodeDecodeError as e:
-            raise DatasetFormatError(f"not UTF-8 text ({e.reason})") from None
+    # Read as bytes and decoded line by line, so that text which is not UTF-8 is named by its line.
+    with open(Path(path), "rb") as fh:
+        spec, master_seed, count, excluded = _read_header(fh.readline())
+        skipped = set(excluded)
+        expected = (i for i in range(count) if i not in skipped)
+        parts, rows, first = [], [], 2
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                raise DatasetFormatError(f"line {lineno}: blank line inside record block")
+            rows.append(_fields(_load_json(line, lineno), _RECORD_KEYS, f"line {lineno}", "record"))
+            if len(rows) == _CHUNK:
+                parts.append(_record_columns(rows, first, spec, master_seed, expected))
+                rows, first = [], lineno + 1
+        parts.append(_record_columns(rows, first, spec, master_seed, expected))
     found = sum(len(part[0]) for part in parts)
     if found + len(excluded) != count:
         raise DatasetFormatError(f"expected {count} records ({len(excluded)} excluded), found {found}")
@@ -804,7 +809,7 @@ def read_dataset(path) -> LabeledDataset:
     return LabeledDataset(spec, master_seed, count, *columns, excluded)
 
 
-def _read_header(line: str) -> tuple[GenSpec, int, int, tuple[int, ...]]:
+def _read_header(line: bytes) -> tuple[GenSpec, int, int, tuple[int, ...]]:
     """``spec``, ``master_seed``, ``count`` and ``excluded`` of a header line, type-checked."""
     if not line.strip():
         raise DatasetFormatError("line 1: missing header")
@@ -850,13 +855,16 @@ def _record_columns(rows: list, line: int, spec: GenSpec, master_seed: int, expe
     _reject(line, [b != ones for b in beta], "beta must be all 1.0 under the header's spec")
     _reject(line, [r != terms for r in revenue], f"revenue must be the header's spec revenue {terms}")
     labels = [_fields(d, ("per_segment", "k"), f"line {lineno}", "label") for lineno, d in enumerate(label, start=line)]
-    _reject(line, [label_k != k for _, label_k in labels], f"label k must be {k}")
+    _reject(line, [type(label_k) is not int or label_k != k for _, label_k in labels], f"label k must be the integer {k}")
     _reject(line, [type(r) not in (int, float) for r in r_a], "r_a must be a number")
     values = (idx, y, alpha, F, lam, q, [b for b, _ in labels], r_a)
     idx, y, alpha, F, lam, q, blocks, r_a = (
         _column(v, line, shape, dtype, key)
         for v, key, (shape, dtype) in zip(values, _COLUMN_KEYS, _layout(spec))
     )
+    # _column checked the labels' shape, but it would cast a float or a boolean to a product.
+    _reject(line, [any(type(i) is not int for block in b for i in block) for b, _ in labels],
+            "label products must be JSON integers")
     for message, bad in _instance_faults(y, alpha, None, F, lam):
         _reject(line, bad, message)
     for message, bad in _spec_faults(spec, y, alpha, F):

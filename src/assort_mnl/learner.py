@@ -10,9 +10,9 @@ measured by the misclassification rate and by the percentage revenue loss
 
 Encoding, prediction, decoding and revenue run as array operations over a
 whole dataset at once (:func:`evaluate`, ``bench.training_matrices``).  The
-per-example functions (:func:`encode_features`, :func:`encode_label`,
-:func:`predict_scores`, :func:`decode_assortment`) check their input and
-then run the same array code on one row, so both give identical bits.
+per-example functions (:func:`encode_features`, :func:`predict_scores`,
+:func:`decode_assortment`) check their input and then run the same array
+code on one row, so both give identical bits.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .core import (
     Assortment,
     ProblemInstance,
     _block_revenue,
-    _check_blocks,
     _check_selection,
     _top_k,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "ExampleEval",
     "EvaluationReport",
     "encode_features",
-    "encode_label",
     "fit_linear",
     "predict_scores",
     "decode_assortment",
@@ -199,13 +197,8 @@ def _features(y, alpha, F, lam) -> np.ndarray:
     return np.concatenate([flat, lam[..., :-1]], axis=-1)
 
 
-def encode_label(assortment: Assortment, n: int, m: int) -> np.ndarray:
-    """Indicator vector of length n*m: slot i*m + j is 1 iff product i is in G_j."""
-    return _indicators(_check_blocks(assortment, n, m), n)
-
-
 def _indicators(blocks, n: int) -> np.ndarray:
-    """Label slots (..., n*m) of blocks (..., m, k), product-major as in encode_label."""
+    """Label slots (..., n*m) of blocks (..., m, k): slot i*m + j is 1 iff product i is in block j."""
     out = np.zeros(blocks.shape[:-1] + (n,))
     np.put_along_axis(out, blocks, 1.0, axis=-1)
     return np.swapaxes(out, -1, -2).reshape(blocks.shape[:-2] + (-1,))

@@ -12,12 +12,12 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from assort_mnl import (
     FeatureLayout,
     GenSpec,
     ProblemInstance,
-    choice_probability,
     evaluate,
     expected_revenue,
     fit_linear,
@@ -59,7 +59,7 @@ def test_criterion_01_closed_form_alpha_zero():
         n, m = (i % 5) + 1, (i % 2) + 1
         spec = GenSpec(n=n, m=m, M=50.0, network_effects=False)
         inst = generate_instance(spec, seed=1_000 + i)
-        expected = choice_probability(inst.y - inst.beta * inst.F[:, None])
+        expected = expit(inst.y - inst.beta * inst.F[:, None])
         for start in (ZERO_START, ONE_START):
             sol = solve_fixed_point(inst, start)
             worst = max(worst, float(np.max(np.abs(sol.q - expected))))

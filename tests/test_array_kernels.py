@@ -34,7 +34,6 @@ from assort_mnl.core import (
     _best_blocks,
     _block_revenue,
     _solve_stack,
-    mean_utility,
     solve_fixed_point,
     support_map,
 )
@@ -178,7 +177,11 @@ def instances(n, m, network_effects, count):
 
 
 def stacked(batch):
-    return [np.array([getattr(instance, f) for instance in batch]) for f in ("y", "alpha", "beta", "F", "lam")]
+    """The solve's operands for a batch of instances: fixed utilities ``y - beta F``, ``alpha`` and ``lam``."""
+    y, alpha, beta, F, lam = (
+        np.array([getattr(instance, f) for instance in batch]) for f in ("y", "alpha", "beta", "F", "lam")
+    )
+    return [y - beta * F[..., None], alpha, lam]
 
 
 def assert_solves_match(batch, expected):
@@ -405,13 +408,10 @@ def test_one_segment_mass_is_matmuls(q, data):
 
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 2), (20, 4), (100, 7)])
 def test_demand_is_the_loop_formula(n, m):
-    # mean_utility and support_map compute through the solver's expression.
+    # support_map computes through the solver's expression.
     rng = np.random.default_rng(n * m)
     for instance in instances(n, m, True, 20):
         q = rng.uniform(0.0, 1.0, size=(n, m))
-        s = q @ instance.lam
-        V = instance.y - instance.beta * instance.F[:, None] + instance.alpha * s[:, None]
-        assert mean_utility(instance, q).tobytes() == V.tobytes()
         assert support_map(instance, q).tobytes() == loop_support_map(instance, q).tobytes()
 
 
@@ -486,7 +486,7 @@ def test_draw_is_default_rng_per_seed(n, m, f_mode):
     stacked_draws = generate._draw(spec, seeds)
     for t, seed in enumerate(seeds):
         expected = loop_instance(spec, seed)
-        for name, column in zip(("y", "alpha", "beta", "F", "lam"), stacked_draws):
+        for name, column in zip(("y", "alpha", "F", "lam"), stacked_draws, strict=True):
             assert column[t].tobytes() == getattr(expected, name).tobytes(), (seed, name)
 
 
@@ -528,7 +528,7 @@ def test_draw_is_default_rng_on_both_sides_of_the_rule(monkeypatch, draws, count
     rule = draws <= generate._JUMP_MAX_DRAWS and count >= generate._JUMP_MIN_RECORDS
     assert jumped == ([draws] if f_mode == UNIT_SCALE and rule else [])
     expected = [loop_instance(spec, seed) for seed in seeds.tolist()]
-    for name, column in zip(("y", "alpha", "beta", "F", "lam"), stacked_draws):
+    for name, column in zip(("y", "alpha", "F", "lam"), stacked_draws, strict=True):
         assert column.tobytes() == np.stack([getattr(instance, name) for instance in expected]).tobytes(), name
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -22,10 +23,9 @@ from assort_mnl.bench import (
     EXIT_NONCONVERGENCE,
     EXIT_TRAIN,
     PRESET_NAMES,
-    _EXAMPLES_SLOT,
-    _dumps_report,
     check_convergence_budget,
 )
+from assort_mnl.cli import main
 from assort_mnl.core import PER_SEGMENT, SHARED
 
 
@@ -78,12 +78,43 @@ PRESET_EVALUATION_SHA256 = {
     "case4": "d584a43175fd738d80986cfe7310cb94108dd63229af64a77754ef11653e5e20",
 }
 
+# SHA-256 of each preset's full case report at master seed 1729, run with
+# out_dir "." and every duration written as 0 (see masked_durations), and
+# of the eval --out report of case1p2 at seed 1, taken while the reports
+# were written from a template of their example rows.  json.dumps(doc,
+# indent=2) must reproduce them.
+PRESET_REPORT_SHA256 = {
+    "case1p1": "49e6123ff495dcfb54b642d11c68a2e5851b5dd8996568275c284a73546fb2dc",
+    "case1p2": "c8b0b7a80465d54233b8ff688fce30e081332c9b9bc6dd9ae01f0debd5f5abb3",
+    "case2p1": "c20ddcbeec7b68d71d4c67f71258b01723fe57415ffe80afd21489dfb9f0b30b",
+    "case2p2": "0a1ab77bd9b7046e279d29bf07f1c760d6f85ce021777dc8d4a13ebb622c294b",
+    "case2p3": "00d8d92f552bec6edb7da38fd78479fa50b1f13e32cf1046210e66ebf2b4db58",
+    "case3p1": "b7756124ca585c1dcd6e0f026476fb83d6db2b1ede551b1770219f7bbd8d7c99",
+    "case3p2": "50efd8e8a05ee4b066fc4b60bd86b4dd2af44a4f9992b4253f4a2ceb7740769f",
+    "case3p3": "68eaf60adbb09d9af961f175473db48204e2b2dfeb29745169944d2123aba031",
+    "case3p4": "93acc329f08551a7381c30e5ce0a90ed5997ce36aa8df8359cb321d6462e2c1c",
+    "case3p5": "462f902984fafbbae520c56ce6d394ebc713cb6eeae5de3d6e7c02374a7fe480",
+    "case4": "8f7448c3847c7bf357269950490d42219b0bfeb44df7992d806120960dd512a7",
+}
+EVAL_REPORT_SHA256 = "05afe8b803f6bb2c12b01a25d7d551d4328e4a1e9c95cd901bb5f4fa03879259"
+
 # Datasets with blocks of k = 9 over m = 3 segments, where a revenue sum no
 # longer adds its terms one by one; same seed and the same provenance.
 WIDE_DATASET_SHA256 = {
     "shared": "0b885a44c69389fbf76674ed60d89394da98b7b9e040e15d2602436d6d97cbbc",
     "per-segment": "fc75a81c852d4fc6bc856a3d7877e9ffa45fb93b1541d922ea1a73ea22821701",
 }
+
+
+def masked_durations(text):
+    """A case report's text with each of its ``durations_s`` written as 0."""
+    head, key, tail = text.partition('\n  "durations_s": {')
+    assert key, "no durations_s"
+    return head + key + re.sub(r'": [^,\n]+', '": 0', tail)
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestPreset:
@@ -94,13 +125,17 @@ class TestPreset:
             write_dataset(generate_dataset(preset(name).spec, 500, 1729), path)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
 
-    def test_model_and_evaluation_pinned(self, tmp_path):
-        assert set(PRESET_MODEL_SHA256) == set(PRESET_EVALUATION_SHA256) == set(PRESET_NAMES)
+    def test_model_and_evaluation_pinned(self, tmp_path, monkeypatch):
+        assert set(PRESET_MODEL_SHA256) == set(PRESET_EVALUATION_SHA256) == set(PRESET_REPORT_SHA256) == set(PRESET_NAMES)
+        # The report echoes out_dir: a relative one keeps its bytes apart from tmp_path.
+        monkeypatch.chdir(tmp_path)
         for name in PRESET_NAMES:
-            report = run_case(preset(name, out_dir=str(tmp_path)))
+            report = run_case(preset(name))
             assert report.artifacts["model"]["sha256"] == PRESET_MODEL_SHA256[name], name
             evaluation = json.dumps(report.to_dict()["evaluation"], sort_keys=True)
-            assert hashlib.sha256(evaluation.encode()).hexdigest() == PRESET_EVALUATION_SHA256[name], name
+            assert sha256(evaluation) == PRESET_EVALUATION_SHA256[name], name
+            text = (tmp_path / f"{name}_report.json").read_text()
+            assert sha256(masked_durations(text)) == PRESET_REPORT_SHA256[name], name
 
     @pytest.mark.parametrize("mode", [SHARED, PER_SEGMENT])
     def test_wide_dataset_bytes_pinned(self, tmp_path, mode):
@@ -294,30 +329,6 @@ class TestCompareRuns:
         assert summary["case_a"] == summary["case_b"] == "case1p1"
 
 
-def _example_doc_mutations():
-    """Changes to a case report's examples that the report encoder must pass to json unchanged."""
-
-    def example(doc, **change):
-        doc["evaluation"]["examples"][0].update(change)
-
-    return {
-        "tiny-r_a-null-prl": lambda doc: example(doc, r_a=1e-35, prl=None),
-        "nan-prl": lambda doc: example(doc, prl=float("nan")),
-        "infinite-r_c": lambda doc: example(doc, r_c=-float("inf")),
-        "int-r_a": lambda doc: example(doc, r_a=0),
-        "bool-idx": lambda doc: example(doc, idx=True),
-        "numpy-float": lambda doc: example(doc, r_c=np.float64(0.25)),
-        "extra-key": lambda doc: example(doc, note="x"),
-        "reordered-keys": lambda doc: doc["evaluation"]["examples"].__setitem__(
-            0, dict(reversed(list(doc["evaluation"]["examples"][0].items())))
-        ),
-        "not-a-dict": lambda doc: doc["evaluation"]["examples"].__setitem__(0, [1, 2]),
-        "no-examples": lambda doc: doc["evaluation"].update(examples=[]),
-        "placeholder-text-in-a-field": lambda doc: doc["config"].update(case_id=_EXAMPLES_SLOT),
-        "top-level-examples": lambda doc: doc.update(examples=doc.pop("evaluation")["examples"]),
-    }
-
-
 class TestReportEncoder:
     def test_case_and_eval_reports_are_json_bytes(self, tmp_path):
         # case1p2 at seed 1 has test examples below PRL_MIN_REVENUE (prl
@@ -326,21 +337,17 @@ class TestReportEncoder:
         examples = report.evaluation.examples
         assert any(ex.prl is None for ex in examples)
         assert {ex.misclassified for ex in examples} == {True, False}
-        for doc in (report.to_dict(), report.evaluation.to_dict()):
-            assert _dumps_report(doc) == json.dumps(doc, indent=2)
         text = (tmp_path / "case1p2_report.json").read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert json.loads(text)["evaluation"] == report.evaluation.to_dict()
 
-    @pytest.fixture(scope="class")
-    def case_report(self, tmp_path_factory):
-        return run_case(preset("case1p1", count=40, master_seed=7, out_dir=str(tmp_path_factory.mktemp("case"))))
-
-    @pytest.mark.parametrize("case", sorted(_example_doc_mutations()))
-    def test_any_document_is_json_bytes(self, case_report, case):
-        doc = case_report.to_dict()
-        _example_doc_mutations()[case](doc)
-        assert _dumps_report(doc) == json.dumps(doc, indent=2)
-
-    @pytest.mark.parametrize("doc", [{}, [], {"examples": 3}, {"a": [{"examples": []}]}, {"a": {"b": {"examples": []}}}])
-    def test_documents_without_example_rows(self, doc):
-        assert _dumps_report(doc) == json.dumps(doc, indent=2)
+    def test_eval_report_bytes_pinned(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "--preset", "case1p2", "--seed", "1", "--out", "ev"]) == 0
+        assert main(["train", "ev/dataset.jsonl", "--out", "ev"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "ev/dataset.jsonl", "ev/model.json", "--out", "ev", "--format", "json"]) == 0
+        text = (tmp_path / "ev" / "report.json").read_text()
+        assert sha256(text) == EVAL_REPORT_SHA256
+        # --format json prints the document the report file holds.
+        assert capsys.readouterr().out == text

@@ -218,6 +218,11 @@ _BAD_LINES = {
     "label-index-exceeds-n": (3, _edit(lambda rec: rec["label"].update(per_segment=[[4]]))),
     "label-blocks-exceed-m": (3, _edit(lambda rec: rec["label"].update(per_segment=[[1], [2]]))),
     "label-index-string": (3, _edit(lambda rec: rec["label"].update(per_segment=[["1"]]))),
+    # A float or a boolean product would be cast: 2.9 to product 2, true to product 1.
+    "label-index-float": (3, _edit(lambda rec: rec["label"].update(per_segment=[[2.9]]))),
+    "label-index-bool": (3, _edit(lambda rec: rec["label"].update(per_segment=[[True]]))),
+    "label-k-float": (3, _edit(lambda rec: rec["label"].update(k=1.0))),
+    "label-k-bool": (3, _edit(lambda rec: rec["label"].update(k=True))),
     "idx-not-integer": (3, _edit(lambda rec: rec.update(idx="x"))),
     "idx-duplicated": (3, _edit(lambda rec: rec.update(idx=0))),
     "seed-not-integer": (3, _edit(lambda rec: rec.update(seed=1.5))),
@@ -600,6 +605,17 @@ class TestCase:
         assert code == 0
         assert (tmp_path / "demo_dataset.jsonl").exists()
 
+    def test_case_id_names_a_preset_run(self, tmp_path, capsys):
+        code = run(
+            "case", "--preset", "case1p1", "--no-network-effects", "--case-id", "nonet",
+            "--count", 40, "--out", tmp_path, "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["config"]["case_id"] == "nonet"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "nonet_dataset.jsonl", "nonet_model.json", "nonet_report.json",
+        ]
+
     def test_count_too_small_for_features(self, tmp_path, capsys):
         assert run("case", "--preset", "case1p1", "--count", 8, "--out", tmp_path) == 2
         assert "error [config]" in capsys.readouterr().err
@@ -647,3 +663,91 @@ class TestReportValidation:
         assert run("compare", good, bad) == 5
         err = capsys.readouterr().err
         assert "error [read]" in err and str(bad) in err and field in err
+
+
+def _value_paths(doc, path=()):
+    """The path of each value nested in the JSON document ``doc``, containers included, the root not."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _value_paths(value, path + (key,))
+
+
+# How one JSON document (a record line or a report) is broken: the value at
+# a path retyped, made a number token or dropped, or the document
+# duplicated, truncated or given a byte that is not UTF-8.
+_VALUE_KINDS = ("retype", "token", "drop")
+_TEXT_KINDS = ("duplicate", "truncate", "invalid-utf8")
+
+
+def _broken(text, kind, path, choice) -> bytes:
+    """``text`` broken by ``kind``, with ``choice`` picking the new value or the byte position."""
+    if kind == "duplicate":
+        return (text + "\n" + text).encode()
+    if kind == "truncate":
+        return text[: choice % len(text)].encode()
+    if kind == "invalid-utf8":
+        cut = choice % len(text)
+        return text[:cut].encode() + b"\xff" + text[cut:].encode()
+    doc = json.loads(text)
+    *parents, key = path
+    holder = functools.reduce(operator.getitem, parents, doc)
+    if kind == "drop":
+        del holder[key]
+    else:
+        values = _retyped(holder[key]) if kind == "retype" else _NUMBER_TOKENS
+        holder[key] = values[choice % len(values)]
+    return json.dumps(doc).encode()
+
+
+def _exit_and_stderr(argv):
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main([str(a) for a in argv])
+    return code, stderr.getvalue()
+
+
+_BREAKS = dict(kind=st.sampled_from(_VALUE_KINDS + _TEXT_KINDS), choice=st.integers(0, 10**6), data=st.data())
+
+
+class TestRecordLineMutations:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(lineno=st.integers(2, 41), **_BREAKS)
+    def test_train_exits_cleanly(self, tmp_path_factory, valid_dataset, lineno, kind, choice, data):
+        lines = [line.encode() for line in valid_dataset[0]]
+        assert len(lines) == 41
+        text = lines[lineno - 1].decode()
+        path = data.draw(st.sampled_from(list(_value_paths(json.loads(text)))))
+        lines[lineno - 1] = _broken(text, kind, path, choice)
+        out = tmp_path_factory.mktemp("mutated")
+        (out / "dataset.jsonl").write_bytes(b"\n".join(lines) + b"\n")
+        code, err = _exit_and_stderr(["train", out / "dataset.jsonl", "--out", out])
+        assert code in (0, 2, 3, 4, 5), err
+        assert "Traceback" not in err
+        if code == 5:
+            # Read errors name the line; a label check names the record and its r_a.
+            assert re.match(r"error \[read\] (line \d+|record \d+: stored r_a)", err), err
+
+
+@pytest.fixture(scope="module")
+def small_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("report")
+    assert run("case", "--preset", "case1p1", "--count", 40, "--seed", 7, "--out", out) == 0
+    return out / "case1p1_report.json"
+
+
+class TestReportMutations:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(**_BREAKS)
+    def test_compare_exits_cleanly(self, tmp_path_factory, small_report, kind, choice, data):
+        text = small_report.read_text()
+        path = data.draw(st.sampled_from(list(_value_paths(json.loads(text)))))
+        bad = tmp_path_factory.mktemp("mutated") / "report.json"
+        bad.write_bytes(_broken(text, kind, path, choice))
+        code, err = _exit_and_stderr(["compare", small_report, bad])
+        assert code in (0, 2, 3, 4, 5), err
+        assert "Traceback" not in err
+        if code == 5:
+            # A file that is not JSON is named with the line at fault; a
+            # field that compare reads, by its name.
+            assert str(bad) in err and re.search(r"line \d+|\b(config|evaluation)\b", err), err

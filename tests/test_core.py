@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from assort_mnl import (
     Assortment,
@@ -11,13 +12,10 @@ from assort_mnl import (
     ProblemInstance,
     RevenueTerms,
     best_assortment,
-    choice_probability,
     expected_revenue,
-    mean_utility,
     optimize_assortment,
     solve_fixed_point,
     support_map,
-    total_support_mass,
 )
 from assort_mnl.core import ONE_START, PER_SEGMENT, SHARED, ZERO_START
 from enumeration_oracle import enumerate_optimum
@@ -100,65 +98,81 @@ class TestProblemInstance:
         assert (a == c) == (1.0 + 1e-16 == 1.0)
 
 
+def support_mass(inst, q):
+    """The support mass s_i behind each product, read off support_map: with y = F = 0 and alpha = 1, V_ij = s_i."""
+    n, m = inst.n, inst.m
+    probe = make_instance(np.zeros((n, m)), np.ones((n, m)), np.zeros(n), inst.lam)
+    return logit(support_map(probe, q))[:, 0]
+
+
+def sigma(V):
+    """The choice probabilities of utilities V (n, m) through support_map: y = V, alpha = F = 0."""
+    V = np.asarray(V, dtype=float)
+    n, m = V.shape
+    return support_map(make_instance(V, np.zeros((n, m)), np.zeros(n), np.full(m, 1.0 / m)), np.zeros((n, m)))
+
+
 class TestSupportMass:
     def test_single_segment_weight_one(self):
         inst = make_instance([[0.0]], [[0.0]], [0.0], [1.0])
-        assert total_support_mass(inst, [[0.5]]) == pytest.approx(0.5)
+        assert support_mass(inst, [[0.5]]) == pytest.approx(0.5)
 
     def test_weights_sum_to_one(self):
         inst = make_instance([[0.0, 0.0]], [[0.0, 0.0]], [0.0], [0.4, 0.6])
-        assert total_support_mass(inst, [[1.0, 1.0]])[0] == pytest.approx(1.0)
+        assert support_mass(inst, [[1.0, 1.0]])[0] == pytest.approx(1.0)
 
     def test_hand_weighted_average(self):
         # 0.4 * 0.5 + 0.6 * 0.25 = 0.35
         inst = make_instance([[0.0, 0.0]], [[0.0, 0.0]], [0.0], [0.4, 0.6])
-        assert total_support_mass(inst, [[0.5, 0.25]])[0] == pytest.approx(0.35)
+        assert support_mass(inst, [[0.5, 0.25]])[0] == pytest.approx(0.35)
 
     def test_rejects_bad_q(self):
         inst = make_instance([[0.0]], [[0.0]], [0.0], [1.0])
         with pytest.raises(ValueError):
-            total_support_mass(inst, [[0.5, 0.5]])
+            support_map(inst, [[0.5, 0.5]])
         with pytest.raises(ValueError):
-            total_support_mass(inst, [[1.5]])
+            support_map(inst, [[1.5]])
 
 
 class TestMeanUtility:
     def test_all_zero(self):
         inst = make_instance([[0.0]], [[0.0]], [0.0], [1.0])
-        assert mean_utility(inst, [[0.3]])[0, 0] == pytest.approx(0.0)
+        assert support_map(inst, [[0.3]])[0, 0] == 0.5
 
     def test_hand_value(self):
         # 5 - 1*5 + 10*0.5 = 5
         inst = make_instance([[5.0]], [[10.0]], [5.0], [1.0])
-        assert mean_utility(inst, [[0.5]])[0, 0] == pytest.approx(5.0)
+        assert logit(support_map(inst, [[0.5]]))[0, 0] == pytest.approx(5.0)
 
     def test_alpha_zero_independent_of_q(self):
         rng = np.random.default_rng(0)
         inst = random_instance(rng, 3, 2, alpha_scale=0.0)
-        v1 = mean_utility(inst, np.zeros((3, 2)))
-        v2 = mean_utility(inst, rng.uniform(0, 1, (3, 2)))
-        assert np.allclose(v1, v2, atol=0)
+        v1 = support_map(inst, np.zeros((3, 2)))
+        v2 = support_map(inst, rng.uniform(0, 1, (3, 2)))
+        assert np.array_equal(v1, v2)
 
 
 class TestChoiceProbability:
     def test_zero_is_half(self):
-        assert choice_probability(np.zeros((1, 1)))[0, 0] == 0.5
+        assert sigma(np.zeros((1, 1)))[0, 0] == 0.5
 
     def test_value_at_five(self):
-        assert choice_probability(np.array([[5.0]]))[0, 0] == pytest.approx(0.993307, abs=5e-7)
+        assert sigma(np.array([[5.0]]))[0, 0] == pytest.approx(0.993307, abs=5e-7)
 
     def test_extreme_negative_stays_positive(self):
-        p = choice_probability(np.array([[-50.0]]))
+        p = sigma(np.array([[-50.0]]))
         assert np.isfinite(p).all() and p[0, 0] > 0.0
 
     def test_no_overflow_at_huge_magnitudes(self):
         with np.errstate(over="raise"):
-            p = choice_probability(np.array([[-800.0, 800.0]]))
+            p = sigma(np.array([[-800.0, 800.0]]))
         assert np.isfinite(p).all()
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            choice_probability(np.array([[np.nan]]))
+        # y + alpha * s = 1e308 + 1e308 overflows.
+        inst = make_instance([[1e308]], [[1e308]], [0.0], [1.0])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^mean utilities must be finite$"):
+            support_map(inst, [[1.0]])
 
 
 class TestSolveFixedPoint:
@@ -166,7 +180,7 @@ class TestSolveFixedPoint:
         rng = np.random.default_rng(1)
         for _ in range(20):
             inst = random_instance(rng, 4, 2, alpha_scale=0.0)
-            expected = choice_probability(inst.y - inst.F[:, None])
+            expected = expit(inst.y - inst.F[:, None])
             for start in (ZERO_START, ONE_START):
                 sol = solve_fixed_point(inst, start)
                 assert sol.converged
@@ -249,8 +263,9 @@ class TestSolveFixedPoint:
         # the zero start, the one check of V(1) before the loop does not.
         inst = make_instance([[1e308, -1e308]], [[1e308, 0.0]], [0.0], [0.5, 0.5])
         with np.errstate(over="ignore"):
-            assert np.isfinite(mean_utility(inst, [[1.0, 0.0]])).all()
-            assert not np.isfinite(mean_utility(inst, np.ones((1, 2)))).all()
+            assert np.isfinite(support_map(inst, [[1.0, 0.0]])).all()
+            with pytest.raises(ValueError, match="^mean utilities must be finite$"):
+                support_map(inst, np.ones((1, 2)))
         for start in (ZERO_START, ONE_START):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")

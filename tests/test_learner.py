@@ -16,7 +16,6 @@ from assort_mnl import (
     UnderdeterminedFitError,
     decode_assortment,
     encode_features,
-    encode_label,
     evaluate,
     fit_linear,
     generate_dataset,
@@ -26,6 +25,7 @@ from assort_mnl import (
     write_model,
 )
 from assort_mnl.core import PER_SEGMENT, SHARED
+from assort_mnl.learner import _indicators
 
 
 def l2_nearest_indicator(scores, k, n, m, mode):
@@ -107,23 +107,28 @@ class TestEncodeFeatures:
             encode_features(inst, FeatureLayout(2, 1))
 
 
+def encode_label(assortment, n):
+    """The label slots of an assortment, as training_matrices makes them."""
+    return _indicators(np.array(assortment.per_segment), n)
+
+
 class TestEncodeLabel:
     def test_single_segment(self):
         assert np.array_equal(
-            encode_label(Assortment(((0,),), k=1), n=2, m=1), [1.0, 0.0]
+            encode_label(Assortment(((0,),), k=1), n=2), [1.0, 0.0]
         )
         assert np.array_equal(
-            encode_label(Assortment(((0, 2),), k=2), n=3, m=1), [1.0, 0.0, 1.0]
+            encode_label(Assortment(((0, 2),), k=2), n=3), [1.0, 0.0, 1.0]
         )
 
     def test_product_major_ordering(self):
         # Slots are (p1s1, p1s2, p2s1, p2s2): product 0 in both segments.
         label = Assortment(per_segment=((0,), (0,)), k=1)
-        assert np.array_equal(encode_label(label, n=2, m=2), [1.0, 1.0, 0.0, 0.0])
+        assert np.array_equal(encode_label(label, n=2), [1.0, 1.0, 0.0, 0.0])
 
     def test_k_ones_per_segment_block(self):
         label = Assortment(per_segment=((0, 1), (1, 2)), k=2)
-        encoded = encode_label(label, n=3, m=2).reshape(3, 2)
+        encoded = encode_label(label, n=3).reshape(3, 2)
         assert np.array_equal(encoded.sum(axis=0), [2.0, 2.0])
 
 
@@ -329,7 +334,7 @@ class TestEvaluate:
         train_X = np.array(
             [encode_features(r.instance, FeatureLayout(3, 1)) for r in data.records]
         )
-        train_Y = np.array([encode_label(r.label, 3, 1) for r in data.records])
+        train_Y = np.array([encode_label(r.label, 3) for r in data.records])
         model = fit_linear(train_X, train_Y, FeatureLayout(3, 1))
         report = evaluate(model, data)
         for ex in report.examples:

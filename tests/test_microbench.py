@@ -5,10 +5,12 @@ They are deselected by default; run them with
     PYTHONPATH=src python -m pytest -m microbench tests/test_microbench.py
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from assort_mnl.bench import DEFAULT_MASTER_SEED, _dumps_report, preset, run_case
+from assort_mnl.bench import DEFAULT_MASTER_SEED, preset, run_case
 from assort_mnl.core import DEFAULT_MAX_ITER, DEFAULT_TOL, ONE_START, PER_SEGMENT, SHARED, _solve_stack, solve_fixed_point
 from assort_mnl.generate import GenSpec, _draw, generate_dataset, generate_instance, read_dataset, record_seed, write_dataset
 from assort_mnl.learner import _decode_blocks
@@ -18,13 +20,19 @@ pytestmark = pytest.mark.microbench
 SPEC = preset("case3p5").spec
 
 
+def solve_operands(spec, count):
+    """The stacked solve's operands for the first ``count`` records of ``spec`` at the default master seed."""
+    y, alpha, F, lam = _draw(spec, [record_seed(DEFAULT_MASTER_SEED, t) for t in range(count)])
+    return y - F[..., None], alpha, lam
+
+
 def test_solve_one_record(benchmark):
     instance = generate_instance(SPEC, record_seed(DEFAULT_MASTER_SEED, 0))
     assert benchmark(solve_fixed_point, instance).converged
 
 
 def test_solve_stack_of_500_records(benchmark):
-    stacked = _draw(SPEC, [record_seed(DEFAULT_MASTER_SEED, t) for t in range(500)])
+    stacked = solve_operands(SPEC, 500)
     _, _, _, converged = benchmark(_solve_stack, *stacked, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
     assert converged.all()
 
@@ -32,7 +40,7 @@ def test_solve_stack_of_500_records(benchmark):
 def test_solve_stack_of_200_records_at_n100_m4(benchmark):
     # 80,000 entries, far more than a block may hold: every block is one
     # pass until compaction shrinks the stack.
-    stacked = _draw(GenSpec(n=100, m=4), [record_seed(DEFAULT_MASTER_SEED, t) for t in range(200)])
+    stacked = solve_operands(GenSpec(n=100, m=4), 200)
     _, _, _, converged = benchmark(_solve_stack, *stacked, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
     assert converged.all()
 
@@ -47,7 +55,7 @@ WIDE_MENU_JOBS = {
 @pytest.mark.parametrize("job", sorted(WIDE_MENU_JOBS))
 def test_solve_stack_of_a_wide_menu_job(benchmark, job):
     spec, count = WIDE_MENU_JOBS[job]
-    stacked = _draw(spec, [record_seed(DEFAULT_MASTER_SEED, t) for t in range(count)])
+    stacked = solve_operands(spec, count)
     _, _, _, converged = benchmark(_solve_stack, *stacked, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
     assert converged.all()
 
@@ -89,7 +97,7 @@ def test_read_dataset_of_2000_records(benchmark, tmp_path):
 def test_encode_case_report(benchmark, tmp_path):
     doc = run_case(preset("case3p5", out_dir=str(tmp_path))).to_dict()
     assert len(doc["evaluation"]["examples"]) == 125
-    assert benchmark(_dumps_report, doc).startswith("{\n")
+    assert benchmark(json.dumps, doc, indent=2).startswith("{\n")
 
 
 def test_decode_blocks_of_10000_rows(benchmark):
