@@ -7,8 +7,9 @@ three fixed points, where the two iteration starts bracket the answer.
 """
 
 import numpy as np
+from scipy.special import expit
 
-from assort_mnl import ProblemInstance, solve_fixed_point, support_map
+from assort_mnl import ProblemInstance, solve_fixed_point
 
 # A single product, one segment.  Intrinsic appeal is zero, the remaining
 # funding gap is 5, and the network-effect sensitivity is 10: support is
@@ -17,11 +18,8 @@ inst = ProblemInstance(y=[[0.0]], alpha=[[10.0]], F=[5.0], lam=[1.0])
 
 print("Iterating q -> sigma(y - F + alpha * q) from both endpoints:")
 for start in ("zero", "one"):
-    q = np.zeros((1, 1)) if start == "zero" else np.ones((1, 1))
-    trail = [q[0, 0]]
-    for _ in range(6):
-        q = support_map(inst, q)
-        trail.append(q[0, 0])
+    # A solve capped at t passes ends at the t-th iterate.
+    trail = [float(start == "one")] + [solve_fixed_point(inst, start, max_iter=t).q[0, 0] for t in range(1, 7)]
     print(f"  {start:>4}-start trail: " + " -> ".join(f"{v:.5f}" for v in trail))
 
 lo = solve_fixed_point(inst, "zero")
@@ -32,10 +30,15 @@ print(f"residuals: {lo.residual:.2e}, {hi.residual:.2e}")
 
 # q = 0.5 also solves the equation (sigma(10 * 0.5 - 5) = sigma(0) = 0.5),
 # but it is unstable: the iteration walks away from it in either direction.
-mid = support_map(inst, np.array([[0.5]]))[0, 0]
+def step(q):
+    """One pass of the iteration: sigma(V(q)) = sigma(y - F + alpha * q) with one segment."""
+    return expit(inst.y - inst.F[:, None] + inst.alpha * q)[0, 0]
+
+
+mid = step(0.5)
 print(f"\nmiddle fixed point check: sigma(V(0.5)) = {mid}")
 
-nudge = support_map(inst, np.array([[0.51]]))[0, 0]
+nudge = step(0.51)
 print(f"one step from 0.51 lands at {nudge:.5f} (moving toward the largest point)")
 
 # With no network effects the loop disappears and the solution is closed

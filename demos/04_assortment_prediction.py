@@ -10,14 +10,10 @@ the predicted assortment actually forfeits (PRL).
 import numpy as np
 
 from assort_mnl import (
-    FeatureLayout,
     GenSpec,
-    decode_assortment,
-    encode_features,
     evaluate,
     fit_linear,
     generate_dataset,
-    predict_scores,
     split_dataset,
     training_matrices,
 )
@@ -33,12 +29,14 @@ print(f"design matrix: {X.shape[0]} rows x {X.shape[1]} features "
 model = fit_linear(X, Y, layout)
 print(f"fit {layout.label_slots} outputs; rank deficient: {model.rank_deficient}")
 
-rec = test.records[0]
-scores = predict_scores(model, encode_features(rec.instance, layout))
-decoded = decode_assortment(scores, spec.k, spec.n, spec.m, spec.mode)
+X_test, Y_test, _ = training_matrices(test)
+scores = model.intercept + model.coefficients @ X_test[0]
+# With one segment the nearest valid indicator keeps the k highest scores,
+# ties going to the lower product.
+predicted = sorted(np.argsort(-scores, kind="stable")[: spec.k].tolist())
 print(f"\nfirst test record: scores {np.round(scores, 3)}")
-print(f"  predicted {tuple(i + 1 for i in decoded.per_segment[0])}, "
-      f"label {tuple(i + 1 for i in rec.label.per_segment[0])}")
+print(f"  predicted {tuple(i + 1 for i in predicted)}, "
+      f"label {tuple(i + 1 for i in np.flatnonzero(Y_test[0]).tolist())}")
 
 report = evaluate(model, test)
 print(f"\ntest examples:  {report.test_count}")

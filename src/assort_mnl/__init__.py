@@ -17,11 +17,8 @@ from .core import (
     ProblemInstance,
     RevenueTerms,
     SupportSolution,
-    best_assortment,
-    expected_revenue,
     optimize_assortment,
     solve_fixed_point,
-    support_map,
 )
 from .generate import (
     DOLLAR_SCALE,
@@ -46,11 +43,8 @@ from .learner import (
     FeatureLayout,
     PredictorModel,
     UnderdeterminedFitError,
-    decode_assortment,
-    encode_features,
     evaluate,
     fit_linear,
-    predict_scores,
     prl,
     read_model,
     write_model,

@@ -229,14 +229,14 @@ def training_matrices(dataset: LabeledDataset):
     return X, _indicators(dataset.blocks, layout.n), layout
 
 
-def check_convergence_budget(dataset: LabeledDataset, budget: float = NONCONVERGENCE_BUDGET):
-    """Raise a generate-stage error when too many records failed to converge."""
-    if dataset.count and len(dataset.excluded) > budget * dataset.count:
+def check_convergence_budget(dataset: LabeledDataset):
+    """Raise a generate-stage error when more than ``NONCONVERGENCE_BUDGET`` of the records failed to converge."""
+    if dataset.count and len(dataset.excluded) > NONCONVERGENCE_BUDGET * dataset.count:
         raise StageError(
             "generate",
             EXIT_NONCONVERGENCE,
             f"{len(dataset.excluded)} of {dataset.count} records failed to "
-            f"converge (budget {budget:.0%})",
+            f"converge (budget {NONCONVERGENCE_BUDGET:.0%})",
         )
 
 

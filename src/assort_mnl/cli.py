@@ -33,7 +33,6 @@ from .bench import (
     DEFAULT_MASTER_SEED,
     EXIT_CONFIG,
     EXIT_IO,
-    EXIT_NONCONVERGENCE,
     EXIT_OK,
     EXIT_TRAIN,
     PRESET_NAMES,
@@ -47,7 +46,7 @@ from .bench import (
     split_dataset,
     training_matrices,
 )
-from .core import PER_SEGMENT, SHARED, NonConvergenceError
+from .core import PER_SEGMENT, SHARED
 from .generate import (
     DOLLAR_SCALE,
     UNIT_SCALE,
@@ -315,9 +314,6 @@ def main(argv=None) -> int:
     except StageError as e:
         print(f"error {e}", file=sys.stderr)
         return e.exit_code
-    except NonConvergenceError as e:
-        print(f"error [solve] {e}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
     except UnderdeterminedFitError as e:
         print(f"error [train] {e}", file=sys.stderr)
         return EXIT_TRAIN

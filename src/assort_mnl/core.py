@@ -5,9 +5,11 @@ customer in segment ``j`` backs product ``i`` with probability
 ``sigma(V_ij)``, where the mean utility ``V_ij`` combines the product's
 intrinsic appeal, a penalty for its remaining funding gap, and a
 network-effect bonus proportional to the total support mass the product
-draws from the whole population.  That mass depends on the choice
-probabilities themselves, so demand is pinned down by the fixed point
-``q = sigma(V(q))``.  Iterating the map from the all-zeros matrix is
+draws from the whole population: ``V_ij = y_ij - beta_ij F_i + alpha_ij
+s_i`` with ``s_i = sum_j lam_j q_ij`` in [0, 1], and ``sigma`` is scipy's
+``expit``, which saturates at large ``|V|`` instead of overflowing.  That
+mass depends on the choice probabilities themselves, so demand is pinned
+down by the fixed point ``q = sigma(V(q))``.  Iterating the map from the all-zeros matrix is
 componentwise nondecreasing and converges to the smallest fixed point;
 from the all-ones matrix it is nonincreasing and converges to the largest.
 Every fixed point lies between the two limits.
@@ -15,19 +17,17 @@ Every fixed point lies between the two limits.
 Expected platform revenue is additive over the offered products, and the
 support probabilities do not depend on which products are offered.  The
 revenue-maximizing size-k assortment therefore keeps the k products with
-the largest revenue contributions, ties going to the lower product index;
-``best_assortment`` implements that rule and ``optimize_assortment`` pairs
-it with the fixed-point solve.  The solve, selection and revenue are array
-code over records stacked on leading axes, which solves, labels, verifies
-and evaluates a whole dataset at once, each record of a solve stopping on
-its own; the per-instance functions, ``solve_fixed_point`` among them, are
-its one-row case.
+the largest revenue contributions, ties going to the lower product index.
+The solve, selection and revenue are array code over records stacked on
+leading axes, which solves, labels, verifies and evaluates a whole dataset
+at once, each record of a solve stopping on its own.
+:func:`solve_fixed_point` and :func:`optimize_assortment` run that code on
+the one-row stack of a single instance.
 
 Validation sits at the boundaries: :class:`ProblemInstance` checks its
-arrays when built, :func:`support_map` its support matrix and utilities,
-and a solve checks once, before its loop, that the utilities at the
-all-ones matrix are finite, which bounds those of every iterate; the loop
-itself checks nothing.  From the zero start this is
+arrays when built, and a solve checks once, before its loop, that the
+utilities at the all-ones matrix are finite, which bounds those of every
+iterate; the loop itself checks nothing.  From the zero start this is
 stricter than checking each pass only when ``V(1)`` overflows, near
 1e308.  The loop tests convergence once per block of up to 16 passes,
 and records that finish ride along in its buffers, masked out, until half
@@ -56,10 +56,7 @@ __all__ = [
     "ProblemInstance",
     "SupportSolution",
     "Assortment",
-    "support_map",
     "solve_fixed_point",
-    "expected_revenue",
-    "best_assortment",
     "optimize_assortment",
 ]
 
@@ -260,34 +257,6 @@ class Assortment:
             raise ValueError("assortment needs at least one segment block")
         object.__setattr__(self, "per_segment", tuple(blocks))
 
-    @classmethod
-    def shared(cls, products, m: int, k: int | None = None) -> "Assortment":
-        """Offer the same product set to all m segments."""
-        block = tuple(sorted(int(i) for i in products))
-        return cls(per_segment=(block,) * m, k=len(block) if k is None else k)
-
-
-def _check_support(instance: ProblemInstance, q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    if q.shape != (instance.n, instance.m):
-        raise ValueError(
-            f"support matrix must have shape {(instance.n, instance.m)}, got {q.shape}"
-        )
-    if not np.all(np.isfinite(q)):
-        raise ValueError("support probabilities must be finite")
-    if np.any(q < 0.0) or np.any(q > 1.0):
-        raise ValueError("support probabilities must lie in [0, 1]")
-    return q
-
-
-def _check_blocks(assortment: Assortment, n: int, m: int) -> np.ndarray:
-    if len(assortment.per_segment) != m:
-        raise ValueError(f"assortment has {len(assortment.per_segment)} segment blocks, expected {m}")
-    blocks = np.array(assortment.per_segment)
-    if blocks.max() >= n:
-        raise ValueError(f"product index {blocks.max()} out of range for n={n}")
-    return blocks
-
 
 def _mass(q, lam) -> np.ndarray:
     """Support mass ``s = q @ lam`` per record of supports (..., n, m) and weights (..., m)."""
@@ -304,22 +273,6 @@ def _fixed_utility(y, beta, F) -> np.ndarray:
 def _utility(c, alpha, lam, q) -> np.ndarray:
     """Mean utilities ``c + alpha * s`` over stacked records, with ``c`` from :func:`_fixed_utility`."""
     return c + alpha * _mass(q, lam)[..., None]
-
-
-def support_map(instance: ProblemInstance, q) -> np.ndarray:
-    """One application of the demand map ``q -> sigma(V(q))`` to an (n, m) matrix of probabilities.
-
-    ``V_ij = y_ij - beta_ij F_i + alpha_ij s_i``, where ``s_i = sum_j lam_j
-    q_ij``, in [0, 1], is the population support mass behind product i, and
-    ``sigma`` is scipy's ``expit``, which saturates at large ``|V|``
-    instead of overflowing.  Utilities that are not finite raise
-    ``ValueError("mean utilities must be finite")``.
-    """
-    q = _check_support(instance, q)
-    V = _utility(_fixed_utility(instance.y, instance.beta, instance.F), instance.alpha, instance.lam, q)
-    if not np.all(np.isfinite(V)):
-        raise ValueError("mean utilities must be finite")
-    return expit(V)
 
 
 def solve_fixed_point(
@@ -493,16 +446,6 @@ def _solve_stack(c, alpha, lam, start: str, tol: float, max_iter: int):
     return q, iterations, residual, converged
 
 
-def expected_revenue(instance: ProblemInstance, assortment: Assortment, q) -> float:
-    """Expected per-customer revenue of offering ``assortment`` at support ``q``.
-
-    ``W = (a+b)/2 * (omega+xi) * sum_j lam_j * sum_{i in G_j} q_ij``.
-    """
-    q = _check_support(instance, q)
-    blocks = _check_blocks(assortment, instance.n, instance.m)
-    return float(_block_revenue(q, instance.lam, instance.revenue.per_support, blocks))
-
-
 def _block_revenue(q, lam, per_support, blocks) -> np.ndarray:
     """Revenue of offering ``blocks`` (..., m, k) at supports ``q`` (..., n, m)."""
     # Blocks sum over a contiguous axis and segments add in order, as for
@@ -512,13 +455,6 @@ def _block_revenue(q, lam, per_support, blocks) -> np.ndarray:
     for j in range(picked.shape[-1]):
         total = total + lam[..., j] * picked[..., j]
     return per_support * total
-
-
-def _check_selection(n: int, k: int, mode: str) -> None:
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
-    if mode not in (SHARED, PER_SEGMENT):
-        raise ValueError(f"mode must be {SHARED!r} or {PER_SEGMENT!r}, got {mode!r}")
 
 
 def _top_k(values: np.ndarray, k: int) -> np.ndarray:
@@ -537,20 +473,6 @@ def _best_blocks(q, lam, k: int, mode: str) -> np.ndarray:
     return np.where(lam[..., None] > 0.0, _top_k(np.swapaxes(q, -1, -2), k), np.arange(k))
 
 
-def best_assortment(instance: ProblemInstance, k: int, q, mode: str = SHARED) -> Assortment:
-    """Revenue-maximizing size-k assortment at the support matrix ``q``.
-
-    Revenue is additive over offered products, so the optimum keeps the k
-    largest contributions: ``sum_j lam_j q_ij`` per product in "shared"
-    mode, ``q_ij`` within each segment in "per-segment" mode, where a
-    zero-weight segment gets products ``0..k-1``.  Ties go to the lower
-    index: the result is the lexicographically smallest optimal set.
-    """
-    _check_selection(instance.n, k, mode)
-    q = _check_support(instance, q)
-    return Assortment(per_segment=_best_blocks(q, instance.lam, k, mode).tolist(), k=k)
-
-
 def optimize_assortment(
     instance: ProblemInstance,
     k: int,
@@ -562,14 +484,25 @@ def optimize_assortment(
 
     Support probabilities are solved once from the all-ones start (the
     largest fixed point); they do not depend on the assortment offered.
-    :func:`best_assortment` then picks the set from them.
+    Revenue is additive over offered products, so the optimum keeps the k
+    largest contributions: ``sum_j lam_j q_ij`` per product in "shared"
+    mode, ``q_ij`` within each segment in "per-segment" mode, where a
+    zero-weight segment gets products ``0..k-1``.  Ties go to the lower
+    index: the result is the lexicographically smallest optimal set.  The
+    selection and revenue are those that label a dataset, run on this one
+    instance.
 
     Returns ``(assortment, revenue, solution)``; raises
     :class:`NonConvergenceError` if the fixed point did not converge.
     """
-    _check_selection(instance.n, k, mode)
+    if not 1 <= k <= instance.n:
+        raise ValueError(f"k must lie in [1, {instance.n}], got {k}")
+    if mode not in (SHARED, PER_SEGMENT):
+        raise ValueError(f"mode must be {SHARED!r} or {PER_SEGMENT!r}, got {mode!r}")
     solution = solve_fixed_point(instance, ONE_START, tol=tol, max_iter=max_iter)
     if not solution.converged:
         raise NonConvergenceError(solution)
-    assortment = best_assortment(instance, k, solution.q, mode)
-    return assortment, expected_revenue(instance, assortment, solution.q), solution
+    q, lam = solution.q[None], instance.lam[None]
+    blocks = _best_blocks(q, lam, k, mode)
+    revenue = _block_revenue(q, lam, instance.revenue.per_support, blocks)
+    return Assortment(per_segment=blocks[0].tolist(), k=k), float(revenue[0]), solution

@@ -203,8 +203,8 @@ class LabeledDataset:
     ``F`` (N, n) and ``lam`` (N, m), the supports ``q`` (N, n, m) and the
     label: 0-based sorted ``blocks`` (N, m, k) with revenue ``r_a``.  The
     header fixes beta (all ones), the revenue terms (``spec.revenue``) and
-    :attr:`seed`.  :attr:`records` and :meth:`from_records` convert to and
-    from :class:`DatasetRecord` objects.
+    :attr:`seed`.  :attr:`records` presents the records as
+    :class:`DatasetRecord` objects.
     """
 
     spec: GenSpec
@@ -264,24 +264,6 @@ class LabeledDataset:
                           q, Assortment(blocks, self.spec.k), r_a)
             for idx, seed, y, alpha, F, lam, q, blocks, r_a in zip(*columns)
         )
-
-    @classmethod
-    def from_records(cls, spec: GenSpec, master_seed: int, count: int, records, excluded=()) -> "LabeledDataset":
-        """A dataset holding ``records`` (:class:`DatasetRecord` objects); the inverse of :attr:`records`."""
-        records = tuple(records)
-        for rec, seed in zip(records, _record_seeds(master_seed, [rec.idx for rec in records]).tolist()):
-            if rec.seed != seed or not (rec.instance.beta == 1.0).all() or rec.instance.revenue != spec.revenue:
-                raise ValueError(f"record {rec.idx}: its seed, beta or revenue is not the one the header fixes")
-        rows = [
-            (rec.idx, rec.instance.y, rec.instance.alpha, rec.instance.F, rec.instance.lam, rec.q,
-             rec.label.per_segment, rec.r_a)
-            for rec in records
-        ]
-        columns = (
-            np.array([row[i] for row in rows], dtype).reshape((len(rows),) + shape)
-            for i, (shape, dtype) in enumerate(_layout(spec))
-        )
-        return cls(spec, master_seed, count, *columns, excluded=tuple(excluded))
 
 
 def _layout(spec: GenSpec) -> list[tuple[tuple, type]]:
@@ -572,6 +554,12 @@ def _draw(spec: GenSpec, seeds) -> list[np.ndarray]:
     return [y, alpha, F, lam]
 
 
+# Generation peaks at about this many times the bytes of its three (count,
+# n, m) float64 columns, y, alpha and q: 434 MB for 96 MB at (n, m) =
+# (100, 4) with 10**4 records.
+_PEAK_OVER_COLUMNS = 4.5
+
+
 def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledDataset:
     """Generate ``count`` instances and label each with its optimal assortment.
 
@@ -581,12 +569,21 @@ def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledData
     record stopping on its own, and all records are labeled at once with
     the exact optima.  Records whose fixed point fails to converge are
     then dropped and reported in ``excluded``.  ``master_seed`` must lie in
-    [0, 2**64), where the seed mix tells every seed apart.
+    [0, 2**64), where the seed mix tells every seed apart.  A dataset whose
+    estimated peak memory exceeds the machine's physical memory raises
+    ``ValueError`` before anything is drawn.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if not 0 <= master_seed <= _MASK64:
         raise ValueError(f"master_seed must lie in [0, 2**64), got {master_seed}")
+    peak = _PEAK_OVER_COLUMNS * 3 * count * spec.n * spec.m * 8
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if peak > memory:
+        raise ValueError(
+            f"a dataset of n={spec.n}, m={spec.m} and count={count} needs about {peak / 1e9:.3g} GB to generate, "
+            f"more than the machine's {memory / 1e9:.3g} GB of physical memory"
+        )
     try:
         y, alpha, F, lam = _draw(spec, _record_seeds(master_seed, np.arange(count)))
         # y - F is y - beta F at beta = 1, bit for bit.
@@ -933,15 +930,19 @@ def _column(values, line: int, shape: tuple, dtype, name: str) -> np.ndarray:
     return column.astype(dtype, copy=False)
 
 
-def verify_labels(dataset: LabeledDataset, tol: float = 1e-12) -> None:
-    """Assert every stored r_a matches a fresh revenue evaluation of its label.
+# How far a stored r_a may lie from a fresh evaluation of its label.
+_LABEL_TOL = 1e-12
+
+
+def verify_labels(dataset: LabeledDataset) -> None:
+    """Assert every stored r_a matches a fresh revenue evaluation of its label, within ``_LABEL_TOL``.
 
     Cheap consistency check used by file consumers; raises
     :class:`DatasetFormatError` on the first mismatch.
     """
     w = _block_revenue(dataset.q, dataset.lam, dataset.spec.revenue.per_support, dataset.blocks)
     # Written so that a NaN on either side fails the check.
-    bad = np.flatnonzero(~(np.abs(w - dataset.r_a) <= tol))
+    bad = np.flatnonzero(~(np.abs(w - dataset.r_a) <= _LABEL_TOL))
     if bad.size:
         t = bad[0]
         raise DatasetFormatError(

@@ -9,10 +9,7 @@ measured by the misclassification rate and by the percentage revenue loss
 (PRL) of offering the predicted assortment instead of the optimal one.
 
 Encoding, prediction, decoding and revenue run as array operations over a
-whole dataset at once (:func:`evaluate`, ``bench.training_matrices``).  The
-per-example functions (:func:`encode_features`, :func:`predict_scores`,
-:func:`decode_assortment`) check their input and then run the same array
-code on one row, so both give identical bits.
+whole dataset at once (:func:`evaluate`, ``bench.training_matrices``).
 """
 
 from __future__ import annotations
@@ -23,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    SHARED,
-    Assortment,
-    ProblemInstance,
-    _block_revenue,
-    _check_selection,
-    _top_k,
-)
+from .core import SHARED, _block_revenue, _top_k
 from .generate import DatasetFormatError, LabeledDataset, _integer, _load_json_file, _write_atomic
 
 __all__ = [
@@ -41,10 +31,7 @@ __all__ = [
     "PredictorModel",
     "ExampleEval",
     "EvaluationReport",
-    "encode_features",
     "fit_linear",
-    "predict_scores",
-    "decode_assortment",
     "prl",
     "evaluate",
     "write_model",
@@ -180,16 +167,6 @@ class EvaluationReport:
         }
 
 
-def encode_features(instance: ProblemInstance, layout: FeatureLayout) -> np.ndarray:
-    """Flatten an instance into the layout's declared feature order."""
-    if (instance.n, instance.m) != (layout.n, layout.m):
-        raise ValueError(
-            f"instance shape {(instance.n, instance.m)} does not match "
-            f"layout {(layout.n, layout.m)}"
-        )
-    return _features(instance.y, instance.alpha, instance.F, instance.lam)
-
-
 def _features(y, alpha, F, lam) -> np.ndarray:
     """Feature rows (..., d) of instances with parameters stacked on leading axes."""
     per_product = np.concatenate([y, alpha, F[..., None]], axis=-1)
@@ -236,22 +213,14 @@ def fit_linear(X, Y, layout: FeatureLayout) -> PredictorModel:
     )
 
 
-def predict_scores(model: PredictorModel, x) -> np.ndarray:
-    """Raw indicator scores ``b + B x`` for one feature vector."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (model.layout.d,):
-        raise ValueError(f"feature vector must have length {model.layout.d}, got {x.shape}")
-    return _predict(model, x)
-
-
 def _predict(model: PredictorModel, X) -> np.ndarray:
     """Scores (..., L) of feature rows (..., d)."""
     # One matrix-vector product per row: ``X @ B.T`` would round differently.
     return np.matmul(model.coefficients, X[..., None])[..., 0] + model.intercept
 
 
-def decode_assortment(scores, k: int, n: int, m: int, mode: str = SHARED) -> Assortment:
-    """Nearest valid 0/1 indicator to a score vector, as an assortment.
+def _decode_blocks(scores, k: int, n: int, m: int, mode: str) -> np.ndarray:
+    """Decoded blocks (..., m, k) of score rows (..., n*m): the nearest valid 0/1 indicators.
 
     Squared l2 distance to an indicator decomposes per slot, so the
     nearest vector with k ones per segment block keeps the top-k scores of
@@ -259,15 +228,6 @@ def decode_assortment(scores, k: int, n: int, m: int, mode: str = SHARED) -> Ass
     the optimum the top-k products by score summed across segments.  Ties
     go to the lower product index.
     """
-    scores = np.asarray(scores, dtype=float).reshape(-1)
-    if scores.shape != (n * m,):
-        raise ValueError(f"scores must have length {n * m}, got {scores.shape}")
-    _check_selection(n, k, mode)
-    return Assortment(per_segment=_decode_blocks(scores, k, n, m, mode).tolist(), k=k)
-
-
-def _decode_blocks(scores, k: int, n: int, m: int, mode: str) -> np.ndarray:
-    """Decoded blocks (..., m, k) of score rows (..., n*m)."""
     grid = scores.reshape(scores.shape[:-1] + (n, m))
     if mode == SHARED:
         return np.repeat(_top_k(grid.sum(axis=-1), k)[..., None, :], m, axis=-2)

@@ -1,8 +1,9 @@
 """Exhaustive reference for the revenue-maximizing assortment.
 
 Enumerates every size-k subset and compares revenue sums exactly, so it
-shares no code or reasoning with the top-k rule of
-``assort_mnl.best_assortment`` that it checks.  Exponential in ``n``: a
+shares no code or reasoning with the top-k rule that labels datasets and
+that it checks (``assort_mnl.core._best_blocks``, through
+``optimize_assortment`` too).  Exponential in ``n``: a
 test oracle only.
 """
 

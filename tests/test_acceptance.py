@@ -19,26 +19,28 @@ from assort_mnl import (
     GenSpec,
     ProblemInstance,
     evaluate,
-    expected_revenue,
     fit_linear,
     generate_dataset,
     generate_instance,
     optimize_assortment,
-    predict_scores,
     preset,
     solve_fixed_point,
     split_dataset,
-    support_map,
     training_matrices,
 )
-from assort_mnl.core import ONE_START, PER_SEGMENT, SHARED, ZERO_START
-from assort_mnl.learner import _decode_blocks
+from assort_mnl.core import ONE_START, PER_SEGMENT, SHARED, ZERO_START, _block_revenue, _fixed_utility, _utility
+from assort_mnl.learner import _decode_blocks, _predict
 from enumeration_oracle import enumerate_optimum
 
 
 def report(num, ok, detail=""):
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} {detail}")
     assert ok, f"criterion {num}: {detail}"
+
+
+def demand_map(inst, q):
+    """One pass of the fixed-point iteration, q -> sigma(V(q)), as the solve computes it."""
+    return expit(_utility(_fixed_utility(inst.y, inst.beta, inst.F), inst.alpha, inst.lam, q))
 
 
 def pipeline_metrics(name, count, seed):
@@ -84,7 +86,7 @@ def test_criterion_02_monotone_iterates_and_bracketing():
                                 (ONE_START, np.ones((n, m)), -1.0)):
             q = q0
             for _ in range(10_000):
-                q_next = support_map(inst, q)
+                q_next = demand_map(inst, q)
                 ok = ok and bool(np.all(sign * (q_next - q) >= -1e-12))
                 done = np.max(np.abs(q_next - q)) <= tol
                 q = q_next
@@ -113,7 +115,7 @@ def test_criterion_03_multiple_fixed_points():
     low_root, high_root = bisect(1e-12, 0.4), bisect(0.6, 1.0 - 1e-12)
     lo = solve_fixed_point(inst, ZERO_START)
     hi = solve_fixed_point(inst, ONE_START)
-    mid_exact = support_map(inst, np.array([[0.5]]))[0, 0] == 0.5
+    mid_exact = demand_map(inst, np.array([[0.5]]))[0, 0] == 0.5
     ok = (
         lo.converged
         and hi.converged
@@ -148,7 +150,7 @@ def test_criterion_04_and_05_oracle_equivalence_and_monotone_revenue():
         for k in range(1, inst.n + 1):
             best, w, sol = optimize_assortment(inst, k)
             oracle = enumerate_optimum(inst, k, sol.q)
-            w_oracle = expected_revenue(inst, oracle, sol.q)
+            w_oracle = float(_block_revenue(sol.q, inst.lam, inst.revenue.per_support, np.array(oracle.per_segment)))
             agree = agree and best == oracle and abs(w - w_oracle) <= 1e-12
             monotone = monotone and w >= last_w
             # Segment weights sum to 1 only within 1e-12 (normalization in
@@ -214,7 +216,7 @@ def test_criterion_08_regression_correctness():
     B0 = rng.normal(size=(layout.label_slots, layout.d))
     Y = b0 + X @ B0.T
     model = fit_linear(X, Y, layout)
-    predictions = np.array([predict_scores(model, x) for x in X])
+    predictions = _predict(model, X)
     max_err = float(np.max(np.abs(predictions - Y)))
     A = np.column_stack([np.ones(len(X)), X])
     residual = Y - A @ np.vstack([model.intercept, model.coefficients.T])

@@ -33,9 +33,10 @@ from assort_mnl.core import (
     RevenueTerms,
     _best_blocks,
     _block_revenue,
+    _fixed_utility,
     _solve_stack,
+    _utility,
     solve_fixed_point,
-    support_map,
 )
 from assort_mnl.generate import (
     _COLUMNS,
@@ -44,7 +45,6 @@ from assort_mnl.generate import (
     DOLLAR_MAX,
     DOLLAR_SCALE,
     UNIT_SCALE,
-    DatasetRecord,
     GenSpec,
     LabeledDataset,
     generate_dataset,
@@ -154,21 +154,24 @@ def loop_solve(instance, start, max_iter=DEFAULT_MAX_ITER):
     return q, iterations, residual, converged
 
 
-def loop_records(spec, count, master_seed, max_iter=DEFAULT_MAX_ITER):
-    """Records and excluded indices as generation made them one record at a time."""
-    records, excluded = [], []
+def loop_dataset(spec, count, master_seed, max_iter=DEFAULT_MAX_ITER):
+    """The dataset as generation made it one record at a time, its columns stacked from the records' rows."""
+    rows, excluded = [], []
     for idx in range(count):
-        seed = record_seed(master_seed, idx)
-        instance = loop_instance(spec, seed)
+        instance = loop_instance(spec, record_seed(master_seed, idx))
         q, _, _, converged = loop_solve(instance, ONE_START, max_iter)
         if not converged:
             excluded.append(idx)
             continue
         blocks = loop_best_blocks(q, instance.lam, spec.k, spec.mode)
         r_a = loop_revenue(q, instance.lam, instance.revenue.per_support, blocks)
-        label = Assortment(per_segment=blocks, k=spec.k)
-        records.append(DatasetRecord(idx=idx, seed=seed, instance=instance, q=q, label=label, r_a=r_a))
-    return records, excluded
+        rows.append((idx, instance.y, instance.alpha, instance.F, instance.lam, q, blocks, r_a))
+    n, m, k = spec.n, spec.m, spec.k
+    layout = [((), np.int64), ((n, m), float), ((n, m), float), ((n,), float), ((m,), float), ((n, m), float),
+              ((m, k), np.int64), ((), float)]
+    columns = (np.array([row[i] for row in rows], dtype).reshape((len(rows),) + shape)
+               for i, (shape, dtype) in enumerate(layout))
+    return LabeledDataset(spec, master_seed, count, *columns, excluded=tuple(excluded))
 
 
 def instances(n, m, network_effects, count):
@@ -408,11 +411,12 @@ def test_one_segment_mass_is_matmuls(q, data):
 
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 2), (20, 4), (100, 7)])
 def test_demand_is_the_loop_formula(n, m):
-    # support_map computes through the solver's expression.
+    # The solve's expression for one pass, sigma(V(q)).
     rng = np.random.default_rng(n * m)
     for instance in instances(n, m, True, 20):
         q = rng.uniform(0.0, 1.0, size=(n, m))
-        assert support_map(instance, q).tobytes() == loop_support_map(instance, q).tobytes()
+        c = _fixed_utility(instance.y, instance.beta, instance.F)
+        assert expit(_utility(c, instance.alpha, instance.lam, q)).tobytes() == loop_support_map(instance, q).tobytes()
 
 
 def assert_same_columns(dataset, reference):
@@ -428,31 +432,34 @@ def assert_same_columns(dataset, reference):
 def test_columnar_generation_matches_the_record_loop(n, m, network_effects, f_mode):
     spec = GenSpec(n=n, m=m, k=2, network_effects=network_effects, f_mode=f_mode, mode=PER_SEGMENT)
     count, master_seed = 40, n * 100 + m
-    records, excluded = loop_records(spec, count, master_seed)
-    reference = LabeledDataset.from_records(spec, master_seed, count, records, excluded)
-    assert_same_columns(generate_dataset(spec, count, master_seed), reference)
+    assert_same_columns(generate_dataset(spec, count, master_seed), loop_dataset(spec, count, master_seed))
     # generate_instance is the one-record case of the same draw.
-    for rec in records[:5]:
-        assert generate_instance(spec, rec.seed) == rec.instance
+    for idx in range(5):
+        seed = record_seed(master_seed, idx)
+        assert generate_instance(spec, seed) == loop_instance(spec, seed)
 
 
 def test_generate_dataset_matches_the_record_loop(monkeypatch):
     # The kernel's last argument is the iteration cap.
     monkeypatch.setattr(generate, "_solve_stack", lambda *args: _solve_stack(*args[:-1], 8))
     spec, count, master_seed = GenSpec(n=5, m=2, k=2), 120, 77
-    records, excluded = loop_records(spec, count, master_seed, max_iter=8)
-    assert excluded and records
-    reference = LabeledDataset.from_records(spec, master_seed, count, records, excluded)
+    reference = loop_dataset(spec, count, master_seed, max_iter=8)
+    assert reference.excluded and len(reference)
     assert_same_columns(generate_dataset(spec, count, master_seed), reference)
 
 
 @pytest.mark.parametrize("mode", [SHARED, PER_SEGMENT])
 def test_records_are_the_record_loop(mode):
     spec = GenSpec(n=4, m=2, k=2, mode=mode)
-    records, _ = loop_records(spec, 30, 5)
+    reference = loop_dataset(spec, 30, 5)
     materialized = generate_dataset(spec, 30, 5).records
-    assert materialized == tuple(records)
-    for rec in materialized:
+    assert len(materialized) == len(reference)
+    for t, rec in enumerate(materialized):
+        assert (rec.idx, rec.seed) == (reference.idx[t], record_seed(5, rec.idx))
+        assert rec.instance == loop_instance(spec, rec.seed)
+        assert rec.q.tobytes() == reference.q[t].tobytes()
+        assert rec.label == Assortment(per_segment=reference.blocks[t].tolist(), k=spec.k)
+        assert rec.r_a == reference.r_a[t]
         assert (type(rec.idx), type(rec.seed), type(rec.r_a)) == (int, int, float)
         assert not rec.q.flags.writeable
 

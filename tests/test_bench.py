@@ -1,5 +1,6 @@
 """Tests for presets, the end-to-end case runner, and run comparison."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -10,7 +11,6 @@ import pytest
 from assort_mnl import (
     CaseConfig,
     GenSpec,
-    LabeledDataset,
     StageError,
     compare_runs,
     generate_dataset,
@@ -105,6 +105,18 @@ WIDE_DATASET_SHA256 = {
     "per-segment": "fc75a81c852d4fc6bc856a3d7877e9ffa45fb93b1541d922ea1a73ea22821701",
 }
 
+# ``gen --n 5 --m 2 --k 2 --f-mode dollar --count 200 --seed 1729`` with and
+# without network effects: dollar funding gaps drive most supports to zero,
+# where the tie rule picks every label.  Taken while the per-instance API
+# still held its own selection and revenue functions.
+DOLLAR_DATASET_SHA256 = {
+    "network-effects": "bf27e9f152d3b11afc090ca95e5ea13b04d58112581b12dcfa8eff298e783cd5",
+    "no-network-effects": "0d6fb3ed70b5e34ea0dfd84510e1b5409e6089fa95b8916df43c38738d1b90b6",
+}
+# ``label --k 2 --mode per-segment`` of the case3p1 dataset at seed 1729
+# (PRESET_DATASET_SHA256["case3p1"]), same provenance.
+RELABELED_DATASET_SHA256 = "2110091e42ca3ae409e820f586de129939875a44e722cce09e927529fe0a0e10"
+
 
 def masked_durations(text):
     """A case report's text with each of its ``durations_s`` written as 0."""
@@ -142,6 +154,24 @@ class TestPreset:
         path = tmp_path / "wide.jsonl"
         write_dataset(generate_dataset(GenSpec(n=20, m=3, k=9, mode=mode), 200, 1729), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == WIDE_DATASET_SHA256[mode]
+
+    @pytest.mark.parametrize("network_effects", ["network-effects", "no-network-effects"])
+    def test_dollar_dataset_bytes_pinned(self, tmp_path, network_effects):
+        argv = ["gen", "--n", "5", "--m", "2", "--k", "2", "--f-mode", "dollar", "--count", "200", "--seed", "1729"]
+        if network_effects == "no-network-effects":
+            argv.append("--no-network-effects")
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "dataset.jsonl").read_bytes()).hexdigest()
+        assert digest == DOLLAR_DATASET_SHA256[network_effects]
+
+    def test_relabeled_dataset_bytes_pinned(self, tmp_path):
+        assert main(["gen", "--preset", "case3p1", "--seed", "1729", "--out", str(tmp_path / "gen")]) == 0
+        digest = hashlib.sha256((tmp_path / "gen" / "dataset.jsonl").read_bytes()).hexdigest()
+        assert digest == PRESET_DATASET_SHA256["case3p1"]
+        argv = ["label", str(tmp_path / "gen" / "dataset.jsonl"), "--k", "2", "--mode", "per-segment"]
+        assert main(argv + ["--out", str(tmp_path / "label")]) == 0
+        digest = hashlib.sha256((tmp_path / "label" / "dataset.jsonl").read_bytes()).hexdigest()
+        assert digest == RELABELED_DATASET_SHA256
 
     def test_grid(self):
         expected = {
@@ -201,10 +231,7 @@ class TestSplit:
 class TestConvergenceBudget:
     def _with_exclusions(self, count, n_excluded):
         data = generate_dataset(GenSpec(n=2, m=1), count=count, master_seed=3)
-        kept = data.records[: count - n_excluded]
-        return LabeledDataset.from_records(
-            data.spec, data.master_seed, data.count, kept, excluded=tuple(range(n_excluded))
-        )
+        return dataclasses.replace(data.take(slice(n_excluded, None)), excluded=tuple(range(n_excluded)))
 
     def test_within_budget_passes(self):
         check_convergence_budget(self._with_exclusions(20, 1))  # 5% exactly

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from assort_mnl import GenSpec, RevenueTerms, generate_dataset, read_dataset, read_model, write_dataset
-from assort_mnl import cli
+from assort_mnl import cli, generate
 from assort_mnl.bench import CaseConfig, run_case
 from assort_mnl.cli import main
 from assort_mnl.generate import _CHUNK, DatasetFormatError, generate_instance, record_seed, spec_from_dict, spec_to_dict
@@ -69,6 +69,22 @@ class TestMasterSeedRange:
         # The seed mix reads a master seed modulo 2**64: -1 would alias 2**64 - 1.
         assert run(command, "--n", 2, "--count", 40, "--seed", seed, "--out", tmp_path) == 2
         assert capsys.readouterr().err == f"error [config] master_seed must lie in [0, 2**64), got {seed}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestDatasetLargerThanMemory:
+    @pytest.mark.parametrize("command,count", [("gen", 10**3), ("case", 3 * 10**9)])
+    def test_is_config_error_before_drawing(self, tmp_path, capsys, monkeypatch, command, count):
+        # At n = 10**6 and m = 10**3 generation would need far more memory
+        # than any machine holds; case needs more records to fit its features.
+        def draw(*args):
+            raise AssertionError("_draw ran")
+
+        monkeypatch.setattr(generate, "_draw", draw)
+        assert run(command, "--n", 10**6, "--m", 10**3, "--count", count, "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error \[config\] a dataset of n=1000000, m=1000 and count=\d+ needs about "
+                            r"\S+ GB to generate, more than the machine's \S+ GB of physical memory\n", err), err
         assert list(tmp_path.iterdir()) == []
 
 

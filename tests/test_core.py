@@ -11,13 +11,20 @@ from assort_mnl import (
     NonConvergenceError,
     ProblemInstance,
     RevenueTerms,
-    best_assortment,
-    expected_revenue,
     optimize_assortment,
     solve_fixed_point,
-    support_map,
 )
-from assort_mnl.core import ONE_START, PER_SEGMENT, SHARED, ZERO_START
+from assort_mnl.core import (
+    ONE_START,
+    PER_SEGMENT,
+    SHARED,
+    ZERO_START,
+    _best_blocks,
+    _block_revenue,
+    _fixed_utility,
+    _mass,
+    _utility,
+)
 from enumeration_oracle import enumerate_optimum
 
 
@@ -42,6 +49,27 @@ def random_instance(rng, n, m, M=50.0, alpha_scale=1.0):
 
 def logit(p):
     return np.log(p / (1.0 - p))
+
+
+def mean_utility(inst, q):
+    """The mean utilities V(q) (n, m) of an instance at supports q, as the solve computes them."""
+    return _utility(_fixed_utility(inst.y, inst.beta, inst.F), inst.alpha, inst.lam, np.asarray(q, dtype=float))
+
+
+def demand_map(inst, q):
+    """One pass of the fixed-point iteration: q -> sigma(V(q))."""
+    return expit(mean_utility(inst, q))
+
+
+def revenue(inst, blocks, q):
+    """Expected revenue of offering the per-segment ``blocks`` at supports ``q``, as labeling computes it."""
+    return float(_block_revenue(np.asarray(q, dtype=float), inst.lam, inst.revenue.per_support, np.asarray(blocks)))
+
+
+def label_assortment(inst, k, q, mode=SHARED):
+    """The optimal size-k assortment at supports ``q``, as labeling selects it."""
+    blocks = _best_blocks(np.asarray(q, dtype=float)[None], inst.lam[None], k, mode)[0]
+    return Assortment(per_segment=blocks.tolist(), k=k)
 
 
 class TestRevenueTerms:
@@ -99,17 +127,8 @@ class TestProblemInstance:
 
 
 def support_mass(inst, q):
-    """The support mass s_i behind each product, read off support_map: with y = F = 0 and alpha = 1, V_ij = s_i."""
-    n, m = inst.n, inst.m
-    probe = make_instance(np.zeros((n, m)), np.ones((n, m)), np.zeros(n), inst.lam)
-    return logit(support_map(probe, q))[:, 0]
-
-
-def sigma(V):
-    """The choice probabilities of utilities V (n, m) through support_map: y = V, alpha = F = 0."""
-    V = np.asarray(V, dtype=float)
-    n, m = V.shape
-    return support_map(make_instance(V, np.zeros((n, m)), np.zeros(n), np.full(m, 1.0 / m)), np.zeros((n, m)))
+    """The support mass s_i = sum_j lam_j q_ij behind each product."""
+    return _mass(np.asarray(q, dtype=float), inst.lam)
 
 
 class TestSupportMass:
@@ -126,53 +145,49 @@ class TestSupportMass:
         inst = make_instance([[0.0, 0.0]], [[0.0, 0.0]], [0.0], [0.4, 0.6])
         assert support_mass(inst, [[0.5, 0.25]])[0] == pytest.approx(0.35)
 
-    def test_rejects_bad_q(self):
-        inst = make_instance([[0.0]], [[0.0]], [0.0], [1.0])
-        with pytest.raises(ValueError):
-            support_map(inst, [[0.5, 0.5]])
-        with pytest.raises(ValueError):
-            support_map(inst, [[1.5]])
-
 
 class TestMeanUtility:
     def test_all_zero(self):
         inst = make_instance([[0.0]], [[0.0]], [0.0], [1.0])
-        assert support_map(inst, [[0.3]])[0, 0] == 0.5
+        assert mean_utility(inst, [[0.3]])[0, 0] == 0.0
 
     def test_hand_value(self):
         # 5 - 1*5 + 10*0.5 = 5
         inst = make_instance([[5.0]], [[10.0]], [5.0], [1.0])
-        assert logit(support_map(inst, [[0.5]]))[0, 0] == pytest.approx(5.0)
+        assert mean_utility(inst, [[0.5]])[0, 0] == 5.0
 
     def test_alpha_zero_independent_of_q(self):
         rng = np.random.default_rng(0)
         inst = random_instance(rng, 3, 2, alpha_scale=0.0)
-        v1 = support_map(inst, np.zeros((3, 2)))
-        v2 = support_map(inst, rng.uniform(0, 1, (3, 2)))
+        v1 = mean_utility(inst, np.zeros((3, 2)))
+        v2 = mean_utility(inst, rng.uniform(0, 1, (3, 2)))
         assert np.array_equal(v1, v2)
 
 
 class TestChoiceProbability:
+    """sigma is scipy's expit, which the solve applies to the mean utilities."""
+
     def test_zero_is_half(self):
-        assert sigma(np.zeros((1, 1)))[0, 0] == 0.5
+        assert expit(np.zeros((1, 1)))[0, 0] == 0.5
 
     def test_value_at_five(self):
-        assert sigma(np.array([[5.0]]))[0, 0] == pytest.approx(0.993307, abs=5e-7)
+        assert expit(np.array([[5.0]]))[0, 0] == pytest.approx(0.993307, abs=5e-7)
 
     def test_extreme_negative_stays_positive(self):
-        p = sigma(np.array([[-50.0]]))
+        p = expit(np.array([[-50.0]]))
         assert np.isfinite(p).all() and p[0, 0] > 0.0
 
     def test_no_overflow_at_huge_magnitudes(self):
         with np.errstate(over="raise"):
-            p = sigma(np.array([[-800.0, 800.0]]))
+            p = expit(np.array([[-800.0, 800.0]]))
         assert np.isfinite(p).all()
 
     def test_rejects_non_finite(self):
-        # y + alpha * s = 1e308 + 1e308 overflows.
+        # y + alpha * s = 1e308 + 1e308 overflows, which the solve refuses.
         inst = make_instance([[1e308]], [[1e308]], [0.0], [1.0])
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^mean utilities must be finite$"):
-            support_map(inst, [[1.0]])
+        for start in (ZERO_START, ONE_START):
+            with pytest.raises(ValueError, match="^mean utilities must be finite$"):
+                solve_fixed_point(inst, start)
 
 
 class TestSolveFixedPoint:
@@ -208,7 +223,7 @@ class TestSolveFixedPoint:
         assert lo.q[0, 0] == pytest.approx(low_root, abs=1e-3)
         assert hi.q[0, 0] == pytest.approx(high_root, abs=1e-3)
         # The unstable middle fixed point is exact at one half.
-        assert support_map(inst, np.array([[0.5]]))[0, 0] == 0.5
+        assert demand_map(inst, np.array([[0.5]]))[0, 0] == 0.5
 
     def test_monotone_iterates_and_bracketing(self):
         rng = np.random.default_rng(2)
@@ -221,7 +236,7 @@ class TestSolveFixedPoint:
                                     (ONE_START, np.ones((n, m)), -1.0)):
                 q = q0
                 for _ in range(10_000):
-                    q_next = support_map(inst, q)
+                    q_next = demand_map(inst, q)
                     assert np.all(sign * (q_next - q) >= -1e-12)
                     done = np.max(np.abs(q_next - q)) <= tol
                     q = q_next
@@ -263,9 +278,8 @@ class TestSolveFixedPoint:
         # the zero start, the one check of V(1) before the loop does not.
         inst = make_instance([[1e308, -1e308]], [[1e308, 0.0]], [0.0], [0.5, 0.5])
         with np.errstate(over="ignore"):
-            assert np.isfinite(support_map(inst, [[1.0, 0.0]])).all()
-            with pytest.raises(ValueError, match="^mean utilities must be finite$"):
-                support_map(inst, np.ones((1, 2)))
+            assert np.isfinite(mean_utility(inst, [[1.0, 0.0]])).all()
+            assert not np.isfinite(mean_utility(inst, np.ones((1, 2)))).all()
         for start in (ZERO_START, ONE_START):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -276,32 +290,17 @@ class TestSolveFixedPoint:
 class TestExpectedRevenue:
     def test_single_product_full_support(self):
         inst = make_instance([[0.0]], [[0.0]], [0.0], [1.0])
-        a = Assortment.shared([0], m=1)
-        assert expected_revenue(inst, a, [[1.0]]) == pytest.approx(0.44, abs=1e-15)
+        assert revenue(inst, [[0]], [[1.0]]) == pytest.approx(0.44, abs=1e-15)
 
     def test_zero_support_zero_revenue(self):
         inst = make_instance([[0.0], [0.0]], [[0.0], [0.0]], [0.0, 0.0], [1.0])
-        a = Assortment.shared([0, 1], m=1)
-        assert expected_revenue(inst, a, [[0.0], [0.0]]) == 0.0
+        assert revenue(inst, [[0, 1]], [[0.0], [0.0]]) == 0.0
 
     def test_per_segment_hand_value(self):
         # 0.44 * (0.5*0.8 + 0.5*0.4) = 0.264
         inst = make_instance(np.zeros((2, 2)), np.zeros((2, 2)), [0.0, 0.0], [0.5, 0.5])
-        a = Assortment(per_segment=((0,), (1,)), k=1)
         q = np.array([[0.8, 0.1], [0.2, 0.4]])
-        assert expected_revenue(inst, a, q) == pytest.approx(0.264, abs=1e-12)
-
-    def test_index_out_of_range(self):
-        inst = make_instance([[0.0]], [[0.0]], [0.0], [1.0])
-        a = Assortment.shared([1], m=1)
-        with pytest.raises(ValueError):
-            expected_revenue(inst, a, [[0.5]])
-
-    def test_segment_block_count_checked(self):
-        inst = make_instance(np.zeros((2, 2)), np.zeros((2, 2)), [0.0, 0.0], [0.5, 0.5])
-        a = Assortment(per_segment=((0,),), k=1)
-        with pytest.raises(ValueError):
-            expected_revenue(inst, a, np.zeros((2, 2)))
+        assert revenue(inst, [[0], [1]], q) == pytest.approx(0.264, abs=1e-12)
 
 
 class TestAssortment:
@@ -367,7 +366,7 @@ class TestOptimizeAssortment:
                 oracle = enumerate_optimum(inst, k, sol.q)
                 assert best == oracle
                 assert w == pytest.approx(
-                    expected_revenue(inst, oracle, sol.q), abs=1e-12
+                    revenue(inst, oracle.per_segment, sol.q), abs=1e-12
                 )
 
     def test_revenue_monotone_in_k_and_bounded(self):
@@ -403,6 +402,9 @@ class TestOptimizeAssortment:
             optimize_assortment(inst, 0)
         with pytest.raises(ValueError):
             optimize_assortment(inst, 2)
+        # So is a mode that is neither shared nor per-segment.
+        with pytest.raises(ValueError, match="mode must be"):
+            optimize_assortment(inst, 1, "both")
 
     def test_non_convergence_propagates(self):
         inst = make_instance([[0.0]], [[10.0]], [5.0], [1.0])
@@ -412,19 +414,19 @@ class TestOptimizeAssortment:
 
 
 class TestRevenueOrderedOracle:
-    """``best_assortment`` (revenue-ordered top-k) against exhaustive enumeration."""
+    """The revenue-ordered top-k that labels datasets against exhaustive enumeration."""
 
     def test_tie_prefers_lower_index(self):
         inst = make_instance(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros(2), [1.0])
         q = np.full((2, 1), 0.5)
-        best = best_assortment(inst, 1, q)
+        best = label_assortment(inst, 1, q)
         assert best.per_segment == ((0,),)
         assert best == enumerate_optimum(inst, 1, q)
 
     def test_tied_pair_both_selected(self):
         inst = make_instance(np.zeros((3, 1)), np.zeros((3, 1)), np.zeros(3), [1.0])
         q = np.array([[0.2], [0.7], [0.7]])
-        best = best_assortment(inst, 2, q)
+        best = label_assortment(inst, 2, q)
         assert best.per_segment == ((1, 2),)
         assert best == enumerate_optimum(inst, 2, q)
 
@@ -435,7 +437,7 @@ class TestRevenueOrderedOracle:
         q = np.array([[a, 0.5], [np.nextafter(a, 1.0), 0.2]])
         inst = make_instance(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), [0.3, 0.7])
         assert inst.lam[0] * q[0, 0] == inst.lam[0] * q[1, 0]
-        best = best_assortment(inst, 1, q, PER_SEGMENT)
+        best = label_assortment(inst, 1, q, PER_SEGMENT)
         assert best.per_segment == ((1,), (0,))
         assert best == enumerate_optimum(inst, 1, q, PER_SEGMENT)
 
@@ -458,11 +460,11 @@ class TestRevenueOrderedOracle:
                 best, w, sol = optimize_assortment(inst, k)
                 oracle = enumerate_optimum(inst, k, sol.q)
                 assert best == oracle
-                assert w == expected_revenue(inst, oracle, sol.q)
+                assert w == revenue(inst, oracle.per_segment, sol.q)
                 best, w, sol = optimize_assortment(inst2, k, PER_SEGMENT)
                 oracle = enumerate_optimum(inst2, k, sol.q, PER_SEGMENT)
                 assert best == oracle
-                assert w == expected_revenue(inst2, oracle, sol.q)
+                assert w == revenue(inst2, oracle.per_segment, sol.q)
 
     def test_probability_range_strict_at_moderate_scale(self):
         # At M = 15 the utilities stay in float range where sigma is

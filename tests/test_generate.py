@@ -10,8 +10,6 @@ import pytest
 from assort_mnl import (
     DatasetFormatError,
     GenSpec,
-    LabeledDataset,
-    RevenueTerms,
     generate_dataset,
     generate_instance,
     normalize_weights,
@@ -21,6 +19,7 @@ from assort_mnl import (
     verify_labels,
     write_dataset,
 )
+from assort_mnl import generate
 from assort_mnl.core import PER_SEGMENT, SHARED
 from assort_mnl.generate import _CHUNK, DOLLAR_SCALE, UNIT_SCALE, _record_seeds
 
@@ -172,20 +171,27 @@ class TestGenerateDataset:
 
     def test_stored_revenue_matches_label(self):
         data = generate_dataset(GenSpec(n=3, m=2, k=1, mode=PER_SEGMENT), 15, 21)
-        verify_labels(data, tol=1e-12)
+        verify_labels(data)
 
     def test_nan_revenue_rejected(self):
         data = generate_dataset(GenSpec(n=3, m=1, k=1), 3, 21)
-        bad = dataclasses.replace(data.records[1], r_a=float("nan"))
-        data = LabeledDataset.from_records(
-            data.spec, data.master_seed, data.count, (data.records[0], bad, data.records[2])
-        )
-        with pytest.raises(ValueError, match=f"record {bad.idx}"):
-            verify_labels(data)
+        r_a = data.r_a.copy()
+        r_a[1] = float("nan")
+        with pytest.raises(ValueError, match=f"record {data.idx[1]}"):
+            verify_labels(dataclasses.replace(data, r_a=r_a))
 
     def test_count_validated(self):
         with pytest.raises(ValueError):
             generate_dataset(GenSpec(n=2, m=1), count=0, master_seed=0)
+
+    def test_dataset_larger_than_memory_refused_before_drawing(self, monkeypatch):
+        # About 1.08e14 bytes at the peak, more than any machine holds.
+        def draw(*args):
+            raise AssertionError("_draw ran")
+
+        monkeypatch.setattr(generate, "_draw", draw)
+        with pytest.raises(ValueError, match=r"needs about 1.08e\+05 GB to generate, more than the machine's [\d.]+ GB"):
+            generate_dataset(GenSpec(n=10**6, m=10**3), count=10**3, master_seed=0)
 
     @pytest.mark.parametrize("master_seed", [-1, 2**64])
     def test_master_seed_must_fit_64_bits(self, master_seed):
@@ -206,26 +212,6 @@ class TestGenerateDataset:
         with np.errstate(over="ignore"):
             overflows = ~np.isfinite(y - F[..., None] + alpha).all(axis=(1, 2))
         assert overflows.tolist() == [False] * named + [True]
-
-
-class TestFromRecords:
-    @pytest.mark.parametrize("field", ["seed", "beta", "revenue"])
-    def test_record_must_carry_what_the_header_fixes(self, field):
-        data = generate_dataset(GenSpec(n=3, m=2, k=1), 5, 21)
-        records = data.records
-        rec = records[2]
-        bad = {
-            "seed": lambda: dataclasses.replace(rec, seed=rec.seed ^ 1),
-            "beta": lambda: dataclasses.replace(
-                rec, instance=dataclasses.replace(rec.instance, beta=np.full((3, 2), 2.0))
-            ),
-            "revenue": lambda: dataclasses.replace(
-                rec, instance=dataclasses.replace(rec.instance, revenue=RevenueTerms(a=2.0))
-            ),
-        }[field]()
-        assert LabeledDataset.from_records(data.spec, data.master_seed, data.count, records) == data
-        with pytest.raises(ValueError, match=f"record {rec.idx}: its seed, beta or revenue"):
-            LabeledDataset.from_records(data.spec, data.master_seed, data.count, records[:2] + (bad,) + records[3:])
 
 
 class TestRelabel:
@@ -283,7 +269,7 @@ class TestDatasetRoundTrip:
 
     def test_empty_records_header_only(self, tmp_path):
         data = generate_dataset(GenSpec(n=2, m=1), count=1, master_seed=0)
-        empty = LabeledDataset.from_records(data.spec, data.master_seed, 0, ())
+        empty = dataclasses.replace(data.take(slice(0, 0)), count=0)
         path = tmp_path / "empty.jsonl"
         write_dataset(empty, path)
         back = read_dataset(path)
@@ -291,12 +277,10 @@ class TestDatasetRoundTrip:
 
     def test_non_finite_float_refused_and_nothing_written(self, tmp_path):
         data = generate_dataset(GenSpec(n=3, m=1, k=1), 3, 21)
-        bad = dataclasses.replace(data.records[1], r_a=float("nan"))
-        data = LabeledDataset.from_records(
-            data.spec, data.master_seed, data.count, (data.records[0], bad, data.records[2])
-        )
-        with pytest.raises(ValueError, match=f"record {bad.idx}: r_a holds nan"):
-            write_dataset(data, tmp_path / "data.jsonl")
+        r_a = data.r_a.copy()
+        r_a[1] = float("nan")
+        with pytest.raises(ValueError, match=f"record {data.idx[1]}: r_a holds nan"):
+            write_dataset(dataclasses.replace(data, r_a=r_a), tmp_path / "data.jsonl")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("field", ["y", "F", "lam", "q"])

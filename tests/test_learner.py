@@ -10,22 +10,28 @@ from assort_mnl import (
     EvaluationReport,
     FeatureLayout,
     GenSpec,
-    LabeledDataset,
     PredictorModel,
     ProblemInstance,
     UnderdeterminedFitError,
-    decode_assortment,
-    encode_features,
     evaluate,
     fit_linear,
     generate_dataset,
-    predict_scores,
     prl,
     read_model,
     write_model,
 )
 from assort_mnl.core import PER_SEGMENT, SHARED
-from assort_mnl.learner import _indicators
+from assort_mnl.learner import _decode_blocks, _features, _indicators, _predict
+
+
+def instance_features(inst):
+    """The feature vector of one instance, as training and evaluation build it."""
+    return _features(inst.y, inst.alpha, inst.F, inst.lam)
+
+
+def decoded_assortment(scores, k, n, m, mode=SHARED):
+    """The assortment decoded from one score vector, as evaluation decodes it."""
+    return Assortment(per_segment=_decode_blocks(np.asarray(scores, dtype=float), k, n, m, mode).tolist(), k=k)
 
 
 def l2_nearest_indicator(scores, k, n, m, mode):
@@ -80,31 +86,26 @@ class TestEncodeFeatures:
         inst = ProblemInstance(
             y=[[1.0], [4.0]], alpha=[[2.0], [5.0]], F=[3.0, 6.0], lam=[1.0]
         )
-        x = encode_features(inst, FeatureLayout(2, 1))
+        x = instance_features(inst)
         assert np.array_equal(x, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
 
     def test_no_weight_slots_for_one_segment(self):
         inst = ProblemInstance(y=[[0.0]], alpha=[[0.0]], F=[0.0], lam=[1.0])
-        assert encode_features(inst, FeatureLayout(1, 1)).shape == (3,)
+        assert instance_features(inst).shape == (3,)
 
     def test_weight_slot_for_two_segments(self):
         inst = ProblemInstance(
             y=np.zeros((1, 2)), alpha=np.zeros((1, 2)), F=[0.0], lam=[0.3, 0.7]
         )
-        x = encode_features(inst, FeatureLayout(1, 2))
+        x = instance_features(inst)
         assert x.shape == (6,)
         assert x[-1] == 0.3
 
     def test_single_slot_difference(self):
         a = ProblemInstance(y=[[1.0], [4.0]], alpha=[[2.0], [5.0]], F=[3.0, 6.0], lam=[1.0])
         b = ProblemInstance(y=[[1.0], [4.0]], alpha=[[2.0], [5.0]], F=[3.0, 7.0], lam=[1.0])
-        xa, xb = encode_features(a, FeatureLayout(2, 1)), encode_features(b, FeatureLayout(2, 1))
+        xa, xb = instance_features(a), instance_features(b)
         assert np.flatnonzero(xa != xb).tolist() == [5]
-
-    def test_shape_mismatch(self):
-        inst = ProblemInstance(y=[[0.0]], alpha=[[0.0]], F=[0.0], lam=[1.0])
-        with pytest.raises(ValueError):
-            encode_features(inst, FeatureLayout(2, 1))
 
 
 def encode_label(assortment, n):
@@ -143,8 +144,7 @@ class TestFitLinear:
         model = fit_linear(X, Y, layout)
         assert np.max(np.abs(model.intercept - b0)) <= 1e-8
         assert np.max(np.abs(model.coefficients - B0)) <= 1e-8
-        predictions = np.array([predict_scores(model, x) for x in X])
-        assert np.max(np.abs(predictions - Y)) <= 1e-8
+        assert np.max(np.abs(_predict(model, X) - Y)) <= 1e-8
 
     def test_constant_targets(self):
         rng = np.random.default_rng(11)
@@ -210,7 +210,7 @@ class TestPredictScores:
             layout=layout,
         )
         x = np.ones(layout.d)
-        assert np.array_equal(predict_scores(model, x), [0.3, 0.7])
+        assert np.array_equal(_predict(model, x), [0.3, 0.7])
 
     def test_affine_linearity(self):
         rng = np.random.default_rng(15)
@@ -221,38 +221,30 @@ class TestPredictScores:
             layout=layout,
         )
         x1, x2 = rng.normal(size=layout.d), rng.normal(size=layout.d)
-        zero = predict_scores(model, np.zeros(layout.d))
-        lhs = predict_scores(model, x1 + x2) - zero
-        rhs = (predict_scores(model, x1) - zero) + (predict_scores(model, x2) - zero)
+        zero = _predict(model, np.zeros(layout.d))
+        lhs = _predict(model, x1 + x2) - zero
+        rhs = (_predict(model, x1) - zero) + (_predict(model, x2) - zero)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
-
-    def test_dimension_check(self):
-        layout = FeatureLayout(2, 1)
-        model = PredictorModel(
-            intercept=np.zeros(2), coefficients=np.zeros((2, layout.d)), layout=layout
-        )
-        with pytest.raises(ValueError):
-            predict_scores(model, np.zeros(3))
 
 
 class TestDecodeAssortment:
     def test_spec_distances_example(self):
         # distances^2 to the three indicators: 0.29 < 0.89 < 1.29.
-        best = decode_assortment([0.7, 0.4, 0.2], k=1, n=3, m=1)
+        best = decoded_assortment([0.7, 0.4, 0.2], k=1, n=3, m=1)
         assert best.per_segment == ((0,),)
 
     def test_top_two(self):
-        best = decode_assortment([0.9, 0.8, 0.1], k=2, n=3, m=1)
+        best = decoded_assortment([0.9, 0.8, 0.1], k=2, n=3, m=1)
         assert best.per_segment == ((0, 1),)
 
     def test_per_segment_assignment(self):
-        best = decode_assortment(
+        best = decoded_assortment(
             [0.9, 0.2, 0.3, 0.8], k=1, n=2, m=2, mode=PER_SEGMENT
         )
         assert best.per_segment == ((0,), (1,))
 
     def test_tie_prefers_lower_index(self):
-        best = decode_assortment([0.5, 0.5, 0.1], k=1, n=3, m=1)
+        best = decoded_assortment([0.5, 0.5, 0.1], k=1, n=3, m=1)
         assert best.per_segment == ((0,),)
 
     def test_matches_l2_oracle_random(self):
@@ -263,14 +255,14 @@ class TestDecodeAssortment:
             k = int(rng.integers(1, n + 1))
             mode = SHARED if rng.random() < 0.5 else PER_SEGMENT
             scores = rng.uniform(-0.5, 1.5, n * m)
-            assert decode_assortment(scores, k, n, m, mode) == l2_nearest_indicator(
+            assert decoded_assortment(scores, k, n, m, mode) == l2_nearest_indicator(
                 scores, k, n, m, mode
             )
 
     def test_matches_l2_oracle_on_ties(self):
         for scores in ([0.5, 0.5], [1.0, 1.0], [0.0, 0.0], [0.3, 0.3, 0.3]):
             n = len(scores)
-            assert decode_assortment(scores, 1, n, 1) == l2_nearest_indicator(
+            assert decoded_assortment(scores, 1, n, 1) == l2_nearest_indicator(
                 scores, 1, n, 1, SHARED
             )
 
@@ -300,9 +292,8 @@ class TestEvaluate:
         data = self._dataset()
         layout = FeatureLayout(2, 1)
         # Keep only records labeled {product 0} and hardwire that answer.
-        keep = tuple(r for r in data.records if r.label.per_segment == ((0,),))
-        assert keep, "seed must produce at least one such record"
-        subset = LabeledDataset.from_records(data.spec, data.master_seed, data.count, keep)
+        subset = data.take(data.blocks[:, 0, 0] == 0)
+        assert len(subset), "seed must produce at least one such record"
         model = PredictorModel(
             intercept=np.array([1.0, 0.0]),
             coefficients=np.zeros((2, layout.d)),
@@ -315,8 +306,7 @@ class TestEvaluate:
 
     def test_single_wrong_prediction(self):
         data = self._dataset()
-        keep = tuple(r for r in data.records if r.label.per_segment == ((0,),))[:1]
-        subset = LabeledDataset.from_records(data.spec, data.master_seed, data.count, keep)
+        subset = data.take(np.flatnonzero(data.blocks[:, 0, 0] == 0)[:1])
         layout = FeatureLayout(2, 1)
         model = PredictorModel(
             intercept=np.array([0.0, 1.0]),  # always predicts product 1
@@ -325,16 +315,14 @@ class TestEvaluate:
         )
         report = evaluate(model, subset)
         assert report.error_rate == 1.0
-        rec = keep[0]
-        expected_prl = 100.0 * (rec.q[0, 0] - rec.q[1, 0]) / rec.q[0, 0]
+        q = subset.q[0]
+        expected_prl = 100.0 * (q[0, 0] - q[1, 0]) / q[0, 0]
         assert report.examples[0].prl == pytest.approx(expected_prl, abs=1e-9)
 
     def test_prl_nonnegative_and_error_count_integral(self):
         data = self._dataset(n=3, k=2, count=40, seed=8)
-        train_X = np.array(
-            [encode_features(r.instance, FeatureLayout(3, 1)) for r in data.records]
-        )
-        train_Y = np.array([encode_label(r.label, 3) for r in data.records])
+        train_X = _features(data.y, data.alpha, data.F, data.lam)
+        train_Y = _indicators(data.blocks, 3)
         model = fit_linear(train_X, train_Y, FeatureLayout(3, 1))
         report = evaluate(model, data)
         for ex in report.examples:
@@ -345,7 +333,7 @@ class TestEvaluate:
 
     def test_empty_test_rejected(self):
         data = self._dataset()
-        empty = LabeledDataset.from_records(data.spec, data.master_seed, data.count, ())
+        empty = data.take(slice(0, 0))
         layout = FeatureLayout(2, 1)
         model = PredictorModel(
             intercept=np.zeros(2), coefficients=np.zeros((2, layout.d)), layout=layout
