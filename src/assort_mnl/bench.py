@@ -16,7 +16,6 @@ instances drawn.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 import time
@@ -240,10 +239,6 @@ def check_convergence_budget(dataset: LabeledDataset):
         )
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def run_case(config: CaseConfig) -> CaseReport:
     """Run one case end to end and write its three artifacts.
 
@@ -281,13 +276,13 @@ def run_case(config: CaseConfig) -> CaseReport:
     written = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_dataset(dataset, dataset_path)
+        dataset_sha256 = write_dataset(dataset, dataset_path)
         written.append(dataset_path)
-        write_model(model, model_path)
+        model_sha256 = write_model(model, model_path)
         written.append(model_path)
         artifacts = {
-            "dataset": {"path": dataset_path.name, "sha256": _sha256(dataset_path)},
-            "model": {"path": model_path.name, "sha256": _sha256(model_path)},
+            "dataset": {"path": dataset_path.name, "sha256": dataset_sha256},
+            "model": {"path": model_path.name, "sha256": model_sha256},
             "report": {"path": report_path.name},
         }
         durations["write"] = time.perf_counter() - t0
@@ -304,7 +299,7 @@ def run_case(config: CaseConfig) -> CaseReport:
             durations=durations,
             artifacts=artifacts,
         )
-        _write_atomic(report_path, [json.dumps(case_report.to_dict(), indent=2) + "\n"])
+        _write_atomic(report_path, [(json.dumps(case_report.to_dict(), indent=2) + "\n").encode()])
         written.append(report_path)
     except OSError as e:
         for p in written:

@@ -191,7 +191,7 @@ def _cmd_eval(args) -> int:
     out_path = None
     if args.out is not None:
         out_path = _out_dir(args) / "report.json"
-        _write_atomic(out_path, [json.dumps(doc, indent=2) + "\n"])
+        _write_atomic(out_path, [(json.dumps(doc, indent=2) + "\n").encode()])
     mean_prl = "n/a" if report.mean_prl_percent is None else f"{report.mean_prl_percent:.2f}%"
     lines = [
         f"test examples:   {report.test_count}",

@@ -46,9 +46,11 @@ that breaks any of these rules, naming the line.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
 import os
+import re
 import secrets
 import sys
 from dataclasses import dataclass, replace
@@ -57,6 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._numtext import FLOAT_CELL, INT_CELL, float_cells, int_cells, mul_hi
 from .core import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -106,9 +109,8 @@ _GAMMA = 0x9E3779B97F4A7C15
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# uint64 shift counts and mask for the 128-bit arithmetic.
-_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(b) for b in (1, 11, 32, 58, 63, 64))
-_LOW32 = np.uint64(_MASK32)
+# uint64 shift counts for the 128-bit arithmetic.
+_U1, _U11, _U58, _U63, _U64 = (np.uint64(b) for b in (1, 11, 58, 63, 64))
 
 
 class DatasetFormatError(ValueError):
@@ -203,8 +205,9 @@ class LabeledDataset:
     ``F`` (N, n) and ``lam`` (N, m), the supports ``q`` (N, n, m) and the
     label: 0-based sorted ``blocks`` (N, m, k) with revenue ``r_a``.  The
     header fixes beta (all ones), the revenue terms (``spec.revenue``) and
-    :attr:`seed`.  :attr:`records` presents the records as
-    :class:`DatasetRecord` objects.
+    :attr:`seed`; ``master_seed`` must be an integer in [0, 2**64), as a
+    dataset file's header must hold.  :attr:`records` presents the records
+    as :class:`DatasetRecord` objects.
     """
 
     spec: GenSpec
@@ -221,6 +224,7 @@ class LabeledDataset:
     excluded: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "master_seed", _check_master_seed(_integer("master_seed", self.master_seed)))
         for name in _COLUMNS:
             column = np.asarray(getattr(self, name)).view()
             column.setflags(write=False)
@@ -277,11 +281,20 @@ def record_seed(master_seed: int, index: int) -> int:
     """Per-record seed: SplitMix64 output ``index`` steps from ``master_seed``.
 
     A pure 64-bit mix of (master_seed, index), so record seeds are
-    independent of generation order.
+    independent of generation order.  ``master_seed`` must lie in [0,
+    2**64), where the mix tells every seed apart.
     """
+    _check_master_seed(master_seed)
     if index < 0:
         raise ValueError(f"index must be >= 0, got {index}")
     return int(_record_seeds(master_seed, [index])[0])
+
+
+def _check_master_seed(master_seed: int) -> int:
+    """``master_seed``, which must lie in [0, 2**64), where the seed mix tells every seed apart."""
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError(f"master_seed must lie in [0, 2**64), got {master_seed}")
+    return master_seed
 
 
 def _record_seeds(master_seed: int, indices) -> np.ndarray:
@@ -410,14 +423,6 @@ def _split(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
     return np.array([v >> 64 for v in values], np.uint64), np.array([v & _MASK64 for v in values], np.uint64)
 
 
-def _mul_hi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The high 64 bits of the 128-bit products ``a * b`` of uint64 arrays, from 32-bit halves."""
-    a0, a1, b0, b1 = a & _LOW32, a >> _U32, b & _LOW32, b >> _U32
-    p01, p10 = a0 * b1, a1 * b0
-    middle = ((a0 * b0) >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
-    return a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (middle >> _U32)
-
-
 def _mul_add(a, x, b, y) -> tuple[np.ndarray, np.ndarray]:
     """``a * x + b * y`` modulo 2**128 for (high, low) uint64 pairs, broadcast elementwise.
 
@@ -428,8 +433,8 @@ def _mul_add(a, x, b, y) -> tuple[np.ndarray, np.ndarray]:
     ax_lo = a_lo * x_lo
     low = ax_lo + b_lo * y_lo
     high = (
-        _mul_hi(a_lo, x_lo) + a_lo * x_hi + a_hi * x_lo
-        + _mul_hi(b_lo, y_lo) + b_lo * y_hi + b_hi * y_lo
+        mul_hi(a_lo, x_lo) + a_lo * x_hi + a_hi * x_lo
+        + mul_hi(b_lo, y_lo) + b_lo * y_hi + b_hi * y_lo
         + (low < ax_lo)
     )
     return high, low
@@ -575,8 +580,7 @@ def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledData
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if not 0 <= master_seed <= _MASK64:
-        raise ValueError(f"master_seed must lie in [0, 2**64), got {master_seed}")
+    _check_master_seed(master_seed)
     peak = _PEAK_OVER_COLUMNS * 3 * count * spec.n * spec.m * 8
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if peak > memory:
@@ -680,20 +684,28 @@ def _load_json_file(path, what: str):
         raise DatasetFormatError(f"{path}: invalid {what} file ({e})") from None
 
 
-# Records held as Python objects at a time while a dataset is written or
-# read: bounds the memory either holds beyond the dataset itself.
+# Records read at a time: bounds the memory the reader holds beyond the
+# dataset itself, and the records the writer formats at a time.
 _CHUNK = 256
+# Floats the writer formats at a time, at most: its temporaries peak at
+# about 340 bytes a float, 2.7 MB for a full chunk.
+_CHUNK_FLOATS = 8192
 
 
-def write_dataset(dataset: LabeledDataset, path) -> None:
-    """Write a dataset as JSON Lines (see the module docstring for the schema), atomically.
+def write_dataset(dataset: LabeledDataset, path) -> str:
+    """Write a dataset as JSON Lines (see the module docstring for the schema), atomically; returns its SHA-256.
 
-    The header goes through ``json.dumps``; each record line fills one
-    ``%``-format template made for the spec (``_line_template``), every
-    ``_CHUNK`` records from one ``tolist()`` of their floats, so the bytes
-    are those ``json.dumps`` writes for the record.  JSON has no
-    non-finite numbers: a NaN or infinite float raises ``ValueError``
-    naming the record's idx and field, and no file is written.
+    The header goes through ``json.dumps``.  Record lines are written in
+    array code, a chunk of at most ``_CHUNK`` records and ``_CHUNK_FLOATS``
+    floats at a time.  Every number becomes a fixed-width cell of candidate
+    characters, 0 where its keep mask drops one (``_numtext.float_cells``
+    and ``int_cells``: a float's shortest round-trip digits, as ``repr``
+    writes them); the cells go into a buffer of the chunk's lines that holds
+    the spec's literal text (``_line_buffer``), and one boolean compaction
+    of the kept characters gives the chunk's bytes, those ``json.dumps``
+    writes for each record.  JSON has no non-finite numbers: a NaN or
+    infinite float raises ``ValueError`` naming the record's idx and field,
+    and no file is written.
     """
     header = {
         "format_version": FORMAT_VERSION,
@@ -703,37 +715,46 @@ def write_dataset(dataset: LabeledDataset, path) -> None:
         "seed_mix": "splitmix64",
         "excluded": list(dataset.excluded),
     }
-    template = _line_template(dataset.spec)
     floats = [getattr(dataset, _COLUMNS[i]) for i in _FLOAT_FIELDS]
     ends = np.cumsum([math.prod(column.shape[1:]) for column in floats])
+    size = max(1, min(_CHUNK, _CHUNK_FLOATS // int(ends[-1])))
+    lines, float_slots, int_slots = _line_buffer(dataset.spec, size)
 
-    def lines():
-        yield json.dumps(header, separators=(",", ":")) + "\n"
-        for start in range(0, len(dataset), _CHUNK):
-            rows = slice(start, start + _CHUNK)
+    def chunks():
+        yield (json.dumps(header, separators=(",", ":")) + "\n").encode()
+        for start in range(0, len(dataset), size):
+            rows = slice(start, start + size)
             idx = dataset.idx[rows]
-            values = np.concatenate([column[rows].reshape(len(idx), -1) for column in floats], axis=1)
+            count = len(idx)
+            values = np.concatenate([column[rows].reshape(count, -1) for column in floats], axis=1)
             bad = np.argwhere(~np.isfinite(values))
             if bad.size:
                 row, col = bad[0]
                 field = _COLUMN_KEYS[_FLOAT_FIELDS[np.searchsorted(ends, col, side="right")]]
                 value = float(values[row, col])
                 raise ValueError(f"record {idx[row]}: {field} holds {value!r}, which JSON cannot carry")
-            # Files carry 1-based product indices.
-            blocks = (dataset.blocks[rows] + 1).reshape(len(idx), -1).tolist()
-            seed = _record_seeds(dataset.master_seed, idx).tolist()
-            head, r_a = values[:, :-1].tolist(), values[:, -1].tolist()
-            yield from (template % (i, s, *f, *b, r) for i, s, f, b, r in zip(idx.tolist(), seed, head, blocks, r_a))
+            # The integers of a line in order: idx, seed and the label's
+            # products, 1-based in files.
+            signed = np.vstack([idx, (dataset.blocks[rows] + 1).reshape(count, -1).T])
+            magnitude = np.insert(np.abs(signed).astype(np.uint64), 1, _record_seeds(dataset.master_seed, idx), axis=0)
+            negative = np.insert(signed < 0, 1, False, axis=0)
+            # The cells, slot by slot: a slot's numbers of all the chunk's records together.
+            lines[float_slots, :count] = float_cells(values.T.ravel()).reshape(*float_slots.shape, count)
+            lines[int_slots, :count] = int_cells(magnitude.ravel(), negative.ravel()).reshape(*int_slots.shape, count)
+            # Record by record; the literal text holds no 0, the cells hold 0 where they drop a character.
+            text = lines[:, :count].T.ravel()
+            yield np.compress(text != 0, text)
 
-    _write_atomic(path, lines())
+    return _write_atomic(path, chunks())
 
 
 def _line_template(spec: GenSpec) -> str:
-    """The ``%``-format string of a record line under ``spec``, keys and nesting as in the module docstring.
+    """A record line under ``spec``, keys and nesting as in the module docstring, with a slot for each number.
 
-    ``%d`` stands for an int and ``%r`` for a float: ``float.__repr__``,
-    which is what ``json.dumps`` writes for a finite float.  Beta and the
-    revenue terms, which the header fixes, are literal text.
+    ``%d`` marks an integer and ``%r`` a float, which ``json.dumps``
+    writes as ``float.__repr__`` does; the text between the slots, beta and
+    the revenue terms included (the header fixes them), is the line's
+    literal text, which ``_line_buffer`` lays out.
     """
 
     def nested(shape, slot):
@@ -748,24 +769,51 @@ def _line_template(spec: GenSpec) -> str:
     )
 
 
-def _write_atomic(path, chunks) -> None:
-    """Replace ``path`` by a file holding the strings ``chunks``, or leave it untouched on failure.
+def _line_buffer(spec: GenSpec, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A buffer for ``size`` record lines under ``spec``, and where its number cells go.
+
+    Character j of line t is entry ``[j, t]`` of the (width, size) uint8
+    buffer, which holds the literal text of ``_line_template``; each
+    ``%r`` slot becomes a ``FLOAT_CELL``-wide cell and each ``%d`` slot an
+    ``INT_CELL``-wide one.  Entry ``[i, s]`` of the two (cell width,
+    slots) arrays returned is the position of row i of the s-th float or
+    integer cell.
+    """
+    pieces = re.split("(%[dr])", _line_template(spec))
+    runs, slots = pieces[0::2], pieces[1::2]
+    widths = [FLOAT_CELL if slot == "%r" else INT_CELL for slot in slots]
+    starts = np.cumsum([0] + [len(run) + width for run, width in zip(runs, widths)])
+    cells = starts[:-1] + [len(run) for run in runs[:-1]]
+    is_float = np.array(slots) == "%r"
+    lines = np.empty((starts[-1] + len(runs[-1]), size), np.uint8)
+    literal = np.concatenate([start + np.arange(len(run)) for run, start in zip(runs, starts)])
+    lines[literal] = np.frombuffer("".join(runs).encode(), np.uint8)[:, None]
+    return lines, np.arange(FLOAT_CELL)[:, None] + cells[is_float], np.arange(INT_CELL)[:, None] + cells[~is_float]
+
+
+def _write_atomic(path, chunks) -> str:
+    """Replace ``path`` by a file holding the bytes-like ``chunks`` and return its SHA-256, or leave it untouched on failure.
 
     The chunks go, one by one, to a fresh temporary file in the same
-    directory, which ``os.replace`` then moves over ``path``; on any failure
-    the temporary file is removed and the error propagates.
+    directory, which ``os.replace`` then moves over ``path``; the digest is
+    taken of the chunks as they are written.  On any failure the temporary
+    file is removed and the error propagates.
     """
     path = Path(path)
     # Opened with "x" rather than made by tempfile.mkstemp, so the file gets
     # the permissions a plain open gives it instead of owner-only ones.
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    digest = hashlib.sha256()
     try:
-        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
+        with open(tmp, "xb") as fh:
+            for chunk in chunks:
+                digest.update(chunk)
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return digest.hexdigest()
 
 
 def read_dataset(path) -> LabeledDataset:

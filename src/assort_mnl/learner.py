@@ -296,8 +296,8 @@ def evaluate(model: PredictorModel, test: LabeledDataset) -> EvaluationReport:
     return report
 
 
-def write_model(model: PredictorModel, path) -> None:
-    """Persist a fitted model as a JSON document, atomically."""
+def write_model(model: PredictorModel, path) -> str:
+    """Persist a fitted model as a JSON document, atomically; returns the file's SHA-256."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "layout": {"n": model.layout.n, "m": model.layout.m},
@@ -305,7 +305,7 @@ def write_model(model: PredictorModel, path) -> None:
         "coefficients": model.coefficients.tolist(),
         "rank_deficient": model.rank_deficient,
     }
-    _write_atomic(path, [json.dumps(doc, separators=(",", ":")) + "\n"])
+    return _write_atomic(path, [(json.dumps(doc, separators=(",", ":")) + "\n").encode()])
 
 
 def read_model(path) -> PredictorModel:

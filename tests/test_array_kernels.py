@@ -12,15 +12,17 @@ artifact moves.
 import dataclasses
 import functools
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
-from assort_mnl import core, generate
+from assort_mnl import _numtext, core, generate
 from assort_mnl.core import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -560,14 +562,25 @@ def assert_writes_the_reference(dataset, tmp_path):
     assert written.read_bytes() == reference.read_bytes()
 
 
+# Floats generation never draws: negative, -0.0, subnormal, huge, and
+# doubles halfway between their two closest shortest decimals (2**-25 and
+# (2**52 + 1) / 4), where repr takes the even one.
+FOREIGN_FLOATS = np.array([-1.5, -0.0, 5e-323, 1e300, 2.0**-25, -(2**52 + 1) / 4, 1e-05, 1e16])
+
+
 @pytest.mark.parametrize("f_mode", [UNIT_SCALE, DOLLAR_SCALE])
 @pytest.mark.parametrize("mode", [SHARED, PER_SEGMENT])
 @pytest.mark.parametrize("n,m,k", [(2, 1, 1), (5, 1, 4), (2, 2, 1), (20, 3, 9), (100, 4, 3), (4, 3, 4)])
 def test_writer_matches_the_reference(tmp_path, n, m, k, mode, f_mode):
-    # More records than one chunk, except for the largest shape.
+    # More records than one of the writer's chunks, which hold _CHUNK
+    # records or fewer, _CHUNK_FLOATS floats at most.
     count = 60 if n == 100 else _CHUNK + 44
     spec = GenSpec(n=n, m=m, k=k, mode=mode, f_mode=f_mode)
-    assert_writes_the_reference(generate_dataset(spec, count, 2**64 - n), tmp_path)
+    data = generate_dataset(spec, count, 2**64 - n)
+    assert_writes_the_reference(data, tmp_path)
+    # Every float column cycles through FOREIGN_FLOATS.
+    foreign = {f: np.resize(FOREIGN_FLOATS, getattr(data, f).shape) for f in ("y", "alpha", "F", "lam", "q", "r_a")}
+    assert_writes_the_reference(dataclasses.replace(data, **foreign), tmp_path)
 
 
 def test_writer_matches_the_reference_without_records(tmp_path):
@@ -585,6 +598,68 @@ def test_writer_matches_the_reference_on_extreme_floats(tmp_path):
     for terms in [RevenueTerms(5e-324, 1e16, 1e-05, 0.1), RevenueTerms(-0.0, 1.7976931348623157e308, 0.0, 1.0)]:
         spec = dataclasses.replace(data.spec, revenue=terms)
         assert_writes_the_reference(dataclasses.replace(data, spec=spec, **columns), tmp_path)
+
+
+def cell_texts(cells):
+    """The characters each cell (column) of ``cells`` keeps: those other than 0."""
+    return [cell[cell != 0].tobytes().decode() for cell in cells.T]
+
+
+def float_texts(values):
+    return cell_texts(_numtext.float_cells(np.asarray(values, dtype=np.float64)))
+
+
+def float_of_bits(bits):
+    return float(np.uint64(bits).view(np.float64))
+
+
+# Any finite double: hypothesis's floats, which favour special values;
+# uniform bit patterns, which reach every exponent; the smallest
+# subnormals, whose shortest decimals have one or two digits; and doubles
+# (2**52 + odd) / 4, halfway between their two closest shortest decimals.
+FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(float_of_bits).filter(math.isfinite),
+    st.integers(1, 100).map(float_of_bits),
+    st.integers(0, 2**49).map(lambda j: (2.0**52 + 2 * j + 1) / 4),
+)
+
+
+def edge_floats():
+    """Floats at the edges of repr's forms and of the digit kernel, of both signs."""
+    powers = np.array([2.0**e for e in range(-1074, 1024)] + [10.0**e for e in range(-323, 309)])
+    neighbours = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])
+    positive = np.concatenate([
+        [0.0, sys.float_info.min, sys.float_info.max, np.nextafter(sys.float_info.max, 0.0)],
+        # Exponent form below 1e-4 and from 1e16 on.
+        [1e-05, 1e-04, 1e15, 1e16, 9999999999999998.0, 0.00009999999999999999],
+        # The smallest subnormals, where the shortest decimal has one or two digits.
+        np.arange(1, 2001, dtype=np.uint64).view(np.float64),
+        # Ties between the two closest shortest decimals.
+        (2.0**52 + np.arange(1, 40, 2)) / 4,
+        neighbours[np.isfinite(neighbours)],
+    ])
+    return np.concatenate([positive, -positive]).tolist()
+
+
+EDGE_INTS = [0, 1, 9, 10, 99, 100, 2**53 + 1, 2**63, 2**64 - 1] + [10**e for e in range(20)] + [10**e - 1 for e in range(1, 20)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(FINITE_FLOATS, min_size=1, max_size=40))
+@example(edge_floats())
+def test_float_cells_keep_repr(values):
+    assert float_texts(values) == [repr(v) for v in values]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.booleans()), min_size=1, max_size=40))
+@example([(v, sign) for v in EDGE_INTS for sign in (False, True)])
+def test_int_cells_keep_str(values):
+    magnitude = np.array([v for v, _ in values], np.uint64)
+    negative = np.array([sign and v > 0 for v, sign in values])
+    text = [f"-{v}" if sign and v > 0 else str(v) for v, sign in values]
+    assert cell_texts(_numtext.int_cells(magnitude, negative)) == text
 
 
 def test_integer_revenue_terms_act_as_their_floats(tmp_path):

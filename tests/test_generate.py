@@ -1,6 +1,7 @@
 """Tests for seeded instance/dataset generation and JSON Lines persistence."""
 
 import dataclasses
+import hashlib
 import warnings
 from itertools import combinations
 
@@ -75,6 +76,12 @@ class TestRecordSeed:
         with pytest.raises(ValueError):
             record_seed(1, -1)
 
+    @pytest.mark.parametrize("master_seed", [-1, 2**64, 2**70])
+    def test_master_seed_outside_64_bits_rejected(self, master_seed):
+        # The mix reads a master seed modulo 2**64: -1 would alias 2**64 - 1.
+        with pytest.raises(ValueError, match=r"master_seed must lie in \[0, 2\*\*64\), got "):
+            record_seed(master_seed, 0)
+
     @pytest.mark.parametrize("master_seed", [0, -1, 2**64 - 1, 2**70])
     def test_array_mix_is_the_scalar_formula(self, master_seed):
         mask = 2**64 - 1
@@ -89,7 +96,8 @@ class TestRecordSeed:
         seeds = _record_seeds(master_seed, indices)
         assert seeds.dtype == np.uint64
         assert seeds.tolist() == [splitmix64(i) for i in indices]
-        assert [record_seed(master_seed, i) for i in indices[:20]] == seeds.tolist()[:20]
+        if 0 <= master_seed < 2**64:
+            assert [record_seed(master_seed, i) for i in indices[:20]] == seeds.tolist()[:20]
 
 
 class TestNormalizeWeights:
@@ -250,6 +258,11 @@ class TestDatasetRoundTrip:
         write_dataset(data, path)
         assert read_dataset(path) == data
 
+    def test_write_returns_the_sha256_of_the_file(self, tmp_path):
+        data = generate_dataset(GenSpec(n=3, m=2, k=2), count=300, master_seed=17)
+        path = tmp_path / "data.jsonl"
+        assert write_dataset(data, path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_byte_identical_rewrites(self, tmp_path):
         spec = GenSpec(n=2, m=1)
         data = generate_dataset(spec, count=15, master_seed=4)
@@ -274,6 +287,22 @@ class TestDatasetRoundTrip:
         write_dataset(empty, path)
         back = read_dataset(path)
         assert back.records == ()
+
+    @pytest.mark.parametrize("master_seed", [-5, 2**64, 1.0, True])
+    def test_master_seed_the_reader_refuses_is_refused_at_construction(self, master_seed):
+        # A master seed of -5 would write the record seeds of 2**64 - 5
+        # under a header that read_dataset refuses.
+        data = generate_dataset(GenSpec(n=2, m=1), count=3, master_seed=5)
+        error = TypeError if isinstance(master_seed, (bool, float)) else ValueError
+        with pytest.raises(error, match="master_seed must"):
+            dataclasses.replace(data, master_seed=master_seed)
+
+    def test_numpy_master_seed_is_stored_as_its_int(self, tmp_path):
+        data = generate_dataset(GenSpec(n=2, m=1), count=3, master_seed=5)
+        again = dataclasses.replace(data, master_seed=np.uint64(2**64 - 1))
+        assert type(again.master_seed) is int and again.master_seed == 2**64 - 1
+        write_dataset(again, tmp_path / "data.jsonl")
+        assert read_dataset(tmp_path / "data.jsonl") == again
 
     def test_non_finite_float_refused_and_nothing_written(self, tmp_path):
         data = generate_dataset(GenSpec(n=3, m=1, k=1), 3, 21)

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from assort_mnl.bench import DEFAULT_MASTER_SEED, preset, run_case
+from assort_mnl.bench import DEFAULT_MASTER_SEED, PRESET_NAMES, preset, run_case
 from assort_mnl.core import DEFAULT_MAX_ITER, DEFAULT_TOL, ONE_START, PER_SEGMENT, SHARED, _solve_stack, solve_fixed_point
 from assort_mnl.generate import GenSpec, _draw, generate_dataset, generate_instance, read_dataset, record_seed, write_dataset
 from assort_mnl.learner import _decode_blocks
@@ -86,6 +86,19 @@ def test_write_dataset_of_2000_records(benchmark, tmp_path):
     path = tmp_path / "dataset.jsonl"
     benchmark(write_dataset, generate_dataset(LEARN_IO_SPEC, 2000, DEFAULT_MASTER_SEED), path)
     assert len(path.read_text().splitlines()) == 2001
+
+
+def test_write_the_preset_datasets_of_500_records(benchmark, tmp_path):
+    # The small files a presets pass of `case` writes, one per preset.
+    datasets = [generate_dataset(preset(name).spec, 500, DEFAULT_MASTER_SEED) for name in PRESET_NAMES]
+    paths = [tmp_path / f"{name}_dataset.jsonl" for name in PRESET_NAMES]
+
+    def write_all():
+        for dataset, path in zip(datasets, paths):
+            write_dataset(dataset, path)
+
+    benchmark(write_all)
+    assert all(len(path.read_text().splitlines()) == len(dataset) + 1 for dataset, path in zip(datasets, paths))
 
 
 def test_read_dataset_of_2000_records(benchmark, tmp_path):
