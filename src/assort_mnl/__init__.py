@@ -29,7 +29,6 @@ from .generate import (
     LabeledDataset,
     generate_dataset,
     generate_instance,
-    normalize_weights,
     read_dataset,
     record_seed,
     relabel_dataset,

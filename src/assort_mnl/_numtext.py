@@ -1,4 +1,4 @@
-"""Numbers as JSON text, in array code: integers as ``str`` and finite floats as ``repr`` write them.
+"""Numbers as JSON text, in array code: nonnegative integers as ``str`` and finite floats as ``repr`` write them.
 
 Each number becomes a cell: a fixed column of candidate characters in
 which those not kept are 0, so that the characters other than 0 spell the
@@ -158,8 +158,8 @@ def _decimal_digits(v: np.ndarray) -> np.ndarray:
 # decpt is the decimal point's place: v = 0.d1d2... * 10**decpt.  As repr
 # does, exponent form is used for decpt <= -4 or decpt > 16.
 FLOAT_CELL = 29
-# An integer's cell: "-" and 20 digits, kept from the first nonzero one.
-INT_CELL = 21
+# A nonnegative integer's cell: 20 digits, kept from the first nonzero one.
+INT_CELL = 20
 _PREFIX = np.frombuffer(b"-0.000", np.uint8)[:, None]
 _ROW5, _ROW18, _ROW20 = (np.arange(size, dtype=np.uint8)[:, None] for size in (5, 18, 20))
 
@@ -204,14 +204,9 @@ def float_cells(values: np.ndarray) -> np.ndarray:
     return np.multiply(chars, keep, out=chars)
 
 
-def int_cells(magnitude: np.ndarray, negative: np.ndarray) -> np.ndarray:
-    """The cells of the integers of uint64 ``magnitude`` and bool ``negative``: (``INT_CELL``, N) characters, 0 where not kept."""
-    chars = np.empty((INT_CELL, len(magnitude)), np.uint8)
-    chars[0] = ord("-")
-    chars[1:] = _decimal_digits(magnitude)
-    keep = np.empty(chars.shape, bool)
-    keep[0] = negative
+def int_cells(values: np.ndarray) -> np.ndarray:
+    """The cells of the uint64 ``values``, as (``INT_CELL``, N) characters, 0 where not kept."""
+    chars = _decimal_digits(values)
     # The place of the first digit that is not 0, the last digit's for a zero.
-    first = np.minimum(20 - ((chars[1:] != ord("0")) * (20 - _ROW20)).max(axis=0), 19)
-    np.greater_equal(_ROW20, first, out=keep[1:])
-    return np.multiply(chars, keep, out=chars)
+    first = np.minimum(20 - ((chars != ord("0")) * (20 - _ROW20)).max(axis=0), 19)
+    return np.multiply(chars, _ROW20 >= first, out=chars)

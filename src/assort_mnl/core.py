@@ -169,8 +169,8 @@ class ProblemInstance:
             raise ValueError(f"F must have length {n}, got {F.shape}")
         if lam.shape != (m,):
             raise ValueError(f"lam must have length {m}, got {lam.shape}")
-        for message, bad in _instance_faults(y[None], alpha[None], beta[None], F[None], lam[None]):
-            if bad[0]:
+        for message, ok in _instance_faults(y[None], alpha[None], beta[None], F[None], lam[None]):
+            if not ok.all():
                 raise ValueError(message)
 
         for name, arr in (("y", y), ("alpha", alpha), ("beta", beta), ("F", F), ("lam", lam)):
@@ -201,17 +201,16 @@ class ProblemInstance:
 def _instance_faults(y, alpha, beta, F, lam):
     """The value rules of :class:`ProblemInstance` over records stacked on a leading axis.
 
-    Yields, rule by rule, ``(message, bad)`` where ``bad`` flags the records
-    that break the rule; the arrays already have their stacked shapes.
-    ``beta`` is None for records whose beta is all ones.
+    Yields, rule by rule, ``(message, ok)``: ``ok`` flags the entries that keep the rule if those
+    before it hold.  The arrays have their stacked shapes; ``beta`` is None for all-ones betas.
     """
     for name, arr in (("y", y), ("alpha", alpha), ("beta", beta), ("F", F), ("lam", lam)):
         if arr is not None:
-            yield f"{name} must be finite", ~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
-    yield "alpha must be componentwise nonnegative", (alpha < 0.0).any(axis=(1, 2))
-    yield "F must be componentwise nonnegative", (F < 0.0).any(axis=1)
-    yield "lam must be componentwise nonnegative", (lam < 0.0).any(axis=1)
-    yield "lam must sum to 1 within 1e-12", np.abs(lam.sum(axis=1) - 1.0) > 1e-12
+            yield f"{name} must be finite", np.isfinite(arr)
+    yield "alpha must be componentwise nonnegative", alpha >= 0.0
+    yield "F must be componentwise nonnegative", F >= 0.0
+    yield "lam must be componentwise nonnegative", lam >= 0.0
+    yield "lam must sum to 1 within 1e-12", np.abs(lam.sum(axis=1) - 1.0) <= 1e-12
 
 
 @dataclass(frozen=True)
@@ -327,11 +326,11 @@ def solve_fixed_point(
 
 
 class _RecordFault(ValueError):
-    """A value rule broken first at the record ``position`` of a stack; the message names the rule."""
+    """A value ``rule`` broken first at the record ``position`` of a stack; the message is ``prefix + rule``."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(message)
-        self.position = position
+    def __init__(self, rule: str, position: int, prefix: str = ""):
+        super().__init__(prefix + rule)
+        self.rule, self.position = rule, position
 
 
 # Finished records ride along in a stacked solve until at most half of the

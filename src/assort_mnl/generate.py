@@ -10,10 +10,9 @@ A :class:`LabeledDataset` holds its records as columns: arrays with a
 leading record axis, which generation draws straight into and which
 labeling, verification, splitting, training and evaluation read and slice
 directly.  :attr:`LabeledDataset.records` presents them as
-:class:`DatasetRecord` objects for inspection.  Validation sits at the
-boundaries: the drawn stack is checked once with
-:class:`~assort_mnl.core.ProblemInstance`'s rules, and reading checks each
-field of the file as a whole.
+:class:`DatasetRecord` objects for inspection.  Every
+:class:`LabeledDataset` passes a file's rules (``_dataset_faults``) at
+construction, so :func:`write_dataset` writes what :func:`read_dataset` reads.
 
 Datasets persist as JSON Lines.  Line 1 is a header object::
 
@@ -29,9 +28,8 @@ and each following line is one record::
 
 Product indices are 1-based inside files and 0-based in memory.  Floats
 are serialized with ``repr`` precision, so a read after a write
-reproduces every number exactly; JSON has no NaN or infinity, so a
-dataset holding one is refused, not written.  The header fixes what does
-not vary between records: each record's ``seed`` is
+reproduces every number exactly.  The header fixes what does not vary
+between records: each record's ``seed`` is
 ``record_seed(master_seed, idx)``, the SplitMix64 mix the header's
 ``seed_mix`` names, its ``beta`` is all 1.0 and its ``revenue`` is the
 spec's terms as floats.  Each line carries them so that it stands alone;
@@ -39,12 +37,15 @@ a :class:`LabeledDataset` keeps only the header's.  The records of a file
 carry the idx ``range(count)`` without the ``excluded`` ones, in order,
 and their values fit the spec: ``y`` and ``alpha`` in [0, M], ``alpha``
 zero without network effects, and ``F`` in [0, M] ("unit" f_mode) or an
-integer in 1..10000 ("dollar").  :func:`read_dataset` rejects a file
-that breaks any of these rules, naming the line.
+integer in 1..10000 ("dollar"); ``q`` lies in [0, 1], each label block
+holds k distinct products in 1..n and ``r_a`` is finite (JSON has no NaN
+or infinity).  :func:`read_dataset` rejects a file that breaks any of
+these rules, naming the line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -86,7 +87,6 @@ __all__ = [
     "DatasetRecord",
     "LabeledDataset",
     "record_seed",
-    "normalize_weights",
     "generate_instance",
     "generate_dataset",
     "relabel_dataset",
@@ -201,13 +201,15 @@ class LabeledDataset:
     ``count`` is the requested number of records; indices listed in
     ``excluded`` hit the fixed-point iteration cap and carry no record.
     Each other field is a read-only array whose leading axis runs over the
-    N records: ``idx`` (int64), the instances' ``y``, ``alpha`` (N, n, m),
-    ``F`` (N, n) and ``lam`` (N, m), the supports ``q`` (N, n, m) and the
-    label: 0-based sorted ``blocks`` (N, m, k) with revenue ``r_a``.  The
-    header fixes beta (all ones), the revenue terms (``spec.revenue``) and
-    :attr:`seed`; ``master_seed`` must be an integer in [0, 2**64), as a
-    dataset file's header must hold.  :attr:`records` presents the records
-    as :class:`DatasetRecord` objects.
+    N records: ``idx`` (integers), the instances' ``y``, ``alpha`` (N, n,
+    m), ``F`` (N, n) and ``lam`` (N, m), the supports ``q`` (N, n, m) and
+    the label: 0-based sorted ``blocks`` (N, m, k, integers) with revenue
+    ``r_a``.  The header fixes beta (all ones), the revenue terms
+    (``spec.revenue``) and :attr:`seed`.  :attr:`records` presents them as
+    :class:`DatasetRecord` objects.  Construction checks a file's rules
+    (``_dataset_faults``), but records may be a subset: their idx increase
+    strictly through range(count) without ``excluded``.  A broken rule
+    raises ``ValueError`` as ``record {idx}: <rule>``, for the first record.
     """
 
     spec: GenSpec
@@ -225,10 +227,17 @@ class LabeledDataset:
 
     def __post_init__(self):
         object.__setattr__(self, "master_seed", _check_master_seed(_integer("master_seed", self.master_seed)))
+        object.__setattr__(self, "count", _integer("count", self.count))
+        object.__setattr__(self, "excluded", tuple(_integer("excluded", i) for i in self.excluded))
         for name in _COLUMNS:
             column = np.asarray(getattr(self, name)).view()
             column.setflags(write=False)
             object.__setattr__(self, name, column)
+        # Rules are tested over whole columns; only a broken one is reduced to records.
+        for rule, ok in _dataset_faults(self):
+            if not ok.all():
+                position = int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))
+                raise _RecordFault(rule, position, f"record {self.idx[position]}: ")
 
     def __len__(self) -> int:
         return len(self.idx)
@@ -250,7 +259,7 @@ class LabeledDataset:
         return _record_seeds(self.master_seed, self.idx)
 
     def take(self, rows) -> "LabeledDataset":
-        """The records at ``rows`` (a slice, indices or a mask), with the same header."""
+        """The records at ``rows`` (a slice, indices or a mask) in record order; unsorted or repeated rows raise ``ValueError``."""
         return replace(self, **{f: getattr(self, f)[rows] for f in _COLUMNS})
 
     @property
@@ -275,6 +284,46 @@ def _layout(spec: GenSpec) -> list[tuple[tuple, type]]:
     n, m = spec.n, spec.m
     floats = [((n, m), float)] * 2 + [((n,), float), ((m,), float), ((n, m), float)]
     return [((), np.int64), *floats, ((m, spec.k), np.int64), ((), float)]
+
+
+def _dataset_faults(dataset: LabeledDataset):
+    """A file's rules for ``dataset``: header, shape and dtype faults raise; record rules yield as in ``_instance_faults``."""
+    spec, count, excluded = dataset.spec, dataset.count, dataset.excluded
+    idx, y, alpha, F, lam, q, blocks, r_a = (getattr(dataset, name) for name in _COLUMNS)
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if not all(0 <= i < count for i in excluded) or len(set(excluded)) != len(excluded):
+        raise ValueError(f"excluded must list distinct record indices in [0, {count})")
+    if idx.ndim != 1:
+        raise ValueError(f"idx must have one dimension, got shape {idx.shape}")
+    for name, (shape, dtype) in zip(_COLUMNS, _layout(spec)):
+        column, (kinds, what) = getattr(dataset, name), ("iu", "integers") if dtype is np.int64 else ("f", "floats")
+        if column.shape != (len(idx), *shape):
+            raise ValueError(f"{name} must have shape {(len(idx), *shape)}, got {column.shape}")
+        if column.dtype.kind not in kinds:
+            raise ValueError(f"{name} must hold {what}, got dtype {column.dtype}")
+    ok = (idx >= 0) & (idx < count)
+    ok[1:] &= idx[1:] > idx[:-1]
+    if excluded:
+        ok &= ~np.isin(idx, excluded)
+    yield "idx must increase strictly through range(count), without the excluded indices", ok
+    yield from _instance_faults(y, alpha, None, F, lam)
+    M, at_M = float(spec.M), f"with the header's M={spec.M!r}"
+    yield f"y must lie in [0, M] {at_M}", (y >= 0.0) & (y <= M)
+    yield ((f"alpha must lie in [0, M] {at_M}", alpha <= M) if spec.network_effects
+           else ("alpha must be all zero under the header's network_effects false", alpha == 0.0))
+    yield ((f"F must lie in [0, M] {at_M} in unit f_mode", F <= M) if spec.f_mode == UNIT_SCALE
+           else (f"F must be an integer in 1..{DOLLAR_MAX} under the header's dollar f_mode",
+                 (F >= 1.0) & (F <= DOLLAR_MAX) & (F == np.floor(F))))
+    yield "q must lie in [0, 1]", (q >= 0.0) & (q <= 1.0)
+    ok, increasing = (blocks >= 0) & (blocks < spec.n), blocks[..., 1:] > blocks[..., :-1]
+    # Products that increase are distinct; only others are sorted to tell.
+    if not increasing.all():
+        ordered = np.sort(blocks, axis=-1)
+        ok[..., 1:] &= ordered[..., 1:] != ordered[..., :-1]
+    yield f"label must have {spec.m} block(s) of k={spec.k} distinct products in 1..{spec.n}", ok
+    yield "label products must be sorted within each block", increasing
+    yield "r_a must be a finite number", np.isfinite(r_a)
 
 
 def record_seed(master_seed: int, index: int) -> int:
@@ -307,22 +356,6 @@ def _record_seeds(master_seed: int, indices) -> np.ndarray:
     z = (z ^ (z >> u64(30))) * u64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
     return z ^ (z >> u64(31))
-
-
-def normalize_weights(raw) -> np.ndarray:
-    """Scale nonnegative draws to a probability vector, ``raw / sum(raw)``, along the last axis."""
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim < 1 or raw.shape[-1] < 1:
-        raise ValueError("raw weights must be a nonempty sequence")
-    if np.any(raw < 0.0) or not np.all(np.isfinite(raw)):
-        raise ValueError("raw weights must be finite and nonnegative")
-    with np.errstate(over="ignore"):
-        total = raw.sum(axis=-1, keepdims=True)
-    if np.isinf(total).any():
-        raise _RecordFault("segment weights overflowed: their sum exceeds the float maximum", int(np.isinf(total).argmax()))
-    if not np.all(total > 0.0):
-        raise _RecordFault("raw weights must not all be zero", int(np.argmin(total > 0.0)))
-    return raw / total
 
 
 def generate_instance(spec: GenSpec, seed: int) -> ProblemInstance:
@@ -528,8 +561,8 @@ def _draw(spec: GenSpec, seeds) -> list[np.ndarray]:
       integers there, drawn by rejection, which only numpy repeats).
       Splitting a run of uniform draws into calls changes none of them.
 
-    The stack is then checked once with :class:`ProblemInstance`'s rules,
-    a fault naming the first record that breaks one.
+    A record's segment weights are its raw weights over their sum, which
+    can overflow or be zero: either raises ``_RecordFault``.
     """
     n, m, nm = spec.n, spec.m, spec.n * spec.m
     size = 2 * nm + n + m
@@ -552,17 +585,33 @@ def _draw(spec: GenSpec, seeds) -> list[np.ndarray]:
     y, alpha = y.reshape(-1, n, m), alpha.reshape(-1, n, m)
     if not spec.network_effects:
         alpha = np.zeros_like(alpha)
-    lam = normalize_weights(raw)
-    for message, bad in _instance_faults(y, alpha, None, F, lam):
-        if bad.any():
-            raise _RecordFault(message, int(np.argmax(bad)))
-    return [y, alpha, F, lam]
+    with np.errstate(over="ignore"):
+        total = raw.sum(axis=1, keepdims=True)
+    if np.isinf(total).any():
+        raise _RecordFault("segment weights overflowed: their sum exceeds the float maximum", int(np.isinf(total).argmax()))
+    if not np.all(total > 0.0):
+        raise _RecordFault("raw weights must not all be zero", int(np.argmin(total > 0.0)))
+    return [y, alpha, F, raw / total]
 
 
 # Generation peaks at about this many times the bytes of its three (count,
 # n, m) float64 columns, y, alpha and q: 434 MB for 96 MB at (n, m) =
 # (100, 4) with 10**4 records.
 _PEAK_OVER_COLUMNS = 4.5
+
+# A container's memory limit, cgroup v2's and v1's.
+_CGROUP_MEMORY_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+
+
+@functools.cache
+def _memory_limit() -> tuple[int, str]:
+    """Physical memory or a smaller cgroup limit, and what sets it; read once, as a read costs some 30 us."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "the machine's {} GB of physical memory"
+    for path in _CGROUP_MEMORY_LIMITS:
+        # No file, no number (v2 reads "max" for no limit) or v1's no limit, near 2**63: physical memory stands.
+        with contextlib.suppress(OSError, ValueError):
+            limit = min(limit, (int(Path(path).read_text()), "the container's memory limit of {} GB"))
+    return limit
 
 
 def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledDataset:
@@ -575,18 +624,19 @@ def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledData
     the exact optima.  Records whose fixed point fails to converge are
     then dropped and reported in ``excluded``.  ``master_seed`` must lie in
     [0, 2**64), where the seed mix tells every seed apart.  A dataset whose
-    estimated peak memory exceeds the machine's physical memory raises
-    ``ValueError`` before anything is drawn.
+    estimated peak memory exceeds the machine's physical memory, or a
+    smaller cgroup memory limit, raises ``ValueError`` before anything is
+    drawn.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     _check_master_seed(master_seed)
     peak = _PEAK_OVER_COLUMNS * 3 * count * spec.n * spec.m * 8
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    memory, source = _memory_limit()
     if peak > memory:
         raise ValueError(
             f"a dataset of n={spec.n}, m={spec.m} and count={count} needs about {peak / 1e9:.3g} GB to generate, "
-            f"more than the machine's {memory / 1e9:.3g} GB of physical memory"
+            f"more than {source.format(f'{memory / 1e9:.3g}')}"
         )
     try:
         y, alpha, F, lam = _draw(spec, _record_seeds(master_seed, np.arange(count)))
@@ -625,10 +675,8 @@ def relabel_dataset(dataset: LabeledDataset, k=None, mode=None) -> LabeledDatase
 _SPEC_KEYS = ("n", "m", "M", "network_effects", "f_mode", "revenue", "k", "mode")
 _REVENUE_KEYS = ("a", "b", "omega", "xi")
 _RECORD_KEYS = ("idx", "seed", "y", "alpha", "beta", "F", "lambda", "revenue", "q", "label", "r_a")
-# The keys of the columns, in _COLUMNS order: all but the fields the header
-# fixes.  The positions, in both, of the float fields: all but idx and the label.
+# The keys of the columns, in _COLUMNS order: all but the fields the header fixes.
 _COLUMN_KEYS = [key for key in _RECORD_KEYS if key not in ("seed", "beta", "revenue")]
-_FLOAT_FIELDS = [i for i, name in enumerate(_COLUMNS) if name not in ("idx", "blocks")]
 
 
 def _file_revenue(spec: GenSpec) -> dict:
@@ -695,18 +743,18 @@ _CHUNK_FLOATS = 8192
 def write_dataset(dataset: LabeledDataset, path) -> str:
     """Write a dataset as JSON Lines (see the module docstring for the schema), atomically; returns its SHA-256.
 
-    The header goes through ``json.dumps``.  Record lines are written in
-    array code, a chunk of at most ``_CHUNK`` records and ``_CHUNK_FLOATS``
-    floats at a time.  Every number becomes a fixed-width cell of candidate
-    characters, 0 where its keep mask drops one (``_numtext.float_cells``
-    and ``int_cells``: a float's shortest round-trip digits, as ``repr``
-    writes them); the cells go into a buffer of the chunk's lines that holds
-    the spec's literal text (``_line_buffer``), and one boolean compaction
-    of the kept characters gives the chunk's bytes, those ``json.dumps``
-    writes for each record.  JSON has no non-finite numbers: a NaN or
-    infinite float raises ``ValueError`` naming the record's idx and field,
-    and no file is written.
+    The header goes through ``json.dumps``, the record lines through array
+    code, at most ``_CHUNK`` records and ``_CHUNK_FLOATS`` floats at a time:
+    every number becomes a fixed-width cell of candidate characters, 0
+    where one is dropped (``_numtext``: a float's shortest round-trip
+    digits, as ``repr`` writes them), the cells go into a buffer of the
+    chunk's lines that holds the spec's literal text (``_line_buffer``),
+    and one compaction of the kept characters gives the bytes ``json.dumps``
+    writes.  A dataset whose records and ``excluded`` fall short of
+    ``count``, as a subset's do, raises ``ValueError``; no file is written.
     """
+    if len(dataset) + len(dataset.excluded) != dataset.count:
+        raise ValueError(f"expected {dataset.count} records ({len(dataset.excluded)} excluded), found {len(dataset)}")
     header = {
         "format_version": FORMAT_VERSION,
         "spec": spec_to_dict(dataset.spec),
@@ -715,9 +763,8 @@ def write_dataset(dataset: LabeledDataset, path) -> str:
         "seed_mix": "splitmix64",
         "excluded": list(dataset.excluded),
     }
-    floats = [getattr(dataset, _COLUMNS[i]) for i in _FLOAT_FIELDS]
-    ends = np.cumsum([math.prod(column.shape[1:]) for column in floats])
-    size = max(1, min(_CHUNK, _CHUNK_FLOATS // int(ends[-1])))
+    floats = [getattr(dataset, name) for name in _COLUMNS if name not in ("idx", "blocks")]
+    size = max(1, min(_CHUNK, _CHUNK_FLOATS // sum(math.prod(column.shape[1:]) for column in floats)))
     lines, float_slots, int_slots = _line_buffer(dataset.spec, size)
 
     def chunks():
@@ -727,20 +774,13 @@ def write_dataset(dataset: LabeledDataset, path) -> str:
             idx = dataset.idx[rows]
             count = len(idx)
             values = np.concatenate([column[rows].reshape(count, -1) for column in floats], axis=1)
-            bad = np.argwhere(~np.isfinite(values))
-            if bad.size:
-                row, col = bad[0]
-                field = _COLUMN_KEYS[_FLOAT_FIELDS[np.searchsorted(ends, col, side="right")]]
-                value = float(values[row, col])
-                raise ValueError(f"record {idx[row]}: {field} holds {value!r}, which JSON cannot carry")
-            # The integers of a line in order: idx, seed and the label's
-            # products, 1-based in files.
-            signed = np.vstack([idx, (dataset.blocks[rows] + 1).reshape(count, -1).T])
-            magnitude = np.insert(np.abs(signed).astype(np.uint64), 1, _record_seeds(dataset.master_seed, idx), axis=0)
-            negative = np.insert(signed < 0, 1, False, axis=0)
+            # The integers of a line in order, none negative: idx, seed and
+            # the label's products, 1-based in files.
+            seeds, products = _record_seeds(dataset.master_seed, idx), (dataset.blocks[rows] + 1).reshape(count, -1).T
+            ints = np.vstack([idx.astype(np.uint64), seeds, products.astype(np.uint64)])
             # The cells, slot by slot: a slot's numbers of all the chunk's records together.
             lines[float_slots, :count] = float_cells(values.T.ravel()).reshape(*float_slots.shape, count)
-            lines[int_slots, :count] = int_cells(magnitude.ravel(), negative.ravel()).reshape(*int_slots.shape, count)
+            lines[int_slots, :count] = int_cells(ints.ravel()).reshape(*int_slots.shape, count)
             # Record by record; the literal text holds no 0, the cells hold 0 where they drop a character.
             text = lines[:, :count].T.ravel()
             yield np.compress(text != 0, text)
@@ -821,17 +861,13 @@ def read_dataset(path) -> LabeledDataset:
 
     Raises :class:`DatasetFormatError` on malformed content, naming the
     offending line; nothing partial is ever returned.  Lines are streamed,
-    and every ``_CHUNK`` records become arrays, field by field, each
-    checked as a whole; an error names the first line that breaks the rule.
-    Each chunk takes the idx its records must carry from one lazy, in-order
-    stream over ``range(count)`` without ``excluded``, so memory does not
-    grow with the header's ``count``.  The header's types are checked, and
-    the records must fit it as the module docstring says: their idx in
-    sequence, the seed, beta and revenue the header fixes (checked, then
-    dropped) and values within the spec's ranges.  Each instance must fit
-    :class:`ProblemInstance`'s rules too, ``q`` must lie in [0, 1], each
-    label must hold the JSON integer k and k distinct products, JSON
-    integers in 1..n, per segment, and ``r_a`` must be a finite number.
+    and every ``_CHUNK`` records become arrays, field by field.  Each chunk
+    takes the idx its records must carry from one lazy, in-order stream
+    over ``range(count)`` without ``excluded``, so memory does not grow
+    with the header's ``count``.  The reader checks the header's types and
+    each record's JSON types, shapes, idx and the seed, beta and revenue
+    the header fixes (then dropped); :class:`LabeledDataset` then checks
+    the values, and a fault names the line of the record at fault.
     """
     # Read as bytes and decoded line by line, so that text which is not UTF-8 is named by its line.
     with open(Path(path), "rb") as fh:
@@ -851,7 +887,11 @@ def read_dataset(path) -> LabeledDataset:
     if found + len(excluded) != count:
         raise DatasetFormatError(f"expected {count} records ({len(excluded)} excluded), found {found}")
     columns = (np.concatenate(column) for column in zip(*parts))
-    return LabeledDataset(spec, master_seed, count, *columns, excluded)
+    try:
+        return LabeledDataset(spec, master_seed, count, *columns, excluded)
+    except _RecordFault as e:
+        # Record p sits on line p + 2.
+        raise DatasetFormatError(f"line {e.position + 2}: {e.rule}") from None
 
 
 def _read_header(line: bytes) -> tuple[GenSpec, int, int, tuple[int, ...]]:
@@ -887,7 +927,6 @@ def _record_columns(rows: list, line: int, spec: GenSpec, master_seed: int, expe
     carry; the records take the next ``len(rows)`` of them.
     """
     idx, seed, y, alpha, beta, F, lam, revenue, q, label, r_a = list(zip(*rows)) or [()] * len(_RECORD_KEYS)
-    n, m, k = spec.n, spec.m, spec.k
     expected = list(islice(expected, len(rows)))
     # A record beyond the last expected one meets None.
     _reject(line, [type(i) is not int or i != e for i, e in zip_longest(idx, expected)],
@@ -896,53 +935,19 @@ def _record_columns(rows: list, line: int, spec: GenSpec, master_seed: int, expe
     _reject(line, [type(s) is not int or s != e for s, e in zip(seed, seeds)],
             "seed must be record_seed(master_seed, idx), as seed_mix splitmix64 declares")
     # Compared as JSON values, so 1 and true pass for 1.0, as they do in numeric fields.
-    ones, terms = [[1.0] * m] * n, _file_revenue(spec)
+    ones, terms = [[1.0] * spec.m] * spec.n, _file_revenue(spec)
     _reject(line, [b != ones for b in beta], "beta must be all 1.0 under the header's spec")
     _reject(line, [r != terms for r in revenue], f"revenue must be the header's spec revenue {terms}")
     labels = [_fields(d, ("per_segment", "k"), f"line {lineno}", "label") for lineno, d in enumerate(label, start=line)]
-    _reject(line, [type(label_k) is not int or label_k != k for _, label_k in labels], f"label k must be the integer {k}")
+    _reject(line, [type(k) is not int or k != spec.k for _, k in labels], f"label k must be the integer {spec.k}")
     _reject(line, [type(r) not in (int, float) for r in r_a], "r_a must be a number")
     values = (idx, y, alpha, F, lam, q, [b for b, _ in labels], r_a)
-    idx, y, alpha, F, lam, q, blocks, r_a = (
-        _column(v, line, shape, dtype, key)
-        for v, key, (shape, dtype) in zip(values, _COLUMN_KEYS, _layout(spec))
-    )
+    columns = [_column(v, line, shape, dtype, key) for v, key, (shape, dtype) in zip(values, _COLUMN_KEYS, _layout(spec))]
     # _column checked the labels' shape, but it would cast a float or a boolean to a product.
     _reject(line, [any(type(i) is not int for block in b for i in block) for b, _ in labels],
             "label products must be JSON integers")
-    for message, bad in _instance_faults(y, alpha, None, F, lam):
-        _reject(line, bad, message)
-    for message, bad in _spec_faults(spec, y, alpha, F):
-        _reject(line, bad, message)
-    _reject(line, ~((q >= 0.0) & (q <= 1.0)).all(axis=(1, 2)), "q must lie in [0, 1]")
-    blocks = np.sort(blocks - 1, axis=-1)
-    _reject(
-        line,
-        ~((blocks >= 0) & (blocks < n)).all(axis=(1, 2)) | (np.diff(blocks, axis=-1) == 0).any(axis=(1, 2)),
-        f"label must have {m} block(s) of k={k} distinct products in 1..{n}",
-    )
-    _reject(line, ~np.isfinite(r_a), "r_a must be a finite number")
-    return [idx, y, alpha, F, lam, q, blocks, r_a]
-
-
-def _spec_faults(spec: GenSpec, y, alpha, F):
-    """The value rules ``spec`` sets for its drawn instances, over records stacked on a leading axis.
-
-    Yields ``(message, bad)`` as ``core._instance_faults`` does; the
-    records already passed those rules, so nothing here is NaN and alpha
-    and F are not negative.
-    """
-    M = float(spec.M)
-    yield f"y must lie in [0, M] with the header's M={spec.M!r}", ~((y >= 0.0) & (y <= M)).all(axis=(1, 2))
-    if spec.network_effects:
-        yield f"alpha must lie in [0, M] with the header's M={spec.M!r}", (alpha > M).any(axis=(1, 2))
-    else:
-        yield "alpha must be all zero under the header's network_effects false", (alpha != 0.0).any(axis=(1, 2))
-    if spec.f_mode == UNIT_SCALE:
-        yield f"F must lie in [0, M] with the header's M={spec.M!r} in unit f_mode", (F > M).any(axis=1)
-    else:
-        integral = (F >= 1.0) & (F <= DOLLAR_MAX) & (F == np.floor(F))
-        yield f"F must be an integer in 1..{DOLLAR_MAX} under the header's dollar f_mode", ~integral.all(axis=1)
+    # A file may list a block's products in any order; a dataset holds them sorted.
+    return [*columns[:6], np.sort(columns[6] - 1, axis=-1), columns[7]]
 
 
 def _reject(line: int, bad, message: str) -> None:

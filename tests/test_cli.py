@@ -81,6 +81,9 @@ class TestDatasetLargerThanMemory:
             raise AssertionError("_draw ran")
 
         monkeypatch.setattr(generate, "_draw", draw)
+        # Physical memory sets the limit here, whatever cgroup limit the host has.
+        monkeypatch.setattr(generate, "_CGROUP_MEMORY_LIMITS", ())
+        monkeypatch.setattr(generate, "_memory_limit", functools.cache(generate._memory_limit.__wrapped__))
         assert run(command, "--n", 10**6, "--m", 10**3, "--count", count, "--out", tmp_path) == 2
         err = capsys.readouterr().err
         assert re.fullmatch(r"error \[config\] a dataset of n=1000000, m=1000 and count=\d+ needs about "

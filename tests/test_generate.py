@@ -1,19 +1,21 @@
 """Tests for seeded instance/dataset generation and JSON Lines persistence."""
 
 import dataclasses
+import functools
 import hashlib
 import warnings
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assort_mnl import (
     DatasetFormatError,
     GenSpec,
     generate_dataset,
     generate_instance,
-    normalize_weights,
     read_dataset,
     record_seed,
     relabel_dataset,
@@ -100,18 +102,6 @@ class TestRecordSeed:
             assert [record_seed(master_seed, i) for i in indices[:20]] == seeds.tolist()[:20]
 
 
-class TestNormalizeWeights:
-    def test_two_three(self):
-        assert np.allclose(normalize_weights([2.0, 3.0]), [0.4, 0.6], atol=0)
-
-    def test_single_is_exactly_one(self):
-        assert normalize_weights([17.3])[0] == 1.0
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_weights([0.0, 0.0])
-
-
 class TestGenerateInstance:
     def test_ranges(self):
         spec = GenSpec(n=4, m=2, M=50.0)
@@ -181,11 +171,11 @@ class TestGenerateDataset:
         data = generate_dataset(GenSpec(n=3, m=2, k=1, mode=PER_SEGMENT), 15, 21)
         verify_labels(data)
 
-    def test_nan_revenue_rejected(self):
+    def test_wrong_revenue_rejected(self):
         data = generate_dataset(GenSpec(n=3, m=1, k=1), 3, 21)
         r_a = data.r_a.copy()
-        r_a[1] = float("nan")
-        with pytest.raises(ValueError, match=f"record {data.idx[1]}"):
+        r_a[1] += 1e-9
+        with pytest.raises(DatasetFormatError, match=f"record {data.idx[1]}: stored r_a"):
             verify_labels(dataclasses.replace(data, r_a=r_a))
 
     def test_count_validated(self):
@@ -198,8 +188,47 @@ class TestGenerateDataset:
             raise AssertionError("_draw ran")
 
         monkeypatch.setattr(generate, "_draw", draw)
+        # Physical memory sets the limit here, whatever cgroup limit the host has.
+        monkeypatch.setattr(generate, "_CGROUP_MEMORY_LIMITS", ())
+        monkeypatch.setattr(generate, "_memory_limit", functools.cache(generate._memory_limit.__wrapped__))
         with pytest.raises(ValueError, match=r"needs about 1.08e\+05 GB to generate, more than the machine's [\d.]+ GB"):
             generate_dataset(GenSpec(n=10**6, m=10**3), count=10**3, master_seed=0)
+
+    @pytest.mark.parametrize(
+        "name,text,refused",
+        [
+            ("memory.max", "1000000\n", True),
+            ("memory.limit_in_bytes", "1000000\n", True),
+            # cgroup v2 reads "max", and v1 a number near 2**63, for no limit.
+            ("memory.max", "max\n", False),
+            ("memory.limit_in_bytes", "9223372036854771712\n", False),
+            ("memory.max", None, False),
+            ("memory.max", "directory", False),
+        ],
+    )
+    def test_cgroup_memory_limit_refuses_before_drawing(self, tmp_path, monkeypatch, name, text, refused):
+        # About 43 MB at the peak: within this machine's memory, not within a 1 MB limit.
+        class Drew(Exception):
+            pass
+
+        def draw(*args):
+            raise Drew
+
+        monkeypatch.setattr(generate, "_draw", draw)
+        monkeypatch.setattr(generate, "_CGROUP_MEMORY_LIMITS", (tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"))
+        # The limit is read once per process: this test reads it afresh.
+        monkeypatch.setattr(generate, "_memory_limit", functools.cache(generate._memory_limit.__wrapped__))
+        if text == "directory":
+            (tmp_path / name).mkdir()
+        elif text is not None:
+            (tmp_path / name).write_text(text)
+        spec = GenSpec(n=100, m=4)
+        if refused:
+            with pytest.raises(ValueError, match=r"needs about 0.0432 GB to generate, more than the container's memory limit of 0.001 GB"):
+                generate_dataset(spec, count=1000, master_seed=0)
+        else:
+            with pytest.raises(Drew):
+                generate_dataset(spec, count=1000, master_seed=0)
 
     @pytest.mark.parametrize("master_seed", [-1, 2**64])
     def test_master_seed_must_fit_64_bits(self, master_seed):
@@ -248,6 +277,90 @@ class TestRelabel:
         assert swept.spec.mode == PER_SEGMENT
         for a, b in zip(base.records, swept.records):
             assert b.r_a >= a.r_a - 1e-12
+
+
+# Each edit of a valid n=3, m=2, k=2 dataset of 40 records, with the
+# ValueError it meets: a record and the rule it breaks, or the count.
+_OUT_OF_RULE = {
+    "idx-shifted-up": (lambda d: dataclasses.replace(d, idx=d.idx + 7), r"^record 40: idx must increase strictly"),
+    "idx-shifted-down": (lambda d: dataclasses.replace(d, idx=d.idx - 1), r"^record -1: idx must increase strictly"),
+    "y-above-M": (lambda d: dataclasses.replace(d, y=d.y + 100.0), r"^record 0: y must lie in \[0, M\]"),
+    "q-doubled": (lambda d: dataclasses.replace(d, q=d.q * 2), r"^record 0: q must lie in \[0, 1\]$"),
+    "lam-doubled": (lambda d: dataclasses.replace(d, lam=d.lam * 2), r"^record 0: lam must sum to 1 within 1e-12$"),
+    "blocks-shifted": (
+        lambda d: dataclasses.replace(d, blocks=d.blocks + 5),
+        r"^record 0: label must have 2 block\(s\) of k=2 distinct products in 1\.\.3$",
+    ),
+    "excluded-outside-count": (
+        lambda d: dataclasses.replace(d, excluded=(99,)), r"^excluded must list distinct record indices in \[0, 40\)$",
+    ),
+    "y-drops-a-segment": (lambda d: dataclasses.replace(d, y=d.y[:, :1]), r"^y must have shape \(40, 3, 2\), got \(40, 1, 2\)$"),
+    # A subset is a dataset, but a file holds every record.
+    "subset-written-as-is": (lambda d: d.take(slice(0, 30)), r"^expected 40 records \(0 excluded\), found 30$"),
+}
+
+
+@functools.cache
+def _base_dataset():
+    return generate_dataset(GenSpec(n=3, m=2, k=2), 24, 5)
+
+
+_ROWS = st.one_of(
+    st.builds(slice, st.none() | st.integers(-30, 30), st.none() | st.integers(-30, 30), st.sampled_from([None, 1, 2, -1])),
+    st.lists(st.integers(0, 10**6), max_size=30),
+    st.lists(st.booleans(), min_size=24, max_size=24).map(np.array),
+)
+_FLOATS = st.sampled_from([float("nan"), float("inf"), -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, 1.0000000000000002, 3.0, 50.0, 50.5, 1e300])
+# One edit of a dataset: its records at some rows, the records of a mask with
+# the others excluded, one entry of a column, its count, excluded or a spec field.
+_EDITS = st.one_of(
+    st.tuples(st.just("take"), _ROWS),
+    st.tuples(st.just("drop"), st.lists(st.booleans(), min_size=24, max_size=24).map(np.array)),
+    st.tuples(st.just("set"), st.sampled_from(["y", "alpha", "F", "lam", "q", "r_a"]), st.integers(0, 10**6), _FLOATS),
+    st.tuples(st.just("set"), st.sampled_from(["idx", "blocks"]), st.integers(0, 10**6), st.integers(-3, 30)),
+    st.tuples(st.just("count"), st.integers(-2, 2)),
+    st.tuples(st.just("excluded"), st.lists(st.integers(-1, 30), max_size=3).map(tuple)),
+    st.tuples(st.just("spec"), st.sampled_from([("M", 1.0), ("M", 100.0), ("network_effects", False), ("f_mode", DOLLAR_SCALE)])),
+)
+
+
+def _edited(data, edit):
+    kind, *args = edit
+    if kind == "take":
+        # Indices taken modulo the records, and a mask fitted to them.
+        rows = args[0]
+        if isinstance(rows, list):
+            rows = [row % len(data) for row in rows] if len(data) else []
+        elif isinstance(rows, np.ndarray):
+            rows = np.resize(rows, len(data))
+        return data.take(rows)
+    if kind == "drop":
+        kept = np.resize(args[0], len(data))
+        return dataclasses.replace(data.take(kept), excluded=data.excluded + tuple(data.idx[~kept].tolist()))
+    if kind == "set":
+        name, position, value = args
+        column = getattr(data, name).copy()
+        if column.size:
+            column.flat[position % column.size] = value
+        return dataclasses.replace(data, **{name: column})
+    if kind == "count":
+        return dataclasses.replace(data, count=data.count + args[0])
+    if kind == "excluded":
+        return dataclasses.replace(data, excluded=args[0])
+    return dataclasses.replace(data, spec=dataclasses.replace(data.spec, **dict([args[0]])))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(edits=st.lists(_EDITS, min_size=1, max_size=3))
+def test_what_construction_and_write_let_through_reads_back(tmp_path_factory, edits):
+    path = tmp_path_factory.mktemp("edited") / "data.jsonl"
+    try:
+        data = functools.reduce(_edited, edits, _base_dataset())
+        write_dataset(data, path)
+    except ValueError:
+        assert not path.exists()
+        return
+    assert read_dataset(path) == data
 
 
 class TestDatasetRoundTrip:
@@ -305,10 +418,11 @@ class TestDatasetRoundTrip:
         assert read_dataset(tmp_path / "data.jsonl") == again
 
     def test_non_finite_float_refused_and_nothing_written(self, tmp_path):
+        # JSON cannot carry a NaN, and no dataset holds one.
         data = generate_dataset(GenSpec(n=3, m=1, k=1), 3, 21)
         r_a = data.r_a.copy()
         r_a[1] = float("nan")
-        with pytest.raises(ValueError, match=f"record {data.idx[1]}: r_a holds nan"):
+        with pytest.raises(ValueError, match=rf"^record {data.idx[1]}: r_a must be a finite number$"):
             write_dataset(dataclasses.replace(data, r_a=r_a), tmp_path / "data.jsonl")
         assert list(tmp_path.iterdir()) == []
 
@@ -317,8 +431,18 @@ class TestDatasetRoundTrip:
         data = generate_dataset(GenSpec(n=3, m=2, k=1), 300, 5)
         column = getattr(data, field).copy()
         column[280].flat[-1] = float("inf")
-        with pytest.raises(ValueError, match=f"record 280: {'lambda' if field == 'lam' else field} holds inf"):
+        rule = r"q must lie in \[0, 1\]" if field == "q" else f"{field} must be finite"
+        with pytest.raises(ValueError, match=f"^record 280: {rule}$"):
             write_dataset(dataclasses.replace(data, **{field: column}), tmp_path / "data.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("case", sorted(_OUT_OF_RULE))
+    def test_dataset_a_file_cannot_hold_is_refused_and_nothing_written(self, tmp_path, case):
+        data = generate_dataset(GenSpec(n=3, m=2, k=2), 40, 5)
+        assert data.excluded == ()
+        edit, message = _OUT_OF_RULE[case]
+        with pytest.raises(ValueError, match=message):
+            write_dataset(edit(data), tmp_path / "data.jsonl")
         assert list(tmp_path.iterdir()) == []
 
     def test_truncated_file_names_line(self, tmp_path):

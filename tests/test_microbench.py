@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from assort_mnl.bench import DEFAULT_MASTER_SEED, PRESET_NAMES, preset, run_case
+from assort_mnl.bench import DEFAULT_MASTER_SEED, PRESET_NAMES, preset, run_case, split_dataset
 from assort_mnl.core import DEFAULT_MAX_ITER, DEFAULT_TOL, ONE_START, PER_SEGMENT, SHARED, _solve_stack, solve_fixed_point
 from assort_mnl.generate import GenSpec, _draw, generate_dataset, generate_instance, read_dataset, record_seed, write_dataset
 from assort_mnl.learner import _decode_blocks
@@ -72,6 +72,12 @@ def test_generate_dataset_of_500_records(benchmark):
     assert len(benchmark(generate_dataset, SPEC, 500, DEFAULT_MASTER_SEED)) == 500
 
 
+def test_generate_and_split_500_records(benchmark):
+    # Each of the three datasets checks a file's rules at construction.
+    train, test = benchmark(lambda: split_dataset(generate_dataset(SPEC, 500, DEFAULT_MASTER_SEED), 0.75))
+    assert (len(train), len(train) + len(test)) == (375, 500)
+
+
 def test_draw_of_5500_records(benchmark):
     # The records of one presets pass, all drawn under one preset's spec.
     seeds = [record_seed(DEFAULT_MASTER_SEED, t) for t in range(5500)]
@@ -105,6 +111,13 @@ def test_read_dataset_of_2000_records(benchmark, tmp_path):
     path = tmp_path / "dataset.jsonl"
     write_dataset(generate_dataset(LEARN_IO_SPEC, 2000, DEFAULT_MASTER_SEED), path)
     assert len(benchmark(read_dataset, path)) == 2000
+
+
+def test_read_and_split_2000_records(benchmark, tmp_path):
+    path = tmp_path / "dataset.jsonl"
+    write_dataset(generate_dataset(LEARN_IO_SPEC, 2000, DEFAULT_MASTER_SEED), path)
+    train, test = benchmark(lambda: split_dataset(read_dataset(path), 0.75))
+    assert (len(train), len(train) + len(test)) == (1500, 2000)
 
 
 def test_encode_case_report(benchmark, tmp_path):
