@@ -27,6 +27,7 @@ from .generate import (
     DatasetFormatError,
     GenSpec,
     LabeledDataset,
+    _fields,
     _write_atomic,
     generate_dataset,
     spec_to_dict,
@@ -315,9 +316,9 @@ def compare_runs(report_a, report_b) -> dict:
     """Metric deltas (b minus a) between two case reports.
 
     Accepts CaseReport objects or their dict form.  Both runs must share
-    the same product and segment counts.  A dict that lacks a compared
-    field, or holds a compared metric that is neither null nor a finite
-    number, raises :class:`DatasetFormatError` naming the field.
+    the same product and segment counts.  A dict with a missing or
+    mistyped field (see ``_report_fields``) raises
+    :class:`DatasetFormatError` naming the field.
     """
     case_a, shape_a, eval_a = _report_fields(report_a, "report a")
     case_b, shape_b, eval_b = _report_fields(report_b, "report b")
@@ -341,25 +342,27 @@ def compare_runs(report_a, report_b) -> dict:
 
 
 def _report_fields(report, where: str):
-    """``case_id``, ``(n, m)`` and the compared metrics of a case report; errors name ``where`` and the field."""
+    """``case_id``, ``(n, m)`` and the compared metrics of a case report; errors name ``where`` and the field.
+
+    The report is walked by ``generate._fields``.  ``config.case_id`` must
+    be a JSON string, ``config.spec``'s ``n`` and ``m`` JSON integers >= 1,
+    and each metric null or a finite number that fits in a float.
+    """
     doc = report.to_dict() if isinstance(report, CaseReport) else report
-
-    def field(*keys):
-        value = doc
-        for depth, key in enumerate(keys):
-            if not isinstance(value, dict):
-                parent = ".".join(keys[:depth]) or "report"
-                raise DatasetFormatError(f"{where}: {parent} must be a JSON object, got {value!r}")
-            if key not in value:
-                raise DatasetFormatError(f"{where}: missing field {'.'.join(keys[: depth + 1])!r}")
-            value = value[key]
-        return value
-
-    metrics = {name: field("evaluation", name) for name in _COMPARE_METRICS}
+    config, evaluation = _fields(doc, ("config", "evaluation"), where, "report")
+    metrics = dict(zip(_COMPARE_METRICS, _fields(evaluation, _COMPARE_METRICS, where, "evaluation")))
     for name, value in metrics.items():
         # Compared exactly, so NaN, the infinities and an int beyond the float range all fail.
         if value is not None and (type(value) not in (int, float) or not abs(value) <= sys.float_info.max):
             raise DatasetFormatError(
                 f"{where}: field 'evaluation.{name}' must be null or a finite number that fits in a float, got {value!r}"
             )
-    return field("config", "case_id"), (field("config", "spec", "n"), field("config", "spec", "m")), metrics
+    case_id, spec = _fields(config, ("case_id", "spec"), where, "config")
+    if type(case_id) is not str:
+        raise DatasetFormatError(f"{where}: field 'config.case_id' must be a JSON string, got {case_id!r}")
+    n, m = _fields(spec, ("n", "m"), where, "config.spec")
+    try:
+        FeatureLayout(n, m)
+    except (TypeError, ValueError) as e:
+        raise DatasetFormatError(f"{where}: invalid config.spec ({e})") from None
+    return case_id, (n, m), metrics

@@ -9,15 +9,19 @@ Subcommands wire the library stages together:
     case     run generate/train/evaluate end to end (presets available)
     compare  diff the metrics of two case reports
 
-Exit codes: 0 success, 2 argument or configuration error, 3 fixed-point
+Exit codes: 0 success, 2 argument or configuration error (a spec flag
+given with ``--preset``, which sets the spec, among them), 3 fixed-point
 non-convergence budget exceeded, 4 training error, 5 I/O or file format
 error.  The files read are datasets (a record that does not fit its
 header, such as an ``idx`` out of sequence, a ``seed`` that is not the
 header's SplitMix64 mix, a beta or revenue other than the header's or a
 value outside the spec's ranges, or a stored r_a that disagrees with its
-label), models, and the case reports that ``compare`` reads (not JSON, or a
-missing or mistyped ``config``/``evaluation`` field); each error names
-the line, file or field at fault.
+label), models, and the case reports that ``compare`` reads (a missing or
+mistyped ``config``/``evaluation`` field).  All three are parsed by
+``generate._load_json``, so text that is not UTF-8 JSON, JSON nested
+deeper than the parser allows and an integer literal too long to convert
+are read errors too; each error names the dataset line, or the model or
+report file and the line or field at fault.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from .generate import (
     UNIT_SCALE,
     DatasetFormatError,
     GenSpec,
-    _load_json_file,
+    _load_json,
     _write_atomic,
     generate_dataset,
     read_dataset,
@@ -74,9 +78,9 @@ _MODES = {"shared": SHARED, "per-segment": PER_SEGMENT}
 def _add_gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=PRESET_NAMES, help="named configuration")
     p.add_argument("--n", type=int, help="product count")
-    p.add_argument("--m", type=int, default=1, help="segment count (default 1)")
-    p.add_argument("--k", type=int, default=1, help="assortment size (default 1)")
-    p.add_argument("--M", type=float, default=50.0, help="parameter upper bound (default 50)")
+    p.add_argument("--m", type=int, help="segment count (default 1)")
+    p.add_argument("--k", type=int, help="assortment size (default 1)")
+    p.add_argument("--M", type=float, help="parameter upper bound (default 50)")
     p.add_argument("--count", type=int, default=500, help="number of records (default 500)")
     p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED, help="master seed, in [0, 2**64)")
     p.add_argument(
@@ -87,34 +91,33 @@ def _add_gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--f-mode",
         choices=(UNIT_SCALE, DOLLAR_SCALE),
-        default=UNIT_SCALE,
         help="funding-gap scale (default unit)",
     )
     p.add_argument(
         "--mode",
         choices=tuple(_MODES),
-        default="shared",
         help="assortment mode (default shared)",
     )
 
 
+# The spec flags and their defaults, which the help strings state; --n has none.
+_SPEC_FLAGS = {"n": None, "m": 1, "k": 1, "M": 50.0, "f_mode": UNIT_SCALE, "mode": "shared"}
+
+
 def _spec_from_args(args) -> GenSpec:
+    flags = {name: getattr(args, name) for name in _SPEC_FLAGS}
     if args.preset:
+        given = [name for name, value in flags.items() if value is not None]
+        if given:
+            raise ValueError(f"--{given[0].replace('_', '-')} conflicts with --preset, which sets the spec")
         spec = preset(args.preset).spec
         if args.no_network_effects:
             spec = dataclasses.replace(spec, network_effects=False)
         return spec
     if args.n is None:
         raise ValueError("either --preset or --n is required")
-    return GenSpec(
-        n=args.n,
-        m=args.m,
-        M=args.M,
-        network_effects=not args.no_network_effects,
-        f_mode=args.f_mode,
-        k=args.k,
-        mode=_MODES[args.mode],
-    )
+    flags = {name: _SPEC_FLAGS[name] if value is None else value for name, value in flags.items()}
+    return GenSpec(**{**flags, "mode": _MODES[flags["mode"]]}, network_effects=not args.no_network_effects)
 
 
 def _out_dir(args) -> Path:
@@ -233,8 +236,8 @@ def _cmd_case(args) -> int:
 
 
 def _read_report(path) -> dict:
-    """A case report file, checked as :func:`compare_runs` checks it; errors name the file."""
-    doc = _load_json_file(path, "report")
+    """A case report file, read by ``_load_json`` and checked as ``compare_runs`` checks it; errors name the file."""
+    doc = _load_json(Path(path).read_bytes(), str(path), "report")
     _report_fields(doc, str(path))
     return doc
 

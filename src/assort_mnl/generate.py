@@ -701,35 +701,59 @@ def spec_to_dict(spec: GenSpec) -> dict:
 
 def spec_from_dict(d: dict, where: str = "spec") -> GenSpec:
     fields = dict(zip(_SPEC_KEYS, _fields(d, _SPEC_KEYS, where, "spec")))
+    revenue = _fields(fields["revenue"], _REVENUE_KEYS, where, "revenue")
     try:
-        revenue = RevenueTerms(*_fields(fields["revenue"], _REVENUE_KEYS, where, "revenue"))
-        return GenSpec(**{**fields, "revenue": revenue})
-    except DatasetFormatError:
-        raise
+        return GenSpec(**{**fields, "revenue": RevenueTerms(*revenue)})
     except (TypeError, ValueError, OverflowError) as e:
         raise DatasetFormatError(f"{where}: invalid spec ({e})") from None
 
 
-def _load_json(line: bytes, lineno: int):
-    """The JSON document on file line ``lineno``, which must be UTF-8 text."""
-    try:
-        return json.loads(line.decode("utf-8"))
-    except UnicodeDecodeError as e:
-        raise DatasetFormatError(f"line {lineno}: not UTF-8 text ({e.reason})") from None
-    except json.JSONDecodeError as e:
-        raise DatasetFormatError(f"line {lineno}: invalid JSON ({e.msg})") from None
+def _load_json(data: bytes, where: str, what: str = ""):
+    """The JSON document in ``data``: dataset line ``where``, or, given ``what``, the ``what`` file at path ``where``.
 
-
-def _load_json_file(path, what: str):
-    """The JSON document in file ``path``; a file that is not UTF-8 JSON raises, naming it as a ``what`` file and the line."""
-    data = Path(path).read_bytes()
+    Every file's bytes become values here.  Text that is not UTF-8, invalid
+    JSON, nesting past the parser's recursion limit and an integer longer
+    than ``sys.get_int_max_str_digits()`` raise :class:`DatasetFormatError`,
+    naming the dataset line, or the file and the line and byte column in it.
+    """
     try:
         return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as e:
-        lineno = data.count(b"\n", 0, e.start) + 1
-        raise DatasetFormatError(f"{path}: invalid {what} file (line {lineno}: not UTF-8 text, {e.reason})") from None
+        problem, fault = f"not UTF-8 text ({e.reason})", e
     except json.JSONDecodeError as e:
-        raise DatasetFormatError(f"{path}: invalid {what} file ({e})") from None
+        problem, fault = f"invalid JSON ({e.msg})", e
+    except RecursionError as e:
+        problem, fault = "JSON nested deeper than the parser allows", e
+    except ValueError as e:
+        # json raises no other ValueError: an integer literal past the digit limit.
+        problem, fault = f"JSON integer longer than {sys.get_int_max_str_digits()} digits", e
+    if what:
+        offset = _fault_offset(data, fault)
+        lineno, column = data.count(b"\n", 0, offset) + 1, offset - data.rfind(b"\n", 0, offset)
+        where = f"{where}: invalid {what} file at line {lineno} column {column}"
+    raise DatasetFormatError(f"{where}: {problem}") from None
+
+
+_JSON_STRING = re.compile(rb'"(?:[^"\\]|\\.)*"')
+
+
+def _fault_offset(data: bytes, fault: Exception) -> int:
+    """The byte of JSON text ``data`` where ``json.loads`` raised ``fault``.
+
+    The parser places neither of its limits, so the text, strings blanked,
+    is scanned: too deep nesting is placed at the deepest bracket, a too
+    long integer at the first.
+    """
+    if isinstance(fault, UnicodeDecodeError):
+        return fault.start
+    if isinstance(fault, json.JSONDecodeError):
+        return len(fault.doc[: fault.pos].encode())
+    text = _JSON_STRING.sub(lambda string: b" " * len(string[0]), data)
+    if isinstance(fault, RecursionError):
+        chars = np.frombuffer(text, np.uint8)
+        return int(np.cumsum(np.isin(chars, list(b"[{")).astype(int) - np.isin(chars, list(b"]}"))).argmax())
+    integer = re.search(rb"(?<![\d.eE+-])-?\d{%d,}(?![\d.eE])" % (sys.get_int_max_str_digits() + 1), text)
+    return integer.start() if integer else 0
 
 
 # Records read at a time: bounds the memory the reader holds beyond the
@@ -860,14 +884,15 @@ def read_dataset(path) -> LabeledDataset:
     """Read a JSON Lines dataset; inverse of :func:`write_dataset`.
 
     Raises :class:`DatasetFormatError` on malformed content, naming the
-    offending line; nothing partial is ever returned.  Lines are streamed,
-    and every ``_CHUNK`` records become arrays, field by field.  Each chunk
-    takes the idx its records must carry from one lazy, in-order stream
-    over ``range(count)`` without ``excluded``, so memory does not grow
-    with the header's ``count``.  The reader checks the header's types and
-    each record's JSON types, shapes, idx and the seed, beta and revenue
-    the header fixes (then dropped); :class:`LabeledDataset` then checks
-    the values, and a fault names the line of the record at fault.
+    offending line; nothing partial is ever returned.  Lines are streamed
+    through ``_load_json`` and ``_fields``, and every ``_CHUNK`` records
+    become arrays, field by field.  Each chunk takes the idx its records
+    must carry from one lazy, in-order stream over ``range(count)`` without
+    ``excluded``, so memory does not grow with the header's ``count``.  The
+    reader checks the header's types and each record's JSON types, shapes,
+    idx and the seed, beta and revenue the header fixes (then dropped);
+    :class:`LabeledDataset` then checks the values, and a fault names the
+    line of the record at fault.
     """
     # Read as bytes and decoded line by line, so that text which is not UTF-8 is named by its line.
     with open(Path(path), "rb") as fh:
@@ -876,9 +901,8 @@ def read_dataset(path) -> LabeledDataset:
         expected = (i for i in range(count) if i not in skipped)
         parts, rows, first = [], [], 2
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                raise DatasetFormatError(f"line {lineno}: blank line inside record block")
-            rows.append(_fields(_load_json(line, lineno), _RECORD_KEYS, f"line {lineno}", "record"))
+            where = f"line {lineno}"
+            rows.append(_fields(_load_json(line, where), _RECORD_KEYS, where, "record"))
             if len(rows) == _CHUNK:
                 parts.append(_record_columns(rows, first, spec, master_seed, expected))
                 rows, first = [], lineno + 1
@@ -896,9 +920,7 @@ def read_dataset(path) -> LabeledDataset:
 
 def _read_header(line: bytes) -> tuple[GenSpec, int, int, tuple[int, ...]]:
     """``spec``, ``master_seed``, ``count`` and ``excluded`` of a header line, type-checked."""
-    if not line.strip():
-        raise DatasetFormatError("line 1: missing header")
-    header = _load_json(line, 1)
+    header = _load_json(line, "line 1")
     (version,) = _fields(header, ("format_version",), "line 1", "header")
     if type(version) is not int or version != FORMAT_VERSION:
         raise DatasetFormatError(f"line 1: format_version must be the integer {FORMAT_VERSION}, got {version!r}")
@@ -934,15 +956,17 @@ def _record_columns(rows: list, line: int, spec: GenSpec, master_seed: int, expe
     seeds = _record_seeds(master_seed, expected).tolist()
     _reject(line, [type(s) is not int or s != e for s, e in zip(seed, seeds)],
             "seed must be record_seed(master_seed, idx), as seed_mix splitmix64 declares")
-    # Compared as JSON values, so 1 and true pass for 1.0, as they do in numeric fields.
-    ones, terms = [[1.0] * spec.m] * spec.n, _file_revenue(spec)
-    _reject(line, [b != ones for b in beta], "beta must be all 1.0 under the header's spec")
+    terms = _file_revenue(spec)
     _reject(line, [r != terms for r in revenue], f"revenue must be the header's spec revenue {terms}")
     labels = [_fields(d, ("per_segment", "k"), f"line {lineno}", "label") for lineno, d in enumerate(label, start=line)]
     _reject(line, [type(k) is not int or k != spec.k for _, k in labels], f"label k must be the integer {spec.k}")
     _reject(line, [type(r) not in (int, float) for r in r_a], "r_a must be a number")
     values = (idx, y, alpha, F, lam, q, [b for b, _ in labels], r_a)
     columns = [_column(v, line, shape, dtype, key) for v, key, (shape, dtype) in zip(values, _COLUMN_KEYS, _layout(spec))]
+    # Built once y holds (n, m) numbers, so that a header's n or m asks for no more than the records hold.
+    # Compared as JSON values, so 1 and true pass for 1.0, as they do in numeric fields.
+    ones = [[1.0] * spec.m] * spec.n if rows else None
+    _reject(line, [b != ones for b in beta], "beta must be all 1.0 under the header's spec")
     # _column checked the labels' shape, but it would cast a float or a boolean to a product.
     _reject(line, [any(type(i) is not int for block in b for i in block) for b, _ in labels],
             "label products must be JSON integers")

@@ -17,11 +17,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .core import SHARED, _block_revenue, _top_k
-from .generate import DatasetFormatError, LabeledDataset, _integer, _load_json_file, _write_atomic
+from .generate import DatasetFormatError, LabeledDataset, _fields, _integer, _load_json, _write_atomic
 
 __all__ = [
     "MODEL_FORMAT_VERSION",
@@ -311,51 +312,46 @@ def write_model(model: PredictorModel, path) -> str:
 def read_model(path) -> PredictorModel:
     """Load a model written by :func:`write_model`.
 
-    Raises :class:`DatasetFormatError` when the file does not hold such a
-    model: bad JSON, a missing or mistyped field, or a non-finite number.
-    ``format_version`` and ``layout``'s ``n`` and ``m`` must be JSON
-    integers, ``intercept`` and ``coefficients`` must hold JSON numbers
-    only, no booleans, and ``rank_deficient`` must be true or false.
+    The file is read by ``generate._load_json`` and walked by ``_fields``,
+    as a dataset is; one that does not hold such a model raises
+    :class:`DatasetFormatError` naming it.  ``format_version`` and
+    ``layout``'s ``n`` and ``m`` must be JSON integers, ``intercept`` a list
+    and ``coefficients`` a list of lists of finite JSON numbers (no
+    booleans), and ``rank_deficient``, if present, true or false.
     """
-    doc = _load_json_file(path, "model")
-    if not isinstance(doc, dict):
-        raise DatasetFormatError("model file must hold a JSON object")
-    version = doc.get("format_version")
+    where = str(path)
+    doc = _load_json(Path(path).read_bytes(), where, "model")
+    (version,) = _fields(doc, ("format_version",), where, "model file")
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
-        raise DatasetFormatError(f"model format_version must be the integer {MODEL_FORMAT_VERSION}, got {version!r}")
-    try:
-        layout = doc["layout"]
-        if not isinstance(layout, dict):
-            raise DatasetFormatError("model layout must be a JSON object")
-        try:
-            layout = FeatureLayout(n=layout["n"], m=layout["m"])
-        except (TypeError, ValueError) as e:
-            raise DatasetFormatError(f"invalid model layout ({e})") from None
-        rank_deficient = doc.get("rank_deficient", False)
-        if type(rank_deficient) is not bool:
-            raise DatasetFormatError(f"model field 'rank_deficient' must be true or false, got {rank_deficient!r}")
-        return PredictorModel(
-            intercept=_numbers(doc["intercept"], "intercept"),
-            coefficients=_numbers(doc["coefficients"], "coefficients"),
-            layout=layout,
-            rank_deficient=rank_deficient,
+        raise DatasetFormatError(
+            f"{where}: model format_version must be the integer {MODEL_FORMAT_VERSION}, got {version!r}"
         )
-    except KeyError as e:
-        raise DatasetFormatError(f"model file is missing field {e.args[0]!r}") from None
-    except DatasetFormatError:
-        raise
-    except (TypeError, ValueError, OverflowError) as e:
-        raise DatasetFormatError(f"invalid model file ({e})") from None
+    layout, intercept, coefficients = _fields(doc, ("layout", "intercept", "coefficients"), where, "model file")
+    n, m = _fields(layout, ("n", "m"), where, "model layout")
+    try:
+        layout = FeatureLayout(n, m)
+    except (TypeError, ValueError) as e:
+        raise DatasetFormatError(f"{where}: invalid model layout ({e})") from None
+    rank_deficient = doc.get("rank_deficient", False)
+    if type(rank_deficient) is not bool:
+        raise DatasetFormatError(f"{where}: model field 'rank_deficient' must be true or false, got {rank_deficient!r}")
+    intercept = _numbers(intercept, 1, where, "intercept")
+    coefficients = _numbers(coefficients, 2, where, "coefficients")
+    try:
+        return PredictorModel(intercept, coefficients, layout, rank_deficient)
+    except ValueError as e:
+        raise DatasetFormatError(f"{where}: invalid model file ({e})") from None
 
 
-def _numbers(value, name: str) -> np.ndarray:
-    """The JSON numbers of model field ``name`` as a float array; anything else, a boolean among numbers too, is an error."""
+def _numbers(value, depth: int, where: str, name: str) -> np.ndarray:
+    """The JSON numbers of model field ``name``, lists nested ``depth`` deep, as floats; anything else raises."""
     try:
         # An object array keeps each value's JSON type, which a numeric one
         # would lose: [true, 0.5] would become [1.0, 0.5].
         array = np.array(value, dtype=object)
-        if all(type(v) in (int, float) for v in array.flat):
+        if array.ndim == depth and all(type(v) in (int, float) for v in array.flat):
             return array.astype(float)
     except (ValueError, OverflowError):
         pass
-    raise DatasetFormatError(f"model field {name!r} must hold JSON numbers that fit in a float")
+    lists = "a list" + " of lists" * (depth - 1)
+    raise DatasetFormatError(f"{where}: model field {name!r} must be {lists} of JSON numbers that fit in a float")

@@ -53,6 +53,18 @@ class TestGen:
         assert "error [config]" in capsys.readouterr().err
 
 
+class TestPresetConflicts:
+    # Each flag sets a spec field that --preset would override.
+    @pytest.mark.parametrize("command", ["gen", "case"])
+    @pytest.mark.parametrize(
+        "flag,value", [("--n", 9), ("--m", 3), ("--k", 4), ("--M", 10), ("--f-mode", "dollar"), ("--mode", "per-segment")]
+    )
+    def test_spec_flag_is_config_error(self, tmp_path, capsys, command, flag, value):
+        assert run(command, "--preset", "case3p3", flag, value, "--count", 40, "--out", tmp_path) == 2
+        assert capsys.readouterr().err == f"error [config] {flag} conflicts with --preset, which sets the spec\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestNonFiniteM:
     @pytest.mark.parametrize("command", ["gen", "case"])
     @pytest.mark.parametrize("M", ["inf", "nan"])
@@ -193,15 +205,36 @@ class TestTrainEval:
         assert "error [read]" in capsys.readouterr().err
 
 
+# Python converts integer literals of at most this many digits, or any when 0.
+_DIGIT_LIMIT = sys.get_int_max_str_digits()
+# A value that _with_long makes an integer literal longer than the limit.
+_LONG = "<long integer>"
+_DEPTH = 100_000
+_DEEP = "[" * _DEPTH + "]" * _DEPTH
+
+
+def _with_long(text: str) -> str:
+    return text.replace(json.dumps(_LONG), "9" * (_DIGIT_LIMIT + 1))
+
+
 def _edit(change):
-    """A mutation of one JSON document (a dataset line or a model file) by ``change``."""
+    """A mutation of one JSON document (a dataset line or a model file) by ``change``.
+
+    A value that ``change`` sets to ``_LONG`` is spliced in as a too long integer.
+    """
 
     def mutate(line):
         rec = json.loads(line)
         change(rec)
-        return json.dumps(rec)
+        return _with_long(json.dumps(rec))
 
     return mutate
+
+
+def _cases(table) -> list:
+    """The names of a table's cases; the integer-literal cases skip when Python has no digit limit."""
+    skip = pytest.mark.skipif(not _DIGIT_LIMIT, reason="no limit on the digits of an integer literal")
+    return [pytest.param(case, marks=skip) if "digits" in case else case for case in sorted(table)]
 
 
 # Each case breaks one line of a valid n=3, m=1, k=1 dataset, made with
@@ -209,6 +242,8 @@ def _edit(change):
 # record (line 3).
 _BAD_LINES = {
     "header-not-object": (1, lambda line: "[1, 2]"),
+    "header-nested-too-deep": (1, lambda line: _DEEP),
+    "header-count-too-many-digits": (1, _edit(lambda header: header.update(count=_LONG))),
     "header-spec-not-object": (1, _edit(lambda header: header.update(spec=[3, 1]))),
     "header-k-exceeds-n": (1, _edit(lambda header: header["spec"].update(k=4))),
     "header-revenue-not-object": (1, _edit(lambda header: header["spec"].update(revenue=[1, 10]))),
@@ -228,6 +263,8 @@ _BAD_LINES = {
     "header-network-effects-string": (1, _edit(lambda header: header["spec"].update(network_effects="no"))),
     "header-seed-mix-other": (1, _edit(lambda header: header.update(seed_mix="pcg"))),
     "record-not-object": (3, lambda line: "[]"),
+    "record-nested-too-deep": (3, lambda line: _DEEP),
+    "r_a-too-many-digits": (3, _edit(lambda rec: rec.update(r_a=_LONG))),
     "q-wrong-shape": (3, _edit(lambda rec: rec.update(q=rec["q"][:-1]))),
     "q-above-one": (3, _edit(lambda rec: rec.update(q=[[1.5]] + rec["q"][1:]))),
     "q-negative": (3, _edit(lambda rec: rec.update(q=[[-0.25]] + rec["q"][1:]))),
@@ -270,7 +307,7 @@ _BAD_LINES = {
 
 class TestDatasetValidation:
     @pytest.mark.parametrize("command", ["train", "label"])
-    @pytest.mark.parametrize("case", sorted(_BAD_LINES))
+    @pytest.mark.parametrize("case", _cases(_BAD_LINES))
     def test_bad_line_is_read_error_naming_it(self, tmp_path, capsys, command, case):
         lineno, mutate, *flags = _BAD_LINES[case]
         run("gen", "--n", 3, "--count", 40, "--seed", 5, *flags, "--out", tmp_path)
@@ -429,6 +466,18 @@ class TestHeaderSpecMutations:
             assert code == 5 and re.search(r"error \[read\] line \d+: .*the header's", err), err
 
 
+class TestHeaderShape:
+    @pytest.mark.parametrize("key", ["n", "m"])
+    def test_shape_no_record_can_hold_is_read_error(self, tmp_path, valid_dataset, key):
+        # No list of 10**20 entries can be made: the records must be read against the shape without one.
+        lines, _ = valid_dataset
+        path = tmp_path / "dataset.jsonl"
+        header = _edit(lambda header: header["spec"].update({key: 10**20}))(lines[0])
+        path.write_text("\n".join([header] + lines[1:]) + "\n")
+        code, err = _exit_and_stderr(["train", path, "--out", tmp_path])
+        assert code == 5 and err.startswith("error [read] line 2: y must have shape"), err
+
+
 class TestLabelVerification:
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_stored_revenue_must_match_label(self, tmp_path, capsys, command):
@@ -468,11 +517,19 @@ _BAD_MODELS = {
     "intercept-bool-among-numbers": ("intercept", _edit(lambda doc: doc.update(intercept=[True] + doc["intercept"][1:]))),
     "format-version-float": ("format_version", _edit(lambda doc: doc.update(format_version=1.0))),
     "format-version-bool": ("format_version", _edit(lambda doc: doc.update(format_version=True))),
+    "nested-too-deep": ("invalid model file at line 1 column", lambda text: _DEEP),
+    "intercept-too-many-digits": ("invalid model file at line 1 column", _edit(
+        lambda doc: doc.update(intercept=[_LONG] + doc["intercept"][1:])
+    )),
+    # numpy iterates at most 32 dimensions.
+    "intercept-nested-40-deep": ("intercept", _edit(
+        lambda doc: doc.update(intercept=json.loads("[" * 40 + "1.0" + "]" * 40))
+    )),
 }
 
 
 class TestModelValidation:
-    @pytest.mark.parametrize("case", sorted(_BAD_MODELS))
+    @pytest.mark.parametrize("case", _cases(_BAD_MODELS))
     def test_bad_model_is_read_error(self, tmp_path, capsys, case):
         run("gen", "--n", 3, "--count", 40, "--seed", 5, "--out", tmp_path)
         run("train", tmp_path / "dataset.jsonl", "--out", tmp_path)
@@ -482,7 +539,7 @@ class TestModelValidation:
         capsys.readouterr()
         assert run("eval", tmp_path / "dataset.jsonl", model) == 5
         err = capsys.readouterr().err
-        assert "error [read]" in err and named in err
+        assert err.startswith(f"error [read] {model}: ") and named in err, err
 
 
 # Where one value of a model file sits, for an n=3, m=1 model: a top-level
@@ -667,11 +724,20 @@ _BAD_REPORTS = {
     "evaluation-not-object": ("evaluation", _edit(lambda doc: doc.update(evaluation=[1]))),
     "error-rate-not-number": ("evaluation.error_rate", _edit(lambda doc: doc["evaluation"].update(error_rate="x"))),
     "not-json": ("invalid report file", lambda text: text[: len(text) // 2]),
+    "nested-too-deep": ("invalid report file at line 1 column", lambda text: _DEEP),
+    # _edit writes the report on one line.
+    "error-rate-too-many-digits": ("invalid report file at line 1 column", _edit(
+        lambda doc: doc["evaluation"].update(error_rate=_LONG)
+    )),
+    "case-id-not-string": ("config.case_id", _edit(lambda doc: doc["config"].update(case_id={"x": 1}))),
+    "n-list": ("config.spec (n must be an integer", _edit(lambda doc: doc["config"]["spec"].update(n=[2]))),
+    "m-bool": ("config.spec (m must be an integer", _edit(lambda doc: doc["config"]["spec"].update(m=True))),
+    "n-zero": ("config.spec (need n >= 1", _edit(lambda doc: doc["config"]["spec"].update(n=0))),
 }
 
 
 class TestReportValidation:
-    @pytest.mark.parametrize("case", sorted(_BAD_REPORTS))
+    @pytest.mark.parametrize("case", _cases(_BAD_REPORTS))
     def test_bad_report_is_read_error_naming_it(self, tmp_path, capsys, case):
         run("case", "--preset", "case1p1", "--count", 40, "--seed", 7, "--out", tmp_path)
         good = tmp_path / "case1p1_report.json"
@@ -694,9 +760,10 @@ def _value_paths(doc, path=()):
 
 # How one JSON document (a record line or a report) is broken: the value at
 # a path retyped, made a number token or dropped, or the document
-# duplicated, truncated or given a byte that is not UTF-8.
+# duplicated, truncated, given a byte that is not UTF-8, nested 100,000
+# deep, or given an integer literal past the digit limit at the path.
 _VALUE_KINDS = ("retype", "token", "drop")
-_TEXT_KINDS = ("duplicate", "truncate", "invalid-utf8")
+_TEXT_KINDS = ("duplicate", "truncate", "invalid-utf8", "deep", "long-integer")
 
 
 def _broken(text, kind, path, choice) -> bytes:
@@ -708,15 +775,19 @@ def _broken(text, kind, path, choice) -> bytes:
     if kind == "invalid-utf8":
         cut = choice % len(text)
         return text[:cut].encode() + b"\xff" + text[cut:].encode()
+    if kind == "deep":
+        return ("[" * _DEPTH + text + "]" * _DEPTH).encode()
     doc = json.loads(text)
     *parents, key = path
     holder = functools.reduce(operator.getitem, parents, doc)
     if kind == "drop":
         del holder[key]
+    elif kind == "long-integer":
+        holder[key] = _LONG
     else:
         values = _retyped(holder[key]) if kind == "retype" else _NUMBER_TOKENS
         holder[key] = values[choice % len(values)]
-    return json.dumps(doc).encode()
+    return _with_long(json.dumps(doc)).encode()
 
 
 def _exit_and_stderr(argv):
