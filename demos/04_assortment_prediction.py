@@ -47,6 +47,6 @@ print(f"r_a mean/max:   {report.r_a_mean:.4f} / {report.r_a_max:.4f}")
 
 # Misclassifications cluster where the top products are nearly tied, so
 # the revenue actually lost is far smaller than the error rate suggests.
-losses = [ex.prl for ex in report.examples if ex.misclassified and ex.prl is not None]
+losses = [ex["prl"] for ex in report.examples if ex["misclassified"] and ex["prl"] is not None]
 if losses:
     print(f"mean PRL among misclassified examples: {np.mean(losses):.2f}%")

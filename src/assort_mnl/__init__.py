@@ -38,7 +38,6 @@ from .generate import (
 from .learner import (
     PRL_MIN_REVENUE,
     EvaluationReport,
-    ExampleEval,
     FeatureLayout,
     PredictorModel,
     UnderdeterminedFitError,
@@ -52,7 +51,6 @@ from .bench import (
     DEFAULT_MASTER_SEED,
     PRESET_NAMES,
     CaseConfig,
-    CaseReport,
     StageError,
     compare_runs,
     preset,

@@ -3,9 +3,11 @@
 A case ties a generation recipe to a train/test split and produces three
 artifacts in its output directory: the labeled dataset (JSON Lines), the
 fitted model (JSON), and a case report (``json.dumps(doc, indent=2)``, as
-are eval reports).  Reports echo their full configuration, so rerunning a
-case with the same master seed reproduces every artifact byte for byte and
-every report field except the wall-clock durations.
+are eval reports).  A report exists only as that JSON document: the dict
+:func:`run_case` builds, writes and returns, which :func:`compare_runs`
+reads as it reads a report file.  Reports echo their full configuration,
+so rerunning a case with the same master seed reproduces every artifact
+byte for byte and every report field except the wall-clock durations.
 
 Named presets cover the standard benchmark grid: two to five products,
 one or two segments, assortment sizes one to four, network effects on or
@@ -34,7 +36,6 @@ from .generate import (
     write_dataset,
 )
 from .learner import (
-    EvaluationReport,
     FeatureLayout,
     UnderdeterminedFitError,
     _features,
@@ -55,7 +56,6 @@ __all__ = [
     "PRESET_NAMES",
     "StageError",
     "CaseConfig",
-    "CaseReport",
     "preset",
     "split_dataset",
     "training_matrices",
@@ -77,11 +77,10 @@ DEFAULT_MASTER_SEED = 1729
 
 
 class StageError(RuntimeError):
-    """A pipeline stage failed; carries the stage name and CLI exit code."""
+    """A pipeline stage failed; the message starts with the stage's name in brackets, and ``exit_code`` is the CLI's."""
 
     def __init__(self, stage: str, exit_code: int, message: str):
         super().__init__(f"[{stage}] {message}")
-        self.stage = stage
         self.exit_code = exit_code
 
 
@@ -121,27 +120,6 @@ class CaseConfig:
             "train_fraction": self.train_fraction,
             "master_seed": self.master_seed,
             "out_dir": str(self.out_dir),
-        }
-
-
-@dataclass(frozen=True)
-class CaseReport:
-    """Everything a finished case produced, ready for JSON serialization."""
-
-    config: CaseConfig
-    evaluation: EvaluationReport
-    counts: dict
-    durations: dict
-    artifacts: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "reference": self.config.reference,
-            "counts": self.counts,
-            "evaluation": self.evaluation.to_dict(),
-            "artifacts": self.artifacts,
-            "durations_s": self.durations,
         }
 
 
@@ -240,12 +218,14 @@ def check_convergence_budget(dataset: LabeledDataset):
         )
 
 
-def run_case(config: CaseConfig) -> CaseReport:
-    """Run one case end to end and write its three artifacts.
+def run_case(config: CaseConfig) -> dict:
+    """Run one case end to end, write its three artifacts and return the report document.
 
-    Stages are generate, train, evaluate, write; failures raise
-    :class:`StageError` tagged with the stage, and any files already
-    written by the failing run are removed.
+    The document is the dict that the report file holds as
+    ``json.dumps(doc, indent=2)``.  Stages are generate, train, evaluate,
+    write; failures raise :class:`StageError` tagged with the stage (an
+    empty test split is ``evaluate``'s ``ValueError``), and any files
+    already written by the failing run are removed.
     """
     durations = {}
 
@@ -264,9 +244,7 @@ def run_case(config: CaseConfig) -> CaseReport:
     durations["train"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if not len(test):
-        raise StageError("evaluate", EXIT_CONFIG, "test split is empty")
-    report = evaluate(model, test)
+    evaluation = evaluate(model, test).to_dict()
     durations["evaluate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -281,44 +259,43 @@ def run_case(config: CaseConfig) -> CaseReport:
         written.append(dataset_path)
         model_sha256 = write_model(model, model_path)
         written.append(model_path)
-        artifacts = {
-            "dataset": {"path": dataset_path.name, "sha256": dataset_sha256},
-            "model": {"path": model_path.name, "sha256": model_sha256},
-            "report": {"path": report_path.name},
-        }
         durations["write"] = time.perf_counter() - t0
-        case_report = CaseReport(
-            config=config,
-            evaluation=report,
-            counts={
+        doc = {
+            "config": config.to_dict(),
+            "reference": config.reference,
+            "counts": {
                 "requested": config.count,
                 "generated": len(dataset),
                 "excluded": len(dataset.excluded),
                 "train": len(train),
                 "test": len(test),
             },
-            durations=durations,
-            artifacts=artifacts,
-        )
-        _write_atomic(report_path, [(json.dumps(case_report.to_dict(), indent=2) + "\n").encode()])
-        written.append(report_path)
+            "evaluation": evaluation,
+            "artifacts": {
+                "dataset": {"path": dataset_path.name, "sha256": dataset_sha256},
+                "model": {"path": model_path.name, "sha256": model_sha256},
+                "report": {"path": report_path.name},
+            },
+            "durations_s": durations,
+        }
+        _write_atomic(report_path, [(json.dumps(doc, indent=2) + "\n").encode()])
     except OSError as e:
         for p in written:
             p.unlink(missing_ok=True)
         raise StageError("write", EXIT_IO, str(e)) from e
-    return case_report
+    return doc
 
 
 _COMPARE_METRICS = ("error_rate", "mean_prl_percent", "r_a_min", "r_a_max", "r_a_mean")
 
 
-def compare_runs(report_a, report_b) -> dict:
-    """Metric deltas (b minus a) between two case reports.
+def compare_runs(report_a: dict, report_b: dict) -> dict:
+    """Metric deltas (b minus a) between two case report documents.
 
-    Accepts CaseReport objects or their dict form.  Both runs must share
-    the same product and segment counts.  A dict with a missing or
-    mistyped field (see ``_report_fields``) raises
-    :class:`DatasetFormatError` naming the field.
+    A document is what :func:`run_case` returns, or a report file read as
+    JSON.  Both runs must share the same product and segment counts.  A
+    document with a missing or mistyped field (see ``_report_fields``)
+    raises :class:`DatasetFormatError` naming the field.
     """
     case_a, shape_a, eval_a = _report_fields(report_a, "report a")
     case_b, shape_b, eval_b = _report_fields(report_b, "report b")
@@ -341,14 +318,13 @@ def compare_runs(report_a, report_b) -> dict:
     }
 
 
-def _report_fields(report, where: str):
+def _report_fields(doc: dict, where: str):
     """``case_id``, ``(n, m)`` and the compared metrics of a case report; errors name ``where`` and the field.
 
     The report is walked by ``generate._fields``.  ``config.case_id`` must
     be a JSON string, ``config.spec``'s ``n`` and ``m`` JSON integers >= 1,
     and each metric null or a finite number that fits in a float.
     """
-    doc = report.to_dict() if isinstance(report, CaseReport) else report
     config, evaluation = _fields(doc, ("config", "evaluation"), where, "report")
     metrics = dict(zip(_COMPARE_METRICS, _fields(evaluation, _COMPARE_METRICS, where, "evaluation")))
     for name, value in metrics.items():

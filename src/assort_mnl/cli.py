@@ -187,8 +187,6 @@ def _cmd_eval(args) -> int:
     verify_labels(dataset)
     model = read_model(args.model)
     _, test = split_dataset(dataset, args.train_fraction)
-    if not len(test):
-        raise ValueError("test split is empty")
     report = evaluate(model, test)
     doc = report.to_dict()
     out_path = None
@@ -220,16 +218,15 @@ def _cmd_case(args) -> int:
         # without network effects.
         reference=preset(args.preset).reference if args.preset and not args.no_network_effects else None,
     )
-    report = run_case(config)
-    doc = report.to_dict()
-    ev = report.evaluation
-    mean_prl = "n/a" if ev.mean_prl_percent is None else f"{ev.mean_prl_percent:.2f}%"
+    doc = run_case(config)
+    counts, ev = doc["counts"], doc["evaluation"]
+    mean_prl = "n/a" if ev["mean_prl_percent"] is None else f"{ev['mean_prl_percent']:.2f}%"
     _emit(args, doc, [
-        f"case {config.case_id}: {report.counts['generated']} records "
-        f"({report.counts['excluded']} excluded), "
-        f"train/test {report.counts['train']}/{report.counts['test']}",
-        f"error rate {ev.error_rate:.4f}, mean PRL {mean_prl}, "
-        f"r_a mean {ev.r_a_mean:.4f}",
+        f"case {config.case_id}: {counts['generated']} records "
+        f"({counts['excluded']} excluded), "
+        f"train/test {counts['train']}/{counts['test']}",
+        f"error rate {ev['error_rate']:.4f}, mean PRL {mean_prl}, "
+        f"r_a mean {ev['r_a_mean']:.4f}",
         f"artifacts in {config.out_dir}",
     ])
     return EXIT_OK

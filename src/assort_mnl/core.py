@@ -222,7 +222,6 @@ class SupportSolution:
     """
 
     q: np.ndarray
-    start: str
     iterations: int
     residual: float
     converged: bool
@@ -318,7 +317,6 @@ def solve_fixed_point(
     q, iterations, residual, converged = _solve_stack(*stacked, start, tol, max_iter)
     return SupportSolution(
         q=q[0],
-        start=start,
         iterations=int(iterations[0]),
         residual=float(residual[0]),
         converged=bool(converged[0]),

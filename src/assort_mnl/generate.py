@@ -787,12 +787,15 @@ def write_dataset(dataset: LabeledDataset, path) -> str:
         "seed_mix": "splitmix64",
         "excluded": list(dataset.excluded),
     }
-    floats = [getattr(dataset, name) for name in _COLUMNS if name not in ("idx", "blocks")]
-    size = max(1, min(_CHUNK, _CHUNK_FLOATS // sum(math.prod(column.shape[1:]) for column in floats)))
-    lines, float_slots, int_slots = _line_buffer(dataset.spec, size)
 
     def chunks():
         yield (json.dumps(header, separators=(",", ":")) + "\n").encode()
+        if not len(dataset):
+            # Nothing to lay out, so a spec too large for one line still writes its header.
+            return
+        floats = [getattr(dataset, name) for name in _COLUMNS if name not in ("idx", "blocks")]
+        size = max(1, min(_CHUNK, _CHUNK_FLOATS // sum(math.prod(column.shape[1:]) for column in floats)))
+        lines, float_slots, int_slots = _line_buffer(dataset.spec, size)
         for start in range(0, len(dataset), size):
             rows = slice(start, start + size)
             idx = dataset.idx[rows]
@@ -939,7 +942,11 @@ def _read_header(line: bytes) -> tuple[GenSpec, int, int, tuple[int, ...]]:
     # Record seeds are derived from master_seed by this mix alone.
     if seed_mix != "splitmix64":
         raise DatasetFormatError(f"line 1: seed_mix must be 'splitmix64', got {seed_mix!r}")
-    return spec_from_dict(spec, "line 1"), master_seed, count, tuple(excluded)
+    spec = spec_from_dict(spec, "line 1")
+    # With no record line to read the shape against, the header alone must give (n, m) floats an array can hold.
+    if count == len(excluded) and spec.n * spec.m > sys.maxsize // 8:
+        raise DatasetFormatError(f"line 1: spec n={spec.n}, m={spec.m} gives records no array can hold")
+    return spec, master_seed, count, tuple(excluded)
 
 
 def _record_columns(rows: list, line: int, spec: GenSpec, master_seed: int, expected) -> list:

@@ -10,10 +10,13 @@ measured by the misclassification rate and by the percentage revenue loss
 
 Encoding, prediction, decoding and revenue run as array operations over a
 whole dataset at once (:func:`evaluate`, ``bench.training_matrices``).
+An evaluation is built once, as the JSON document a report holds
+(:class:`EvaluationReport`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -30,7 +33,6 @@ __all__ = [
     "UnderdeterminedFitError",
     "FeatureLayout",
     "PredictorModel",
-    "ExampleEval",
     "EvaluationReport",
     "fit_linear",
     "prl",
@@ -123,28 +125,12 @@ class PredictorModel:
 
 
 @dataclass(frozen=True)
-class ExampleEval:
-    """Per-example evaluation row; prl is None when the example is excluded."""
-
-    idx: int
-    r_a: float
-    r_c: float
-    prl: float | None
-    misclassified: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "idx": self.idx,
-            "r_a": self.r_a,
-            "r_c": self.r_c,
-            "prl": self.prl,
-            "misclassified": self.misclassified,
-        }
-
-
-@dataclass(frozen=True)
 class EvaluationReport:
-    """Aggregate prediction quality over a test set."""
+    """Aggregate prediction quality over a test set.
+
+    ``examples`` holds a JSON object per test record: ``idx``, ``r_a``,
+    ``r_c``, ``prl`` (null when excluded from mean PRL), ``misclassified``.
+    """
 
     test_count: int
     error_rate: float
@@ -153,19 +139,11 @@ class EvaluationReport:
     r_a_max: float
     r_a_mean: float
     prl_excluded: int
-    examples: tuple[ExampleEval, ...]
+    examples: list[dict]
 
     def to_dict(self) -> dict:
-        return {
-            "test_count": self.test_count,
-            "error_rate": self.error_rate,
-            "mean_prl_percent": self.mean_prl_percent,
-            "r_a_min": self.r_a_min,
-            "r_a_max": self.r_a_max,
-            "r_a_mean": self.r_a_mean,
-            "prl_excluded": self.prl_excluded,
-            "examples": [ex.to_dict() for ex in self.examples],
-        }
+        """The report's JSON document: its fields in order, sharing the example objects."""
+        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
 
 
 def _features(y, alpha, F, lam) -> np.ndarray:
@@ -251,9 +229,10 @@ def evaluate(model: PredictorModel, test: LabeledDataset) -> EvaluationReport:
     from the label in any segment (set comparison).  Realized revenue r_c
     is evaluated at the example's stored support matrix.  Examples with
     r_a below ``PRL_MIN_REVENUE`` are excluded from mean PRL and counted.
-    A report carries finite numbers only: a metric or an example value
-    that overflows (a sum of large finite revenues, say) raises
-    ``ValueError`` naming it.
+    Each example is built as the JSON object a report holds.  An empty
+    test set raises ``ValueError``, and so, naming it, does a metric or an
+    example value that overflows (a sum of large finite revenues, say): a
+    report carries finite numbers only.
     """
     if not len(test):
         raise ValueError("test dataset has no records")
@@ -281,10 +260,10 @@ def evaluate(model: PredictorModel, test: LabeledDataset) -> EvaluationReport:
         r_a_max=float(r_a.max()),
         r_a_mean=float(r_a.mean()),
         prl_excluded=int((~kept).sum()),
-        examples=tuple(
-            ExampleEval(idx=idx, r_a=a, r_c=r, prl=loss, misclassified=w)
+        examples=[
+            {"idx": idx, "r_a": a, "r_c": r, "prl": loss, "misclassified": w}
             for idx, a, r, loss, w in zip(test.idx.tolist(), r_a.tolist(), r_c.tolist(), prl_column, wrong.tolist())
-        ),
+        ],
     )
     for name in ("mean_prl_percent", "r_a_min", "r_a_max", "r_a_mean"):
         value = getattr(report, name)

@@ -13,8 +13,11 @@ from assort_mnl import (
     GenSpec,
     StageError,
     compare_runs,
+    evaluate,
     generate_dataset,
     preset,
+    read_dataset,
+    read_model,
     run_case,
     split_dataset,
     write_dataset,
@@ -143,8 +146,8 @@ class TestPreset:
         monkeypatch.chdir(tmp_path)
         for name in PRESET_NAMES:
             report = run_case(preset(name))
-            assert report.artifacts["model"]["sha256"] == PRESET_MODEL_SHA256[name], name
-            evaluation = json.dumps(report.to_dict()["evaluation"], sort_keys=True)
+            assert report["artifacts"]["model"]["sha256"] == PRESET_MODEL_SHA256[name], name
+            evaluation = json.dumps(report["evaluation"], sort_keys=True)
             assert sha256(evaluation) == PRESET_EVALUATION_SHA256[name], name
             text = (tmp_path / f"{name}_report.json").read_text()
             assert sha256(masked_durations(text)) == PRESET_REPORT_SHA256[name], name
@@ -239,7 +242,7 @@ class TestConvergenceBudget:
     def test_over_budget_raises(self):
         with pytest.raises(StageError) as exc:
             check_convergence_budget(self._with_exclusions(20, 2))
-        assert exc.value.stage == "generate"
+        assert str(exc.value).startswith("[generate] ")
         assert exc.value.exit_code == EXIT_NONCONVERGENCE
 
 
@@ -254,25 +257,24 @@ class TestRunCase:
         assert (tmp_path / "case1p1_dataset.jsonl").exists()
         assert (tmp_path / "case1p1_model.json").exists()
         assert (tmp_path / "case1p1_report.json").exists()
-        assert report.counts["requested"] == 40
-        assert report.counts["train"] == 30
-        assert report.counts["test"] == 10
-        assert 0.0 <= report.evaluation.error_rate <= 1.0
+        assert report["counts"]["requested"] == 40
+        assert report["counts"]["train"] == 30
+        assert report["counts"]["test"] == 10
+        assert 0.0 <= report["evaluation"]["error_rate"] <= 1.0
         doc = json.loads((tmp_path / "case1p1_report.json").read_text())
         assert doc["config"]["case_id"] == "case1p1"
         assert doc["reference"]["r_a_max"] == 0.44
 
     def test_mean_prl_matches_example_table(self, tmp_path):
         report = run_case(self._config(tmp_path))
-        values = [ex.prl for ex in report.evaluation.examples if ex.prl is not None]
-        assert report.evaluation.mean_prl_percent == pytest.approx(
+        values = [ex["prl"] for ex in report["evaluation"]["examples"] if ex["prl"] is not None]
+        assert report["evaluation"]["mean_prl_percent"] == pytest.approx(
             float(np.mean(values)), abs=1e-12
         )
 
     def test_deterministic_except_durations(self, tmp_path):
-        r1 = run_case(self._config(tmp_path / "run1"))
-        r2 = run_case(self._config(tmp_path / "run2"))
-        d1, d2 = r1.to_dict(), r2.to_dict()
+        d1 = run_case(self._config(tmp_path / "run1"))
+        d2 = run_case(self._config(tmp_path / "run2"))
         d1.pop("durations_s"), d2.pop("durations_s")
         d1["config"].pop("out_dir"), d2["config"].pop("out_dir")
         assert d1 == d2
@@ -285,10 +287,10 @@ class TestRunCase:
 
         report = run_case(self._config(tmp_path))
         for name in ("dataset", "model"):
-            path = tmp_path / report.artifacts[name]["path"]
+            path = tmp_path / report["artifacts"][name]["path"]
             assert (
                 hashlib.sha256(path.read_bytes()).hexdigest()
-                == report.artifacts[name]["sha256"]
+                == report["artifacts"][name]["sha256"]
             )
 
     def test_minimal_viable_count_and_config_guard(self, tmp_path):
@@ -302,7 +304,7 @@ class TestRunCase:
             out_dir=str(tmp_path),
         )
         report = run_case(cfg)
-        assert report.counts["train"] == 9
+        assert report["counts"]["train"] == 9
         # Too few records and the config guard rejects it before any work.
         with pytest.raises(ValueError):
             CaseConfig(
@@ -314,6 +316,17 @@ class TestRunCase:
                 out_dir=str(tmp_path),
             )
 
+    def test_empty_test_split_is_evaluate_error(self, tmp_path, monkeypatch):
+        import assort_mnl.bench as bench_mod
+
+        data = generate_dataset(preset("case1p1").spec, 40, 77)
+        # With the last record excluded, a 0.99 split trains on all 39 that remain.
+        last_excluded = dataclasses.replace(data.take(slice(None, 39)), excluded=(39,))
+        monkeypatch.setattr(bench_mod, "generate_dataset", lambda spec, count, seed: last_excluded)
+        with pytest.raises(ValueError, match="^test dataset has no records$"):
+            run_case(self._config(tmp_path, train_fraction=0.99))
+        assert list(tmp_path.iterdir()) == []
+
     def test_training_failure_is_stage_tagged(self, tmp_path, monkeypatch):
         import assort_mnl.bench as bench_mod
         from assort_mnl.learner import UnderdeterminedFitError
@@ -324,7 +337,7 @@ class TestRunCase:
         monkeypatch.setattr(bench_mod, "fit_linear", boom)
         with pytest.raises(StageError) as exc:
             run_case(self._config(tmp_path))
-        assert exc.value.stage == "train"
+        assert str(exc.value) == "[train] forced failure"
         assert exc.value.exit_code == EXIT_TRAIN
 
 
@@ -356,17 +369,35 @@ class TestCompareRuns:
         assert summary["case_a"] == summary["case_b"] == "case1p1"
 
 
+class TestReportDocument:
+    def test_run_case_returns_the_document_it_wrote(self, tmp_path):
+        # case1p2 at seed 1 has examples with a null prl and both misclassified values.
+        config = preset("case1p2", master_seed=1, out_dir=str(tmp_path))
+        doc = run_case(config)
+        text = (tmp_path / "case1p2_report.json").read_text()
+        assert type(doc) is dict and doc == json.loads(text)
+        assert json.dumps(doc, indent=2) + "\n" == text
+        examples = doc["evaluation"]["examples"]
+        assert all(type(ex) is dict and list(ex) == ["idx", "r_a", "r_c", "prl", "misclassified"] for ex in examples)
+        # The evaluation is evaluate's document, rebuilt from the artifacts.
+        _, test = split_dataset(read_dataset(tmp_path / "case1p2_dataset.jsonl"), config.train_fraction)
+        assert evaluate(read_model(tmp_path / "case1p2_model.json"), test).to_dict() == doc["evaluation"]
+        other = run_case(preset("case1p1", master_seed=1, out_dir=str(tmp_path)))
+        summary = compare_runs(doc, other)
+        assert (summary["case_a"], summary["case_b"]) == ("case1p2", "case1p1")
+
+
 class TestReportEncoder:
     def test_case_and_eval_reports_are_json_bytes(self, tmp_path):
         # case1p2 at seed 1 has test examples below PRL_MIN_REVENUE (prl
         # null) and both misclassified values.
         report = run_case(preset("case1p2", master_seed=1, out_dir=str(tmp_path)))
-        examples = report.evaluation.examples
-        assert any(ex.prl is None for ex in examples)
-        assert {ex.misclassified for ex in examples} == {True, False}
+        examples = report["evaluation"]["examples"]
+        assert any(ex["prl"] is None for ex in examples)
+        assert {ex["misclassified"] for ex in examples} == {True, False}
         text = (tmp_path / "case1p2_report.json").read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
-        assert json.loads(text)["evaluation"] == report.evaluation.to_dict()
+        assert json.loads(text)["evaluation"] == report["evaluation"]
 
     def test_eval_report_bytes_pinned(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -477,6 +477,58 @@ class TestHeaderShape:
         code, err = _exit_and_stderr(["train", path, "--out", tmp_path])
         assert code == 5 and err.startswith("error [read] line 2: y must have shape"), err
 
+    @pytest.mark.parametrize("key", ["n", "m"])
+    def test_shape_no_array_can_hold_over_no_records_is_read_error(self, tmp_path, valid_dataset, key):
+        # No record line shows the shape, so the header alone is at fault.
+        lines, _ = valid_dataset
+        path = tmp_path / "dataset.jsonl"
+        path.write_text(_edit(lambda header: _empty_header(header, key, 10**20))(lines[0]) + "\n")
+        code, err = _exit_and_stderr(["label", path, "--out", tmp_path / "out"])
+        spec = {"n": 3, "m": 1, key: 10**20}
+        assert code == 5, err
+        assert err == f"error [read] line 1: spec n={spec['n']}, m={spec['m']} gives records no array can hold\n"
+        assert not (tmp_path / "out" / "dataset.jsonl").exists()
+
+    def test_shape_an_array_holds_over_no_records_relabels(self, tmp_path, valid_dataset):
+        # n = 2**40 fits an empty column, but not a record line's template:
+        # the writer must lay out no line when there is none.  The
+        # address-space cap turns a writer that does into a MemoryError.
+        lines, _ = valid_dataset
+        path = tmp_path / "dataset.jsonl"
+        path.write_text(_edit(lambda header: _empty_header(header, "n", 2**40))(lines[0]) + "\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "assort_mnl", "label", str(path), "--out", str(tmp_path / "out")],
+            env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert read_dataset(tmp_path / "out" / "dataset.jsonl").spec.n == 2**40
+
+
+def _empty_header(header: dict, key: str, value: int) -> None:
+    """Set the header's spec ``key`` to ``value`` and make it a header of no records."""
+    header["spec"][key] = value
+    header.update(count=0, excluded=[])
+
+
+class TestEmptyTestSplit:
+    def test_eval_is_config_error(self, tmp_path, valid_dataset):
+        # With the last of 40 records excluded, a 0.99 split trains on all 39 that remain.
+        lines, _ = valid_dataset
+        path = tmp_path / "dataset.jsonl"
+        header = _edit(lambda header: header.update(excluded=[39]))(lines[0])
+        path.write_text("\n".join([header, *lines[1:-1]]) + "\n")
+        assert run("train", path, "--train-fraction", 0.99, "--out", tmp_path) == 0
+        code, err = _exit_and_stderr(["eval", path, tmp_path / "model.json", "--train-fraction", 0.99, "--out", tmp_path])
+        assert (code, err) == (2, "error [config] test dataset has no records\n")
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestLabelVerification:
     @pytest.mark.parametrize("command", ["train", "eval"])

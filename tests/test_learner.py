@@ -302,7 +302,7 @@ class TestEvaluate:
         report = evaluate(model, subset)
         assert report.error_rate == 0.0
         assert report.mean_prl_percent == 0.0
-        assert all(not ex.misclassified for ex in report.examples)
+        assert all(not ex["misclassified"] for ex in report.examples)
 
     def test_single_wrong_prediction(self):
         data = self._dataset()
@@ -317,7 +317,7 @@ class TestEvaluate:
         assert report.error_rate == 1.0
         q = subset.q[0]
         expected_prl = 100.0 * (q[0, 0] - q[1, 0]) / q[0, 0]
-        assert report.examples[0].prl == pytest.approx(expected_prl, abs=1e-9)
+        assert report.examples[0]["prl"] == pytest.approx(expected_prl, abs=1e-9)
 
     def test_prl_nonnegative_and_error_count_integral(self):
         data = self._dataset(n=3, k=2, count=40, seed=8)
@@ -326,8 +326,8 @@ class TestEvaluate:
         model = fit_linear(train_X, train_Y, FeatureLayout(3, 1))
         report = evaluate(model, data)
         for ex in report.examples:
-            if ex.prl is not None:
-                assert -1e-9 <= ex.prl <= 100.0 + 1e-12
+            if ex["prl"] is not None:
+                assert -1e-9 <= ex["prl"] <= 100.0 + 1e-12
         count = report.error_rate * report.test_count
         assert abs(count - round(count)) < 1e-9
 

@@ -121,7 +121,7 @@ def test_read_and_split_2000_records(benchmark, tmp_path):
 
 
 def test_encode_case_report(benchmark, tmp_path):
-    doc = run_case(preset("case3p5", out_dir=str(tmp_path))).to_dict()
+    doc = run_case(preset("case3p5", out_dir=str(tmp_path)))
     assert len(doc["evaluation"]["examples"]) == 125
     assert benchmark(json.dumps, doc, indent=2).startswith("{\n")
 
