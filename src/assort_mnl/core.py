@@ -39,7 +39,7 @@ state, safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit
@@ -67,6 +67,26 @@ PER_SEGMENT = "per-segment"
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
+
+
+def _fields_equal(a, b):
+    """Equality of the array-holding value types: every dataclass field equal, arrays by ``np.array_equal``.
+
+    Other fields compare by ``==``.  An array holding NaN is unequal even to
+    itself, and ``b`` of another type gives ``NotImplemented``.  A class
+    body that sets ``__eq__ = _fields_equal`` makes its class unhashable.
+    """
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) else x == y
+               for x, y in pairs)
+
+
+def _freeze(obj, name: str, array: np.ndarray) -> None:
+    """Store ``array``, made read-only, as the field ``name`` of the frozen dataclass ``obj``."""
+    array.setflags(write=False)
+    object.__setattr__(obj, name, array)
 
 
 class NonConvergenceError(RuntimeError):
@@ -139,7 +159,7 @@ class ProblemInstance:
         Platform revenue parameters.
 
     Arrays are copied and frozen at construction; instances are immutable
-    and safe to share across threads.
+    and safe to share across threads, and compare equal field by field.
     """
 
     y: np.ndarray
@@ -174,8 +194,7 @@ class ProblemInstance:
                 raise ValueError(message)
 
         for name, arr in (("y", y), ("alpha", alpha), ("beta", beta), ("F", F), ("lam", lam)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            _freeze(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -185,17 +204,7 @@ class ProblemInstance:
     def m(self) -> int:
         return self.y.shape[1]
 
-    def __eq__(self, other):
-        if not isinstance(other, ProblemInstance):
-            return NotImplemented
-        return (
-            np.array_equal(self.y, other.y)
-            and np.array_equal(self.alpha, other.alpha)
-            and np.array_equal(self.beta, other.beta)
-            and np.array_equal(self.F, other.F)
-            and np.array_equal(self.lam, other.lam)
-            and self.revenue == other.revenue
-        )
+    __eq__ = _fields_equal
 
 
 def _instance_faults(y, alpha, beta, F, lam):
@@ -213,18 +222,21 @@ def _instance_faults(y, alpha, beta, F, lam):
     yield "lam must sum to 1 within 1e-12", np.abs(lam.sum(axis=1) - 1.0) <= 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportSolution:
     """Result of a fixed-point solve.
 
     ``q`` is the final (n, m) iterate; ``residual`` is the sup-norm of
-    ``q - sigma(V(q))`` evaluated at that iterate.
+    ``q - sigma(V(q))`` evaluated at that iterate.  Solutions compare equal
+    field by field.
     """
 
     q: np.ndarray
     iterations: int
     residual: float
     converged: bool
+
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)
@@ -313,12 +325,13 @@ def solve_fixed_point(
     # An overflow here leaves an infinite utility, which the solve refuses by name.
     with np.errstate(over="ignore"):
         c = _fixed_utility(instance.y, instance.beta, instance.F)
-    stacked = (x[None] for x in (c, instance.alpha, instance.lam))
-    q, iterations, residual, converged = _solve_stack(*stacked, start, tol, max_iter)
+    c, alpha, lam = (x[None] for x in (c, instance.alpha, instance.lam))
+    q, iterations, converged = _solve_stack(c, alpha, lam, start, tol, max_iter)
+    residual = np.max(np.abs(expit(_utility(c, alpha, lam, q)) - q))
     return SupportSolution(
         q=q[0],
         iterations=int(iterations[0]),
-        residual=float(residual[0]),
+        residual=float(residual),
         converged=bool(converged[0]),
     )
 
@@ -359,8 +372,7 @@ def _solve_stack(c, alpha, lam, start: str, tol: float, max_iter: int):
     ``alpha`` (N, n, m) and ``lam`` (N, m), all C-contiguous.
     Each record iterates until its own step is at most ``tol`` or
     ``max_iter`` passes.  Returns the read-only final iterates ``q`` (N, n,
-    m) and per-record ``iterations``, ``residual`` (``sup|q -
-    sigma(V(q))|``) and ``converged``.
+    m) and per-record ``iterations`` and ``converged``.
 
     Validation happens once, before the loop: the mean utilities at the
     all-ones matrix, ``V(1)``, must be finite, or :class:`_RecordFault`
@@ -438,9 +450,8 @@ def _solve_stack(c, alpha, lam, start: str, tol: float, max_iter: int):
             slabs, work, s, at = list(history), steps[0], s[:live_count], 0
             live = np.ones(live_count, dtype=bool)
     q[active[live]] = history[at][live]
-    residual = np.max(np.abs(expit(_utility(c, alpha, lam, q)) - q), axis=(-2, -1))
     q.setflags(write=False)
-    return q, iterations, residual, converged
+    return q, iterations, converged
 
 
 def _block_revenue(q, lam, per_support, blocks) -> np.ndarray:

@@ -73,6 +73,8 @@ from .core import (
     _RecordFault,
     _best_blocks,
     _block_revenue,
+    _fields_equal,
+    _freeze,
     _instance_faults,
     _solve_stack,
 )
@@ -169,7 +171,7 @@ def _integer(name: str, value) -> int:
 
 @dataclass(frozen=True, eq=False)
 class DatasetRecord:
-    """One labeled example: instance, its support matrix, and the optimum."""
+    """One labeled example: instance, its support matrix, and the optimum; records compare equal field by field."""
 
     idx: int
     seed: int
@@ -178,17 +180,7 @@ class DatasetRecord:
     label: Assortment
     r_a: float
 
-    def __eq__(self, other):
-        if not isinstance(other, DatasetRecord):
-            return NotImplemented
-        return (
-            self.idx == other.idx
-            and self.seed == other.seed
-            and self.instance == other.instance
-            and np.array_equal(self.q, other.q)
-            and self.label == other.label
-            and self.r_a == other.r_a
-        )
+    __eq__ = _fields_equal
 
 
 _COLUMNS = ("idx", "y", "alpha", "F", "lam", "q", "blocks", "r_a")
@@ -210,6 +202,7 @@ class LabeledDataset:
     (``_dataset_faults``), but records may be a subset: their idx increase
     strictly through range(count) without ``excluded``.  A broken rule
     raises ``ValueError`` as ``record {idx}: <rule>``, for the first record.
+    The columns are views of the arrays given; datasets compare field by field.
     """
 
     spec: GenSpec
@@ -230,9 +223,7 @@ class LabeledDataset:
         object.__setattr__(self, "count", _integer("count", self.count))
         object.__setattr__(self, "excluded", tuple(_integer("excluded", i) for i in self.excluded))
         for name in _COLUMNS:
-            column = np.asarray(getattr(self, name)).view()
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
+            _freeze(self, name, np.asarray(getattr(self, name)).view())
         # Rules are tested over whole columns; only a broken one is reduced to records.
         for rule, ok in _dataset_faults(self):
             if not ok.all():
@@ -242,16 +233,7 @@ class LabeledDataset:
     def __len__(self) -> int:
         return len(self.idx)
 
-    def __eq__(self, other):
-        if not isinstance(other, LabeledDataset):
-            return NotImplemented
-        return (
-            self.spec == other.spec
-            and self.master_seed == other.master_seed
-            and self.count == other.count
-            and self.excluded == other.excluded
-            and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _COLUMNS)
-        )
+    __eq__ = _fields_equal
 
     @property
     def seed(self) -> np.ndarray:
@@ -641,7 +623,7 @@ def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledData
     try:
         y, alpha, F, lam = _draw(spec, _record_seeds(master_seed, np.arange(count)))
         # y - F is y - beta F at beta = 1, bit for bit.
-        q, _, _, converged = _solve_stack(y - F[..., None], alpha, lam, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        q, _, converged = _solve_stack(y - F[..., None], alpha, lam, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
     except _RecordFault as e:
         # Record t sits at position t of the stack.
         raise ValueError(f"record {e.position}: {e}") from None
@@ -772,7 +754,8 @@ def write_dataset(dataset: LabeledDataset, path) -> str:
     every number becomes a fixed-width cell of candidate characters, 0
     where one is dropped (``_numtext``: a float's shortest round-trip
     digits, as ``repr`` writes them), the cells go into a buffer of the
-    chunk's lines that holds the spec's literal text (``_line_buffer``),
+    chunk's lines that holds the literal text ``json.dumps`` writes around
+    the numbers (``_line_template``, ``_line_buffer``),
     and one compaction of the kept characters gives the bytes ``json.dumps``
     writes.  A dataset whose records and ``excluded`` fall short of
     ``count``, as a subset's do, raises ``ValueError``; no file is written.
@@ -815,43 +798,36 @@ def write_dataset(dataset: LabeledDataset, path) -> str:
     return _write_atomic(path, chunks())
 
 
-def _line_template(spec: GenSpec) -> str:
-    """A record line under ``spec``, keys and nesting as in the module docstring, with a slot for each number.
+def _line_template(spec: GenSpec) -> tuple[list[str], np.ndarray]:
+    """A record line under ``spec`` cut at its numbers: the literal runs around them, and which of them are floats.
 
-    ``%d`` marks an integer and ``%r`` a float, which ``json.dumps``
-    writes as ``float.__repr__`` does; the text between the slots, beta and
-    the revenue terms included (the header fixes them), is the line's
-    literal text, which ``_line_buffer`` lays out.
+    The line is the ``json.dumps`` of a record, keys and nesting as in the
+    module docstring, whose numbers are the strings ``"%d"`` (an integer)
+    and ``"%r"`` (a float, which ``json.dumps`` writes as ``float.__repr__``
+    does).  Beta, the revenue terms and ``k``, which the header fixes, are
+    literal text, written by the encoder that writes the header.
     """
-
-    def nested(shape, slot):
-        return slot if not shape else "[" + ",".join([nested(shape[1:], slot)] * shape[0]) + "]"
-
-    grid, ones = nested((spec.n, spec.m), "%r"), nested((spec.n, spec.m), "1.0")
-    revenue = ",".join(f'"{key}":{term!r}' for key, term in _file_revenue(spec).items())
-    label = f'{{"per_segment":{nested((spec.m, spec.k), "%d")},"k":{json.dumps(spec.k)}}}'
-    return (
-        f'{{"idx":%d,"seed":%d,"y":{grid},"alpha":{grid},"beta":{ones},"F":{nested((spec.n,), "%r")},'
-        f'"lambda":{nested((spec.m,), "%r")},"revenue":{{{revenue}}},"q":{grid},"label":{label},"r_a":%r}}\n'
-    )
+    n, m, d, r = spec.n, spec.m, "%d", "%r"
+    grid, label = [[r] * m] * n, {"per_segment": [[d] * spec.k] * m, "k": spec.k}
+    values = (d, d, grid, grid, [[1.0] * m] * n, [r] * n, [r] * m, _file_revenue(spec), grid, label, r)
+    pieces = re.split('"(%[dr])"', json.dumps(dict(zip(_RECORD_KEYS, values)), separators=(",", ":")) + "\n")
+    return pieces[0::2], np.array(pieces[1::2]) == r
 
 
 def _line_buffer(spec: GenSpec, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A buffer for ``size`` record lines under ``spec``, and where its number cells go.
 
     Character j of line t is entry ``[j, t]`` of the (width, size) uint8
-    buffer, which holds the literal text of ``_line_template``; each
-    ``%r`` slot becomes a ``FLOAT_CELL``-wide cell and each ``%d`` slot an
+    buffer, which holds the literal runs of ``_line_template``; between
+    them a float becomes a ``FLOAT_CELL``-wide cell and an integer an
     ``INT_CELL``-wide one.  Entry ``[i, s]`` of the two (cell width,
     slots) arrays returned is the position of row i of the s-th float or
     integer cell.
     """
-    pieces = re.split("(%[dr])", _line_template(spec))
-    runs, slots = pieces[0::2], pieces[1::2]
-    widths = [FLOAT_CELL if slot == "%r" else INT_CELL for slot in slots]
+    runs, is_float = _line_template(spec)
+    widths = np.where(is_float, FLOAT_CELL, INT_CELL)
     starts = np.cumsum([0] + [len(run) + width for run, width in zip(runs, widths)])
     cells = starts[:-1] + [len(run) for run in runs[:-1]]
-    is_float = np.array(slots) == "%r"
     lines = np.empty((starts[-1] + len(runs[-1]), size), np.uint8)
     literal = np.concatenate([start + np.arange(len(run)) for run, start in zip(runs, starts)])
     lines[literal] = np.frombuffer("".join(runs).encode(), np.uint8)[:, None]

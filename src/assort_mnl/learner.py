@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SHARED, _block_revenue, _top_k
+from .core import SHARED, _block_revenue, _fields_equal, _freeze, _top_k
 from .generate import DatasetFormatError, LabeledDataset, _fields, _integer, _load_json, _write_atomic
 
 __all__ = [
@@ -91,7 +91,7 @@ class FeatureLayout:
 
 @dataclass(frozen=True, eq=False)
 class PredictorModel:
-    """Fitted affine predictor: scores = intercept + coefficients @ features."""
+    """Fitted affine predictor: scores = intercept + coefficients @ features; frozen, compared field by field."""
 
     intercept: np.ndarray
     coefficients: np.ndarray
@@ -108,20 +108,10 @@ class PredictorModel:
             raise ValueError(f"coefficients must have shape {(L, d)}, got {coefficients.shape}")
         if not (np.all(np.isfinite(intercept)) and np.all(np.isfinite(coefficients))):
             raise ValueError("intercept and coefficients must be finite")
-        intercept.setflags(write=False)
-        coefficients.setflags(write=False)
-        object.__setattr__(self, "intercept", intercept)
-        object.__setattr__(self, "coefficients", coefficients)
+        _freeze(self, "intercept", intercept)
+        _freeze(self, "coefficients", coefficients)
 
-    def __eq__(self, other):
-        if not isinstance(other, PredictorModel):
-            return NotImplemented
-        return (
-            self.layout == other.layout
-            and self.rank_deficient == other.rank_deficient
-            and np.array_equal(self.intercept, other.intercept)
-            and np.array_equal(self.coefficients, other.coefficients)
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ of each file it created, replaced or removed (``null``), with every
 
 ``tests/test_manifest.py`` replays the matrix and compares the result
 with ``behaviour_manifest.json``.  After a change of behaviour that is
-meant, regenerate the manifest and say which entries changed and why:
+meant, regenerate the manifest, which names on stderr each entry that
+changed, was added or was removed, and say why each one did:
 
     PYTHONPATH=src python tests/behaviour_matrix.py
 """
@@ -195,10 +196,20 @@ def replay(workdir) -> dict:
 
 
 def main() -> None:
+    """Regenerate the manifest, and name on stderr each entry that changed, was added or was removed."""
     with tempfile.TemporaryDirectory() as tmp:
         entries = replay(tmp)
+    previous = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
     MANIFEST.write_text(json.dumps(entries, indent=1) + "\n")
     print(f"wrote {len(entries)} entries to {MANIFEST}", file=sys.stderr)
+    for name, entry in entries.items():
+        if name not in previous:
+            print(f"added: {name}", file=sys.stderr)
+        elif entry != previous[name]:
+            print(f"changed: {name}", file=sys.stderr)
+    for name in previous:
+        if name not in entries:
+            print(f"removed: {name}", file=sys.stderr)
 
 
 if __name__ == "__main__":

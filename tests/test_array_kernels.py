@@ -190,10 +190,10 @@ def stacked(batch):
 
 
 def assert_solves_match(batch, expected):
-    q, iterations, residual, converged = batch
-    for t, (q_t, it_t, res_t, conv_t) in enumerate(expected):
+    q, iterations, converged = batch
+    for t, (q_t, it_t, _, conv_t) in enumerate(expected):
         assert q[t].tobytes() == q_t.tobytes()
-        assert (iterations[t], residual[t], converged[t]) == (it_t, res_t, conv_t)
+        assert (iterations[t], converged[t]) == (it_t, conv_t)
 
 
 def stack(rng, N, n, m):
@@ -267,12 +267,14 @@ def test_features_and_indicators_match_the_loops():
 
 @pytest.mark.parametrize("start", [ONE_START, ZERO_START])
 @pytest.mark.parametrize("network_effects", [True, False])
-@pytest.mark.parametrize("n,m", [(2, 1), (5, 1), (2, 2), (10, 2), (20, 4), (100, 4)])
+# (1, 2), (1, 4), (3, 2) and (7, 3): one product over several segments, odd
+# product counts and three segments, where matmul's rounding is fragile.
+@pytest.mark.parametrize("n,m", [(2, 1), (5, 1), (2, 2), (10, 2), (20, 4), (100, 4), (1, 2), (1, 4), (3, 2), (7, 3)])
 def test_solve_matches_the_loop(n, m, network_effects, start):
     batch = instances(n, m, network_effects, 60 if n == 100 else 300)
     expected = [loop_solve(instance, start) for instance in batch]
     assert_solves_match(_solve_stack(*stacked(batch), start, DEFAULT_TOL, DEFAULT_MAX_ITER), expected)
-    # solve_fixed_point is the one-row case of the same kernel.
+    # solve_fixed_point is the one-row case of the same kernel; it alone computes a residual.
     for instance, (q, iterations, residual, converged) in zip(batch[:10], expected):
         solution = solve_fixed_point(instance, start)
         assert solution.q.tobytes() == q.tobytes()

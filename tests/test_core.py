@@ -1,5 +1,7 @@
 """Unit and property tests for the choice core."""
 
+import copy
+import dataclasses
 import warnings
 
 import numpy as np
@@ -25,6 +27,8 @@ from assort_mnl.core import (
     _mass,
     _utility,
 )
+from assort_mnl.generate import GenSpec, generate_dataset
+from assort_mnl.learner import FeatureLayout, PredictorModel
 from enumeration_oracle import enumerate_optimum
 
 
@@ -124,6 +128,47 @@ class TestProblemInstance:
         c = make_instance([[1.0 + 1e-16]], [[2.0]], [3.0], [1.0])
         assert a == b
         assert (a == c) == (1.0 + 1e-16 == 1.0)
+
+
+def equality_cases():
+    """A value of each array-holding type, a float array field, another field and another value for it."""
+    dataset = generate_dataset(GenSpec(n=3, m=2, k=2), 20, 5)
+    record = dataset.records[0]
+    layout = FeatureLayout(3, 2)
+    model = PredictorModel(np.linspace(0.0, 1.0, layout.label_slots), np.ones((layout.label_slots, layout.d)), layout)
+    return [
+        pytest.param(record.instance, "y", "revenue", RevenueTerms(a=2.0), id="ProblemInstance"),
+        pytest.param(solve_fixed_point(record.instance), "q", "iterations", 1, id="SupportSolution"),
+        pytest.param(record, "q", "r_a", record.r_a + 1.0, id="DatasetRecord"),
+        pytest.param(dataset, "y", "master_seed", 6, id="LabeledDataset"),
+        pytest.param(model, "coefficients", "rank_deficient", True, id="PredictorModel"),
+    ]
+
+
+def copy_with(value, **changes):
+    """A copy of the dataclass ``value`` holding copies of its arrays, fields replaced by ``changes`` unchecked."""
+    copied = copy.copy(value)
+    for field in dataclasses.fields(value):
+        new = changes.get(field.name, getattr(value, field.name))
+        object.__setattr__(copied, field.name, new.copy() if isinstance(new, np.ndarray) else new)
+    return copied
+
+
+class TestValueEquality:
+    @pytest.mark.parametrize("value,array,field,other", equality_cases())
+    def test_equal_field_by_field_and_unhashable(self, value, array, field, other):
+        assert copy_with(value) == value and value == copy_with(value)
+        changed = getattr(value, array).copy()
+        changed.flat[-1] += 1.0
+        assert copy_with(value, **{array: changed}) != value
+        assert copy_with(value, **{field: other}) != value
+        nan = getattr(value, array).copy()
+        nan.flat[0] = np.nan
+        with_nan = copy_with(value, **{array: nan})
+        assert with_nan != copy_with(with_nan)
+        assert (value == object()) is False
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
 
 
 def support_mass(inst, q):

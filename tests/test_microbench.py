@@ -33,7 +33,7 @@ def test_solve_one_record(benchmark):
 
 def test_solve_stack_of_500_records(benchmark):
     stacked = solve_operands(SPEC, 500)
-    _, _, _, converged = benchmark(_solve_stack, *stacked, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    _, _, converged = benchmark(_solve_stack, *stacked, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
     assert converged.all()
 
 
@@ -41,7 +41,7 @@ def test_solve_stack_of_200_records_at_n100_m4(benchmark):
     # 80,000 entries, far more than a block may hold: every block is one
     # pass until compaction shrinks the stack.
     stacked = solve_operands(GenSpec(n=100, m=4), 200)
-    _, _, _, converged = benchmark(_solve_stack, *stacked, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    _, _, converged = benchmark(_solve_stack, *stacked, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
     assert converged.all()
 
 
@@ -56,7 +56,7 @@ WIDE_MENU_JOBS = {
 def test_solve_stack_of_a_wide_menu_job(benchmark, job):
     spec, count = WIDE_MENU_JOBS[job]
     stacked = solve_operands(spec, count)
-    _, _, _, converged = benchmark(_solve_stack, *stacked, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    _, _, converged = benchmark(_solve_stack, *stacked, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
     assert converged.all()
 
 
