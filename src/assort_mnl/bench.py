@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .core import PER_SEGMENT, SHARED
@@ -86,7 +86,7 @@ class StageError(RuntimeError):
 
 @dataclass(frozen=True)
 class CaseConfig:
-    """Full recipe for one benchmark run."""
+    """Full recipe for one benchmark run; ``case_id`` names its artifact files in ``out_dir``, so it must be a file name."""
 
     case_id: str
     spec: GenSpec
@@ -97,6 +97,8 @@ class CaseConfig:
     reference: dict | None = None
 
     def __post_init__(self):
+        if self.case_id in ("", ".", "..") or Path(self.case_id).name != self.case_id or "\0" in self.case_id:
+            raise ValueError(f"case_id must be a file name (not empty, '.' or '..', no '/' or NUL), got {self.case_id!r}")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
         if not 0.0 < self.train_fraction < 1.0:
@@ -113,14 +115,9 @@ class CaseConfig:
         return int(self.count * self.train_fraction)
 
     def to_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "spec": spec_to_dict(self.spec),
-            "count": self.count,
-            "train_fraction": self.train_fraction,
-            "master_seed": self.master_seed,
-            "out_dir": str(self.out_dir),
-        }
+        """The report's ``config`` object: the fields but ``reference`` in order, ``spec`` as ``spec_to_dict`` writes it."""
+        doc = {field.name: getattr(self, field.name) for field in fields(self) if field.name != "reference"}
+        return {**doc, "spec": spec_to_dict(self.spec), "out_dir": str(self.out_dir)}
 
 
 # Preset grid: (n, m, k, network_effects, mode).

@@ -54,7 +54,7 @@ import os
 import re
 import secrets
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import islice, zip_longest
 from pathlib import Path
 
@@ -188,7 +188,7 @@ _COLUMNS = ("idx", "y", "alpha", "F", "lam", "q", "blocks", "r_a")
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """A reproducible sequence of labeled examples, stored as columns.
+    """A reproducible sequence of labeled examples, stored as columns, that compare field by field.
 
     ``count`` is the requested number of records; indices listed in
     ``excluded`` hit the fixed-point iteration cap and carry no record.
@@ -202,7 +202,8 @@ class LabeledDataset:
     (``_dataset_faults``), but records may be a subset: their idx increase
     strictly through range(count) without ``excluded``.  A broken rule
     raises ``ValueError`` as ``record {idx}: <rule>``, for the first record.
-    The columns are views of the arrays given; datasets compare field by field.
+    The arrays given become read-only columns, so none can change after its
+    rules passed, but another writable view of them is beyond numpy's guard.
     """
 
     spec: GenSpec
@@ -223,7 +224,7 @@ class LabeledDataset:
         object.__setattr__(self, "count", _integer("count", self.count))
         object.__setattr__(self, "excluded", tuple(_integer("excluded", i) for i in self.excluded))
         for name in _COLUMNS:
-            _freeze(self, name, np.asarray(getattr(self, name)).view())
+            _freeze(self, name, np.asarray(getattr(self, name)))
         # Rules are tested over whole columns; only a broken one is reduced to records.
         for rule, ok in _dataset_faults(self):
             if not ok.all():
@@ -511,17 +512,18 @@ def _pcg64_uniforms(seeds, steps: int, high: float) -> np.ndarray:
 
 # _draw's rule for the jump-ahead.  A generator costs several microseconds
 # a record whatever its length, the jump-ahead a fixed set-up plus a share
-# of a microsecond an output.  Generator time over jump-ahead time, one
-# thread:
+# of a microsecond an output.  Generator over jump-ahead time (one thread,
+# 2-core x86-64; each as _draw calls it; median of 15 timings, two runs):
 #
-#   draws a record    16 records   40 records   500 records
-#   37                1.17         1.49         3.34
-#   62                1.07         1.43         2.17
-#   64                0.97-1.07    1.38         2.14
-#   128               1.04         1.25         1.57
-#   904               -            -            0.60 (0.56 at 100)
+#   draws a record   8 records   16 records   40 records   500 records
+#   37               0.89-0.93   1.09-1.15    1.55-1.65    3.61-3.98
+#   62               0.92-0.93   1.07-1.08    1.48-1.56    2.29-2.50
+#   64               0.91-0.92   1.06-1.09    1.36-1.37    2.06-2.57
+#   73               0.83-0.87   1.04-1.10    1.33-1.58    1.34-2.29
+#   128              0.84        0.93-0.97    1.17-1.23    1.03-1.21
+#   904              0.53-0.57   0.45-0.49    0.38-0.44    0.39-0.42
 #
-# At 8 records the two are even up to 64 draws.  The rule takes the
+# At 8 records the two are near even up to 64 draws.  The rule takes the
 # jump-ahead where it is at least even.
 _JUMP_MAX_DRAWS = 64
 _JUMP_MIN_RECORDS = 16
@@ -654,8 +656,8 @@ def relabel_dataset(dataset: LabeledDataset, k=None, mode=None) -> LabeledDatase
     return replace(dataset, spec=spec, blocks=blocks, r_a=r_a)
 
 
-_SPEC_KEYS = ("n", "m", "M", "network_effects", "f_mode", "revenue", "k", "mode")
-_REVENUE_KEYS = ("a", "b", "omega", "xi")
+_SPEC_KEYS = tuple(field.name for field in fields(GenSpec))
+_REVENUE_KEYS = tuple(field.name for field in fields(RevenueTerms))
 _RECORD_KEYS = ("idx", "seed", "y", "alpha", "beta", "F", "lambda", "revenue", "q", "label", "r_a")
 # The keys of the columns, in _COLUMNS order: all but the fields the header fixes.
 _COLUMN_KEYS = [key for key in _RECORD_KEYS if key not in ("seed", "beta", "revenue")]
@@ -677,15 +679,15 @@ def _fields(obj, keys, where: str, what: str) -> tuple:
 
 
 def spec_to_dict(spec: GenSpec) -> dict:
-    d = {key: getattr(spec, key) for key in _SPEC_KEYS}
-    return {**d, "revenue": {key: getattr(spec.revenue, key) for key in _REVENUE_KEYS}}
+    """The JSON object of ``spec`` in dataset headers and case reports: its fields in order, ``revenue`` an object."""
+    return asdict(spec)
 
 
 def spec_from_dict(d: dict, where: str = "spec") -> GenSpec:
-    fields = dict(zip(_SPEC_KEYS, _fields(d, _SPEC_KEYS, where, "spec")))
-    revenue = _fields(fields["revenue"], _REVENUE_KEYS, where, "revenue")
+    values = dict(zip(_SPEC_KEYS, _fields(d, _SPEC_KEYS, where, "spec")))
+    revenue = _fields(values["revenue"], _REVENUE_KEYS, where, "revenue")
     try:
-        return GenSpec(**{**fields, "revenue": RevenueTerms(*revenue)})
+        return GenSpec(**{**values, "revenue": RevenueTerms(*revenue)})
     except (TypeError, ValueError, OverflowError) as e:
         raise DatasetFormatError(f"{where}: invalid spec ({e})") from None
 

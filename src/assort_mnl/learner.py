@@ -270,7 +270,7 @@ def write_model(model: PredictorModel, path) -> str:
     """Persist a fitted model as a JSON document, atomically; returns the file's SHA-256."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "layout": {"n": model.layout.n, "m": model.layout.m},
+        "layout": dataclasses.asdict(model.layout),
         "intercept": model.intercept.tolist(),
         "coefficients": model.coefficients.tolist(),
         "rank_deficient": model.rank_deficient,

@@ -107,6 +107,8 @@ MATRIX = [
     ("fail-no-shape", ["case", "--count", "40", "--out", "fail"]),
     ("fail-case-too-few-records", ["case", "--n", "2", "--count", "8", "--out", "fail"]),
     ("fail-seed-range", ["gen", "--n", "2", "--seed", "-1", "--out", "fail"]),
+    ("fail-case-id-escapes-out", ["case", "--n", "3", "--count", "40", "--case-id", "../escape", "--out", "fail"]),
+    ("fail-case-id-not-a-file-name", ["case", "--n", "3", "--count", "40", "--case-id", "a/b", "--out", "fail"]),
     ("edit-empty-test-split", _edit_dataset("unit/dataset.jsonl", "empty-split/dataset.jsonl", exclude_last=1)),
     ("train-empty-test-split", ["train", "empty-split/dataset.jsonl", "--train-fraction", "0.99", "--out", "empty-split"]),
     ("fail-eval-empty-test-split", ["eval", "empty-split/dataset.jsonl", "empty-split/model.json",

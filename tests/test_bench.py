@@ -220,6 +220,10 @@ class TestCaseConfig:
             CaseConfig(case_id="x", spec=spec, count=8, train_fraction=0.75)
         CaseConfig(case_id="x", spec=spec, count=12, train_fraction=0.75)
 
+    def test_case_id_must_name_a_file(self):
+        with pytest.raises(ValueError, match="case_id must be a file name"):
+            CaseConfig(case_id="", spec=GenSpec(n=2, m=1))
+
 
 class TestSplit:
     def test_first_records_train(self):

@@ -530,6 +530,18 @@ class TestEmptyTestSplit:
         assert not (tmp_path / "report.json").exists()
 
 
+class TestShortTrainingSplit:
+    def test_train_is_config_error(self, tmp_path, valid_dataset):
+        # With the last 3 of 40 records excluded, a 0.99 split needs 39 of the 37 that remain.
+        lines, _ = valid_dataset
+        path = tmp_path / "dataset.jsonl"
+        header = _edit(lambda header: header.update(excluded=[37, 38, 39]))(lines[0])
+        path.write_text("\n".join([header, *lines[1:-3]]) + "\n")
+        code, err = _exit_and_stderr(["train", path, "--train-fraction", 0.99, "--out", tmp_path])
+        assert (code, err) == (2, "error [config] training split needs 39 records but only 37 survived generation\n")
+        assert not (tmp_path / "model.json").exists()
+
+
 class TestLabelVerification:
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_stored_revenue_must_match_label(self, tmp_path, capsys, command):
@@ -744,6 +756,13 @@ class TestCase:
             "nonet_dataset.jsonl", "nonet_model.json", "nonet_report.json",
         ]
 
+    @pytest.mark.parametrize("case_id", ["../escape", "a/b", ".."])
+    def test_case_id_that_is_not_a_file_name_is_config_error(self, tmp_path, capsys, case_id):
+        out = tmp_path / "runs" / "out"
+        assert run("case", "--n", 3, "--count", 40, "--case-id", case_id, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error [config] case_id must be a file name")
+        assert list(tmp_path.rglob("*")) == []
+
     def test_count_too_small_for_features(self, tmp_path, capsys):
         assert run("case", "--preset", "case1p1", "--count", 8, "--out", tmp_path) == 2
         assert "error [config]" in capsys.readouterr().err
@@ -769,6 +788,19 @@ class TestCompare:
         doc = json.loads(capsys.readouterr().out)
         assert doc["case_a"] == "case1p1" and doc["case_b"] == "case1p2"
         assert doc["metrics"]["r_a_mean"]["direction"] == "lower"
+
+    def test_null_metric_is_undefined(self, tmp_path, capsys, small_report):
+        doc = json.loads(small_report.read_text())
+        a = doc["evaluation"]["mean_prl_percent"]
+        assert a is not None
+        doc["evaluation"]["mean_prl_percent"] = None
+        no_prl = tmp_path / "no_prl_report.json"
+        no_prl.write_text(json.dumps(doc))
+        assert run("compare", small_report, no_prl) == 0
+        assert f"  mean_prl_percent: {a} -> None (undefined)\n" in capsys.readouterr().out
+        assert run("compare", small_report, no_prl, "--format", "json") == 0
+        row = json.loads(capsys.readouterr().out)["metrics"]["mean_prl_percent"]
+        assert row == {"a": a, "b": None, "delta": None, "direction": "undefined"}
 
 
 # Each case breaks the second report given to compare.

@@ -363,6 +363,18 @@ def test_what_construction_and_write_let_through_reads_back(tmp_path_factory, ed
     assert read_dataset(path) == data
 
 
+def test_a_column_given_to_a_dataset_is_frozen(tmp_path):
+    # A write through the caller's array would skip the rules that construction checked.
+    data = generate_dataset(GenSpec(n=3, m=2), 20, 5)
+    y = data.y.copy()
+    edited = dataclasses.replace(data, y=y)
+    with pytest.raises(ValueError, match="read-only"):
+        y[0, 0, 0] = 1e9
+    path = tmp_path / "data.jsonl"
+    write_dataset(edited, path)
+    assert read_dataset(path) == edited
+
+
 class TestDatasetRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         spec = GenSpec(n=3, m=2, k=2, mode=SHARED)
