@@ -19,6 +19,7 @@ instances drawn.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -30,6 +31,7 @@ from .generate import (
     GenSpec,
     LabeledDataset,
     _fields,
+    _temporary_name,
     _write_atomic,
     generate_dataset,
     spec_to_dict,
@@ -75,6 +77,11 @@ NONCONVERGENCE_BUDGET = 0.05
 
 DEFAULT_MASTER_SEED = 1729
 
+# The files a case writes in its output directory: the case_id, then these.
+_ARTIFACTS = ("_dataset.jsonl", "_model.json", "_report.json")
+# The longest file name, in bytes, that Linux file systems (ext4, xfs, btrfs, tmpfs) hold.
+_NAME_MAX = 255
+
 
 class StageError(RuntimeError):
     """A pipeline stage failed; the message starts with the stage's name in brackets, and ``exit_code`` is the CLI's."""
@@ -99,6 +106,14 @@ class CaseConfig:
     def __post_init__(self):
         if self.case_id in ("", ".", "..") or Path(self.case_id).name != self.case_id or "\0" in self.case_id:
             raise ValueError(f"case_id must be a file name (not empty, '.' or '..', no '/' or NUL), got {self.case_id!r}")
+        # The longest name is the temporary file each artifact is written to first.
+        size = len(os.fsencode(self.case_id))
+        longest = max(len(os.fsencode(_temporary_name(self.case_id + artifact))) for artifact in _ARTIFACTS)
+        if longest > _NAME_MAX:
+            raise ValueError(
+                f"case_id must take at most {_NAME_MAX - (longest - size)} bytes, so that the names of its "
+                f"files fit in {_NAME_MAX}; got {size}"
+            )
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
         if not 0.0 < self.train_fraction < 1.0:
@@ -246,9 +261,7 @@ def run_case(config: CaseConfig) -> dict:
 
     t0 = time.perf_counter()
     out_dir = Path(config.out_dir)
-    dataset_path = out_dir / f"{config.case_id}_dataset.jsonl"
-    model_path = out_dir / f"{config.case_id}_model.json"
-    report_path = out_dir / f"{config.case_id}_report.json"
+    dataset_path, model_path, report_path = (out_dir / f"{config.case_id}{artifact}" for artifact in _ARTIFACTS)
     written = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -50,12 +50,13 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import re
 import secrets
 import sys
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import islice, zip_longest
+from itertools import chain, islice, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -836,6 +837,11 @@ def _line_buffer(spec: GenSpec, size: int) -> tuple[np.ndarray, np.ndarray, np.n
     return lines, np.arange(FLOAT_CELL)[:, None] + cells[is_float], np.arange(INT_CELL)[:, None] + cells[~is_float]
 
 
+def _temporary_name(name: str) -> str:
+    """A fresh name for the temporary file that ``_write_atomic`` moves over the file ``name``."""
+    return f".{name}.{secrets.token_hex(8)}.tmp"
+
+
 def _write_atomic(path, chunks) -> str:
     """Replace ``path`` by a file holding the bytes-like ``chunks`` and return its SHA-256, or leave it untouched on failure.
 
@@ -847,7 +853,7 @@ def _write_atomic(path, chunks) -> str:
     path = Path(path)
     # Opened with "x" rather than made by tempfile.mkstemp, so the file gets
     # the permissions a plain open gives it instead of owner-only ones.
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(_temporary_name(path.name))
     digest = hashlib.sha256()
     try:
         with open(tmp, "xb") as fh:
@@ -865,29 +871,30 @@ def read_dataset(path) -> LabeledDataset:
     """Read a JSON Lines dataset; inverse of :func:`write_dataset`.
 
     Raises :class:`DatasetFormatError` on malformed content, naming the
-    offending line; nothing partial is ever returned.  Lines are streamed
-    through ``_load_json`` and ``_fields``, and every ``_CHUNK`` records
-    become arrays, field by field.  Each chunk takes the idx its records
-    must carry from one lazy, in-order stream over ``range(count)`` without
-    ``excluded``, so memory does not grow with the header's ``count``.  The
-    reader checks the header's types and each record's JSON types, shapes,
-    idx and the seed, beta and revenue the header fixes (then dropped);
-    :class:`LabeledDataset` then checks the values, and a fault names the
-    line of the record at fault.
+    offending line; nothing partial is ever returned.  Each record line is
+    parsed by ``_load_json`` and flattened at once into per-column lists of
+    numbers (``_RecordChunk``), so no parsed container outlives its line;
+    every ``_CHUNK`` records the lists become arrays.  Each chunk takes the
+    idx its records must carry from one lazy, in-order stream over
+    ``range(count)`` without ``excluded``, so memory does not grow with the
+    header's ``count``.  The reader checks the header's types and each
+    record's JSON types, shapes, idx and the seed, beta and revenue the
+    header fixes (then dropped); :class:`LabeledDataset` then checks the
+    values, and a fault names the line of the record at fault.  A chunk
+    that fails a check is read again from its lines by ``_record_columns``,
+    the only code that words a record fault.
     """
     # Read as bytes and decoded line by line, so that text which is not UTF-8 is named by its line.
     with open(Path(path), "rb") as fh:
         spec, master_seed, count, excluded = _read_header(fh.readline())
         skipped = set(excluded)
-        expected = (i for i in range(count) if i not in skipped)
-        parts, rows, first = [], [], 2
+        chunk = _RecordChunk(spec, master_seed, (i for i in range(count) if i not in skipped))
+        parts = []
         for lineno, line in enumerate(fh, start=2):
-            where = f"line {lineno}"
-            rows.append(_fields(_load_json(line, where), _RECORD_KEYS, where, "record"))
-            if len(rows) == _CHUNK:
-                parts.append(_record_columns(rows, first, spec, master_seed, expected))
-                rows, first = [], lineno + 1
-        parts.append(_record_columns(rows, first, spec, master_seed, expected))
+            chunk.add(line, lineno)
+            if len(chunk.lines) == _CHUNK:
+                parts.append(chunk.columns())
+        parts.append(chunk.columns())
     found = sum(len(part[0]) for part in parts)
     if found + len(excluded) != count:
         raise DatasetFormatError(f"expected {count} records ({len(excluded)} excluded), found {found}")
@@ -927,11 +934,118 @@ def _read_header(line: bytes) -> tuple[GenSpec, int, int, tuple[int, ...]]:
     return spec, master_seed, count, tuple(excluded)
 
 
+_RECORD_VALUES = operator.itemgetter(*_RECORD_KEYS)
+_LABEL_VALUES = operator.itemgetter("per_segment", "k")
+
+
+class _RecordChunk:
+    """Record lines read into flat per-column lists of numbers, up to a chunk of them at a time.
+
+    ``add`` parses a line, checks its structure against the spec and
+    appends its numbers to the lists; the parsed record dies with the call,
+    so the collector finds no container to scan.  ``columns`` checks the
+    JSON types of the integers and ``r_a``, idx, seed and label ``k`` over
+    the lists and makes each column one array, converted as ``_column``
+    converts a field.  A chunk
+    that fails a check is read again from its raw lines by
+    ``_record_columns``: its checks alone word a fault, and they accept
+    every chunk these accept, with the same columns.
+    """
+
+    def __init__(self, spec: GenSpec, master_seed: int, expected):
+        self.spec, self.master_seed, self.expected = spec, master_seed, expected
+        self.revenue = _file_revenue(spec)
+        self._start(2)
+
+    def _start(self, first: int) -> None:
+        """Begin an empty chunk whose first line is file line ``first``."""
+        self.first, self.lines, self.flat = first, [], True
+        # The numbers of the columns, in _COLUMNS order with the label's
+        # products for blocks, and of the seeds and label k the header fixes.
+        self.numbers, self.seeds, self.ks = tuple([] for _ in _COLUMNS), [], []
+
+    def add(self, line: bytes, lineno: int) -> None:
+        """Read record line ``lineno``; one that is not JSON or not a record object raises, naming it."""
+        record = _load_json(line, f"line {lineno}")
+        try:
+            values = _RECORD_VALUES(record)
+        except (KeyError, TypeError):
+            values = _fields(record, _RECORD_KEYS, f"line {lineno}", "record")
+        self.lines.append(line)
+        if not self.flat:
+            return
+        idx, seed, y, alpha, beta, F, lam, revenue, q, label, r_a = values
+        n, m, k = self.spec.n, self.spec.m, self.spec.k
+        try:
+            blocks, label_k = _LABEL_VALUES(label)
+            # Each list on the right is built only once the record has shown
+            # that it holds as many entries, so that a header's n or m asks
+            # for no more than a record line holds.  beta and revenue compare
+            # as JSON values, as in _record_columns.
+            self.flat = (
+                len(y) == len(alpha) == len(beta) == len(F) == len(q) == n and len(lam) == len(blocks) == m
+                and list(map(len, chain(y, alpha, q))) == [m] * (3 * n) and list(map(len, blocks)) == [k] * m
+                and beta == [[1.0] * m] * n and revenue == self.revenue
+            )
+        except (KeyError, TypeError):
+            self.flat = False
+        if self.flat:
+            idxs, ys, alphas, Fs, lams, qs, products, r_as = self.numbers
+            idxs.append(idx)
+            ys.extend(chain.from_iterable(y))
+            alphas.extend(chain.from_iterable(alpha))
+            Fs.extend(F)
+            lams.extend(lam)
+            qs.extend(chain.from_iterable(q))
+            products.extend(chain.from_iterable(blocks))
+            r_as.append(r_a)
+            self.seeds.append(seed)
+            self.ks.append(label_k)
+
+    def columns(self) -> list:
+        """The columns of the chunk's records, in ``_COLUMNS`` order; the lines after them start a new chunk."""
+        rows, first = len(self.lines), self.first
+        expected = list(islice(self.expected, rows))
+        columns = self._flat_columns(expected) if self.flat and rows else None
+        if columns is None:
+            records = [_fields(_load_json(line, f"line {lineno}"), _RECORD_KEYS, f"line {lineno}", "record")
+                       for lineno, line in enumerate(self.lines, start=first)]
+            columns = _record_columns(records, first, self.spec, self.master_seed, iter(expected))
+        self._start(first + rows)
+        # A file may list a block's products in any order; a dataset holds them sorted.
+        return [*columns[:6], np.sort(columns[6] - 1, axis=-1), columns[7]]
+
+    def _flat_columns(self, expected: list) -> list | None:
+        """The columns made from the lists, as ``_record_columns`` makes them, or None where a check here fails."""
+        idx, *_, products, r_a = self.numbers
+        # Types first: a label k that is a list cannot go into a set.
+        if not (
+            set(map(type, chain(idx, self.seeds, self.ks, products))) == {int} and set(map(type, r_a)) <= {int, float}
+            and idx == expected and self.seeds == _record_seeds(self.master_seed, expected).tolist()
+            and set(self.ks) == {self.spec.k}
+        ):
+            return None
+        columns = []
+        for numbers, (shape, dtype) in zip(self.numbers, _layout(self.spec)):
+            # As _column converts a field's values, which holds as well for
+            # them flat: numpy takes the same dtype from the same numbers.
+            try:
+                column = np.array(numbers)
+            except ValueError:
+                return None
+            if column.dtype.kind not in "biuf" or column.ndim != 1:
+                return None
+            columns.append(column.astype(dtype, copy=False).reshape(len(idx), *shape))
+        return columns
+
+
 def _record_columns(rows: list, line: int, spec: GenSpec, master_seed: int, expected) -> list:
     """The columns of parsed records ``rows``, the first on file line ``line``, checked field by field.
 
     ``expected`` yields, in order, the idx each record of the file must
-    carry; the records take the next ``len(rows)`` of them.
+    carry; the records take the next ``len(rows)`` of them.  The worded
+    checks of a record chunk: a fault raises naming its first line.  The
+    label products stay as the file lists them.
     """
     idx, seed, y, alpha, beta, F, lam, revenue, q, label, r_a = list(zip(*rows)) or [()] * len(_RECORD_KEYS)
     expected = list(islice(expected, len(rows)))
@@ -955,8 +1069,7 @@ def _record_columns(rows: list, line: int, spec: GenSpec, master_seed: int, expe
     # _column checked the labels' shape, but it would cast a float or a boolean to a product.
     _reject(line, [any(type(i) is not int for block in b for i in block) for b, _ in labels],
             "label products must be JSON integers")
-    # A file may list a block's products in any order; a dataset holds them sorted.
-    return [*columns[:6], np.sort(columns[6] - 1, axis=-1), columns[7]]
+    return columns
 
 
 def _reject(line: int, bad, message: str) -> None:

@@ -270,6 +270,7 @@ _BAD_LINES = {
     "q-negative": (3, _edit(lambda rec: rec.update(q=[[-0.25]] + rec["q"][1:]))),
     "q-nan": (3, _edit(lambda rec: rec.update(q=[[float("nan")]] + rec["q"][1:]))),
     "y-string": (3, _edit(lambda rec: rec.update(y=[["12.5"]] + rec["y"][1:]))),
+    "y-past-64-bits": (3, _edit(lambda rec: rec.update(y=[[2**64]] + rec["y"][1:]))),
     "label-k-differs": (3, _edit(lambda rec: rec.update(label={"per_segment": [[1, 2]], "k": 2}))),
     "label-index-exceeds-n": (3, _edit(lambda rec: rec["label"].update(per_segment=[[4]]))),
     "label-blocks-exceed-m": (3, _edit(lambda rec: rec["label"].update(per_segment=[[1], [2]]))),
@@ -305,20 +306,95 @@ _BAD_LINES = {
 }
 
 
+# What `train` writes to stderr for each case of _BAD_LINES after "error [read] ", word for word.
+_BAD_LINE_ERRORS = {
+    "F-above-M-unit": "line 3: F must lie in [0, M] with the header's M=50.0 in unit f_mode",
+    "F-beyond-dollar-max": "line 3: F must be an integer in 1..10000 under the header's dollar f_mode",
+    "F-fractional-dollar": "line 3: F must be an integer in 1..10000 under the header's dollar f_mode",
+    "alpha-above-M": "line 3: alpha must lie in [0, M] with the header's M=50.0",
+    "alpha-without-network-effects": "line 3: alpha must be all zero under the header's network_effects false",
+    "beta-not-one": "line 3: beta must be all 1.0 under the header's spec",
+    "header-M-infinite": "line 1: invalid spec (M must be positive and finite, got inf)",
+    "header-count-not-int": "line 1: count must be an integer >= 0, got 40.0",
+    "header-count-too-many-digits": f"line 1: JSON integer longer than {_DIGIT_LIMIT} digits",
+    "header-excluded-not-int": "line 1: excluded must list distinct record indices in [0, 41)",
+    "header-excluded-not-list": "line 1: excluded must be a list, got 5",
+    "header-format-version-bool": "line 1: format_version must be the integer 1, got True",
+    "header-format-version-float": "line 1: format_version must be the integer 1, got 1.0",
+    "header-k-exceeds-n": "line 1: invalid spec (k must lie in [1, 3], got 4)",
+    "header-k-float": "line 1: invalid spec (k must be an integer, got 1.0)",
+    "header-master-seed-negative": "line 1: master_seed must be an integer in [0, 2**64), got -1",
+    "header-master-seed-not-int": "line 1: master_seed must be an integer in [0, 2**64), got [1]",
+    "header-master-seed-past-64-bits": "line 1: master_seed must be an integer in [0, 2**64), got 18446744073709551621",
+    "header-n-bool": "line 1: invalid spec (n must be an integer, got True)",
+    "header-n-float": "line 1: invalid spec (n must be an integer, got 3.0)",
+    "header-nested-too-deep": "line 1: JSON nested deeper than the parser allows",
+    "header-network-effects-string": "line 1: invalid spec (network_effects must be a bool, got 'no')",
+    "header-not-object": "line 1: header must be a JSON object, got list",
+    "header-revenue-not-object": "line 1: revenue must be a JSON object, got list",
+    "header-seed-mix-other": "line 1: seed_mix must be 'splitmix64', got 'pcg'",
+    "header-spec-not-object": "line 1: spec must be a JSON object, got list",
+    "idx-duplicated": "line 3: idx must run through range(count) without the excluded indices, in order",
+    "idx-not-integer": "line 3: idx must run through range(count) without the excluded indices, in order",
+    "label-blocks-exceed-m": "line 3: label must have shape (1, 1)",
+    "label-index-bool": "line 3: label products must be JSON integers",
+    "label-index-exceeds-n": "line 3: label must have 1 block(s) of k=1 distinct products in 1..3",
+    "label-index-float": "line 3: label products must be JSON integers",
+    "label-index-string": "line 3: label must hold numbers that fit in 64 bits",
+    "label-k-bool": "line 3: label k must be the integer 1",
+    "label-k-differs": "line 3: label k must be the integer 1",
+    "label-k-float": "line 3: label k must be the integer 1",
+    "q-above-one": "line 3: q must lie in [0, 1]",
+    "q-nan": "line 3: q must lie in [0, 1]",
+    "q-negative": "line 3: q must lie in [0, 1]",
+    "q-wrong-shape": "line 3: q must have shape (3, 1)",
+    "r_a-nan": "line 3: r_a must be a finite number",
+    "r_a-not-number": "line 3: r_a must be a number",
+    "r_a-overflows-float": "line 3: r_a must hold numbers that fit in 64 bits",
+    "r_a-too-many-digits": f"line 3: JSON integer longer than {_DIGIT_LIMIT} digits",
+    "record-drops-a-product": "line 3: y must have shape (3, 1)",
+    "record-nested-too-deep": "line 3: JSON nested deeper than the parser allows",
+    "record-not-object": "line 3: record must be a JSON object, got list",
+    "revenue-a-differs": (
+        "line 3: revenue must be the header's spec revenue {'a': 1.0, 'b': 10.0, 'omega': 0.05, 'xi': 0.03}"
+    ),
+    "revenue-overflows-float": (
+        "line 3: revenue must be the header's spec revenue {'a': 1.0, 'b': 10.0, 'omega': 0.05, 'xi': 0.03}"
+    ),
+    "seed-not-integer": "line 3: seed must be record_seed(master_seed, idx), as seed_mix splitmix64 declares",
+    "seed-not-splitmix": "line 3: seed must be record_seed(master_seed, idx), as seed_mix splitmix64 declares",
+    "y-above-M": "line 3: y must lie in [0, M] with the header's M=50.0",
+    "y-negative": "line 3: y must lie in [0, M] with the header's M=50.0",
+    "y-past-64-bits": "line 3: y must hold numbers that fit in 64 bits",
+    "y-string": "line 3: y must hold numbers that fit in 64 bits",
+}
+
+
+def _bad_dataset(out, case) -> Path:
+    """The valid dataset of _BAD_LINES, made in ``out`` with one line broken as ``case`` breaks it."""
+    lineno, mutate, *flags = _BAD_LINES[case]
+    assert run("gen", "--n", 3, "--count", 40, "--seed", 5, *flags, "--out", out) == 0
+    path = out / "dataset.jsonl"
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = mutate(lines[lineno - 1])
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestDatasetValidation:
     @pytest.mark.parametrize("command", ["train", "label"])
     @pytest.mark.parametrize("case", _cases(_BAD_LINES))
     def test_bad_line_is_read_error_naming_it(self, tmp_path, capsys, command, case):
-        lineno, mutate, *flags = _BAD_LINES[case]
-        run("gen", "--n", 3, "--count", 40, "--seed", 5, *flags, "--out", tmp_path)
-        path = tmp_path / "dataset.jsonl"
-        lines = path.read_text().splitlines()
-        lines[lineno - 1] = mutate(lines[lineno - 1])
-        path.write_text("\n".join(lines) + "\n")
+        path = _bad_dataset(tmp_path, case)
         capsys.readouterr()
         assert run(command, path, "--out", tmp_path / "out") == 5
         err = capsys.readouterr().err
-        assert "error [read]" in err and f"line {lineno}" in err
+        assert "error [read]" in err and f"line {_BAD_LINES[case][0]}" in err
+
+    @pytest.mark.parametrize("case", _cases(_BAD_LINES))
+    def test_train_words_each_bad_line_as_recorded(self, tmp_path, case):
+        code, err = _exit_and_stderr(["train", _bad_dataset(tmp_path, case), "--out", tmp_path / "out"])
+        assert (code, err) == (5, f"error [read] {_BAD_LINE_ERRORS[case]}\n")
 
     @pytest.mark.parametrize("count", [40, _CHUNK])
     def test_record_after_the_last_expected_idx_is_named(self, tmp_path, capsys, count):
@@ -334,6 +410,26 @@ class TestDatasetValidation:
         assert run("train", path, "--out", tmp_path / "out") == 5
         err = capsys.readouterr().err
         assert f"error [read] line {count + 2}: idx must run through range(count)" in err, err
+
+    def test_integers_and_true_for_floats_read_as_those_floats(self, tmp_path):
+        # Dollar-mode F are whole numbers, and with one segment lambda is [1.0].
+        assert run("gen", "--n", 3, "--count", 40, "--seed", 5, "--f-mode", "dollar", "--out", tmp_path) == 0
+        lines = (tmp_path / "dataset.jsonl").read_text().splitlines()
+
+        def read_with(two, one, whole):
+            records = [json.loads(line) for line in lines[1:]]
+            for record in records:
+                record["y"][0][0], record["q"][0][0], record["lambda"] = two, one, [one]
+                record["F"] = [whole(f) for f in record["F"]]
+            path = tmp_path / "edited.jsonl"
+            path.write_text("\n".join(lines[:1] + [json.dumps(record) for record in records]) + "\n")
+            return path.read_text().splitlines()[1], read_dataset(path)
+
+        _, floats = read_with(2.0, 1.0, float)
+        record, others = read_with(2, True, int)
+        assert '"y": [[2], ' in record and '"lambda": [true]' in record and '"q": [[true], ' in record, record
+        assert "." not in record.split('"F": ')[1].split("]")[0], record
+        assert _same_columns(*([getattr(data, name) for name in generate._COLUMNS] for data in (floats, others)))
 
 
 class TestHeaderCount:
@@ -763,6 +859,24 @@ class TestCase:
         assert capsys.readouterr().err.startswith("error [config] case_id must be a file name")
         assert list(tmp_path.rglob("*")) == []
 
+    # 219 bytes is the most whose dataset's temporary name, ".{id}_dataset.jsonl.{16 hex}.tmp", fits in 255.
+    @pytest.mark.parametrize("case_id", ["a" * 219, "\u00e9" * 109 + "a"], ids=["ascii", "two-byte"])
+    def test_case_id_of_219_bytes_writes_its_files(self, tmp_path, case_id):
+        assert len(case_id.encode()) == 219
+        assert run("case", "--n", 3, "--count", 40, "--case-id", case_id, "--out", tmp_path) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{case_id}_dataset.jsonl", f"{case_id}_model.json", f"{case_id}_report.json",
+        ]
+
+    @pytest.mark.parametrize("case_id", ["a" * 220, "\u00e9" * 110], ids=["ascii", "two-byte"])
+    def test_case_id_too_long_for_its_file_names_is_config_error(self, tmp_path, capsys, case_id):
+        out = tmp_path / "out"
+        assert run("case", "--n", 3, "--count", 40, "--case-id", case_id, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "error [config] case_id must take at most 219 bytes, so that the names of its files fit in 255; got 220\n"
+        )
+        assert list(tmp_path.rglob("*")) == []
+
     def test_count_too_small_for_features(self, tmp_path, capsys):
         assert run("case", "--preset", "case1p1", "--count", 8, "--out", tmp_path) == 2
         assert "error [config]" in capsys.readouterr().err
@@ -842,6 +956,11 @@ def _value_paths(doc, path=()):
         yield from _value_paths(value, path + (key,))
 
 
+def _at(doc, path):
+    """The value at ``path`` in the JSON document ``doc``."""
+    return functools.reduce(operator.getitem, path, doc)
+
+
 # How one JSON document (a record line or a report) is broken: the value at
 # a path retyped, made a number token or dropped, or the document
 # duplicated, truncated, given a byte that is not UTF-8, nested 100,000
@@ -863,7 +982,7 @@ def _broken(text, kind, path, choice) -> bytes:
         return ("[" * _DEPTH + text + "]" * _DEPTH).encode()
     doc = json.loads(text)
     *parents, key = path
-    holder = functools.reduce(operator.getitem, parents, doc)
+    holder = _at(doc, parents)
     if kind == "drop":
         del holder[key]
     elif kind == "long-integer":
@@ -884,15 +1003,21 @@ def _exit_and_stderr(argv):
 _BREAKS = dict(kind=st.sampled_from(_VALUE_KINDS + _TEXT_KINDS), choice=st.integers(0, 10**6), data=st.data())
 
 
+def _broken_lines(valid_lines, lineno, kind, choice, data) -> list[bytes]:
+    """The lines of the valid dataset, line ``lineno`` broken by ``kind`` at a path that ``data`` draws."""
+    lines = [line.encode() for line in valid_lines]
+    assert len(lines) == 41
+    text = lines[lineno - 1].decode()
+    path = data.draw(st.sampled_from(list(_value_paths(json.loads(text)))))
+    lines[lineno - 1] = _broken(text, kind, path, choice)
+    return lines
+
+
 class TestRecordLineMutations:
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(lineno=st.integers(2, 41), **_BREAKS)
     def test_train_exits_cleanly(self, tmp_path_factory, valid_dataset, lineno, kind, choice, data):
-        lines = [line.encode() for line in valid_dataset[0]]
-        assert len(lines) == 41
-        text = lines[lineno - 1].decode()
-        path = data.draw(st.sampled_from(list(_value_paths(json.loads(text)))))
-        lines[lineno - 1] = _broken(text, kind, path, choice)
+        lines = _broken_lines(valid_dataset[0], lineno, kind, choice, data)
         out = tmp_path_factory.mktemp("mutated")
         (out / "dataset.jsonl").write_bytes(b"\n".join(lines) + b"\n")
         code, err = _exit_and_stderr(["train", out / "dataset.jsonl", "--out", out])
@@ -901,6 +1026,66 @@ class TestRecordLineMutations:
         if code == 5:
             # Read errors name the line; a label check names the record and its r_a.
             assert re.match(r"error \[read\] (line \d+|record \d+: stored r_a)", err), err
+
+
+def _chunk_both_ways(lines: list[bytes]):
+    """The columns that the reader's fast checks and the worded ones make of a dataset's ``lines``, as one chunk.
+
+    Each is None where its checks refuse the records, and the pair is None
+    where ``_RecordChunk.add`` refuses a line, as both ways do.
+    """
+    header = json.loads(lines[0])
+    spec, master_seed, expected = spec_from_dict(header["spec"]), header["master_seed"], list(range(header["count"]))
+    chunk = generate._RecordChunk(spec, master_seed, iter(expected))
+    try:
+        for lineno, line in enumerate(lines[1:], start=2):
+            chunk.add(line, lineno)
+    except DatasetFormatError:
+        return None
+    fast = chunk._flat_columns(expected[: len(chunk.lines)]) if chunk.flat else None
+    records = [generate._RECORD_VALUES(json.loads(line)) for line in chunk.lines]
+    try:
+        worded = generate._record_columns(records, 2, spec, master_seed, iter(expected))
+    except DatasetFormatError:
+        worded = None
+    return fast, worded
+
+
+def _same_columns(a, b) -> bool:
+    """Whether two lists of columns hold the same arrays: dtype, shape and bytes."""
+    return len(a) == len(b) and all(
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b)
+    )
+
+
+# Half floats, since a float in place of a float keeps to the fast checks.
+_NUMBERS = st.floats() | st.floats(-100.0, 100.0) | st.integers(-(2**65), 2**65) | st.booleans()
+
+
+
+class TestFlatRecordChecks:
+    def test_valid_records_take_the_fast_checks(self, valid_dataset):
+        fast, worded = _chunk_both_ways([line.encode() for line in valid_dataset[0]])
+        assert fast is not None and _same_columns(fast, worded)
+
+    # Half the lines break as TestRecordLineMutations breaks them, half get a
+    # JSON number in place of a number, which more often keeps to the fast checks.
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(lineno=st.integers(2, 41), **{**_BREAKS, "kind": st.just("number") | _BREAKS["kind"]})
+    def test_fast_checks_accept_only_what_the_worded_checks_accept(self, valid_dataset, lineno, kind, choice, data):
+        if kind == "number":
+            lines = [line.encode() for line in valid_dataset[0]]
+            record = json.loads(lines[lineno - 1])
+            leaves = [path for path in _value_paths(record) if not isinstance(_at(record, path), (list, dict))]
+            *parents, key = data.draw(st.sampled_from(leaves))
+            _at(record, parents)[key] = data.draw(_NUMBERS)
+            lines[lineno - 1] = json.dumps(record).encode()
+        else:
+            lines = _broken_lines(valid_dataset[0], lineno, kind, choice, data)
+        both = _chunk_both_ways(b"\n".join(lines).split(b"\n"))
+        if both is not None and both[0] is not None:
+            fast, worded = both
+            assert worded is not None and _same_columns(fast, worded)
 
 
 @pytest.fixture(scope="module")

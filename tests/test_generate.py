@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import warnings
 from itertools import combinations
@@ -492,6 +493,27 @@ class TestDatasetRoundTrip:
         path = tmp_path / "data.jsonl"
         write_dataset(data, path)
         assert read_dataset(path) == data
+
+    def test_read_runs_no_cyclic_collection(self, tmp_path):
+        # Each record line is flattened into lists of numbers as it is read,
+        # so no parsed container outlives its line for the collector to scan.
+        path = tmp_path / "data.jsonl"
+        data = generate_dataset(GenSpec(n=10, m=2, k=1, mode=PER_SEGMENT), count=2000, master_seed=1729)
+        write_dataset(data, path)
+        starts = []
+
+        def count_starts(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count_starts)
+        try:
+            read = read_dataset(path)
+        finally:
+            gc.callbacks.remove(count_starts)
+        assert read == data
+        assert starts == []
 
     def test_excluded_indices_after_the_last_record(self, tmp_path):
         import json

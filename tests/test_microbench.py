@@ -113,6 +113,21 @@ def test_read_dataset_of_2000_records(benchmark, tmp_path):
     assert len(benchmark(read_dataset, path)) == 2000
 
 
+def test_parse_2000_record_lines_with_json_alone(benchmark, tmp_path):
+    # The floor under test_read_dataset_of_2000_records: what json takes of
+    # the same lines, each parsed and dropped, without the reader's checks.
+    path = tmp_path / "dataset.jsonl"
+    write_dataset(generate_dataset(LEARN_IO_SPEC, 2000, DEFAULT_MASTER_SEED), path)
+    lines = path.read_bytes().splitlines()[1:]
+
+    def parse_all():
+        for line in lines:
+            json.loads(line.decode("utf-8"))
+
+    benchmark(parse_all)
+    assert len(lines) == 2000
+
+
 def test_read_and_split_2000_records(benchmark, tmp_path):
     path = tmp_path / "dataset.jsonl"
     write_dataset(generate_dataset(LEARN_IO_SPEC, 2000, DEFAULT_MASTER_SEED), path)
