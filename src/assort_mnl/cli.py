@@ -72,8 +72,6 @@ from .learner import (
     write_model,
 )
 
-_MODES = {"shared": SHARED, "per-segment": PER_SEGMENT}
-
 
 def _add_gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=PRESET_NAMES, help="named configuration")
@@ -95,13 +93,13 @@ def _add_gen_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--mode",
-        choices=tuple(_MODES),
+        choices=(SHARED, PER_SEGMENT),
         help="assortment mode (default shared)",
     )
 
 
 # The spec flags and their defaults, which the help strings state; --n has none.
-_SPEC_FLAGS = {"n": None, "m": 1, "k": 1, "M": 50.0, "f_mode": UNIT_SCALE, "mode": "shared"}
+_SPEC_FLAGS = {"n": None, "m": 1, "k": 1, "M": 50.0, "f_mode": UNIT_SCALE, "mode": SHARED}
 
 
 def _spec_from_args(args) -> GenSpec:
@@ -117,7 +115,7 @@ def _spec_from_args(args) -> GenSpec:
     if args.n is None:
         raise ValueError("either --preset or --n is required")
     flags = {name: _SPEC_FLAGS[name] if value is None else value for name, value in flags.items()}
-    return GenSpec(**{**flags, "mode": _MODES[flags["mode"]]}, network_effects=not args.no_network_effects)
+    return GenSpec(**flags, network_effects=not args.no_network_effects)
 
 
 def _out_dir(args) -> Path:
@@ -152,7 +150,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_label(args) -> int:
     dataset = read_dataset(args.dataset)
-    relabeled = relabel_dataset(dataset, k=args.k, mode=_MODES[args.mode] if args.mode else None)
+    relabeled = relabel_dataset(dataset, k=args.k, mode=args.mode)
     check_convergence_budget(relabeled)
     out = _out_dir(args) / "dataset.jsonl"
     write_dataset(relabeled, out)
@@ -269,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="relabel a dataset under a new k or mode")
     p.add_argument("dataset", help="input dataset (JSON Lines)")
     p.add_argument("--k", type=int, default=None, help="new assortment size")
-    p.add_argument("--mode", choices=tuple(_MODES), default=None, help="new assortment mode")
+    p.add_argument("--mode", choices=(SHARED, PER_SEGMENT), default=None, help="new assortment mode")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=_cmd_label)

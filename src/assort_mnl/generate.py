@@ -511,47 +511,32 @@ def _pcg64_uniforms(seeds, steps: int, high: float) -> np.ndarray:
     return out
 
 
-# _draw's rule for the jump-ahead.  A generator costs several microseconds
-# a record whatever its length, the jump-ahead a fixed set-up plus a share
-# of a microsecond an output.  Generator over jump-ahead time (one thread,
-# 2-core x86-64; each as _draw calls it; median of 15 timings, two runs):
-#
-#   draws a record   8 records   16 records   40 records   500 records
-#   37               0.89-0.93   1.09-1.15    1.55-1.65    3.61-3.98
-#   62               0.92-0.93   1.07-1.08    1.48-1.56    2.29-2.50
-#   64               0.91-0.92   1.06-1.09    1.36-1.37    2.06-2.57
-#   73               0.83-0.87   1.04-1.10    1.33-1.58    1.34-2.29
-#   128              0.84        0.93-0.97    1.17-1.23    1.03-1.21
-#   904              0.53-0.57   0.45-0.49    0.38-0.44    0.39-0.42
-#
-# At 8 records the two are near even up to 64 draws.  The rule takes the
-# jump-ahead where it is at least even.
-_JUMP_MAX_DRAWS = 64
-_JUMP_MIN_RECORDS = 16
+# _draw's rule for the jump-ahead: a generator costs several microseconds a
+# record, the jump-ahead a fixed set-up plus a share of a microsecond an
+# output.  Generator over jump-ahead time at 192 draws a record (one
+# thread, 2-core x86-64, interleaved, median of five runs): 0.94 at 16
+# records, 1.09 at 40 and 1.19 at 500; at 451 draws 0.66-0.76 from 16
+# records up.  Below 16 records the jump-ahead loses under 0.1 ms a call.
+_JUMP_MAX_DRAWS = 192
 
 
 def _draw(spec: GenSpec, seeds) -> list[np.ndarray]:
     """Instances drawn from ``spec``, one per seed, stacked: ``y``, ``alpha``, ``F``, ``lam`` (beta is all ones).
 
     Record t draws what ``np.random.default_rng(seeds[t])`` draws, seeds in
-    [0, 2**64), into its row: y | alpha | F | raw weights.  Two ways give
-    the same bits, chosen from the stack's shape:
-
-    - jump-ahead (``_pcg64_uniforms``): every draw of every record at once
-      in array code, for "unit" f_mode with at most ``_JUMP_MAX_DRAWS``
-      draws per record and at least ``_JUMP_MIN_RECORDS`` records;
-    - a generator per record otherwise: one ``Generator`` is reused, set to
-      each seed's PCG64 state (``_pcg64_states``) before the record's draws,
-      one uniform call in "unit" f_mode, three in "dollar" f_mode (F is
-      integers there, drawn by rejection, which only numpy repeats).
-      Splitting a run of uniform draws into calls changes none of them.
+    [0, 2**64), into its row: y | alpha | F | raw weights.  In "unit"
+    f_mode, records of at most ``_JUMP_MAX_DRAWS`` draws jump every PCG64
+    stream ahead at once in array code (``_pcg64_uniforms``).  Other records
+    reuse one ``Generator``, set to each seed's state (``_pcg64_states``):
+    only numpy repeats "dollar" f_mode's F, integers drawn by rejection, and
+    splitting a run of uniform draws into calls changes none of them.
 
     A record's segment weights are its raw weights over their sum, which
     can overflow or be zero: either raises ``_RecordFault``.
     """
     n, m, nm = spec.n, spec.m, spec.n * spec.m
     size = 2 * nm + n + m
-    if spec.f_mode == UNIT_SCALE and size <= _JUMP_MAX_DRAWS and len(seeds) >= _JUMP_MIN_RECORDS:
+    if spec.f_mode == UNIT_SCALE and size <= _JUMP_MAX_DRAWS:
         draws = _pcg64_uniforms(seeds, size, spec.M)
     else:
         draws = np.empty((len(seeds), size))
@@ -1015,6 +1000,8 @@ class _RecordChunk:
         # A file may list a block's products in any order; a dataset holds them sorted.
         return [*columns[:6], np.sort(columns[6] - 1, axis=-1), columns[7]]
 
+    # Products past int64 make a float column, whose cast falls outside the label rule's 1..n; numpy would warn.
+    @np.errstate(invalid="ignore")
     def _flat_columns(self, expected: list) -> list | None:
         """The columns made from the lists, as ``_record_columns`` makes them, or None where a check here fails."""
         idx, *_, products, r_a = self.numbers
@@ -1079,6 +1066,7 @@ def _reject(line: int, bad, message: str) -> None:
         raise DatasetFormatError(f"line {line + rows[0]}: {message}")
 
 
+@np.errstate(invalid="ignore")  # as on _RecordChunk._flat_columns
 def _column(values, line: int, shape: tuple, dtype, name: str) -> np.ndarray:
     """A field of records from line ``line`` on as one (N, *shape) array; errors name the first bad line.
 
@@ -1110,10 +1098,12 @@ _LABEL_TOL = 1e-12
 
 
 def verify_labels(dataset: LabeledDataset) -> None:
-    """Assert every stored r_a matches a fresh revenue evaluation of its label, within ``_LABEL_TOL``.
+    """Assert every stored r_a and label is what labeling makes of its record's ``q``.
 
+    An r_a must match a fresh revenue evaluation of its label within
+    ``_LABEL_TOL``, and a label ``_best_blocks``' optimum bit for bit.
     Cheap consistency check used by file consumers; raises
-    :class:`DatasetFormatError` on the first mismatch.
+    :class:`DatasetFormatError` on the first mismatch, r_a first.
     """
     w = _block_revenue(dataset.q, dataset.lam, dataset.spec.revenue.per_support, dataset.blocks)
     # Written so that a NaN on either side fails the check.
@@ -1122,4 +1112,13 @@ def verify_labels(dataset: LabeledDataset) -> None:
         t = bad[0]
         raise DatasetFormatError(
             f"record {dataset.idx[t]}: stored r_a {float(dataset.r_a[t])!r} differs from evaluated {float(w[t])!r}"
+        )
+    best = _best_blocks(dataset.q, dataset.lam, dataset.spec.k, dataset.spec.mode)
+    bad = np.flatnonzero((best != dataset.blocks).any(axis=(1, 2)))
+    if bad.size:
+        t = bad[0]
+        # Products 1-based, as files list them.
+        raise DatasetFormatError(
+            f"record {dataset.idx[t]}: stored label {(dataset.blocks[t] + 1).tolist()} differs from "
+            f"the optimal label {(best[t] + 1).tolist()} at its q"
         )

@@ -70,13 +70,15 @@ def _write(dst: str, text: str):
     return edit
 
 
-# (name, argv or edit).  Unit f_mode draws by jump-ahead from 16 records
-# with at most 64 draws a record (n=3, m=1 draws 10; n=10, m=3 draws 73),
-# and by a generator per record otherwise.
+# (name, argv or edit).  Unit f_mode draws by jump-ahead with at most 192
+# draws a record (n=3, m=1 draws 10; n=10, m=3 draws 73; n=25, m=4 draws
+# 229), dollar f_mode by a generator per record.
 MATRIX = [
     ("gen-unit-jump", ["gen", "--n", "3", "--count", "40", "--seed", "5", "--out", "unit"]),
     ("gen-unit-few-records", ["gen", "--n", "3", "--count", "8", "--seed", "5", "--out", "few"]),
     ("gen-unit-many-draws", ["gen", "--n", "10", "--m", "3", "--k", "4", "--count", "40", "--seed", "6", "--out", "many"]),
+    ("gen-unit-past-the-jump-cap", ["gen", "--n", "25", "--m", "4", "--k", "4", "--count", "40", "--seed", "15",
+                                    "--out", "past-cap"]),
     ("gen-unit-no-network-effects", ["gen", "--n", "4", "--count", "40", "--no-network-effects", "--out", "unit-off"]),
     ("gen-count-1", ["gen", "--n", "3", "--count", "1", "--seed", "9", "--out", "one"]),
     ("gen-dollar", ["gen", "--n", "4", "--m", "2", "--k", "2", "--f-mode", "dollar", "--count", "40",

@@ -509,18 +509,17 @@ def test_jump_ahead_raw_outputs_are_pcg64s():
 
 
 # Shapes (n, m) by draws per record 2nm + n + m, on both sides of the
-# jump-ahead's limit of 64 draws, with the benchmark's shapes (37, 52 and
-# 62 draws) among them.  No shape draws 65, the first count past the limit:
-# 2 * 65 + 1 = 131 would have to be (2n + 1)(2m + 1), and 131 is prime.
+# jump-ahead's limit of 192 draws, with the benchmark's shapes (37, 52 and
+# 62 draws) among them.
 DRAW_SHAPES = {7: (2, 1), 16: (5, 1), 32: (6, 2), 34: (11, 1), 37: (12, 1), 52: (10, 2), 62: (12, 2), 64: (21, 1),
-               66: (9, 3)}
-# Record counts on both sides of the jump-ahead's minimum of 16 records.
-DRAW_COUNTS = [1, 15, 16, 31, 32, 500]
+               66: (9, 3), 192: (5, 17), 193: (64, 1)}
+# Record counts from one record up, the benchmark's among them: the rule
+# reads no count.
+DRAW_COUNTS = [1, 15, 16, 40, 500]
 
 
 def test_draw_shapes_straddle_the_rule():
-    assert generate._JUMP_MAX_DRAWS in DRAW_SHAPES and generate._JUMP_MAX_DRAWS + 2 in DRAW_SHAPES
-    assert {generate._JUMP_MIN_RECORDS - 1, generate._JUMP_MIN_RECORDS} <= set(DRAW_COUNTS)
+    assert generate._JUMP_MAX_DRAWS in DRAW_SHAPES and generate._JUMP_MAX_DRAWS + 1 in DRAW_SHAPES
     for draws, (n, m) in DRAW_SHAPES.items():
         assert 2 * n * m + n + m == draws
 
@@ -536,8 +535,7 @@ def test_draw_is_default_rng_on_both_sides_of_the_rule(monkeypatch, draws, count
     monkeypatch.setattr(generate, "_pcg64_uniforms", lambda *args: jumped.append(args[1]) or uniforms(*args))
     seeds = _record_seeds(2**64 - draws, np.arange(count))
     stacked_draws = generate._draw(spec, seeds)
-    rule = draws <= generate._JUMP_MAX_DRAWS and count >= generate._JUMP_MIN_RECORDS
-    assert jumped == ([draws] if f_mode == UNIT_SCALE and rule else [])
+    assert jumped == ([draws] if f_mode == UNIT_SCALE and draws <= generate._JUMP_MAX_DRAWS else [])
     expected = [loop_instance(spec, seed) for seed in seeds.tolist()]
     for name, column in zip(("y", "alpha", "F", "lam"), stacked_draws, strict=True):
         assert column.tobytes() == np.stack([getattr(instance, name) for instance in expected]).tobytes(), name

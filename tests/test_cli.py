@@ -1,6 +1,7 @@
 """Tests for the assort-mnl command-line interface."""
 
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -430,6 +431,45 @@ class TestDatasetValidation:
         assert '"y": [[2], ' in record and '"lambda": [true]' in record and '"q": [[true], ' in record, record
         assert "." not in record.split('"F": ')[1].split("]")[0], record
         assert _same_columns(*([getattr(data, name) for name in generate._COLUMNS] for data in (floats, others)))
+
+
+    @pytest.mark.parametrize("path", ["flat", "worded"])
+    def test_label_products_past_int64_are_one_read_error(self, tmp_path, monkeypatch, path):
+        # Products 2**63 and -1 in one chunk make numpy type the products column float64.
+        assert run("gen", "--n", 3, "--count", 40, "--seed", 5, "--out", tmp_path) == 0
+        dataset = tmp_path / "dataset.jsonl"
+        lines = dataset.read_text().splitlines()
+        for lineno, product in ((3, 2**63), (4, -1)):
+            record = json.loads(lines[lineno - 1])
+            record["label"]["per_segment"] = [[product]]
+            lines[lineno - 1] = json.dumps(record)
+        dataset.write_text("\n".join(lines) + "\n")
+        if path == "worded":
+            monkeypatch.setattr(generate._RecordChunk, "_flat_columns", lambda self, expected: None)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = _exit_and_stderr(["train", dataset, "--out", tmp_path / "out"])
+        assert caught == []
+        assert (code, err) == (5, "error [read] line 3: label must have 1 block(s) of k=1 distinct products in 1..3\n")
+
+
+class TestLabelsAreOptimal:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_worst_labels_are_a_read_error(self, tmp_path, command):
+        # Every record carries its worst top-2, with the r_a of that label.
+        spec = GenSpec(n=5, m=1, k=2)
+        good = generate_dataset(spec, 40, 3)
+        worst = np.sort(np.argsort(good.q[..., 0], axis=1, kind="stable")[:, :2], axis=1)[:, None, :]
+        r_a = generate._block_revenue(good.q, good.lam, spec.revenue.per_support, worst)
+        write_dataset(good, tmp_path / "good.jsonl")
+        write_dataset(dataclasses.replace(good, blocks=worst, r_a=r_a), tmp_path / "worst.jsonl")
+        assert run("train", tmp_path / "good.jsonl", "--out", tmp_path) == 0
+        argv = ["eval", tmp_path / "worst.jsonl", tmp_path / "model.json"] if command == "eval" else \
+            ["train", tmp_path / "worst.jsonl", "--out", tmp_path / "out"]
+        code, err = _exit_and_stderr(argv)
+        t = int(np.flatnonzero((worst != good.blocks).any(axis=(1, 2)))[0])
+        assert (code, err) == (5, f"error [read] record {t}: stored label {(worst[t] + 1).tolist()} differs from "
+                                  f"the optimal label {(good.blocks[t] + 1).tolist()} at its q\n")
 
 
 class TestHeaderCount:
@@ -1024,8 +1064,8 @@ class TestRecordLineMutations:
         assert code in (0, 2, 3, 4, 5), err
         assert "Traceback" not in err
         if code == 5:
-            # Read errors name the line; a label check names the record and its r_a.
-            assert re.match(r"error \[read\] (line \d+|record \d+: stored r_a)", err), err
+            # Read errors name the line; a label check names the record and its r_a or label.
+            assert re.match(r"error \[read\] (line \d+|record \d+: stored (r_a|label))", err), err
 
 
 def _chunk_both_ways(lines: list[bytes]):
