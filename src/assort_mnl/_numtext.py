@@ -10,9 +10,12 @@ float, the one closest to it if several are that short and the even one
 on a tie (David Gay's dtoa, a bignum algorithm).  Schubfach (R. Giulietti,
 "The Schubfach way to render doubles") finds the same digits with 64-bit
 integer products and a table of 126-bit powers of ten, here for a whole
-column of floats at once.  Java's ``DoubleToDecimal``, which it follows,
-keeps two digits where one would do (it writes 4.9e-324 where ``repr``
-writes 5e-324); this version takes the shorter decimal.
+column of floats at once, with one product by the power of ten per
+float: the ends of the float's rounding interval follow from the float's
+own product exactly, by shifts and a carry, as in Ryu's ``mulShiftAll64``.
+Java's ``DoubleToDecimal``, which it follows, keeps two digits where one
+would do (it writes 4.9e-324 where ``repr`` writes 5e-324); this version
+takes the shorter decimal.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import functools
 
 import numpy as np
 
-_U1, _U2, _U10, _U32, _U63 = (np.uint64(b) for b in (1, 2, 10, 32, 63))
+_U1, _U2, _U10, _U32, _U63, _U64 = (np.uint64(b) for b in (1, 2, 10, 32, 63, 64))
 _U10K = np.uint64(10_000)
 _LOW32 = np.uint64((1 << 32) - 1)
 _MASK63 = np.uint64((1 << 63) - 1)
@@ -80,16 +83,21 @@ def _digit_table() -> tuple[np.ndarray, np.ndarray]:
     return digits, np.array([10**i for i in range(20)], np.uint64)
 
 
-def _rop(g1, g0, cp):
-    """Schubfach's rop: ``g * cp / 2**127`` rounded to odd, for g = g1 * 2**63 + g0, in uint64 arrays.
+def _round_odd(high, low):
+    """``high + low / 2**63`` rounded to odd, for uint64 arrays: the floor, with its lowest bit set when the fraction is not 0.
 
-    The floor of the quotient with its lowest bit set when the division
-    leaves a remainder, the low word of ``g0 * cp`` aside.
+    ``low`` may reach past 2**63, and ``high`` wrap below 0 as long as the
+    sum does not.
     """
-    x1 = mul_hi(g0, cp)
-    y0, y1 = g1 * cp, mul_hi(g1, cp)
-    z = (y0 >> _U1) + x1
-    return (y1 + (z >> _U63)) | (((z & _MASK63) + _MASK63) >> _U63)
+    return (high + (low >> _U63)) | (((low & _MASK63) + _MASK63) >> _U63)
+
+
+def _scaled(g1, g0, j):
+    """``floor(g * 2**j / 2**64)`` as its high and low 63 bits, and ``g0 * 2**j mod 2**64``.
+
+    For g = g1 * 2**63 + g0 and j in [1, 63], in uint64 arrays.
+    """
+    return g1 >> (_U64 - j), ((g1 << (j - _U1)) & _MASK63) | (g0 >> (_U64 - j)), g0 << j
 
 
 def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,12 +122,24 @@ def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     k = np.where(regular, _floor_log10_pow2(q), _floor_log10_three_quarters_pow2(q))
     h = (q + _floor_log2_pow10(-k) + 2).astype(np.uint64)
     g1, g0 = (table[k - _K_MIN] for table in _pow10_table())
-    cb = c << _U2
-    vb = _rop(g1, g0, cb << h)
-    # The interval's ends belong to it for an even c, which they round to.
+    # Schubfach's rop(g, cp), g * cp / 2**127 rounded to odd for g = g1 *
+    # 2**63 + g0, rounds (floor(g1 * cp / 2) + floor(g0 * cp / 2**64)) /
+    # 2**63 = high + low / 2**63: the low word x0 of g0 * cp is left aside.
+    cp = c << (h + _U2)
+    x0 = g0 * cp
+    z = ((g1 * cp) >> _U1) + mul_hi(g0, cp)
+    high, low = mul_hi(g1, cp) + (z >> _U63), z & _MASK63
+    vb = _round_odd(high, low)
+    # The ends are rop(g, cp +- 2**j), j = h + 1 or h: that sum moved by
+    # floor(g * 2**j / 2**64) = dh * 2**63 + dl, exactly, and by the carry
+    # out of x0 + (g0 << j) or the borrow out of x0 - (g0 << j).  The
+    # interval's ends belong to it for an even c, which they round to.
     out = c & _U1
-    vbl = _rop(g1, g0, (cb - np.where(regular, _U2, _U1)) << h) + out
-    vbr = _rop(g1, g0, (cb + _U2) << h) - out
+    dh, dl, d0 = _scaled(g1, g0, h + _U1)
+    vbr = _round_odd(high + dh, low + dl + (x0 + d0 < d0)) - out
+    dh, dl, d0 = _scaled(g1, g0, h + regular)
+    # low - dl - borrow, plus 2**63 so that it stays nonnegative, taken back from high.
+    vbl = _round_odd(high - dh - _U1, low + (dl ^ _MASK63) + (x0 >= d0)) + out
     s = vb >> _U2
     sp10 = s // _U10 * _U10
     upin = vbl <= sp10 << _U2
@@ -131,7 +151,8 @@ def shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     # Both in the interval: the closer, the even one on a tie.
     mid = (s + t) << _U1
     lower = np.where(uin != win, uin, (vb < mid) | ((vb == mid) & ((s & _U1) == 0)))
-    f = np.where(shorter, np.where(upin, sp10, sp10 + _U10), np.where(lower, s, t))
+    # One of sp10 and sp10 + 10 is in when shorter; s or t = s + 1.
+    f = np.where(shorter, sp10 + wpin * _U10, t - lower)
     f[c == 0] = 0
     return negative, f, k
 
@@ -141,9 +162,11 @@ def _decimal_digits(v: np.ndarray) -> np.ndarray:
     table = _digit_table()[0]
     out = np.empty((20, len(v)), np.uint8)
     for j in range(4, 0, -1):
-        v, low = np.divmod(v, _U10K)
-        np.take(table, low.astype(np.intp), axis=1, out=out[4 * j : 4 * j + 4])
-    np.take(table, v.astype(np.intp), axis=1, out=out[:4])
+        # A quotient and a product: np.divmod and % do not divide by a constant as // does.
+        high = v // _U10K
+        np.take(table, v - high * _U10K, axis=1, out=out[4 * j : 4 * j + 4])
+        v = high
+    np.take(table, v, axis=1, out=out[:4])
     return out
 
 
@@ -164,49 +187,52 @@ _PREFIX = np.frombuffer(b"-0.000", np.uint8)[:, None]
 _ROW5, _ROW18, _ROW20 = (np.arange(size, dtype=np.uint8)[:, None] for size in (5, 18, 20))
 
 
-def float_cells(values: np.ndarray) -> np.ndarray:
-    """The cells of the finite float64 ``values``, as (``FLOAT_CELL``, N) uint8 characters, 0 where not kept.
+def cells(floats: np.ndarray, ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of the finite float64 ``floats`` and of the uint64 ``ints``, as (cell width, N) uint8 characters, 0 where not kept.
 
-    The kept characters of column t are ``repr(float(values[t]))``.
+    The kept characters of a float's cell are ``repr(float(v))``, those of
+    an integer's ``str(int(v))``.  One digit extraction serves both.
     """
-    negative, f, k = shortest_digits(values)
+    negative, f, k = shortest_digits(floats)
     digits_of, pow10 = _digit_table()
     size = np.searchsorted(pow10, f, side="right")
     # f scaled to 17 digits, which hold the shortest digits of every double.
-    digits = _decimal_digits(f * pow10[17 - size])[3:]
-    decpt = np.where(f == 0, 1, k + size)
+    every_digit = _decimal_digits(np.concatenate([f * pow10[17 - size], ints]))
+    digits, int_chars = every_digit[3:, : len(f)], every_digit[:, len(f) :]
+    decpt = np.where(f == 0, 1, k + size).astype(np.int16)
     # The place of the last digit that is not 0; a zero keeps one digit.
     significant = np.maximum(((digits != ord("0")) * (_ROW18[:17] + 1)).max(axis=0), 1)
     exponent_form = (decpt <= -4) | (decpt > 16)
     leading_zeros = ~exponent_form & (decpt <= 0)
-    point = np.where(exponent_form, 1, np.where(leading_zeros, 18, decpt))
+    # point and body are in [1, 19]: as uint8, the cell-wide comparisons below are on bytes.
+    point = np.where(exponent_form, 1, np.where(leading_zeros, 18, decpt)).astype(np.uint8)
     body = np.where(
         exponent_form,
         significant + (significant > 1),
         np.where(leading_zeros, significant, np.maximum(significant, decpt + 1) + 1),
-    )
+    ).astype(np.uint8)
     exponent = decpt - 1
     chars = np.empty((FLOAT_CELL, len(f)), np.uint8)
     keep = np.empty(chars.shape, bool)
     chars[:6] = _PREFIX
     keep[0] = negative
-    np.less(_ROW5, np.where(leading_zeros, 2 - decpt, 0), out=keep[1:6])
+    np.less(_ROW5, np.where(leading_zeros, 2 - decpt, 0).astype(np.uint8), out=keep[1:6])
     chars[6:23] = digits
     chars[23] = ord("0")
-    np.copyto(chars[7:24], digits, where=_ROW18[1:] > point)
-    np.copyto(chars[6:24], np.uint8(ord(".")), where=_ROW18 == point)
+    # Masked copies as byte arithmetic, which wraps: a row moves by 0 or by the difference to its new characters.
+    chars[7:24] += (_ROW18[1:] > point) * (digits - chars[7:24])
+    chars[6:24] += (_ROW18 == point) * (np.uint8(ord(".")) - chars[6:24])
     np.less(_ROW18, body, out=keep[6:24])
     chars[24] = ord("e")
     np.take(digits_of, np.abs(exponent), axis=1, out=chars[25:29])
     chars[25] = np.where(exponent < 0, ord("-"), ord("+"))
     keep[24:29] = exponent_form
     keep[26] &= np.abs(exponent) >= 100
-    return np.multiply(chars, keep, out=chars)
+    # The place of an integer's first digit that is not 0, the last digit's for a zero.
+    first = np.minimum(20 - ((int_chars != ord("0")) * (20 - _ROW20)).max(axis=0), 19)
+    return np.multiply(chars, keep, out=chars), np.multiply(int_chars, _ROW20 >= first, out=int_chars)
 
 
-def int_cells(values: np.ndarray) -> np.ndarray:
-    """The cells of the uint64 ``values``, as (``INT_CELL``, N) characters, 0 where not kept."""
-    chars = _decimal_digits(values)
-    # The place of the first digit that is not 0, the last digit's for a zero.
-    first = np.minimum(20 - ((chars != ord("0")) * (20 - _ROW20)).max(axis=0), 19)
-    return np.multiply(chars, _ROW20 >= first, out=chars)
+def float_cells(values: np.ndarray) -> np.ndarray:
+    """The cells of the finite float64 ``values`` alone (see :func:`cells`)."""
+    return cells(values, np.empty(0, np.uint64))[0]

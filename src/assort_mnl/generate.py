@@ -61,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._numtext import FLOAT_CELL, INT_CELL, float_cells, int_cells, mul_hi
+from ._numtext import FLOAT_CELL, INT_CELL, cells, mul_hi
 from .core import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -727,10 +727,11 @@ def _fault_offset(data: bytes, fault: Exception) -> int:
 
 
 # Records read at a time: bounds the memory the reader holds beyond the
-# dataset itself, and the records the writer formats at a time.
+# dataset itself.
 _CHUNK = 256
-# Floats the writer formats at a time, at most: its temporaries peak at
-# about 340 bytes a float, 2.7 MB for a full chunk.
+# Floats the writer formats at a time, at most, in as many whole records
+# as they hold (at least one): a write's allocations peak at about 390-480
+# bytes a float, 3.2-3.9 MB for a full chunk.
 _CHUNK_FLOATS = 8192
 
 
@@ -738,15 +739,18 @@ def write_dataset(dataset: LabeledDataset, path) -> str:
     """Write a dataset as JSON Lines (see the module docstring for the schema), atomically; returns its SHA-256.
 
     The header goes through ``json.dumps``, the record lines through array
-    code, at most ``_CHUNK`` records and ``_CHUNK_FLOATS`` floats at a time:
-    every number becomes a fixed-width cell of candidate characters, 0
-    where one is dropped (``_numtext``: a float's shortest round-trip
-    digits, as ``repr`` writes them), the cells go into a buffer of the
-    chunk's lines that holds the literal text ``json.dumps`` writes around
-    the numbers (``_line_template``, ``_line_buffer``),
-    and one compaction of the kept characters gives the bytes ``json.dumps``
-    writes.  A dataset whose records and ``excluded`` fall short of
-    ``count``, as a subset's do, raises ``ValueError``; no file is written.
+    code, as many records at a time as ``_CHUNK_FLOATS`` floats hold (at
+    least one), which spreads a chunk's fixed cost in array calls over as
+    many numbers as its memory allows: every number becomes a fixed-width
+    cell of candidate characters, 0 where one is dropped (``_numtext.cells``,
+    one pass over the chunk's floats and integers; a float keeps its
+    shortest round-trip digits, as ``repr`` writes them), the cells go into
+    a buffer of the chunk's lines that holds the literal text
+    ``json.dumps`` writes around the numbers (``_line_template``,
+    ``_line_buffer``), and one compaction of the kept characters gives the
+    bytes ``json.dumps`` writes.  A dataset whose records and ``excluded``
+    fall short of ``count``, as a subset's do, raises ``ValueError``; no
+    file is written.
     """
     if len(dataset) + len(dataset.excluded) != dataset.count:
         raise ValueError(f"expected {dataset.count} records ({len(dataset.excluded)} excluded), found {len(dataset)}")
@@ -765,7 +769,7 @@ def write_dataset(dataset: LabeledDataset, path) -> str:
             # Nothing to lay out, so a spec too large for one line still writes its header.
             return
         floats = [getattr(dataset, name) for name in _COLUMNS if name not in ("idx", "blocks")]
-        size = max(1, min(_CHUNK, _CHUNK_FLOATS // sum(math.prod(column.shape[1:]) for column in floats)))
+        size = max(1, _CHUNK_FLOATS // sum(math.prod(column.shape[1:]) for column in floats))
         lines, float_slots, int_slots = _line_buffer(dataset.spec, size)
         for start in range(0, len(dataset), size):
             rows = slice(start, start + size)
@@ -777,8 +781,9 @@ def write_dataset(dataset: LabeledDataset, path) -> str:
             seeds, products = _record_seeds(dataset.master_seed, idx), (dataset.blocks[rows] + 1).reshape(count, -1).T
             ints = np.vstack([idx.astype(np.uint64), seeds, products.astype(np.uint64)])
             # The cells, slot by slot: a slot's numbers of all the chunk's records together.
-            lines[float_slots, :count] = float_cells(values.T.ravel()).reshape(*float_slots.shape, count)
-            lines[int_slots, :count] = int_cells(ints.ravel()).reshape(*int_slots.shape, count)
+            float_cells, int_cells = cells(values.T.ravel(), ints.ravel())
+            lines[float_slots, :count] = float_cells.reshape(*float_slots.shape, count)
+            lines[int_slots, :count] = int_cells.reshape(*int_slots.shape, count)
             # Record by record; the literal text holds no 0, the cells hold 0 where they drop a character.
             text = lines[:, :count].T.ravel()
             yield np.compress(text != 0, text)

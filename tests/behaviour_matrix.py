@@ -8,12 +8,15 @@ and a few steps edit a file first so that a run fails on purpose.
 :func:`replay` runs the matrix in a directory, in process, and gives per
 run its exit code, the SHA-256 of its stdout and stderr, and the SHA-256
 of each file it created, replaced or removed (``null``), with every
-``durations_s`` value written as 0.
+``durations_s`` value written as 0.  The manifest holds these entries and
+the OpenBLAS core that wrote them: the solve's mass and the fit round as
+the BLAS kernel does, so that a replay on another core may move bytes.
 
 ``tests/test_manifest.py`` replays the matrix and compares the result
-with ``behaviour_manifest.json``.  After a change of behaviour that is
-meant, regenerate the manifest, which names on stderr each entry that
-changed, was added or was removed, and say why each one did:
+with ``behaviour_manifest.json``, naming both cores when an entry
+differs.  After a change of behaviour that is meant, regenerate the
+manifest, which names on stderr each entry that changed, was added or was
+removed, and say why each one did:
 
     PYTHONPATH=src python tests/behaviour_matrix.py
 """
@@ -21,6 +24,7 @@ changed, was added or was removed, and say why each one did:
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -29,6 +33,8 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from assort_mnl.cli import main as cli_main
 
@@ -140,6 +146,17 @@ MATRIX = [
 ]
 
 
+def openblas_core() -> str:
+    """The CPU core whose kernels numpy's bundled scipy-openblas runs, or ``unknown`` without that library or symbol."""
+    libraries = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libraries[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def masked(data: bytes) -> bytes:
     """``data`` with each number inside a ``"durations_s": {...}`` object written as 0."""
     return re.sub(
@@ -200,12 +217,13 @@ def replay(workdir) -> dict:
 
 
 def main() -> None:
-    """Regenerate the manifest, and name on stderr each entry that changed, was added or was removed."""
+    """Regenerate the manifest, and name on stderr its core and each entry that changed, was added or was removed."""
     with tempfile.TemporaryDirectory() as tmp:
         entries = replay(tmp)
-    previous = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
-    MANIFEST.write_text(json.dumps(entries, indent=1) + "\n")
-    print(f"wrote {len(entries)} entries to {MANIFEST}", file=sys.stderr)
+    previous = json.loads(MANIFEST.read_text())["entries"] if MANIFEST.exists() else {}
+    core = openblas_core()
+    MANIFEST.write_text(json.dumps({"openblas_core": core, "entries": entries}, indent=1) + "\n")
+    print(f"wrote {len(entries)} entries to {MANIFEST} on OpenBLAS core {core}", file=sys.stderr)
     for name, entry in entries.items():
         if name not in previous:
             print(f"added: {name}", file=sys.stderr)

@@ -11,6 +11,7 @@ artifact moves.
 
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import sys
@@ -42,7 +43,6 @@ from assort_mnl.core import (
 )
 from assort_mnl.generate import (
     _COLUMNS,
-    _CHUNK,
     _record_seeds,
     DOLLAR_MAX,
     DOLLAR_SCALE,
@@ -583,17 +583,40 @@ def with_floats(data, floats):
     return dataclasses.replace(data, spec=spec, **{f: np.resize(v, getattr(data, f).shape) for f, v in fields.items()})
 
 
+def floats_per_record(spec):
+    """The floats of a record line under ``spec``; a chunk of the writer holds as many records as ``_CHUNK_FLOATS`` floats do."""
+    return sum(math.prod(shape) for shape, dtype in generate._layout(spec) if dtype is float)
+
+
 @pytest.mark.parametrize("f_mode", [UNIT_SCALE, DOLLAR_SCALE])
 @pytest.mark.parametrize("mode", [SHARED, PER_SEGMENT])
 @pytest.mark.parametrize("n,m,k", [(2, 1, 1), (5, 1, 4), (2, 2, 1), (20, 3, 9), (100, 4, 3), (4, 3, 4)])
 def test_writer_matches_the_reference(tmp_path, n, m, k, mode, f_mode):
-    # More records than one of the writer's chunks, which hold _CHUNK
-    # records or fewer, _CHUNK_FLOATS floats at most.
-    count = 60 if n == 100 else _CHUNK + 44
+    # Two full chunks of the writer and a last chunk of one record.
     spec = GenSpec(n=n, m=m, k=k, mode=mode, f_mode=f_mode)
+    count = 2 * (generate._CHUNK_FLOATS // floats_per_record(spec)) + 1
     data = generate_dataset(spec, count, 2**64 - n)
     assert_writes_the_reference(data, tmp_path)
     assert_writes_the_reference(with_floats(data, FOREIGN_FLOATS), tmp_path)
+
+
+@pytest.mark.parametrize("excluded", [False, True])
+@pytest.mark.parametrize("f_mode", [UNIT_SCALE, DOLLAR_SCALE])
+@pytest.mark.parametrize("n,m", [(2, 1), (5, 1), (2, 2), (10, 2), (100, 4)])
+def test_chunking_never_changes_the_bytes(tmp_path, monkeypatch, n, m, f_mode, excluded):
+    spec = GenSpec(n=n, m=m, k=1, f_mode=f_mode)
+    data = generate_dataset(spec, 20, 2**32 + n)
+    if excluded:
+        # Gaps in idx at the start, inside the first 7-record chunk and at the end.
+        kept = np.ones(len(data), bool)
+        kept[[0, 3, -1]] = False
+        data = dataclasses.replace(data.take(kept), excluded=tuple(int(i) for i in data.idx[~kept]))
+    loop_write(data, tmp_path / "reference.jsonl")
+    expected = hashlib.sha256((tmp_path / "reference.jsonl").read_bytes()).hexdigest()
+    # A chunk of 1 record, of 7 and of the whole dataset.
+    for records in (1, 7, len(data)):
+        monkeypatch.setattr(generate, "_CHUNK_FLOATS", records * floats_per_record(spec))
+        assert write_dataset(data, tmp_path / "written.jsonl") == expected, records
 
 
 def test_writer_matches_the_reference_without_records(tmp_path):
@@ -613,7 +636,8 @@ def test_writer_matches_the_reference_on_extreme_floats(tmp_path):
 
 def cell_texts(cells):
     """The characters each cell (column) of ``cells`` keeps: those other than 0."""
-    return [cell[cell != 0].tobytes().decode() for cell in cells.T]
+    lines = np.vstack([cells, np.full((1, cells.shape[1]), ord("\n"), np.uint8)]).T.ravel()
+    return lines[lines != 0].tobytes().decode().split("\n")[:-1]
 
 
 def float_texts(values):
@@ -648,6 +672,10 @@ def edge_floats():
         np.arange(1, 2001, dtype=np.uint64).view(np.float64),
         # Ties between the two closest shortest decimals.
         (2.0**52 + np.arange(1, 40, 2)) / 4,
+        # Doubles one of whose interval ends is a short decimal: the carry
+        # into the upper end's product decides the first two, the borrow
+        # from the lower end's the last two.
+        [7.3920524356845e16, 7.39953243903914e16, 4.0802189312e31, 4.2107859369984e31],
         neighbours[np.isfinite(neighbours)],
     ])
     return np.concatenate([positive, -positive]).tolist()
@@ -663,11 +691,26 @@ def test_float_cells_keep_repr(values):
     assert float_texts(values) == [repr(v) for v in values]
 
 
+def test_float_cells_keep_repr_on_a_sweep():
+    # Random bit patterns, which reach every exponent; the uniforms
+    # generation draws; and the smallest subnormals, whose shortest
+    # decimals have one or two digits.  Both signs.
+    rng = np.random.default_rng(2026)
+    values = np.concatenate([
+        rng.integers(0, 2**64, 2**17, dtype=np.uint64).view(np.float64),
+        rng.uniform(0, 50, 2**17),
+        np.arange(1, 2001, dtype=np.uint64).view(np.float64),
+    ])
+    values = values[np.isfinite(values)]
+    values[::2] *= -1
+    assert float_texts(values) == [repr(v) for v in values.tolist()]
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
 @example(EDGE_INTS)
 def test_int_cells_keep_str(values):
-    assert cell_texts(_numtext.int_cells(np.array(values, np.uint64))) == [str(v) for v in values]
+    assert cell_texts(_numtext.cells(np.empty(0), np.array(values, np.uint64))[1]) == [str(v) for v in values]
 
 
 def test_integer_revenue_terms_act_as_their_floats(tmp_path):

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from assort_mnl._numtext import FLOAT_CELL, float_cells
 from assort_mnl.bench import DEFAULT_MASTER_SEED, PRESET_NAMES, preset, run_case, split_dataset
 from assort_mnl.core import DEFAULT_MAX_ITER, DEFAULT_TOL, ONE_START, PER_SEGMENT, SHARED, _solve_stack, solve_fixed_point
 from assort_mnl.generate import GenSpec, _draw, generate_dataset, generate_instance, read_dataset, record_seed, write_dataset
@@ -105,6 +106,15 @@ def test_write_the_preset_datasets_of_500_records(benchmark, tmp_path):
 
     benchmark(write_all)
     assert all(len(path.read_text().splitlines()) == len(dataset) + 1 for dataset, path in zip(datasets, paths))
+
+
+@pytest.mark.parametrize("count", [256, 2560, 8192])
+def test_float_cells(benchmark, count):
+    # The cost of a call against its size: a presets file holds 5,000 to
+    # 11,000 floats, and a chunk of the writer at most 8,192.
+    data = generate_dataset(SPEC, 500, DEFAULT_MASTER_SEED)
+    values = np.resize(np.concatenate([data.y.ravel(), data.alpha.ravel(), data.q.ravel(), data.r_a]), count)
+    assert benchmark(float_cells, values).shape == (FLOAT_CELL, count)
 
 
 def test_read_dataset_of_2000_records(benchmark, tmp_path):
