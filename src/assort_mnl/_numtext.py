@@ -1,9 +1,10 @@
-"""Numbers as JSON text, in array code: nonnegative integers as ``str`` and finite floats as ``repr`` write them.
+"""Numbers as JSON text and back, in array code: nonnegative integers as ``str`` and finite floats as ``repr`` write them.
 
-Each number becomes a cell: a fixed column of candidate characters in
-which those not kept are 0, so that the characters other than 0 spell the
-number.  A writer lays cells out in a buffer of whole lines and drops the
-0s of the buffer in one compaction (see ``generate.write_dataset``).
+Writing, each number becomes a cell: a fixed column of candidate
+characters in which those not kept are 0, so that the characters other
+than 0 spell the number.  A writer lays cells out in a buffer of whole
+lines and drops the 0s of the buffer in one compaction (see
+``generate.write_dataset``).
 
 ``float.__repr__`` writes the shortest decimal that reads back as the
 float, the one closest to it if several are that short and the even one
@@ -16,6 +17,21 @@ own product exactly, by shifts and a carry, as in Ryu's ``mulShiftAll64``.
 Java's ``DoubleToDecimal``, which it follows, keeps two digits where one
 would do (it writes 4.9e-324 where ``repr`` writes 5e-324); this version
 takes the shorter decimal.
+
+Reading is the inverse for lines laid out as a writer lays them
+(``parse_lines``, against a ``LineLayout``: the literal text around the
+numbers of a line).  A chunk of lines is read whole or not at all: when
+every line's separators and literal text are the layout's, character for
+character, and every number field holds a JSON number, its numbers come
+back as ``json.loads`` reads them; when any line differs, in spacing, key
+order, line end or a value that is no number, the chunk is refused and its
+caller reads it another way (``generate.read_dataset`` parses such a chunk
+line by line with ``json``).  Which way a chunk is read is a property of
+its bytes, not an option.  A float's digits become a double by
+Eisel–Lemire (D. Lemire, "Number Parsing at a Gigabyte per Second",
+Software: Practice and Experience 51(8), 2021) on a table of 128-bit
+powers of five; the few tokens it cannot read exactly go through
+``float``, as ``json`` reads them.
 """
 
 from __future__ import annotations
@@ -28,6 +44,7 @@ _U1, _U2, _U10, _U32, _U63, _U64 = (np.uint64(b) for b in (1, 2, 10, 32, 63, 64)
 _U10K = np.uint64(10_000)
 _LOW32 = np.uint64((1 << 32) - 1)
 _MASK63 = np.uint64((1 << 63) - 1)
+_LOW9 = np.uint64((1 << 9) - 1)
 # The decimal exponents k of the powers of ten a finite double needs.
 _K_MIN, _K_MAX = -324, 292
 
@@ -236,3 +253,348 @@ def cells(floats: np.ndarray, ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def float_cells(values: np.ndarray) -> np.ndarray:
     """The cells of the finite float64 ``values`` alone (see :func:`cells`)."""
     return cells(values, np.empty(0, np.uint64))[0]
+
+
+# The reverse direction: JSON number text to numbers.
+
+# The decimal exponents q of the 128-bit powers of five Eisel–Lemire takes.
+_Q_MIN, _Q_MAX = -342, 308
+_MASK64 = (1 << 64) - 1
+
+
+@functools.cache
+def _pow5_table() -> tuple[np.ndarray, np.ndarray]:
+    """5**q for each q in [_Q_MIN, _Q_MAX] to 128 bits, its top bit set, as high and low uint64 words.
+
+    As fast_float's table: 5**q truncated for q >= 0, and for q < 0
+    ``floor(2**b / 5**-q) + 1`` truncated, with ``b`` its reciprocal's bit
+    length plus 127, or twice that length plus 128 below q = -27.  Built on
+    first use, by ``bit_length`` rather than bit-by-bit loops.
+    """
+    high, low = [], []
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        if q >= 0:
+            c = 5**q
+        else:
+            p = 5**-q
+            z = (p - 1).bit_length()
+            c = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // p + 1
+        c = c << (128 - c.bit_length()) if c.bit_length() < 128 else c >> (c.bit_length() - 128)
+        high.append(c >> 64)
+        low.append(c & _MASK64)
+    return np.array(high, np.uint64), np.array(low, np.uint64)
+
+
+def _eisel_lemire(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bits of the doubles nearest ``w * 10**q``, for uint64 ``w`` in [1, 2**64) and q in [_Q_MIN, _Q_MAX]; and where they are not normal.
+
+    D. Lemire, "Number Parsing at a Gigabyte per Second" (2021), as
+    fast_float's ``compute_float`` runs it: ``w``, its top bit shifted up,
+    times the power of five to 128 bits gives the 54 leading bits of the
+    product exactly (N. Mushtak and D. Lemire, "Fast Number Parsing Without
+    Fallback", 2023), rounded to even on the exact ties, which occur only
+    for q in [-4, 23].  A result below the normal doubles, or in their top
+    binade or above, is flagged, not made: its bits are garbage.
+    """
+    # The bit length of w, from its float64's exponent: past 2**53 a float64 can round up to the next power of 2.
+    length = (w.astype(np.float64).view(np.uint64) >> np.uint64(52)) - np.uint64(1022)
+    length -= (w >> (length - _U1)) == 0
+    w = w << (_U64 - length)
+    t = q - _Q_MIN
+    table_high, table_low = _pow5_table()
+    t_high = table_high[t]
+    high, low = mul_hi(w, t_high), w * t_high
+    # The 9 bits below the 55 kept are all ones: the product's lower word can carry into them.
+    inexact = np.flatnonzero((high & _LOW9) == _LOW9)
+    if inexact.size:
+        second = mul_hi(w[inexact], table_low[t[inexact]])
+        low[inexact] += second
+        high[inexact] += low[inexact] < second
+    upper = high >> _U63
+    shift = upper + np.uint64(9)
+    mantissa = high >> shift
+    # A tie between two doubles drops only zero bits, which only q in [-4, 23] can give: round it to even.
+    tie = np.flatnonzero(low <= _U1)
+    tie = tie[(q[tie] >= -4) & (q[tie] <= 23) & ((mantissa[tie] & np.uint64(3)) == _U1) & ((mantissa[tie] << shift[tie]) == high[tie])]
+    mantissa[tie] &= ~_U1
+    # In [2**52, 2**53] once rounded: 2**53 carries into the exponent as the sum below does.
+    mantissa = (mantissa + (mantissa & _U1)) >> _U1
+    power2 = ((q * 217_706) >> 16) + (upper.astype(np.int64) + length.astype(np.int64) + 1022)
+    # A power of 2045 and a carry make 2046, the largest finite; 2046 may carry to infinity.
+    abnormal = (power2 < 1) | (power2 > 2045)
+    return mantissa + ((power2 - 1).astype(np.uint64) << np.uint64(52)), abnormal
+
+
+# A record line's separators: the characters around every field.
+_SEPARATORS = "{}[]:,\n"
+# The class of each byte in a line: digits, the other characters of a
+# number, separators and the rest.
+_DIGIT, _POINT, _EXP, _SIGN, _SEP, _OTHER = range(6)
+_CLASSES = np.full(256, _OTHER, np.uint8)
+_CLASSES[list(b"0123456789")], _CLASSES[list(b".")], _CLASSES[list(b"eE")], _CLASSES[list(b"+-")] = _DIGIT, _POINT, _EXP, _SIGN
+_CLASSES[list(_SEPARATORS.encode())] = _SEP
+# parse_lines reads a mantissa's digits in a row of this many bytes, which ends with it.
+_ROW = 24
+_PAD = b"0" * _ROW
+_VOID = {width: np.dtype(f"V{width}") for width in (4, _ROW)}
+_ASCII_ZERO = np.uint8(ord("0"))
+# Lemire's eight-digit SWAR constants: pairs at bytes 0 and 4 times 100 and 10**6, at 2 and 6 times 1 and 10**4.
+_PAIRS = np.uint64(0x000000FF000000FF)
+_PAIR_MUL = np.uint64(100 + (10**6 << 32)), np.uint64(1 + (10**4 << 32))
+_U8, _U16, _U255 = np.uint64(8), np.uint64(16), np.uint64(255)
+_E8, _E16 = np.uint64(10**8), np.uint64(10**16)
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+class LineLayout:
+    """What ``parse_lines`` reads a line against: the literal runs around its numbers, cut into fields at the separators.
+
+    A line cut at each of ``{}[]:,`` and its newline is a sequence of
+    fields, one before each separator: literal text, often empty, or a
+    number, which is a field by itself.
+    """
+
+    def __init__(self, runs: list[str], is_float: np.ndarray):
+        separators, fields, field = [], [], ""
+        for i, run in enumerate(runs):
+            for char in run:
+                if char in _SEPARATORS:
+                    separators.append(ord(char))
+                    fields.append(field)
+                    field = ""
+                elif field is None:
+                    raise ValueError("a number must be followed by a separator")
+                else:
+                    field += char
+            if i < len(runs) - 1:
+                if field:
+                    raise ValueError("a number must follow a separator")
+                field = None
+        if field != "" or separators[-1] != ord("\n"):
+            raise ValueError("a line must end with its newline")
+        number = np.array([field is None for field in fields])
+        text = [field or "" for field in fields]
+        self.separators = np.array(separators, np.uint8)
+        self.is_float = np.asarray(is_float, bool)
+        self.numbers = np.flatnonzero(number)
+        # The slot of the number in each field, -1 for literal text.
+        self.slot = np.full(len(fields), -1)
+        self.slot[self.numbers] = np.arange(len(self.numbers))
+        self.literals = np.flatnonzero(~number)
+        self.literal_sizes = np.array([len(text[f]) for f in self.literals], np.int64)
+        # The literal text, character by character: its field and its place in it.
+        self.text = np.frombuffer("".join(text).encode(), np.uint8)
+        self.text_fields = np.repeat(np.arange(len(fields)), [len(t) for t in text])
+        self.text_places = np.concatenate([np.arange(len(t)) for t in text])
+        self.others = int(np.count_nonzero(_CLASSES[self.text] == _OTHER))
+
+
+def _windows(buf: np.ndarray, width: int) -> np.ndarray:
+    """Every ``width`` consecutive bytes of ``buf`` as one element: element i is ``buf[i : i + width]``."""
+    return np.ndarray((len(buf) - width + 1,), _VOID[width], buf, strides=(1,))
+
+
+def _number_fields(buf: np.ndarray, rows: int, layout: LineLayout):
+    """The start and size of each number of ``rows`` lines in ``buf``, and the place, class and number of each character in them that is not a digit; None where a line's separators or literal text are not ``layout``'s.
+
+    ``buf`` begins with ``_ROW`` bytes of padding.  One scan finds the bytes
+    that are not digits.  The separators among them cut the lines into
+    fields; the literal ones are checked character for character, so that
+    what else a number field holds shows in the marks returned.
+    """
+    fields, slots = len(layout.separators), len(layout.is_float)
+    marks = np.flatnonzero((buf - _ASCII_ZERO) > 9)
+    kinds = np.take(_CLASSES, buf[marks])
+    if np.count_nonzero(kinds == _OTHER) != rows * layout.others:
+        return None
+    # The separators, points, exponent marks and signs: the others lie in literal text, checked below.
+    keep = kinds != _OTHER
+    marks, kinds = marks[keep], kinds[keep]
+    separator_at = np.flatnonzero(kinds == _SEP)
+    if len(separator_at) != rows * fields:
+        return None
+    separators = marks[separator_at]
+    if (buf[separators].reshape(rows, fields) != layout.separators).any():
+        return None
+    starts = np.empty_like(separators)
+    starts[0], starts[1:] = _ROW, separators[:-1] + 1
+    sizes = np.subtract(separators, starts, out=separators).reshape(rows, fields)
+    starts = starts.reshape(rows, fields)
+    if (sizes[:, layout.literals] != layout.literal_sizes).any():
+        return None
+    places = starts[:, layout.text_fields]
+    places += layout.text_places
+    if (buf[places] != layout.text).any():
+        return None
+    del places
+    # The field of the k-th point, exponent mark or sign at j: the j - k separators before it.
+    special = np.flatnonzero(kinds < _SEP)
+    field = special - np.arange(len(special))
+    token = np.where(layout.slot < 0, -1, np.arange(0, rows * slots, slots)[:, None] + layout.slot).ravel()[field]
+    inside = np.flatnonzero(token >= 0)
+    special = special[inside]
+    return starts[:, layout.numbers].ravel(), sizes[:, layout.numbers].ravel(), marks[special], kinds[special], token[inside]
+
+
+def _first_at(token: np.ndarray, offset: np.ndarray, count: int) -> np.ndarray | None:
+    """Each of ``count`` tokens' ``offset`` given at it, -1 where none is; None where one has two.
+
+    ``token`` is nondecreasing, as the characters' places are.
+    """
+    if (token[1:] == token[:-1]).any():
+        return None
+    out = np.full(count, -1, np.int64)
+    out[token] = offset
+    return out
+
+
+def _grammar(buf, start, size, at, kinds, token, in_float_slot):
+    """Where each number's mantissa ends and its point lies, and its signs, from the places of its characters that are not digits; None where one is no JSON number or does not fit its field.
+
+    The grammar is ``-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?``.  An
+    integer field takes digits alone, at most 20; a float field an integer
+    of at most 18 digits.  Returns, per number: the mantissa's end, counted
+    from its start; how far back from there its point lies (0 for none);
+    whether it is negative, and its exponent; and the exponent's digits.
+    """
+    count = len(start)
+    offset = at - start[token]
+    point = _first_at(token[kinds == _POINT], offset[kinds == _POINT], count)
+    exp = _first_at(token[kinds == _EXP], offset[kinds == _EXP], count)
+    if point is None or exp is None:
+        return None
+    signs = kinds == _SIGN
+    token, offset, char = token[signs], offset[signs], buf[at[signs]]
+    leading = (offset == 0) & (char == ord("-"))
+    of_exp = (offset == exp[token] + 1) & (exp[token] >= 0)
+    if not (leading | of_exp).all():
+        return None
+    negative, exp_negative, signed = np.zeros(count, bool), np.zeros(count, bool), np.zeros(count, np.int64)
+    negative[token[leading]] = True
+    exp_negative[token[of_exp]] = char[of_exp] == ord("-")
+    signed[token[of_exp]] = 1
+    has_point, has_exp = point >= 0, exp >= 0
+    end = np.where(has_exp, exp, size)
+    point_places = np.where(has_point, end - point, 0)
+    exp_digits = np.where(has_exp, size - exp - 1 - signed, 0)
+    integer_digits = end - negative - point_places
+    ok = (integer_digits >= 1) & ((buf[start + negative] != _ASCII_ZERO) | (integer_digits == 1))
+    # A point needs a digit after it, before any exponent; an exponent mark, a digit after its sign.
+    ok &= (~has_point | (point_places >= 2)) & (~has_exp | (exp_digits >= 1))
+    integer = ~(has_point | has_exp)
+    digits = integer_digits + np.maximum(point_places - 1, 0)
+    ok &= np.where(in_float_slot, ~integer | (digits <= 18), integer & ~negative & (digits <= 20))
+    if not ok.all():
+        return None
+    return end, point_places, negative, exp_negative, exp_digits
+
+
+def _parse_eight(words: np.ndarray) -> np.ndarray:
+    """Each uint64 of eight decimal digit values (0-9, the first in the lowest byte) as its integer, in place."""
+    pairs = words >> _U8
+    words *= _U10
+    words += pairs
+    pairs = words >> _U16
+    pairs &= _PAIRS
+    pairs *= _PAIR_MUL[1]
+    words &= _PAIRS
+    words *= _PAIR_MUL[0]
+    words += pairs
+    words >>= _U32
+    return words
+
+
+def parse_lines(text: bytes, rows: int, layout: LineLayout) -> tuple[np.ndarray, np.ndarray] | None:
+    """The numbers of the ``rows`` lines of ``text`` laid out as ``layout`` lays them: floats (rows, floats) as ``json.loads`` reads them, and the nonnegative integers below 2**64 as uint64; None where any line differs.
+
+    A line matches when its separators and literal text are the layout's,
+    character for character, and between them each number field is a JSON
+    number (``_number_fields``, ``_grammar``).  An integer field holds
+    digits alone.  A float field's integer reads as ``float(int(token))``
+    does, and takes no more than 18 digits.  A mantissa's digits,
+    right-aligned in a row of 24 bytes by one row gather, become integers 8
+    at a time (``_mantissas``), and a double by Eisel–Lemire
+    (``_eisel_lemire``).  Tokens it cannot read exactly go through
+    ``float``: a significand of 10**19 or more, a mantissa past 24
+    characters, an exponent past 4 digits, or a result that is not a normal
+    double below 2**1023.
+    """
+    slots = len(layout.is_float)
+    text = _PAD + text
+    buf = np.frombuffer(text, np.uint8)
+    found = _number_fields(buf, rows, layout)
+    if found is None:
+        return None
+    start, size, *marks = found
+    in_float_slot = np.broadcast_to(layout.is_float, (rows, slots)).ravel()
+    parsed = _grammar(buf, start, size, *marks, in_float_slot)
+    if parsed is None:
+        return None
+    end, point_places, negative, exp_negative, exp_digits = parsed
+    long = end - negative > _ROW
+    high, low = _mantissas(buf, start + np.where(long, size, end), np.where(long, 0, point_places), end - negative)
+    integer = point_places + exp_digits == 0
+    # The exponent, less the digits after the point.
+    q = np.minimum(1 - point_places, 0)
+    del end, point_places
+    exps = np.flatnonzero(exp_digits)
+    q[exps] += np.where(exp_negative[exps], -1, 1) * _exponents(buf, start[exps] + size[exps], exp_digits[exps])
+    # An integer field's number is below 2**64: 20 digits past 18446744073709551615 wrap.
+    fits = (high < np.uint64(1844)) | ((high == np.uint64(1844)) & (low <= np.uint64(6744073709551615)))
+    if not (fits | in_float_slot).all():
+        return None
+    to_float = long | (high >= np.uint64(1000)) | (exp_digits > 4)
+    w = high * _E16
+    w += low
+    # Each dropped once done with, as a chunk's temporaries bound the reader's memory.
+    del high, low, fits, long
+    zero = w == 0
+    to_float |= ~zero & ((q < _Q_MIN) | (q > _Q_MAX))
+    bits, abnormal = _eisel_lemire(np.where(zero, _U1, w), np.clip(q, _Q_MIN, _Q_MAX))
+    to_float |= abnormal & ~zero
+    bits[zero] = 0
+    # -0 is the integer 0, but -0.0 is negative.
+    bits |= (negative & ~(zero & integer)) * _SIGN_BIT
+    floats = bits.view(np.float64)
+    for t in np.flatnonzero(to_float & in_float_slot).tolist():
+        floats[t] = float(text[start[t] : start[t] + size[t]])
+    return floats.reshape(rows, slots)[:, layout.is_float], w.reshape(rows, slots)[:, ~layout.is_float]
+
+
+_ASCII_ZEROS = np.uint64(0x3030303030303030)
+# Row c: the masks of the c lowest bytes of a 24-byte row, in its three little-endian uint64 words.
+_LOW_BYTES = np.array([[(1 << 8 * min(max(c - 8 * k, 0), 8)) - 1 for k in range(3)] for c in range(_ROW + 1)], np.uint64)
+
+
+def _mantissas(buf: np.ndarray, ends: np.ndarray, point_places: np.ndarray, chars: np.ndarray):
+    """The mantissas that end before ``ends`` in ``buf`` as integers, split into the part above 10**16 and the 16 digits below.
+
+    ``point_places`` counts back from an end to the mantissa's point, 0 for
+    none; ``chars`` counts its characters, the point's included.  The 24
+    bytes before each end are gathered as one row of three little-endian
+    words, first byte lowest, and so are the 24 before that byte: in the
+    bytes before the point a row takes the second's, which drops the point,
+    and the bytes before the digits become "0".
+    """
+    windows = _windows(buf, _ROW)
+    words, moved = (windows[ends - back].view("<u8").reshape(-1, 3) for back in (_ROW, _ROW + 1))
+    moved ^= words
+    moved &= np.take(_LOW_BYTES, np.where(point_places > 0, _ROW + 1 - point_places, 0), axis=0)
+    words ^= moved
+    np.bitwise_xor(words, _ASCII_ZEROS, out=moved)
+    moved &= np.take(_LOW_BYTES, np.maximum(_ROW - chars + (point_places > 0), 0), axis=0)
+    words ^= moved
+    words -= _ASCII_ZEROS
+    high, middle, low = _parse_eight(words).T
+    middle *= _E8
+    middle += low
+    return high, middle
+
+
+def _exponents(buf: np.ndarray, ends: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """The unsigned exponents of at most 4 ``digits`` that end before ``ends`` in ``buf``, as int64; more digits give a wrong one."""
+    quads = _windows(buf, 4)[ends - 4].view("<u4").astype(np.uint64)
+    quads ^= (quads ^ _ASCII_ZEROS) & np.take(_LOW_BYTES[:, 0], 4 - np.minimum(digits, 4))
+    quads -= _ASCII_ZEROS & np.uint64(0xFFFFFFFF)
+    quads = quads * _U10 + (quads >> _U8)
+    return ((quads & _U255) * np.uint64(100) + ((quads >> _U16) & _U255)).astype(np.int64)

@@ -50,18 +50,17 @@ import functools
 import hashlib
 import json
 import math
-import operator
 import os
 import re
 import secrets
 import sys
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import chain, islice, zip_longest
+from itertools import islice, zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from ._numtext import FLOAT_CELL, INT_CELL, cells, mul_hi
+from ._numtext import FLOAT_CELL, INT_CELL, LineLayout, cells, mul_hi, parse_lines
 from .core import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -185,6 +184,8 @@ class DatasetRecord:
 
 
 _COLUMNS = ("idx", "y", "alpha", "F", "lam", "q", "blocks", "r_a")
+# The float columns in the order a record line holds them (_line_template).
+_FLOAT_COLUMNS = ("y", "alpha", "F", "lam", "q", "r_a")
 
 
 @dataclass(frozen=True, eq=False)
@@ -726,9 +727,11 @@ def _fault_offset(data: bytes, fault: Exception) -> int:
     return integer.start() if integer else 0
 
 
-# Records read at a time: bounds the memory the reader holds beyond the
-# dataset itself.
-_CHUNK = 256
+# Bytes of record lines read at a time: bounds the memory the reader holds
+# beyond the dataset itself.  A read of 2,000 records of learn_io's shape
+# (3.2 MB) peaks at about 0.85 MB of allocations above its 1.22 MB of
+# columns; the parse takes about as long from 48 KB to 384 KB chunks.
+_CHUNK_BYTES = 64 * 1024
 # Floats the writer formats at a time, at most, in as many whole records
 # as they hold (at least one): a write's allocations peak at about 390-480
 # bytes a float, 3.2-3.9 MB for a full chunk.
@@ -768,7 +771,7 @@ def write_dataset(dataset: LabeledDataset, path) -> str:
         if not len(dataset):
             # Nothing to lay out, so a spec too large for one line still writes its header.
             return
-        floats = [getattr(dataset, name) for name in _COLUMNS if name not in ("idx", "blocks")]
+        floats = [getattr(dataset, name) for name in _FLOAT_COLUMNS]
         size = max(1, _CHUNK_FLOATS // sum(math.prod(column.shape[1:]) for column in floats))
         lines, float_slots, int_slots = _line_buffer(dataset.spec, size)
         for start in range(0, len(dataset), size):
@@ -861,34 +864,36 @@ def read_dataset(path) -> LabeledDataset:
     """Read a JSON Lines dataset; inverse of :func:`write_dataset`.
 
     Raises :class:`DatasetFormatError` on malformed content, naming the
-    offending line; nothing partial is ever returned.  Each record line is
-    parsed by ``_load_json`` and flattened at once into per-column lists of
-    numbers (``_RecordChunk``), so no parsed container outlives its line;
-    every ``_CHUNK`` records the lists become arrays.  Each chunk takes the
-    idx its records must carry from one lazy, in-order stream over
-    ``range(count)`` without ``excluded``, so memory does not grow with the
-    header's ``count``.  The reader checks the header's types and each
-    record's JSON types, shapes, idx and the seed, beta and revenue the
-    header fixes (then dropped); :class:`LabeledDataset` then checks the
-    values, and a fault names the line of the record at fault.  A chunk
-    that fails a check is read again from its lines by ``_record_columns``,
-    the only code that words a record fault.
+    offending line; nothing partial is ever returned.  Record lines are read
+    a chunk at a time, ``_CHUNK_BYTES`` bytes and the rest of the line they
+    end in, and each chunk takes one of two paths, picked by its bytes
+    alone, never by an option.  A chunk whose every line is laid out as the
+    writer lays it (``_line_template``) is read in array code
+    (``_layout_columns``): ``_numtext.parse_lines`` matches each line's
+    separators and literal text, the beta, revenue and label k the header
+    fixes among them, and parses its numbers as ``json.loads`` reads them,
+    which leaves the idx and seeds to check.  Any other chunk, of another
+    spacing, key order or line end, or with a fault in a line's form, idx
+    or seed, is parsed line by line by ``_load_json`` and checked field by
+    field by ``_record_columns``, the only code that words a record fault;
+    a chunk both paths accept gives the same columns either way.  Each
+    chunk takes the idx its records must carry from one lazy, in-order
+    stream over ``range(count)`` without ``excluded``, so memory does not
+    grow with the header's ``count``.  :class:`LabeledDataset` then checks
+    the values, and a fault names the line of the record at fault.
     """
     # Read as bytes and decoded line by line, so that text which is not UTF-8 is named by its line.
     with open(Path(path), "rb") as fh:
         spec, master_seed, count, excluded = _read_header(fh.readline())
         skipped = set(excluded)
-        chunk = _RecordChunk(spec, master_seed, (i for i in range(count) if i not in skipped))
-        parts = []
-        for lineno, line in enumerate(fh, start=2):
-            chunk.add(line, lineno)
-            if len(chunk.lines) == _CHUNK:
-                parts.append(chunk.columns())
-        parts.append(chunk.columns())
+        parts = list(_record_parts(fh, spec, master_seed, (i for i in range(count) if i not in skipped)))
+    if not parts:
+        parts.append(_chunk_columns(b"", 0, 2, spec, master_seed, [], None))
     found = sum(len(part[0]) for part in parts)
     if found + len(excluded) != count:
         raise DatasetFormatError(f"expected {count} records ({len(excluded)} excluded), found {found}")
-    columns = (np.concatenate(column) for column in zip(*parts))
+    # Column by column, each column's parts dropped once joined, so that the dataset is held about once.
+    columns = [np.concatenate([part.pop(0) for part in parts]) for _ in _COLUMNS]
     try:
         return LabeledDataset(spec, master_seed, count, *columns, excluded)
     except _RecordFault as e:
@@ -924,111 +929,62 @@ def _read_header(line: bytes) -> tuple[GenSpec, int, int, tuple[int, ...]]:
     return spec, master_seed, count, tuple(excluded)
 
 
-_RECORD_VALUES = operator.itemgetter(*_RECORD_KEYS)
-_LABEL_VALUES = operator.itemgetter("per_segment", "k")
+def _record_parts(fh, spec: GenSpec, master_seed: int, expected):
+    """The columns of the record lines of ``fh``, a chunk at a time, which take their idx in order from ``expected``.
 
-
-class _RecordChunk:
-    """Record lines read into flat per-column lists of numbers, up to a chunk of them at a time.
-
-    ``add`` parses a line, checks its structure against the spec and
-    appends its numbers to the lists; the parsed record dies with the call,
-    so the collector finds no container to scan.  ``columns`` checks the
-    JSON types of the integers and ``r_a``, idx, seed and label ``k`` over
-    the lists and makes each column one array, converted as ``_column``
-    converts a field.  A chunk
-    that fails a check is read again from its raw lines by
-    ``_record_columns``: its checks alone word a fault, and they accept
-    every chunk these accept, with the same columns.
+    A chunk is the next ``_CHUNK_BYTES`` bytes and the rest of the line
+    they end in; the file's last line may lack its newline.
     """
+    first, layout = 2, None
+    while text := fh.read(_CHUNK_BYTES):
+        if not text.endswith(b"\n"):
+            text += fh.readline()
+        rows = text.count(b"\n") + (not text.endswith(b"\n"))
+        # Built once a line shows that the header's n * m numbers could fit
+        # in it, so that a header's sizes ask for no more than a line holds.
+        if layout is None and spec.n * spec.m <= text.find(b"\n"):
+            layout = LineLayout(*_line_template(spec))
+        yield _chunk_columns(text, rows, first, spec, master_seed, list(islice(expected, rows)), layout)
+        first += rows
 
-    def __init__(self, spec: GenSpec, master_seed: int, expected):
-        self.spec, self.master_seed, self.expected = spec, master_seed, expected
-        self.revenue = _file_revenue(spec)
-        self._start(2)
 
-    def _start(self, first: int) -> None:
-        """Begin an empty chunk whose first line is file line ``first``."""
-        self.first, self.lines, self.flat = first, [], True
-        # The numbers of the columns, in _COLUMNS order with the label's
-        # products for blocks, and of the seeds and label k the header fixes.
-        self.numbers, self.seeds, self.ks = tuple([] for _ in _COLUMNS), [], []
+def _chunk_columns(text: bytes, rows: int, first: int, spec: GenSpec, master_seed: int, expected: list, layout) -> list:
+    """The columns of the ``rows`` record lines in ``text``, the first on file line ``first``, which must carry the idx ``expected``, in ``_COLUMNS`` order.
 
-    def add(self, line: bytes, lineno: int) -> None:
-        """Read record line ``lineno``; one that is not JSON or not a record object raises, naming it."""
-        record = _load_json(line, f"line {lineno}")
-        try:
-            values = _RECORD_VALUES(record)
-        except (KeyError, TypeError):
-            values = _fields(record, _RECORD_KEYS, f"line {lineno}", "record")
-        self.lines.append(line)
-        if not self.flat:
-            return
-        idx, seed, y, alpha, beta, F, lam, revenue, q, label, r_a = values
-        n, m, k = self.spec.n, self.spec.m, self.spec.k
-        try:
-            blocks, label_k = _LABEL_VALUES(label)
-            # Each list on the right is built only once the record has shown
-            # that it holds as many entries, so that a header's n or m asks
-            # for no more than a record line holds.  beta and revenue compare
-            # as JSON values, as in _record_columns.
-            self.flat = (
-                len(y) == len(alpha) == len(beta) == len(F) == len(q) == n and len(lam) == len(blocks) == m
-                and list(map(len, chain(y, alpha, q))) == [m] * (3 * n) and list(map(len, blocks)) == [k] * m
-                and beta == [[1.0] * m] * n and revenue == self.revenue
-            )
-        except (KeyError, TypeError):
-            self.flat = False
-        if self.flat:
-            idxs, ys, alphas, Fs, lams, qs, products, r_as = self.numbers
-            idxs.append(idx)
-            ys.extend(chain.from_iterable(y))
-            alphas.extend(chain.from_iterable(alpha))
-            Fs.extend(F)
-            lams.extend(lam)
-            qs.extend(chain.from_iterable(q))
-            products.extend(chain.from_iterable(blocks))
-            r_as.append(r_a)
-            self.seeds.append(seed)
-            self.ks.append(label_k)
+    In array code when every line matches ``layout`` (if any), else parsed
+    and checked line by line; a fault raises, naming its line.
+    """
+    columns = _layout_columns(text, rows, layout, spec, master_seed, expected) if layout else None
+    if columns is None:
+        lines = text.split(b"\n")[:rows]
+        records = [_fields(_load_json(line, f"line {lineno}"), _RECORD_KEYS, f"line {lineno}", "record")
+                   for lineno, line in enumerate(lines, start=first)]
+        columns = _record_columns(records, first, spec, master_seed, iter(expected))
+    # A file may list a block's products in any order; a dataset holds them sorted.
+    return [*columns[:6], np.sort(columns[6] - 1, axis=-1), columns[7]]
 
-    def columns(self) -> list:
-        """The columns of the chunk's records, in ``_COLUMNS`` order; the lines after them start a new chunk."""
-        rows, first = len(self.lines), self.first
-        expected = list(islice(self.expected, rows))
-        columns = self._flat_columns(expected) if self.flat and rows else None
-        if columns is None:
-            records = [_fields(_load_json(line, f"line {lineno}"), _RECORD_KEYS, f"line {lineno}", "record")
-                       for lineno, line in enumerate(self.lines, start=first)]
-            columns = _record_columns(records, first, self.spec, self.master_seed, iter(expected))
-        self._start(first + rows)
-        # A file may list a block's products in any order; a dataset holds them sorted.
-        return [*columns[:6], np.sort(columns[6] - 1, axis=-1), columns[7]]
 
-    # Products past int64 make a float column, whose cast falls outside the label rule's 1..n; numpy would warn.
-    @np.errstate(invalid="ignore")
-    def _flat_columns(self, expected: list) -> list | None:
-        """The columns made from the lists, as ``_record_columns`` makes them, or None where a check here fails."""
-        idx, *_, products, r_a = self.numbers
-        # Types first: a label k that is a list cannot go into a set.
-        if not (
-            set(map(type, chain(idx, self.seeds, self.ks, products))) == {int} and set(map(type, r_a)) <= {int, float}
-            and idx == expected and self.seeds == _record_seeds(self.master_seed, expected).tolist()
-            and set(self.ks) == {self.spec.k}
-        ):
-            return None
-        columns = []
-        for numbers, (shape, dtype) in zip(self.numbers, _layout(self.spec)):
-            # As _column converts a field's values, which holds as well for
-            # them flat: numpy takes the same dtype from the same numbers.
-            try:
-                column = np.array(numbers)
-            except ValueError:
-                return None
-            if column.dtype.kind not in "biuf" or column.ndim != 1:
-                return None
-            columns.append(column.astype(dtype, copy=False).reshape(len(idx), *shape))
-        return columns
+def _layout_columns(text: bytes, rows: int, layout: LineLayout, spec: GenSpec, master_seed: int, expected: list) -> list | None:
+    """The columns of the ``rows`` record lines in ``text`` as ``_record_columns`` makes them, if every line matches ``layout`` and carries its ``expected`` idx and seed; else None.
+
+    What a line of the layout holds beyond its numbers, the beta, revenue
+    and label k the header fixes among them, is its literal text, which
+    ``parse_lines`` has matched.
+    """
+    numbers = parse_lines(text, rows, layout)
+    if numbers is None:
+        return None
+    floats, ints = numbers
+    idx, seeds, products = ints[:, 0], ints[:, 1], ints[:, 2:]
+    # Above 2**63 an integer is no int64: _record_columns words such a product's fault.
+    if (products >> _U63).any() or idx.tolist() != expected or not np.array_equal(seeds, _record_seeds(master_seed, expected)):
+        return None
+    shapes = dict(zip(_COLUMNS, (shape for shape, _ in _layout(spec))))
+    sizes = [math.prod(shapes[name]) for name in _FLOAT_COLUMNS]
+    # Each column a copy of its own, so that the reader can drop the parts of one once it is joined.
+    columns = dict(zip(_FLOAT_COLUMNS, (part.copy() for part in np.split(floats, np.cumsum(sizes)[:-1], axis=1))))
+    columns.update(idx=idx.astype(np.int64), blocks=products.astype(np.int64))
+    return [columns[name].reshape(rows, *shapes[name]) for name in _COLUMNS]
 
 
 def _record_columns(rows: list, line: int, spec: GenSpec, master_seed: int, expected) -> list:
@@ -1071,7 +1027,8 @@ def _reject(line: int, bad, message: str) -> None:
         raise DatasetFormatError(f"line {line + rows[0]}: {message}")
 
 
-@np.errstate(invalid="ignore")  # as on _RecordChunk._flat_columns
+# Products past int64 make a float column, whose cast falls outside the label rule's 1..n; numpy would warn.
+@np.errstate(invalid="ignore")
 def _column(values, line: int, shape: tuple, dtype, name: str) -> np.ndarray:
     """A field of records from line ``line`` on as one (N, *shape) array; errors name the first bad line.
 

@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -711,6 +712,100 @@ def test_float_cells_keep_repr_on_a_sweep():
 @example(EDGE_INTS)
 def test_int_cells_keep_str(values):
     assert cell_texts(_numtext.cells(np.empty(0), np.array(values, np.uint64))[1]) == [str(v) for v in values]
+
+
+# A layout of one float field a line, to read number tokens through the record parser.
+ONE_FLOAT = _numtext.LineLayout(["[", "]\n"], np.array([True]))
+
+
+def parsed_floats(tokens):
+    """The floats ``_numtext.parse_lines`` reads from ``tokens``, each the one number of a line."""
+    out = []
+    for start in range(0, len(tokens), 1 << 15):
+        part = tokens[start : start + (1 << 15)]
+        floats, _ = _numtext.parse_lines("".join(f"[{t}]\n" for t in part).encode(), len(part), ONE_FLOAT)
+        out.append(floats[:, 0])
+    return np.concatenate(out)
+
+
+def json_floats(tokens):
+    """What json makes of ``tokens`` in a float column: ``float`` of a float, ``float(int(...))`` of an integer."""
+    return np.array([float(int(t)) if re.fullmatch(r"-?\d+", t) else float(t) for t in tokens])
+
+
+def halfway_tokens(rng, count):
+    """Decimals exactly halfway between adjacent doubles, with at most 19 significant digits.
+
+    (2M + 1) 2**(s - 1) lies halfway between M 2**s and (M + 1) 2**s; a
+    multiple t = 5**q u of it, t odd in [2**53, 2**54), reads as
+    (u 2**(j - q)) e q.
+    """
+    tokens = []
+    for s in range(-3, 11):
+        for M in rng.integers(2**52, 2**53, count).tolist():
+            odd = 2 * M + 1
+            tokens.append(f"{odd << (s - 1)}e0" if s >= 1 else f"{odd * 5 ** (1 - s)}e-{1 - s}")
+    for q in range(24):
+        for u in rng.integers(-(-2**53 // 5**q), 2**54 // 5**q + 1, count).tolist():
+            u |= 1
+            if 2**53 < 5**q * u < 2**54:
+                tokens.append(f"{u << int(rng.integers(0, 10))}e{q}")
+    return tokens
+
+
+def test_parse_lines_reads_json_numbers_exactly():
+    # Bit for bit what json reads: Eisel-Lemire where the digits allow, float() for the rest.
+    rng = np.random.default_rng(2027)
+    bits = rng.integers(0, 2**64, 2**17, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([
+        bits[np.isfinite(bits)],
+        # The smallest subnormals and every power of 2 and of 10, with both neighbours.
+        np.arange(1, 2001, dtype=np.uint64).view(np.float64),
+        np.array(edge_floats()),
+        rng.uniform(0, 50, 2**15),
+    ])
+    tokens = [repr(v) for v in values.tolist()]
+    tokens += halfway_tokens(rng, 400)
+    # Random 19-digit decimals at random exponents, both signs, in every exponent form.
+    digits = rng.integers(10**18, 10**19, 2**15, dtype=np.uint64).tolist()
+    exponents = rng.integers(-360, 330, 2**15).tolist()
+    forms = ["{}e{}", "{}E{}", "-{}e{}", "{}.{}e{}"]
+    for i, (d, e) in enumerate(zip(digits, exponents)):
+        form = forms[i % len(forms)]
+        tokens.append(form.format(str(d)[:3], str(d)[3:], e) if "." in form else form.format(d, e))
+        tokens.append(f"{d}e{'+' if e >= 0 else '-'}{abs(e)}")
+    tokens += [f"{d}e-0{k}" for d, k in zip(digits[:1000], range(10))] + ["-0", "0", "-0.0", "0.0", "0e0", "-0E+00"]
+    # Integers of up to 18 digits, which json makes ints.
+    tokens += [str(v) for v in rng.integers(-(10**18) + 1, 10**18, 2**14).tolist()] + ["1", "-1", "10", "999999999999999999"]
+    assert len(tokens) > 200_000
+    assert np.array_equal(parsed_floats(tokens).view(np.uint64), json_floats(tokens).view(np.uint64))
+
+
+# A layout of an integer field and a float field a line.
+INT_AND_FLOAT = _numtext.LineLayout(["[", ",", "]\n"], np.array([False, True]))
+
+
+@pytest.mark.parametrize("token", [
+    "01", "-01", "00", "1.", ".5", "-.5", "+1", "1e", "1e+", "1E-", "--1", "1.5.5", "1e5e5", "1.e5", "1e5.5", "-",
+    "1-2", "1+", "0x1", "1_0", " 1", "1 ", "NaN", "Infinity", "-Infinity", "true", "null", '"1"', "",
+    "1234567890123456789",  # an integer past 18 digits, which numpy would not read as json's int
+])
+def test_parse_lines_refuses_a_float_field_json_reads_otherwise(token):
+    text = f"[7,1.5]\n[7,{token}]\n".encode()
+    assert _numtext.parse_lines(text, 2, INT_AND_FLOAT) is None
+
+
+@pytest.mark.parametrize("token", ["-1", "-0", "1.0", "1e0", "01", "+1", "18446744073709551616", "99999999999999999999", "100000000000000000000"])
+def test_parse_lines_refuses_an_integer_field_of_other_than_digits_below_2_64(token):
+    text = f"[7,1.5]\n[{token},1.5]\n".encode()
+    assert _numtext.parse_lines(text, 2, INT_AND_FLOAT) is None
+
+
+def test_parse_lines_reads_integer_fields_up_to_2_64():
+    tokens = ["0", "7", "18446744073709551615", "18446744073709551614", "10000000000000000000", "9999999999999999999"]
+    text = "".join(f"[{t},0.5]\n" for t in tokens).encode()
+    floats, ints = _numtext.parse_lines(text, len(tokens), INT_AND_FLOAT)
+    assert ints[:, 0].tolist() == [int(t) for t in tokens] and floats[:, 0].tolist() == [0.5] * len(tokens)
 
 
 def test_integer_revenue_terms_act_as_their_floats(tmp_path):

@@ -23,7 +23,7 @@ from assort_mnl import GenSpec, RevenueTerms, generate_dataset, read_dataset, re
 from assort_mnl import cli, generate
 from assort_mnl.bench import CaseConfig, run_case
 from assort_mnl.cli import main
-from assort_mnl.generate import _CHUNK, DatasetFormatError, generate_instance, record_seed, spec_from_dict, spec_to_dict
+from assort_mnl.generate import DatasetFormatError, generate_instance, record_seed, spec_from_dict, spec_to_dict
 
 
 def run(*argv):
@@ -397,13 +397,26 @@ class TestDatasetValidation:
         code, err = _exit_and_stderr(["train", _bad_dataset(tmp_path, case), "--out", tmp_path / "out"])
         assert (code, err) == (5, f"error [read] {_BAD_LINE_ERRORS[case]}\n")
 
-    @pytest.mark.parametrize("count", [40, _CHUNK])
-    def test_record_after_the_last_expected_idx_is_named(self, tmp_path, capsys, count):
-        # At count=_CHUNK the extra record is alone in a chunk of its own.
+    @pytest.mark.parametrize("case", [case for case in _cases(_BAD_LINES) if _BAD_LINES[getattr(case, "values", [case])[0]][0] > 1])
+    def test_bad_record_in_the_writers_layout_is_worded_as_recorded(self, tmp_path, case):
+        # Laid out as the writer lays a line, where it is JSON, so that only its fault turns its chunk from array code.
+        path = _bad_dataset(tmp_path, case)
+        lines = path.read_text().splitlines()
+        lineno = _BAD_LINES[case][0]
+        with contextlib.suppress(ValueError, RecursionError):
+            lines[lineno - 1] = json.dumps(json.loads(lines[lineno - 1]), separators=(",", ":"))
+        path.write_text("\n".join(lines) + "\n")
+        code, err = _exit_and_stderr(["train", path, "--out", tmp_path / "out"])
+        assert (code, err) == (5, f"error [read] {_BAD_LINE_ERRORS[case]}\n")
+
+    @pytest.mark.parametrize("count", [40, 256])
+    def test_record_after_the_last_expected_idx_is_named(self, tmp_path, capsys, monkeypatch, count):
+        # Chunks of the bytes of the count records: the extra record is alone in a chunk of its own.
         run("gen", "--n", 2, "--count", count, "--seed", 5, "--out", tmp_path)
         path = tmp_path / "dataset.jsonl"
         lines = path.read_text().splitlines()
         assert len(lines) == count + 1
+        monkeypatch.setattr(generate, "_CHUNK_BYTES", sum(len(line) + 1 for line in lines[1:]))
         record = json.loads(lines[-1])
         record.update(idx=count, seed=record_seed(5, count))
         path.write_text("\n".join(lines + [json.dumps(record)]) + "\n")
@@ -445,7 +458,7 @@ class TestDatasetValidation:
             lines[lineno - 1] = json.dumps(record)
         dataset.write_text("\n".join(lines) + "\n")
         if path == "worded":
-            monkeypatch.setattr(generate._RecordChunk, "_flat_columns", lambda self, expected: None)
+            monkeypatch.setattr(generate, "_layout_columns", lambda *args: None)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, err = _exit_and_stderr(["train", dataset, "--out", tmp_path / "out"])
@@ -1069,23 +1082,21 @@ class TestRecordLineMutations:
 
 
 def _chunk_both_ways(lines: list[bytes]):
-    """The columns that the reader's fast checks and the worded ones make of a dataset's ``lines``, as one chunk.
+    """The columns that the reader's array path and its worded checks make of a dataset's ``lines``, as one chunk.
 
-    Each is None where its checks refuse the records, and the pair is None
-    where ``_RecordChunk.add`` refuses a line, as both ways do.
+    Each is None where its checks refuse the records; the worded checks
+    also refuse a line that is not a JSON record object.
     """
     header = json.loads(lines[0])
     spec, master_seed, expected = spec_from_dict(header["spec"]), header["master_seed"], list(range(header["count"]))
-    chunk = generate._RecordChunk(spec, master_seed, iter(expected))
+    records = lines[1:]
+    layout = generate.LineLayout(*generate._line_template(spec))
+    text = b"".join(line + b"\n" for line in records)
+    fast = generate._layout_columns(text, len(records), layout, spec, master_seed, expected[: len(records)])
     try:
-        for lineno, line in enumerate(lines[1:], start=2):
-            chunk.add(line, lineno)
-    except DatasetFormatError:
-        return None
-    fast = chunk._flat_columns(expected[: len(chunk.lines)]) if chunk.flat else None
-    records = [generate._RECORD_VALUES(json.loads(line)) for line in chunk.lines]
-    try:
-        worded = generate._record_columns(records, 2, spec, master_seed, iter(expected))
+        rows = [generate._fields(generate._load_json(line, "line"), generate._RECORD_KEYS, "line", "record")
+                for line in records]
+        worded = generate._record_columns(rows, 2, spec, master_seed, iter(expected))
     except DatasetFormatError:
         worded = None
     return fast, worded
@@ -1109,7 +1120,9 @@ class TestFlatRecordChecks:
         assert fast is not None and _same_columns(fast, worded)
 
     # Half the lines break as TestRecordLineMutations breaks them, half get a
-    # JSON number in place of a number, which more often keeps to the fast checks.
+    # JSON number in place of a number, which more often keeps to the fast
+    # checks.  A line whose values are broken is laid out as the writer lays
+    # it, so that only its values can turn the chunk from the array path.
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(lineno=st.integers(2, 41), **{**_BREAKS, "kind": st.just("number") | _BREAKS["kind"]})
     def test_fast_checks_accept_only_what_the_worded_checks_accept(self, valid_dataset, lineno, kind, choice, data):
@@ -1119,13 +1132,33 @@ class TestFlatRecordChecks:
             leaves = [path for path in _value_paths(record) if not isinstance(_at(record, path), (list, dict))]
             *parents, key = data.draw(st.sampled_from(leaves))
             _at(record, parents)[key] = data.draw(_NUMBERS)
-            lines[lineno - 1] = json.dumps(record).encode()
+            lines[lineno - 1] = json.dumps(record, separators=(",", ":")).encode()
         else:
             lines = _broken_lines(valid_dataset[0], lineno, kind, choice, data)
-        both = _chunk_both_ways(b"\n".join(lines).split(b"\n"))
-        if both is not None and both[0] is not None:
-            fast, worded = both
+            if kind in _VALUE_KINDS:
+                lines[lineno - 1] = json.dumps(json.loads(lines[lineno - 1]), separators=(",", ":")).encode()
+        fast, worded = _chunk_both_ways(b"\n".join(lines).split(b"\n"))
+        if fast is not None:
             assert worded is not None and _same_columns(fast, worded)
+
+    # Any finite float, or an integer of up to 18 digits, in a float field of
+    # a line laid out as the writer lays it: the array path reads the chunk,
+    # to the worded checks' columns.
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(lineno=st.integers(2, 41), data=st.data(),
+           number=st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(10**18) + 1, 10**18 - 1))
+    def test_array_path_reads_any_number_in_a_float_field(self, valid_dataset, lineno, data, number):
+        lines = [line.encode() for line in valid_dataset[0]]
+        record = json.loads(lines[lineno - 1])
+        key = data.draw(st.sampled_from(["y", "alpha", "F", "lambda", "q", "r_a"]))
+        if key == "r_a":
+            record[key] = number
+        else:
+            holder = record[key][data.draw(st.integers(0, len(record[key]) - 1))] if key in ("y", "alpha", "q") else record[key]
+            holder[data.draw(st.integers(0, len(holder) - 1))] = number
+        lines[lineno - 1] = json.dumps(record, separators=(",", ":")).encode()
+        fast, worded = _chunk_both_ways(lines)
+        assert fast is not None and _same_columns(fast, worded)
 
 
 @pytest.fixture(scope="module")

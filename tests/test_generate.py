@@ -4,6 +4,9 @@ import dataclasses
 import functools
 import gc
 import hashlib
+import json
+import re
+import tracemalloc
 import warnings
 from itertools import combinations
 
@@ -25,7 +28,7 @@ from assort_mnl import (
 )
 from assort_mnl import generate
 from assort_mnl.core import PER_SEGMENT, SHARED
-from assort_mnl.generate import _CHUNK, DOLLAR_SCALE, UNIT_SCALE, _record_seeds
+from assort_mnl.generate import DOLLAR_SCALE, UNIT_SCALE, _record_seeds
 
 
 class TestGenSpec:
@@ -469,15 +472,16 @@ class TestDatasetRoundTrip:
             read_dataset(path)
 
     @pytest.mark.parametrize("lineno", [257, 258, 601])
-    def test_bad_line_in_a_later_chunk_is_named(self, tmp_path, lineno):
-        # Records become arrays 256 at a time: lines 2-257, 258-513, 514-601.
+    def test_bad_line_in_a_later_chunk_is_named(self, tmp_path, monkeypatch, lineno):
+        # Chunks of the bytes of 256 records: lines 2-257, 258 to about 513, and the rest up to 601.
         import json
 
         data = generate_dataset(GenSpec(n=2, m=1), count=600, master_seed=8)
         path = tmp_path / "data.jsonl"
         write_dataset(data, path)
-        assert read_dataset(path) == data
         lines = path.read_text().splitlines()
+        monkeypatch.setattr(generate, "_CHUNK_BYTES", sum(len(line) + 1 for line in lines[1:257]))
+        assert read_dataset(path) == data
         record = json.loads(lines[lineno - 1])
         record["q"][0][0] = 1.5
         lines[lineno - 1] = json.dumps(record)
@@ -485,18 +489,20 @@ class TestDatasetRoundTrip:
         with pytest.raises(DatasetFormatError, match=f"line {lineno}: q"):
             read_dataset(path)
 
-    @pytest.mark.parametrize("count", [_CHUNK, 2 * _CHUNK])
-    def test_whole_chunks_round_trip(self, tmp_path, count):
-        # The reader then ends on an empty chunk.
+    @pytest.mark.parametrize("count", [256, 512])
+    def test_whole_chunks_round_trip(self, tmp_path, monkeypatch, count):
+        # Chunks of the bytes of the first 256 records: the last chunk ends with the file.
         data = generate_dataset(GenSpec(n=2, m=1), count=count, master_seed=8)
         assert len(data) == count
         path = tmp_path / "data.jsonl"
         write_dataset(data, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        monkeypatch.setattr(generate, "_CHUNK_BYTES", sum(map(len, lines[1:257])))
         assert read_dataset(path) == data
 
     def test_read_runs_no_cyclic_collection(self, tmp_path):
-        # Each record line is flattened into lists of numbers as it is read,
-        # so no parsed container outlives its line for the collector to scan.
+        # The writer's lines are read in array code, which leaves the
+        # collector no parsed container to scan.
         path = tmp_path / "data.jsonl"
         data = generate_dataset(GenSpec(n=10, m=2, k=1, mode=PER_SEGMENT), count=2000, master_seed=1729)
         write_dataset(data, path)
@@ -579,3 +585,94 @@ class TestDatasetRoundTrip:
         path.write_text("")
         with pytest.raises(DatasetFormatError, match="line 1"):
             read_dataset(path)
+
+
+def _relaid(line: bytes) -> bytes:
+    """A record line laid out again by ``json.dumps`` with its default separators."""
+    return json.dumps(json.loads(line)).encode() + b"\n"
+
+
+def _keys_reversed(line: bytes) -> bytes:
+    record = json.loads(line)
+    return json.dumps(dict(reversed(record.items())), separators=(",", ":")).encode() + b"\n"
+
+
+def _whole_F_as_integers(line: bytes) -> bytes:
+    record = json.loads(line)
+    record["F"] = [int(f) for f in record["F"]]
+    return json.dumps(record, separators=(",", ":")).encode() + b"\n"
+
+
+# Record line layouts other than the writer's, which json reads to the same values.
+_FOREIGN_LAYOUTS = {
+    "json-default-separators": _relaid,
+    "keys-reversed": _keys_reversed,
+    "crlf": lambda line: line[:-1] + b"\r\n",
+    "upper-case-exponents": lambda line: re.sub(rb"(\d)e([-+]\d)", rb"\1E\2", line),
+    "integers-in-float-fields": _whole_F_as_integers,
+}
+
+
+class TestRecordLayouts:
+    """A file reads the same whatever the layout of its record lines; the writer's layout is read in array code."""
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        # Dollar f_mode gives whole F; the learn_io shape gives floats in exponent form.
+        data = generate_dataset(GenSpec(n=10, m=2, k=1, mode=PER_SEGMENT, f_mode=DOLLAR_SCALE), 200, 3)
+        path = tmp_path_factory.mktemp("layouts") / "data.jsonl"
+        write_dataset(data, path)
+        return data, path.read_bytes().splitlines(keepends=True)
+
+    @staticmethod
+    def read(tmp_path, lines):
+        path = tmp_path / "relaid.jsonl"
+        path.write_bytes(b"".join(lines))
+        return read_dataset(path)
+
+    def test_the_writers_lines_never_reach_json(self, tmp_path, monkeypatch, written):
+        data, lines = written
+        calls = []
+        monkeypatch.setattr(generate, "_load_json", lambda *args: calls.append(args[1]) or generate.json.loads(args[0]))
+        assert self.read(tmp_path, lines) == data
+        assert calls == ["line 1"]
+
+    @pytest.mark.parametrize("layout", sorted(_FOREIGN_LAYOUTS))
+    def test_a_foreign_layout_reads_as_the_writers(self, tmp_path, written, layout):
+        data, lines = written
+        relaid = [lines[0]] + [_FOREIGN_LAYOUTS[layout](line) for line in lines[1:]]
+        assert relaid[1:] != lines[1:]
+        assert self.read(tmp_path, relaid) == data
+
+    def test_a_missing_final_newline_reads_as_the_writers(self, tmp_path, written):
+        data, lines = written
+        assert self.read(tmp_path, [*lines[:-1], lines[-1].rstrip(b"\n")]) == data
+
+    def test_chunks_alternating_layouts_read_as_the_writers(self, tmp_path, monkeypatch, written):
+        # Runs of 10 records, every other one laid out by json.dumps, read in chunks of about 3.
+        data, lines = written
+        monkeypatch.setattr(generate, "_CHUNK_BYTES", 3 * len(lines[1]))
+        relaid = [lines[0]] + [_relaid(line) if t // 10 % 2 else line for t, line in enumerate(lines[1:])]
+        calls = []
+        monkeypatch.setattr(generate, "_load_json", lambda *args: calls.append(args[1]) or generate.json.loads(args[0]))
+        assert self.read(tmp_path, relaid) == data
+        assert 1 < len(calls) < len(lines)
+
+
+def test_read_allocates_little_beyond_the_columns(tmp_path):
+    # A reader that parses every line with json allocates at most 1.39 MB
+    # above these 1.22 MB of columns (2.60 MB in all, numpy 2.4): the bound
+    # holds the temporaries of a chunk of the array reader below that.
+    data = generate_dataset(GenSpec(n=10, m=2, k=1, mode=PER_SEGMENT), 2000, 1)
+    path = tmp_path / "data.jsonl"
+    write_dataset(data, path)
+    read_dataset(path)
+    tracemalloc.start()
+    try:
+        read = read_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(getattr(read, name).nbytes for name in generate._COLUMNS)
+    assert read == data
+    assert peak - columns < 1.39e6, (peak, columns)

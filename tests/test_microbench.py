@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from assort_mnl._numtext import FLOAT_CELL, float_cells
+from assort_mnl._numtext import FLOAT_CELL, LineLayout, float_cells, parse_lines
 from assort_mnl.bench import DEFAULT_MASTER_SEED, PRESET_NAMES, preset, run_case, split_dataset
 from assort_mnl.core import DEFAULT_MAX_ITER, DEFAULT_TOL, ONE_START, PER_SEGMENT, SHARED, _solve_stack, solve_fixed_point
 from assort_mnl.generate import GenSpec, _draw, generate_dataset, generate_instance, read_dataset, record_seed, write_dataset
@@ -117,15 +117,37 @@ def test_float_cells(benchmark, count):
     assert benchmark(float_cells, values).shape == (FLOAT_CELL, count)
 
 
+@pytest.mark.parametrize("count", [2560, 8192])
+def test_parse_float_tokens(benchmark, count):
+    # The reader's kernel on the floats of test_float_cells, 64 a line.
+    data = generate_dataset(SPEC, 500, DEFAULT_MASTER_SEED)
+    values = np.resize(np.concatenate([data.y.ravel(), data.alpha.ravel(), data.q.ravel(), data.r_a]), count)
+    layout = LineLayout(["["] + [","] * 63 + ["]\n"], np.ones(64, bool))
+    text = "".join("[" + ",".join(map(repr, row)) + "]\n" for row in values.reshape(-1, 64).tolist()).encode()
+    floats, _ = benchmark(parse_lines, text, count // 64, layout)
+    assert np.array_equal(floats.ravel(), values)
+
+
 def test_read_dataset_of_2000_records(benchmark, tmp_path):
     path = tmp_path / "dataset.jsonl"
     write_dataset(generate_dataset(LEARN_IO_SPEC, 2000, DEFAULT_MASTER_SEED), path)
     assert len(benchmark(read_dataset, path)) == 2000
 
 
+def test_read_dataset_of_2000_records_in_a_foreign_layout(benchmark, tmp_path):
+    # Laid out by json.dumps with its default separators, which the reader
+    # parses line by line with json and checks field by field.
+    path = tmp_path / "dataset.jsonl"
+    write_dataset(generate_dataset(LEARN_IO_SPEC, 2000, DEFAULT_MASTER_SEED), path)
+    header, *lines = path.read_bytes().splitlines()
+    path.write_bytes(b"\n".join([header, *(json.dumps(json.loads(line)).encode() for line in lines)]) + b"\n")
+    assert len(benchmark(read_dataset, path)) == 2000
+
+
 def test_parse_2000_record_lines_with_json_alone(benchmark, tmp_path):
-    # The floor under test_read_dataset_of_2000_records: what json takes of
-    # the same lines, each parsed and dropped, without the reader's checks.
+    # The floor of the reader's worded path, which a file laid out other
+    # than as the writer lays it takes: what json takes of the writer's
+    # lines, each parsed and dropped, without the reader's checks.
     path = tmp_path / "dataset.jsonl"
     write_dataset(generate_dataset(LEARN_IO_SPEC, 2000, DEFAULT_MASTER_SEED), path)
     lines = path.read_bytes().splitlines()[1:]
