@@ -2,7 +2,8 @@
 
 A case ties a generation recipe to a train/test split and produces three
 artifacts in its output directory: the labeled dataset (JSON Lines), the
-fitted model (JSON), and a case report (``json.dumps(doc, indent=2)``, as
+fitted model (JSON), and a case report (the bytes of
+``json.dumps(doc, indent=2)``, written by ``generate._indented_json``, as
 are eval reports).  A report exists only as that JSON document: the dict
 :func:`run_case` builds, writes and returns, which :func:`compare_runs`
 reads as it reads a report file.  Reports echo their full configuration,
@@ -18,7 +19,6 @@ instances drawn.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -31,6 +31,7 @@ from .generate import (
     GenSpec,
     LabeledDataset,
     _fields,
+    _indented_json,
     _temporary_name,
     _write_atomic,
     generate_dataset,
@@ -288,7 +289,7 @@ def run_case(config: CaseConfig) -> dict:
             },
             "durations_s": durations,
         }
-        _write_atomic(report_path, [(json.dumps(doc, indent=2) + "\n").encode()])
+        _write_atomic(report_path, [(_indented_json(doc) + "\n").encode()])
     except OSError as e:
         for p in written:
             p.unlink(missing_ok=True)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -56,6 +55,7 @@ from .generate import (
     UNIT_SCALE,
     DatasetFormatError,
     GenSpec,
+    _indented_json,
     _load_json,
     _write_atomic,
     generate_dataset,
@@ -126,7 +126,7 @@ def _out_dir(args) -> Path:
 
 def _emit(args, doc: dict, summary_lines) -> None:
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        print(_indented_json(doc))
     else:
         for line in summary_lines:
             print(line)
@@ -190,7 +190,7 @@ def _cmd_eval(args) -> int:
     out_path = None
     if args.out is not None:
         out_path = _out_dir(args) / "report.json"
-        _write_atomic(out_path, [(json.dumps(doc, indent=2) + "\n").encode()])
+        _write_atomic(out_path, [(_indented_json(doc) + "\n").encode()])
     mean_prl = "n/a" if report.mean_prl_percent is None else f"{report.mean_prl_percent:.2f}%"
     lines = [
         f"test examples:   {report.test_count}",

@@ -29,9 +29,10 @@ arrays when built, and a solve checks once, before its loop, that the
 utilities at the all-ones matrix are finite, which bounds those of every
 iterate; the loop itself checks nothing.  From the zero start this is
 stricter than checking each pass only when ``V(1)`` overflows, near
-1e308.  The loop tests convergence once per block of up to 16 passes,
-and records that finish ride along in its buffers, masked out, until half
-of the stack is done (or they grow large); only then is it compacted.
+1e308.  The loop tests convergence once per block of passes, 4 in the
+first block and up to 16 in the others, and records that finish ride
+along in its buffers, masked out, until half of the stack is done (or
+they grow large); only then is it compacted.
 
 Everything here is a pure function of its inputs: no mutation, no global
 state, safe to call concurrently.
@@ -353,10 +354,19 @@ _RIDE_LIMIT = 1 << 14
 
 # A stacked solve tests convergence once per block of up to 16 passes whose
 # history holds at most this many entries (256 KiB).  At (N, n, m) = (40,
-# 12, 1), on one Xeon core, a pass's arithmetic takes some 8 us, a test
-# after every pass some 7 us more and one test over 16 passes some 30 us;
-# larger working sets run one-pass blocks, where the test is a small share.
+# 12, 1), on one Xeon core, a pass's arithmetic takes some 4 us, a test
+# after every pass some 8 us more and one test over 4 or 16 passes some 10
+# or 16 us; larger working sets run one-pass blocks, where the test is a
+# small share.
 _BLOCK_ENTRIES = 1 << 15
+# The solve's first block runs at most this many passes, as a block runs
+# every one of its passes and most generated records stop at pass 2-4.
+_FIRST_PASSES = 4
+
+
+def _unit_mass(q, lam, out) -> np.ndarray:
+    """The support mass of one segment of weight exactly 1: ``q`` itself, as ``q * 1.0`` is ``q``."""
+    return q
 
 
 def _block_buffers(stores, like: np.ndarray) -> list[np.ndarray]:
@@ -384,19 +394,31 @@ def _solve_stack(c, alpha, lam, start: str, tol: float, max_iter: int):
     zero start it is stricter only when ``V(1)`` overflows while no
     iterate's utilities do, which takes values near 1e308.
 
-    The loop runs blocks of up to 16 passes (``_BLOCK_ENTRIES``), cut short
-    at ``max_iter``, into a history, forward and backward in turn.  One
-    test per block finds each record's first pass with a step of at most
-    ``tol``; a record finishing there stores that pass's iterate, count and
+    The loop runs blocks of passes into a history of up to 17 slabs
+    (``_BLOCK_ENTRIES``), each block cut short at ``max_iter``: first
+    ``_FIRST_PASSES`` passes, from slab 0, then forward on to the last
+    slab, and from there backward and forward in turn, so that a block
+    starts on the slab the last one ended on and nothing is copied between
+    blocks.  One test per block finds each record's first pass with a step
+    of at most ``tol``: for records of at most 16 entries, one float32 BLAS
+    count of the small steps, exact on any kernel as it sums zeros and
+    ones, and for longer ones ``all`` over the entries, which is faster
+    there.  A record finishing there stores that pass's iterate, count and
     flag, then rides along, masked out, until at most half of the working
     set is live (or the finished records hold ``_RIDE_LIMIT`` entries).
     Only then are the live records compacted, into buffers of stores
     allocated once.  Every slab, like every operand, is C-contiguous, so
     each record's bits are those of the record solved alone; with one
     segment the mass is one product, which ``multiply`` rounds as
-    ``matmul`` does.
+    ``matmul`` does, and when every weight is exactly 1 it is the slab
+    itself, as ``q * 1.0`` is ``q``.
     """
-    mass = np.multiply if c.shape[-1] == 1 else np.matmul
+    if c.shape[-1] > 1:
+        mass = np.matmul
+    elif (lam == 1.0).all():
+        mass = _unit_mass
+    else:
+        mass = np.multiply
     # Flat stores of every working set's buffers: a set of x entries takes
     # K x <= max(x, min(16 x, _BLOCK_ENTRIES)) steps a block, history K x + x.
     n_steps = max(c.size, min(16 * c.size, _BLOCK_ENTRIES))
@@ -407,43 +429,50 @@ def _solve_stack(c, alpha, lam, start: str, tol: float, max_iter: int):
     history[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         V = np.add(c, np.multiply(alpha, mass(history[0], lam_a, out=s), out=work), out=work)
-    finite = np.isfinite(V).all(axis=(1, 2))
-    if not finite.all():
-        raise _RecordFault("mean utilities must be finite", int(np.argmin(finite)))
+    if not np.isfinite(V).all():
+        raise _RecordFault("mean utilities must be finite", int(np.argmin(np.isfinite(V).all(axis=(1, 2)))))
     history[0] = float(start == ONE_START)
+    entries = c[0].size
+    # A float32 count of ones is exact in any order the BLAS kernel sums them.  It beats `all`
+    # over 2-16 entries; `all` wins over one (a copy) and over many (12.8 against 22 us at
+    # (size, records, entries) = (1, 300, 400)).
+    ones = np.ones(entries, np.float32) if 1 < entries <= 16 else None
     q, iterations, converged = np.empty(c.shape), np.full(len(c), max_iter), np.zeros(len(c), dtype=bool)
     active, live, live_count = np.arange(len(q)), np.ones(len(q), dtype=bool), len(q)
     c_a, alpha_a, at, it = c, alpha, 0, 0
     while it < max_iter:
-        # Passes it + 1 .. it + size, from slab `at` to slab `end`, with V(1) on the first pass
-        # from the one start; V sits in the first step slab until the block's steps fill it.
-        size, way = min(len(steps), max_iter - it), (1 if at == 0 else -1)
+        # Passes it + 1 .. it + size, from slab `at` to slab `end`: the solve's first block ends
+        # at slab _FIRST_PASSES, a block from the last slab runs back to slab 0 and any other
+        # forward to the last slab.  V(1) is the first pass's V from the one start; V sits in
+        # the first step slab until the block's steps fill it.
+        way = -1 if at == len(steps) else 1
+        stop = 0 if way < 0 else len(steps) if it else min(_FIRST_PASSES, len(steps))
+        size = min(way * (stop - at), max_iter - it)
         end = at + way * size
         for slab in range(at, end, way):
             if it or start != ONE_START:
-                mass(slabs[slab], lam_a, out=s)
-                V = np.add(c_a, np.multiply(alpha_a, s, out=work), out=work)
+                V = np.add(c_a, np.multiply(alpha_a, mass(slabs[slab], lam_a, out=s), out=work), out=work)
             expit(V, out=slabs[slab + way])
             it += 1
         lo, at, block = min(at, end), end, steps[:size]
         np.abs(np.subtract(history[lo + 1 : lo + size + 1], history[lo : lo + size], out=block), out=block)
         # done[j] flags the records whose step on the block's pass j + 1 is at most tol.
-        done = np.less_equal(block, tol, out=small[:size]).reshape(size, len(live), -1).all(axis=2)
+        ok = np.less_equal(block, tol, out=small[:size]).reshape(size, len(live), entries)
+        done = ok.all(axis=2) if ones is None else ok.view(np.uint8).astype(np.float32) @ ones == entries
         if way < 0:
             done = done[::-1]
-        newly = done.any(axis=0) & live
-        finished = np.count_nonzero(newly)
-        if not finished:
+        newly = np.flatnonzero(done.any(axis=0) & live)
+        if not len(newly):
             continue
-        first = done[:, newly].argmax(axis=0)
-        rows = active[newly]
-        q[rows] = history[end - way * (size - 1 - first), np.flatnonzero(newly)]
-        iterations[rows], converged[rows] = it - size + 1 + first, True
-        live &= ~newly
-        live_count -= finished
+        # Pass j + 1 of the block wrote slab lo + 1 + j going forward, lo + size - 1 - j going backward.
+        first, rows = done[:, newly].argmax(axis=0), active[newly]
+        q[rows] = history[first + (lo + 1) if way > 0 else (lo + size - 1) - first, newly]
+        iterations[rows], converged[rows] = first + (it - size + 1), True
+        live[newly] = False
+        live_count -= len(newly)
         if not live_count:
             break
-        if 2 * live_count <= len(live) or (len(live) - live_count) * c_a[0].size >= _RIDE_LIMIT:
+        if 2 * live_count <= len(live) or (len(live) - live_count) * entries >= _RIDE_LIMIT:
             active, c_a, alpha_a, lam_a = (x[live] for x in (active, c_a, alpha_a, lam_a))
             current, (history, steps, small) = history[at], _block_buffers(stores, c_a)
             history[0] = current[live]

@@ -46,6 +46,7 @@ these rules, naming the line.
 from __future__ import annotations
 
 import contextlib
+import copy
 import functools
 import hashlib
 import json
@@ -55,7 +56,7 @@ import re
 import secrets
 import sys
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import islice, zip_longest
+from itertools import chain, islice, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,7 @@ class DatasetRecord:
 
 
 _COLUMNS = ("idx", "y", "alpha", "F", "lam", "q", "blocks", "r_a")
+_IDX_RULE = "idx must increase strictly through range(count), without the excluded indices"
 # The float columns in the order a record line holds them (_line_template).
 _FLOAT_COLUMNS = ("y", "alpha", "F", "lam", "q", "r_a")
 
@@ -244,8 +246,21 @@ class LabeledDataset:
         return _record_seeds(self.master_seed, self.idx)
 
     def take(self, rows) -> "LabeledDataset":
-        """The records at ``rows`` (a slice, indices or a mask) in record order; unsorted or repeated rows raise ``ValueError``."""
-        return replace(self, **{f: getattr(self, f)[rows] for f in _COLUMNS})
+        """The records at ``rows`` (a slice, indices or a mask) in record order; unsorted or repeated rows raise ``ValueError``.
+
+        Records of a checked dataset keep every rule but the order of idx,
+        so only that rule is checked again.
+        """
+        taken = copy.copy(self)
+        for name in _COLUMNS:
+            _freeze(taken, name, getattr(self, name)[rows])
+        idx = taken.idx
+        if idx.ndim != 1:
+            raise ValueError(f"rows must pick records along one axis, got idx of shape {idx.shape}")
+        unordered = np.flatnonzero(idx[1:] <= idx[:-1])
+        if len(unordered):
+            raise _RecordFault(_IDX_RULE, int(unordered[0]) + 1, f"record {idx[unordered[0] + 1]}: ")
+        return taken
 
     @property
     def records(self) -> tuple[DatasetRecord, ...]:
@@ -291,7 +306,7 @@ def _dataset_faults(dataset: LabeledDataset):
     ok[1:] &= idx[1:] > idx[:-1]
     if excluded:
         ok &= ~np.isin(idx, excluded)
-    yield "idx must increase strictly through range(count), without the excluded indices", ok
+    yield _IDX_RULE, ok
     yield from _instance_faults(y, alpha, None, F, lam)
     M, at_M = float(spec.M), f"with the header's M={spec.M!r}"
     yield f"y must lie in [0, M] {at_M}", (y >= 0.0) & (y <= M)
@@ -725,6 +740,47 @@ def _fault_offset(data: bytes, fault: Exception) -> int:
         return int(np.cumsum(np.isin(chars, list(b"[{")).astype(int) - np.isin(chars, list(b"]}"))).argmax())
     integer = re.search(rb"(?<![\d.eE+-])-?\d{%d,}(?![\d.eE])" % (sys.get_int_max_str_digits() + 1), text)
     return integer.start() if integer else 0
+
+
+_INDENT = "  "
+# The types json writes as scalars.  A subclass of one (an IntEnum, say)
+# takes the recursive path, which writes it as json does.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """json's C encoder, its item separator starting a new line ``depth`` indents deep."""
+    return json.JSONEncoder(separators=(",\n" + _INDENT * depth, ": ")).encode
+
+
+def _indented_json(doc, depth: int = 0) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, for ``doc`` whose closing bracket sits ``depth`` indents deep.
+
+    json indents in pure Python.  Here its C encoder writes every container
+    whose items are all scalars, and a list of nonempty such dicts in one
+    call, whose item separators one ``str.replace`` then fixes: ``},`` and a
+    newline come only between those dicts, as an encoded string never
+    holds a raw newline.  Only containers of containers recurse in Python.
+    """
+    items = doc.values() if isinstance(doc, dict) else doc if isinstance(doc, (list, tuple)) else None
+    if not items:
+        return _flat_encoder(0)(doc)
+    inner, outer = "\n" + _INDENT * (depth + 1), "\n" + _INDENT * depth
+    if _SCALARS.issuperset(map(type, items)):
+        text = _flat_encoder(depth + 1)(doc)
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if isinstance(doc, dict):
+        # A key as json writes it, quoted whatever its type.
+        keys = (_flat_encoder(0)({key: 0})[1:-4] for key in doc)
+        body = (key + ": " + _indented_json(value, depth + 1) for key, value in zip(keys, items))
+        return "{" + inner + ("," + inner).join(body) + outer + "}"
+    if (set(map(type, items)) == {dict} and all(map(len, items))
+            and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, items))))):
+        deeper = inner + _INDENT
+        body = _flat_encoder(depth + 2)(doc)[2:-2].replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+        return "[" + inner + "{" + deeper + body + inner + "}" + outer + "]"
+    return "[" + inner + ("," + inner).join(_indented_json(item, depth + 1) for item in items) + outer + "]"
 
 
 # Bytes of record lines read at a time: bounds the memory the reader holds

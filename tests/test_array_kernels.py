@@ -42,6 +42,7 @@ from assort_mnl.core import (
     _utility,
     solve_fixed_point,
 )
+from assort_mnl.bench import DEFAULT_MASTER_SEED, preset
 from assort_mnl.generate import (
     _COLUMNS,
     _record_seeds,
@@ -360,18 +361,44 @@ def test_solve_matches_the_loop_through_compactions_and_the_cap(monkeypatch, sta
 
 
 @pytest.mark.parametrize("block_entries", [core._BLOCK_ENTRIES, 1])
-@pytest.mark.parametrize("max_iter", [1, 2, 13, 17])
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 4, 5, 13, 16, 17, 20])
 @pytest.mark.parametrize("start", [ONE_START, ZERO_START])
 def test_solve_matches_the_loop_at_caps_that_end_mid_block(monkeypatch, start, max_iter, block_entries):
-    # The default budget gives this stack blocks of 16 passes, so each cap
-    # cuts a block short.  Under caps 13 and 17 some records finish inside
-    # the block and the rest stop at the cap.
+    # The default budget gives this stack blocks of passes 1-4, 5-16 and
+    # 17-32, so caps 4 and 16 end a block and the others cut one short.
+    # Under caps of 13 and more some records finish inside a block and the
+    # rest stop at the cap.
     monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
     batch, expected = tangent_solves(start, max_iter)
     assert block_entries == 1 or block_entries // stacked(batch)[0].size >= 16
     converged = [c for *_, c in expected]
     assert max_iter < 13 or (any(converged) and not all(converged))
     assert_solves_match(_solve_stack(*stacked(batch), start, DEFAULT_TOL, max_iter), expected)
+
+
+def test_a_stack_that_converges_at_pass_2_stops_after_the_first_block(monkeypatch):
+    # Without network effects a record's second pass repeats its first, so
+    # the solve of case1p2's records needs its first block of 4 passes and
+    # no more; a block of 16 would call expit 16 times.
+    calls = []
+    monkeypatch.setattr(core, "expit", lambda *args, **kwargs: calls.append(1) or expit(*args, **kwargs))
+    y, alpha, F, lam = generate._draw(preset("case1p2").spec, _record_seeds(DEFAULT_MASTER_SEED, np.arange(500)))
+    _, iterations, converged = _solve_stack(y - F[..., None], alpha, lam, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert converged.all() and iterations.max() == 2
+    assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("weight", [1.0, 1.0 - 2.0**-53])
+def test_one_segment_of_weight_one_is_its_own_mass(monkeypatch, weight):
+    # The slab is the mass only when every weight is exactly 1; one record
+    # of weight 1 - 2**-53 sends the stack through the product.
+    batch = instances(5, 1, True, 40)
+    batch[7] = dataclasses.replace(batch[7], lam=[weight])
+    calls = []
+    monkeypatch.setattr(core, "_unit_mass", lambda q, lam, out: calls.append(1) or q)
+    expected = [loop_solve(instance, ONE_START) for instance in batch]
+    assert_solves_match(_solve_stack(*stacked(batch), ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER), expected)
+    assert bool(calls) == (weight == 1.0)
 
 
 @pytest.mark.parametrize("block_entries", [core._BLOCK_ENTRIES, 1])
@@ -712,6 +739,39 @@ def test_float_cells_keep_repr_on_a_sweep():
 @example(EDGE_INTS)
 def test_int_cells_keep_str(values):
     assert cell_texts(_numtext.cells(np.empty(0), np.array(values, np.uint64))[1]) == [str(v) for v in values]
+
+
+# Scalars in every form json writes: quotes, backslashes, newlines, text
+# other than ASCII and the separator the report writer rewrites inside
+# strings, integers past 64 bits, signed zeros, subnormal, large, infinite
+# and NaN floats, booleans and null.
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**80), 2**80),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e16, math.inf, -math.inf, math.nan]),
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\n", "\u00e9\u4e2d", "},\n  {", "},\n    {", '{"a": [1]}']),
+)
+_JSON_KEYS = st.text(max_size=4) | st.sampled_from(["idx", '"', "\n", "},\n  {"])
+_FLAT_DICTS = st.dictionaries(_JSON_KEYS, _JSON_SCALARS, min_size=1, max_size=4)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS | _FLAT_DICTS | st.lists(_FLAT_DICTS, min_size=1, max_size=4),
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(_JSON_KEYS, children, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_JSON_VALUES)
+@example({"a": [{"b": -0.0, "c": "},\n  {"}, {"d": 2**70}], "e": [[], {}, [{}], [{"f": math.nan}, 1, {}, [{"g": 1e16}]]],
+          "h": [math.inf, 5e-324, True, None, "\u00e9"], "i": {"j": {"k": []}}})
+def test_indented_json_is_json_dumps(value):
+    # The report writer runs json's C encoder on flat containers and fixes
+    # their layout; json.dumps(indent=2) indents in pure Python.
+    assert generate._indented_json(value) == json.dumps(value, indent=2)
 
 
 # A layout of one float field a line, to read number tokens through the record parser.

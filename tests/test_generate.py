@@ -367,6 +367,26 @@ def test_what_construction_and_write_let_through_reads_back(tmp_path_factory, ed
     assert read_dataset(path) == data
 
 
+def test_take_checks_only_the_order_of_idx(monkeypatch):
+    # Records of a checked dataset keep its value rules, so a take runs
+    # only the rule a subset can break; construction still runs them all.
+    data = generate_dataset(GenSpec(n=3, m=2), 20, 5)
+    monkeypatch.setattr(generate, "_dataset_faults", lambda dataset: iter([("broken", np.zeros(len(dataset), bool))]))
+    with pytest.raises(ValueError, match="broken"):
+        dataclasses.replace(data, count=data.count)
+    with pytest.raises(ValueError, match="broken"):
+        generate.LabeledDataset(data.spec, data.master_seed, data.count, *(getattr(data, f) for f in generate._COLUMNS))
+    assert data.take(slice(2, 9)).idx.tolist() == list(range(2, 9))
+    picked = data.take([1, 4, 7])
+    assert picked.idx.tolist() == [1, 4, 7] and picked.count == data.count
+    for name in generate._COLUMNS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(picked, name)[...] = 0
+    for rows, first in (([4, 1], 1), ([3, 5, 5], 5), (slice(None, None, -1), 18)):
+        with pytest.raises(ValueError, match=rf"^record {first}: idx must increase strictly"):
+            data.take(rows)
+
+
 def test_a_column_given_to_a_dataset_is_frozen(tmp_path):
     # A write through the caller's array would skip the rules that construction checked.
     data = generate_dataset(GenSpec(n=3, m=2), 20, 5)

@@ -13,7 +13,7 @@ import pytest
 from assort_mnl._numtext import FLOAT_CELL, LineLayout, float_cells, parse_lines
 from assort_mnl.bench import DEFAULT_MASTER_SEED, PRESET_NAMES, preset, run_case, split_dataset
 from assort_mnl.core import DEFAULT_MAX_ITER, DEFAULT_TOL, ONE_START, PER_SEGMENT, SHARED, _solve_stack, solve_fixed_point
-from assort_mnl.generate import GenSpec, _draw, generate_dataset, generate_instance, read_dataset, record_seed, write_dataset
+from assort_mnl.generate import GenSpec, _draw, _indented_json, generate_dataset, generate_instance, read_dataset, record_seed, write_dataset
 from assort_mnl.learner import _decode_blocks
 
 pytestmark = pytest.mark.microbench
@@ -36,6 +36,16 @@ def test_solve_stack_of_500_records(benchmark):
     stacked = solve_operands(SPEC, 500)
     _, _, converged = benchmark(_solve_stack, *stacked, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
     assert converged.all()
+
+
+def test_solve_the_preset_stacks(benchmark):
+    # The 11 solves of a presets pass, 500 records each.
+    stacks = [solve_operands(preset(name).spec, 500) for name in PRESET_NAMES]
+
+    def solve_all():
+        return [_solve_stack(*stacked, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER) for stacked in stacks]
+
+    assert all(converged.all() for _, _, converged in benchmark(solve_all))
 
 
 def test_solve_stack_of_200_records_at_n100_m4(benchmark):
@@ -170,7 +180,14 @@ def test_read_and_split_2000_records(benchmark, tmp_path):
 def test_encode_case_report(benchmark, tmp_path):
     doc = run_case(preset("case3p5", out_dir=str(tmp_path)))
     assert len(doc["evaluation"]["examples"]) == 125
-    assert benchmark(json.dumps, doc, indent=2).startswith("{\n")
+    assert benchmark(_indented_json, doc) == json.dumps(doc, indent=2)
+
+
+def test_encode_the_preset_reports(benchmark, tmp_path):
+    # The 11 reports of a presets pass.
+    docs = [run_case(preset(name, out_dir=str(tmp_path))) for name in PRESET_NAMES]
+    texts = benchmark(lambda: [_indented_json(doc) for doc in docs])
+    assert texts == [json.dumps(doc, indent=2) for doc in docs]
 
 
 def test_decode_blocks_of_10000_rows(benchmark):
