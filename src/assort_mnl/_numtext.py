@@ -52,9 +52,12 @@ _K_MIN, _K_MAX = -324, 292
 def mul_hi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The high 64 bits of the 128-bit products ``a * b`` of uint64 arrays, from 32-bit halves."""
     a0, a1, b0, b1 = a & _LOW32, a >> _U32, b & _LOW32, b >> _U32
-    p01, p10 = a0 * b1, a1 * b0
-    middle = ((a0 * b0) >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
-    return a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (middle >> _U32)
+    # The halves dropped once their products are made, so that few arrays are live.
+    middle, p01, p10 = (a0 * b0) >> _U32, a0 * b1, a1 * b0
+    high = a1 * b1
+    del a0, a1, b0, b1
+    middle += (p01 & _LOW32) + (p10 & _LOW32)
+    return high + (p01 >> _U32) + (p10 >> _U32) + (middle >> _U32)
 
 
 def _floor_log10_pow2(e):
@@ -294,12 +297,14 @@ def _eisel_lemire(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     product exactly (N. Mushtak and D. Lemire, "Fast Number Parsing Without
     Fallback", 2023), rounded to even on the exact ties, which occur only
     for q in [-4, 23].  A result below the normal doubles, or in their top
-    binade or above, is flagged, not made: its bits are garbage.
+    binade or above, is flagged, not made: its bits are garbage.  ``w`` is
+    overwritten.
     """
     # The bit length of w, from its float64's exponent: past 2**53 a float64 can round up to the next power of 2.
-    length = (w.astype(np.float64).view(np.uint64) >> np.uint64(52)) - np.uint64(1022)
-    length -= (w >> (length - _U1)) == 0
-    w = w << (_U64 - length)
+    length = np.frexp(w.astype(np.float64))[1].astype(np.uint8)
+    length -= (w >> (length - np.uint8(1))) == 0
+    w <<= 64 - length
+    power2 = ((q * 217_706) >> 16) + length + 1022
     t = q - _Q_MIN
     table_high, table_low = _pow5_table()
     t_high = table_high[t]
@@ -310,16 +315,15 @@ def _eisel_lemire(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         second = mul_hi(w[inexact], table_low[t[inexact]])
         low[inexact] += second
         high[inexact] += low[inexact] < second
-    upper = high >> _U63
-    shift = upper + np.uint64(9)
-    mantissa = high >> shift
+    upper = (high >> _U63).astype(np.uint8)
+    mantissa = high >> (upper + np.uint8(9))
     # A tie between two doubles drops only zero bits, which only q in [-4, 23] can give: round it to even.
     tie = np.flatnonzero(low <= _U1)
-    tie = tie[(q[tie] >= -4) & (q[tie] <= 23) & ((mantissa[tie] & np.uint64(3)) == _U1) & ((mantissa[tie] << shift[tie]) == high[tie])]
+    tie = tie[(q[tie] >= -4) & (q[tie] <= 23) & ((mantissa[tie] & np.uint64(3)) == _U1) & ((mantissa[tie] << (upper[tie] + np.uint8(9))) == high[tie])]
     mantissa[tie] &= ~_U1
     # In [2**52, 2**53] once rounded: 2**53 carries into the exponent as the sum below does.
     mantissa = (mantissa + (mantissa & _U1)) >> _U1
-    power2 = ((q * 217_706) >> 16) + (upper.astype(np.int64) + length.astype(np.int64) + 1022)
+    power2 += upper
     # A power of 2045 and a carry make 2046, the largest finite; 2046 may carry to infinity.
     abnormal = (power2 < 1) | (power2 > 2045)
     return mantissa + ((power2 - 1).astype(np.uint64) << np.uint64(52)), abnormal
@@ -333,10 +337,14 @@ _DIGIT, _POINT, _EXP, _SIGN, _SEP, _OTHER = range(6)
 _CLASSES = np.full(256, _OTHER, np.uint8)
 _CLASSES[list(b"0123456789")], _CLASSES[list(b".")], _CLASSES[list(b"eE")], _CLASSES[list(b"+-")] = _DIGIT, _POINT, _EXP, _SIGN
 _CLASSES[list(_SEPARATORS.encode())] = _SEP
+# bytes.translate tables of each byte's class, and of 1, read as a bool, for the bytes a scan marks (separators
+# and a number's other characters) or for the other bytes that are not digits (letters, quotes, spaces).
+_CLASS_OF, _MARKED, _OTHERS = (table.tobytes() for table in (_CLASSES, (_CLASSES != _DIGIT) & (_CLASSES != _OTHER), _CLASSES == _OTHER))
 # parse_lines reads a mantissa's digits in a row of this many bytes, which ends with it.
 _ROW = 24
-_PAD = b"0" * _ROW
-_VOID = {width: np.dtype(f"V{width}") for width in (4, _ROW)}
+# What parse_lines puts before the lines, so that every number has a row's bytes before its end.
+PAD = b"0" * _ROW
+_VOID = {width: np.dtype(f"V{width}") for width in (4, 8, _ROW)}
 _ASCII_ZERO = np.uint8(ord("0"))
 # Lemire's eight-digit SWAR constants: pairs at bytes 0 and 4 times 100 and 10**6, at 2 and 6 times 1 and 10**4.
 _PAIRS = np.uint64(0x000000FF000000FF)
@@ -344,6 +352,8 @@ _PAIR_MUL = np.uint64(100 + (10**6 << 32)), np.uint64(1 + (10**4 << 32))
 _U8, _U16, _U255 = np.uint64(8), np.uint64(16), np.uint64(255)
 _E8, _E16 = np.uint64(10**8), np.uint64(10**16)
 _SIGN_BIT = np.uint64(1 << 63)
+# The powers of ten that are doubles exactly, 10**0 to 10**22.
+_EXACT_POW10 = np.array([float(10**k) for k in range(23)])
 
 
 class LineLayout:
@@ -373,20 +383,24 @@ class LineLayout:
         if field != "" or separators[-1] != ord("\n"):
             raise ValueError("a line must end with its newline")
         number = np.array([field is None for field in fields])
-        text = [field or "" for field in fields]
+        text = [(field or "").encode() for field in fields]
         self.separators = np.array(separators, np.uint8)
         self.is_float = np.asarray(is_float, bool)
         self.numbers = np.flatnonzero(number)
         # The slot of the number in each field, -1 for literal text.
-        self.slot = np.full(len(fields), -1)
+        self.slot = np.full(len(fields), -1, np.int32)
         self.slot[self.numbers] = np.arange(len(self.numbers))
         self.literals = np.flatnonzero(~number)
-        self.literal_sizes = np.array([len(text[f]) for f in self.literals], np.int64)
-        # The literal text, character by character: its field and its place in it.
-        self.text = np.frombuffer("".join(text).encode(), np.uint8)
-        self.text_fields = np.repeat(np.arange(len(fields)), [len(t) for t in text])
-        self.text_places = np.concatenate([np.arange(len(t)) for t in text])
-        self.others = int(np.count_nonzero(_CLASSES[self.text] == _OTHER))
+        self.literal_sizes = np.array([len(text[f]) for f in self.literals], np.int32)
+        # The literal text as little-endian words: the k-th of a field is the
+        # 8 bytes that end 8k bytes before its separator, masked to the field.
+        pieces = [(f, back + 8, text[f][max(len(text[f]) - back - 8, 0) : len(text[f]) - back])
+                  for f in self.literals for back in range(0, len(text[f]), 8)]
+        fields_of, backs, words = zip(*pieces) if pieces else ((), (), ())
+        self.piece_fields, self.piece_backs = np.array(fields_of, np.int64), np.array(backs, np.int32)
+        self.piece_text, self.piece_masks = (np.array([int.from_bytes(w.rjust(8, b"\0"), "little") for w in ws], np.uint64)
+                                             for ws in (words, [b"\xff" * len(w) for w in words]))
+        self.others = int(np.count_nonzero(_CLASSES[np.frombuffer(b"".join(text), np.uint8)] == _OTHER))
 
 
 def _windows(buf: np.ndarray, width: int) -> np.ndarray:
@@ -394,57 +408,59 @@ def _windows(buf: np.ndarray, width: int) -> np.ndarray:
     return np.ndarray((len(buf) - width + 1,), _VOID[width], buf, strides=(1,))
 
 
-def _number_fields(buf: np.ndarray, rows: int, layout: LineLayout):
-    """The start and size of each number of ``rows`` lines in ``buf``, and the place, class and number of each character in them that is not a digit; None where a line's separators or literal text are not ``layout``'s.
+def _number_fields(text, buf: np.ndarray, rows: int, layout: LineLayout):
+    """The start and size of each number of ``rows`` lines in ``buf``, and the place, class and number of each point, exponent mark and sign in them; None where a line's separators or literal text are not ``layout``'s.
 
-    ``buf`` begins with ``_ROW`` bytes of padding.  One scan finds the bytes
-    that are not digits.  The separators among them cut the lines into
-    fields; the literal ones are checked character for character, so that
-    what else a number field holds shows in the marks returned.
+    ``buf`` is ``text`` as bytes, which begins with ``PAD``.  One scan marks
+    the separators and the other characters of a number; the separators cut
+    the lines into fields, and the literal ones are checked 8 bytes at a
+    time.  The other bytes that are not digits are counted, not marked: as
+    many as the literal text holds leave none for a number field.  Places
+    are int32 where they fit, as the temporaries bound a reader's memory.
     """
     fields, slots = len(layout.separators), len(layout.is_float)
-    marks = np.flatnonzero((buf - _ASCII_ZERO) > 9)
-    kinds = np.take(_CLASSES, buf[marks])
-    if np.count_nonzero(kinds == _OTHER) != rows * layout.others:
+    if np.count_nonzero(np.frombuffer(text.translate(_OTHERS), bool)) != rows * layout.others:
         return None
-    # The separators, points, exponent marks and signs: the others lie in literal text, checked below.
-    keep = kinds != _OTHER
-    marks, kinds = marks[keep], kinds[keep]
-    separator_at = np.flatnonzero(kinds == _SEP)
-    if len(separator_at) != rows * fields:
+    marks = np.flatnonzero(np.frombuffer(text.translate(_MARKED), bool))
+    chars = buf[marks]
+    marks = marks.astype(np.int32 if len(buf) < 2**31 else np.int64)
+    kinds = np.frombuffer(chars.tobytes().translate(_CLASS_OF), np.uint8)
+    is_sep = kinds == _SEP
+    separators = np.compress(is_sep, marks)
+    if len(separators) != rows * fields or (np.compress(is_sep, chars).reshape(rows, fields) != layout.separators).any():
         return None
-    separators = marks[separator_at]
-    if (buf[separators].reshape(rows, fields) != layout.separators).any():
-        return None
-    starts = np.empty_like(separators)
-    starts[0], starts[1:] = _ROW, separators[:-1] + 1
-    sizes = np.subtract(separators, starts, out=separators).reshape(rows, fields)
-    starts = starts.reshape(rows, fields)
+    # A field ends at its separator and begins after the one before it.
+    ends = separators.reshape(rows, fields)
+    sizes = np.diff(separators, prepend=separators.dtype.type(_ROW - 1)).reshape(rows, fields)
+    sizes -= 1
     if (sizes[:, layout.literals] != layout.literal_sizes).any():
         return None
-    places = starts[:, layout.text_fields]
-    places += layout.text_places
-    if (buf[places] != layout.text).any():
+    words = _windows(buf, 8)[ends[:, layout.piece_fields] - layout.piece_backs].view(np.uint64)
+    if ((words ^ layout.piece_text) & layout.piece_masks).any():
         return None
-    del places
+    size = sizes[:, layout.numbers].ravel()
+    start = ends[:, layout.numbers].ravel() - size
+    del words, ends, separators, sizes
     # The field of the k-th point, exponent mark or sign at j: the j - k separators before it.
-    special = np.flatnonzero(kinds < _SEP)
-    field = special - np.arange(len(special))
-    token = np.where(layout.slot < 0, -1, np.arange(0, rows * slots, slots)[:, None] + layout.slot).ravel()[field]
+    special = np.flatnonzero(~is_sep)
+    at, kinds = marks[special], kinds[special]
+    del marks, is_sep
+    special -= np.arange(len(special))
+    token = np.where(layout.slot < 0, -1, np.arange(0, rows * slots, slots, dtype=at.dtype)[:, None] + layout.slot).ravel()[special]
     inside = np.flatnonzero(token >= 0)
-    special = special[inside]
-    return starts[:, layout.numbers].ravel(), sizes[:, layout.numbers].ravel(), marks[special], kinds[special], token[inside]
+    return start, size, at[inside], kinds[inside], token[inside].astype(np.intp)
 
 
-def _first_at(token: np.ndarray, offset: np.ndarray, count: int) -> np.ndarray | None:
-    """Each of ``count`` tokens' ``offset`` given at it, -1 where none is; None where one has two.
+def _first_at(token: np.ndarray, offset: np.ndarray, which: np.ndarray, count: int) -> np.ndarray | None:
+    """Each of ``count`` tokens' ``offset`` at the characters ``which`` marks, -1 where none is; None where one has two.
 
     ``token`` is nondecreasing, as the characters' places are.
     """
+    token = token[which]
     if (token[1:] == token[:-1]).any():
         return None
-    out = np.full(count, -1, np.int64)
-    out[token] = offset
+    out = np.full(count, -1, offset.dtype)
+    out[token] = offset[which]
     return out
 
 
@@ -459,8 +475,8 @@ def _grammar(buf, start, size, at, kinds, token, in_float_slot):
     """
     count = len(start)
     offset = at - start[token]
-    point = _first_at(token[kinds == _POINT], offset[kinds == _POINT], count)
-    exp = _first_at(token[kinds == _EXP], offset[kinds == _EXP], count)
+    point = _first_at(token, offset, kinds == _POINT, count)
+    exp = _first_at(token, offset, kinds == _EXP, count)
     if point is None or exp is None:
         return None
     signs = kinds == _SIGN
@@ -469,10 +485,10 @@ def _grammar(buf, start, size, at, kinds, token, in_float_slot):
     of_exp = (offset == exp[token] + 1) & (exp[token] >= 0)
     if not (leading | of_exp).all():
         return None
-    negative, exp_negative, signed = np.zeros(count, bool), np.zeros(count, bool), np.zeros(count, np.int64)
+    negative, exp_negative, signed = np.zeros(count, bool), np.zeros(count, bool), np.zeros(count, bool)
     negative[token[leading]] = True
     exp_negative[token[of_exp]] = char[of_exp] == ord("-")
-    signed[token[of_exp]] = 1
+    signed[token[of_exp]] = True
     has_point, has_exp = point >= 0, exp >= 0
     end = np.where(has_exp, exp, size)
     point_places = np.where(has_point, end - point, 0)
@@ -494,7 +510,7 @@ def _parse_eight(words: np.ndarray) -> np.ndarray:
     pairs = words >> _U8
     words *= _U10
     words += pairs
-    pairs = words >> _U16
+    np.right_shift(words, _U16, out=pairs)
     pairs &= _PAIRS
     pairs *= _PAIR_MUL[1]
     words &= _PAIRS
@@ -504,97 +520,125 @@ def _parse_eight(words: np.ndarray) -> np.ndarray:
     return words
 
 
-def parse_lines(text: bytes, rows: int, layout: LineLayout) -> tuple[np.ndarray, np.ndarray] | None:
-    """The numbers of the ``rows`` lines of ``text`` laid out as ``layout`` lays them: floats (rows, floats) as ``json.loads`` reads them, and the nonnegative integers below 2**64 as uint64; None where any line differs.
+def parse_lines(text, rows: int, layout: LineLayout) -> tuple[np.ndarray, np.ndarray] | None:
+    """The numbers of the ``rows`` lines of ``text`` after ``PAD`` laid out as ``layout`` lays them: floats (rows, floats) as ``json.loads`` reads them, and the nonnegative integers below 2**64 as uint64; None where any line differs.
 
-    A line matches when its separators and literal text are the layout's,
+    ``text`` is bytes or a bytearray, into which a reader can read the lines
+    behind ``PAD`` without a copy.  A line matches when its separators and literal text are the layout's,
     character for character, and between them each number field is a JSON
     number (``_number_fields``, ``_grammar``).  An integer field holds
     digits alone.  A float field's integer reads as ``float(int(token))``
     does, and takes no more than 18 digits.  A mantissa's digits,
     right-aligned in a row of 24 bytes by one row gather, become integers 8
-    at a time (``_mantissas``), and a double by Eisel–Lemire
-    (``_eisel_lemire``).  Tokens it cannot read exactly go through
+    at a time (``_mantissas``), and a double by Clinger's fast path where
+    it and the power of ten are doubles exactly, else by Eisel–Lemire
+    (``_eisel_lemire``).  Tokens neither reads exactly go through
     ``float``: a significand of 10**19 or more, a mantissa past 24
     characters, an exponent past 4 digits, or a result that is not a normal
     double below 2**1023.
     """
     slots = len(layout.is_float)
-    text = _PAD + text
     buf = np.frombuffer(text, np.uint8)
-    found = _number_fields(buf, rows, layout)
+    found = _number_fields(text, buf, rows, layout)
     if found is None:
         return None
-    start, size, *marks = found
-    in_float_slot = np.broadcast_to(layout.is_float, (rows, slots)).ravel()
-    parsed = _grammar(buf, start, size, *marks, in_float_slot)
+    in_float_slot = np.tile(layout.is_float, rows)
+    parsed = _grammar(buf, *found, in_float_slot)
     if parsed is None:
         return None
+    start, size = found[:2]
     end, point_places, negative, exp_negative, exp_digits = parsed
-    long = end - negative > _ROW
-    high, low = _mantissas(buf, start + np.where(long, size, end), np.where(long, 0, point_places), end - negative)
-    integer = point_places + exp_digits == 0
+    del found, parsed
     # The exponent, less the digits after the point.
     q = np.minimum(1 - point_places, 0)
-    del end, point_places
     exps = np.flatnonzero(exp_digits)
     q[exps] += np.where(exp_negative[exps], -1, 1) * _exponents(buf, start[exps] + size[exps], exp_digits[exps])
+    integer = point_places + exp_digits == 0
+    to_float = exp_digits > 4
+    del exps, exp_negative, exp_digits
+    chars = end - negative
+    long = chars > _ROW
+    ends = start + np.where(long, size, end)
+    point_places[long] = 0
+    to_float |= long
+    del end, long
+    w, fits, big = _mantissas(buf, ends, point_places, chars)
+    del ends, point_places, chars
     # An integer field's number is below 2**64: 20 digits past 18446744073709551615 wrap.
-    fits = (high < np.uint64(1844)) | ((high == np.uint64(1844)) & (low <= np.uint64(6744073709551615)))
-    if not (fits | in_float_slot).all():
+    if not (in_float_slot | fits).all():
         return None
-    to_float = long | (high >= np.uint64(1000)) | (exp_digits > 4)
-    w = high * _E16
-    w += low
-    # Each dropped once done with, as a chunk's temporaries bound the reader's memory.
-    del high, low, fits, long
+    to_float |= big
+    ints = w.reshape(rows, slots)[:, ~layout.is_float]
     zero = w == 0
     to_float |= ~zero & ((q < _Q_MIN) | (q > _Q_MAX))
-    bits, abnormal = _eisel_lemire(np.where(zero, _U1, w), np.clip(q, _Q_MIN, _Q_MAX))
-    to_float |= abnormal & ~zero
-    bits[zero] = 0
+    # Clinger's fast path where w and 10**|q| are doubles exactly: one rounding, of w times 10**q, then over 10**-q (one is 1).
+    slow = np.flatnonzero(~(zero | ((w <= 2**53) & (np.abs(q) <= 22))))
+    w_slow, floats = w[slow], w.astype(np.float64)
+    del w
+    floats *= np.take(_EXACT_POW10, np.clip(q, 0, 22))
+    floats /= np.take(_EXACT_POW10, np.clip(-q, 0, 22))
+    bits = floats.view(np.uint64)
+    if slow.size:
+        bits[slow], abnormal = _eisel_lemire(w_slow, np.clip(q[slow], _Q_MIN, _Q_MAX))
+        to_float[slow[abnormal]] = True
     # -0 is the integer 0, but -0.0 is negative.
-    bits |= (negative & ~(zero & integer)) * _SIGN_BIT
-    floats = bits.view(np.float64)
+    bits[negative & ~(zero & integer)] |= _SIGN_BIT
     for t in np.flatnonzero(to_float & in_float_slot).tolist():
         floats[t] = float(text[start[t] : start[t] + size[t]])
-    return floats.reshape(rows, slots)[:, layout.is_float], w.reshape(rows, slots)[:, ~layout.is_float]
+    return floats.reshape(rows, slots)[:, layout.is_float], ints
 
 
 _ASCII_ZEROS = np.uint64(0x3030303030303030)
-# Row c: the masks of the c lowest bytes of a 24-byte row, in its three little-endian uint64 words.
-_LOW_BYTES = np.array([[(1 << 8 * min(max(c - 8 * k, 0), 8)) - 1 for k in range(3)] for c in range(_ROW + 1)], np.uint64)
+# Entry c: for each little-endian uint64 word of a 24-byte row, 8 times the
+# number of the row's c lowest bytes in it, as the first 3 bytes of a uint32.
+_LOW_SHIFTS = np.array([[8 * min(max(c - 8 * k, 0), 8) for k in range(4)] for c in range(_ROW + 1)], np.uint8).view(np.uint32)
 
 
 def _mantissas(buf: np.ndarray, ends: np.ndarray, point_places: np.ndarray, chars: np.ndarray):
-    """The mantissas that end before ``ends`` in ``buf`` as integers, split into the part above 10**16 and the 16 digits below.
+    """The mantissas that end before ``ends`` in ``buf`` as uint64, wrapping past 2**64; whether each is below 2**64; and whether it reaches 10**19.
 
     ``point_places`` counts back from an end to the mantissa's point, 0 for
     none; ``chars`` counts its characters, the point's included.  The 24
     bytes before each end are gathered as one row of three little-endian
-    words, first byte lowest, and so are the 24 before that byte: in the
-    bytes before the point a row takes the second's, which drops the point,
-    and the bytes before the digits become "0".
+    words, first byte lowest.  In a row, the digits before the point move
+    one byte on over it, a digit place at a time, and the bytes before the
+    digits become 0, by a pair of shifts.
     """
-    windows = _windows(buf, _ROW)
-    words, moved = (windows[ends - back].view("<u8").reshape(-1, 3) for back in (_ROW, _ROW + 1))
-    moved ^= words
-    moved &= np.take(_LOW_BYTES, np.where(point_places > 0, _ROW + 1 - point_places, 0), axis=0)
-    words ^= moved
-    np.bitwise_xor(words, _ASCII_ZEROS, out=moved)
-    moved &= np.take(_LOW_BYTES, np.maximum(_ROW - chars + (point_places > 0), 0), axis=0)
-    words ^= moved
-    words -= _ASCII_ZEROS
-    high, middle, low = _parse_eight(words).T
-    middle *= _E8
-    middle += low
-    return high, middle
+    rows = _windows(buf, _ROW)[ends - _ROW]
+    row_bytes = rows.view(np.uint8)
+    # The place in row_bytes of each point, and the digits before it.
+    at = np.flatnonzero(point_places)
+    places = point_places[at]
+    digits = chars[at] - places
+    at *= _ROW
+    at += _ROW - places
+    del places
+    while at.size:
+        row_bytes[at] = row_bytes[at - 1]
+        at -= 1
+        more = np.flatnonzero(digits > 1)
+        at, digits = at[more], digits[more] - 1
+    rows = rows.view("<u8").reshape(-1, 3)
+    rows ^= _ASCII_ZEROS
+    zeroing = np.take(_LOW_SHIFTS, np.maximum(_ROW - chars + (point_places > 0), 0)).view(np.uint8).reshape(-1, 4)[:, :3]
+    rows >>= zeroing
+    rows <<= zeroing
+    del zeroing
+    high, middle, low = _parse_eight(rows).T
+    w = middle * _E8
+    w += low
+    # Below 2**64 = 18446744073709551616.
+    fits = (high < 1844) | ((high == 1844) & (w <= 6744073709551615))
+    big = high >= 1000
+    high *= _E16
+    w += high
+    return w, fits, big
 
 
 def _exponents(buf: np.ndarray, ends: np.ndarray, digits: np.ndarray) -> np.ndarray:
     """The unsigned exponents of at most 4 ``digits`` that end before ``ends`` in ``buf``, as int64; more digits give a wrong one."""
-    quads = _windows(buf, 4)[ends - 4].view("<u4").astype(np.uint64)
-    quads ^= (quads ^ _ASCII_ZEROS) & np.take(_LOW_BYTES[:, 0], 4 - np.minimum(digits, 4))
-    quads -= _ASCII_ZEROS & np.uint64(0xFFFFFFFF)
+    quads = _windows(buf, 4)[ends - 4].view("<u4").astype(np.uint64) ^ (_ASCII_ZEROS >> _U32)
+    shifts = (32 - 8 * np.minimum(digits, 4)).astype(np.uint64)
+    quads = (quads >> shifts) << shifts
     quads = quads * _U10 + (quads >> _U8)
     return ((quads & _U255) * np.uint64(100) + ((quads >> _U16) & _U255)).astype(np.int64)

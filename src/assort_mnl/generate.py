@@ -48,9 +48,11 @@ from __future__ import annotations
 import contextlib
 import copy
 import functools
+import gc
 import hashlib
 import json
 import math
+import operator
 import os
 import re
 import secrets
@@ -61,7 +63,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._numtext import FLOAT_CELL, INT_CELL, LineLayout, cells, mul_hi, parse_lines
+from ._numtext import FLOAT_CELL, INT_CELL, PAD, LineLayout, cells, mul_hi, parse_lines
 from .core import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -663,6 +665,7 @@ _REVENUE_KEYS = tuple(field.name for field in fields(RevenueTerms))
 _RECORD_KEYS = ("idx", "seed", "y", "alpha", "beta", "F", "lambda", "revenue", "q", "label", "r_a")
 # The keys of the columns, in _COLUMNS order: all but the fields the header fixes.
 _COLUMN_KEYS = [key for key in _RECORD_KEYS if key not in ("seed", "beta", "revenue")]
+_RECORD_VALUES = operator.itemgetter(*_RECORD_KEYS)
 
 
 def _file_revenue(spec: GenSpec) -> dict:
@@ -675,7 +678,7 @@ def _fields(obj, keys, where: str, what: str) -> tuple:
     if not isinstance(obj, dict):
         raise DatasetFormatError(f"{where}: {what} must be a JSON object, got {type(obj).__name__}")
     try:
-        return tuple(obj[key] for key in keys)
+        return tuple(map(obj.__getitem__, keys))
     except KeyError as e:
         raise DatasetFormatError(f"{where}: {what} is missing field {e.args[0]!r}") from None
 
@@ -785,9 +788,11 @@ def _indented_json(doc, depth: int = 0) -> str:
 
 # Bytes of record lines read at a time: bounds the memory the reader holds
 # beyond the dataset itself.  A read of 2,000 records of learn_io's shape
-# (3.2 MB) peaks at about 0.85 MB of allocations above its 1.22 MB of
-# columns; the parse takes about as long from 48 KB to 384 KB chunks.
-_CHUNK_BYTES = 64 * 1024
+# (3.2 MB, 1.22 MB of columns; in process, 2-core x86-64, numpy 2.4) takes,
+# by budget, 57 ms at 64 KB, 49 at 96, 44 at 128, 39 at 192, 37 at 256 and
+# 36 at 320, and peaks at 0.42, 0.50, 0.64, 0.91, 1.17 and 1.37 MB of
+# allocations above its columns, which must stay below 1.39 MB.
+_CHUNK_BYTES = 256 * 1024
 # Floats the writer formats at a time, at most, in as many whole records
 # as they hold (at least one): a write's allocations peak at about 390-480
 # bytes a float, 3.2-3.9 MB for a full chunk.
@@ -922,21 +927,22 @@ def read_dataset(path) -> LabeledDataset:
     Raises :class:`DatasetFormatError` on malformed content, naming the
     offending line; nothing partial is ever returned.  Record lines are read
     a chunk at a time, ``_CHUNK_BYTES`` bytes and the rest of the line they
-    end in, and each chunk takes one of two paths, picked by its bytes
-    alone, never by an option.  A chunk whose every line is laid out as the
-    writer lays it (``_line_template``) is read in array code
-    (``_layout_columns``): ``_numtext.parse_lines`` matches each line's
-    separators and literal text, the beta, revenue and label k the header
-    fixes among them, and parses its numbers as ``json.loads`` reads them,
-    which leaves the idx and seeds to check.  Any other chunk, of another
-    spacing, key order or line end, or with a fault in a line's form, idx
-    or seed, is parsed line by line by ``_load_json`` and checked field by
-    field by ``_record_columns``, the only code that words a record fault;
-    a chunk both paths accept gives the same columns either way.  Each
-    chunk takes the idx its records must carry from one lazy, in-order
-    stream over ``range(count)`` without ``excluded``, so memory does not
-    grow with the header's ``count``.  :class:`LabeledDataset` then checks
-    the values, and a fault names the line of the record at fault.
+    end in, into one buffer after ``PAD``, and each chunk takes one of two
+    paths, picked by its bytes alone, never by an option.  A chunk whose
+    every line is laid out as the writer lays it (``_line_template``) is
+    read in array code (``_layout_columns``): ``_numtext.parse_lines``
+    matches each line's separators and literal text, the beta, revenue and
+    label k the header fixes among them, and parses its numbers as
+    ``json.loads`` reads them, which leaves the idx and seeds to check.  Any
+    other chunk, of another spacing, key order or line end, or with a fault
+    in a line's form, idx or seed, is parsed line by line by ``json``, the
+    collector paused, and checked field by field by ``_record_columns``, the
+    only code that words a record fault; a chunk both paths accept gives the
+    same columns either way.  Each chunk takes the idx its records must carry
+    from one lazy, in-order stream over ``range(count)`` without
+    ``excluded``, so memory does not grow with the header's ``count``.
+    :class:`LabeledDataset` then checks the values, and a fault names the
+    line of the record at fault.
     """
     # Read as bytes and decoded line by line, so that text which is not UTF-8 is named by its line.
     with open(Path(path), "rb") as fh:
@@ -944,7 +950,7 @@ def read_dataset(path) -> LabeledDataset:
         skipped = set(excluded)
         parts = list(_record_parts(fh, spec, master_seed, (i for i in range(count) if i not in skipped)))
     if not parts:
-        parts.append(_chunk_columns(b"", 0, 2, spec, master_seed, [], None))
+        parts.append(_chunk_columns(PAD, 0, 2, spec, master_seed, [], None))
     found = sum(len(part[0]) for part in parts)
     if found + len(excluded) != count:
         raise DatasetFormatError(f"expected {count} records ({len(excluded)} excluded), found {found}")
@@ -989,39 +995,56 @@ def _record_parts(fh, spec: GenSpec, master_seed: int, expected):
     """The columns of the record lines of ``fh``, a chunk at a time, which take their idx in order from ``expected``.
 
     A chunk is the next ``_CHUNK_BYTES`` bytes and the rest of the line
-    they end in; the file's last line may lack its newline.
+    they end in, read into one buffer after ``PAD``; the file's last line
+    may lack its newline.
     """
-    first, layout = 2, None
-    while text := fh.read(_CHUNK_BYTES):
-        if not text.endswith(b"\n"):
-            text += fh.readline()
-        rows = text.count(b"\n") + (not text.endswith(b"\n"))
+    first, layout, pad = 2, None, len(PAD)
+    while True:
+        buf = bytearray(PAD).ljust(pad + _CHUNK_BYTES)
+        if not (size := fh.readinto(memoryview(buf)[pad:])):
+            return
+        del buf[pad + size :]
+        if not buf.endswith(b"\n"):
+            buf += fh.readline()
+        rows = buf.count(b"\n", pad) + (not buf.endswith(b"\n"))
         # Built once a line shows that the header's n * m numbers could fit
         # in it, so that a header's sizes ask for no more than a line holds.
-        if layout is None and spec.n * spec.m <= text.find(b"\n"):
+        if layout is None and spec.n * spec.m <= buf.find(b"\n", pad) - pad:
             layout = LineLayout(*_line_template(spec))
-        yield _chunk_columns(text, rows, first, spec, master_seed, list(islice(expected, rows)), layout)
+        yield _chunk_columns(buf, rows, first, spec, master_seed, list(islice(expected, rows)), layout)
         first += rows
 
 
-def _chunk_columns(text: bytes, rows: int, first: int, spec: GenSpec, master_seed: int, expected: list, layout) -> list:
-    """The columns of the ``rows`` record lines in ``text``, the first on file line ``first``, which must carry the idx ``expected``, in ``_COLUMNS`` order.
+def _chunk_columns(buf, rows: int, first: int, spec: GenSpec, master_seed: int, expected: list, layout) -> list:
+    """The columns of the ``rows`` record lines in ``buf`` after ``PAD``, the first on file line ``first``, which must carry the idx ``expected``, in ``_COLUMNS`` order.
 
     In array code when every line matches ``layout`` (if any), else parsed
     and checked line by line; a fault raises, naming its line.
     """
-    columns = _layout_columns(text, rows, layout, spec, master_seed, expected) if layout else None
+    columns = _layout_columns(buf, rows, layout, spec, master_seed, expected) if layout else None
     if columns is None:
-        lines = text.split(b"\n")[:rows]
-        records = [_fields(_load_json(line, f"line {lineno}"), _RECORD_KEYS, f"line {lineno}", "record")
-                   for lineno, line in enumerate(lines, start=first)]
-        columns = _record_columns(records, first, spec, master_seed, iter(expected))
+        lines = bytes(memoryview(buf)[len(PAD) :]).split(b"\n")[:rows]
+        # Parsed records hold no reference cycles: the collector, paused while they live, would only scan them over and over.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            try:
+                records = [_RECORD_VALUES(_load_json(line, "")) for line in lines]
+            except (KeyError, TypeError, DatasetFormatError):
+                # Parsed again line by line, so that the first line at fault is named.
+                records = [_fields(_load_json(line, f"line {lineno}"), _RECORD_KEYS, f"line {lineno}", "record")
+                           for lineno, line in enumerate(lines, start=first)]
+            columns = _record_columns(records, first, spec, master_seed, iter(expected))
+            del records
+        finally:
+            if collecting:
+                gc.enable()
     # A file may list a block's products in any order; a dataset holds them sorted.
     return [*columns[:6], np.sort(columns[6] - 1, axis=-1), columns[7]]
 
 
-def _layout_columns(text: bytes, rows: int, layout: LineLayout, spec: GenSpec, master_seed: int, expected: list) -> list | None:
-    """The columns of the ``rows`` record lines in ``text`` as ``_record_columns`` makes them, if every line matches ``layout`` and carries its ``expected`` idx and seed; else None.
+def _layout_columns(text, rows: int, layout: LineLayout, spec: GenSpec, master_seed: int, expected: list) -> list | None:
+    """The columns of the ``rows`` record lines in ``text`` after ``PAD`` as ``_record_columns`` makes them, if every line matches ``layout`` and carries its ``expected`` idx and seed; else None.
 
     What a line of the layout holds beyond its numbers, the beta, revenue
     and label k the header fixes among them, is its literal text, which
@@ -1061,7 +1084,10 @@ def _record_columns(rows: list, line: int, spec: GenSpec, master_seed: int, expe
             "seed must be record_seed(master_seed, idx), as seed_mix splitmix64 declares")
     terms = _file_revenue(spec)
     _reject(line, [r != terms for r in revenue], f"revenue must be the header's spec revenue {terms}")
-    labels = [_fields(d, ("per_segment", "k"), f"line {lineno}", "label") for lineno, d in enumerate(label, start=line)]
+    try:
+        labels = [(d["per_segment"], d["k"]) for d in label]
+    except (KeyError, TypeError):
+        labels = [_fields(d, ("per_segment", "k"), f"line {lineno}", "label") for lineno, d in enumerate(label, start=line)]
     _reject(line, [type(k) is not int or k != spec.k for _, k in labels], f"label k must be the integer {spec.k}")
     _reject(line, [type(r) not in (int, float) for r in r_a], "r_a must be a number")
     values = (idx, y, alpha, F, lam, q, [b for b, _ in labels], r_a)
@@ -1071,8 +1097,9 @@ def _record_columns(rows: list, line: int, spec: GenSpec, master_seed: int, expe
     ones = [[1.0] * spec.m] * spec.n if rows else None
     _reject(line, [b != ones for b in beta], "beta must be all 1.0 under the header's spec")
     # _column checked the labels' shape, but it would cast a float or a boolean to a product.
-    _reject(line, [any(type(i) is not int for block in b for i in block) for b, _ in labels],
-            "label products must be JSON integers")
+    if set(map(type, chain.from_iterable(chain.from_iterable(values[6])))) - {int}:
+        _reject(line, [any(type(i) is not int for block in b for i in block) for b, _ in labels],
+                "label products must be JSON integers")
     return columns
 
 
@@ -1093,11 +1120,18 @@ def _column(values, line: int, shape: tuple, dtype, name: str) -> np.ndarray:
     """
     if not values:
         return np.empty((0,) + shape, dtype)
+    # Flattened level by level while each holds lists of its size: numpy reads a flat list faster, to the same dtype.
+    flat = values
     try:
-        column = np.array(values)
-    except ValueError:
+        for size in shape:
+            if set(map(len, flat)) != {size}:
+                raise ValueError
+            flat = list(chain.from_iterable(flat))
+        column = np.array(flat)
+        column = column.reshape(len(values), *shape) if column.ndim == 1 else None
+    except (TypeError, ValueError):
         column = None
-    if column is None or column.dtype.kind not in "biuf" or column.shape != (len(values),) + shape:
+    if column is None or column.dtype.kind not in "biuf":
         # Only this error path looks at the records one by one.
         for lineno, value in enumerate(values, start=line):
             try:

@@ -783,7 +783,7 @@ def parsed_floats(tokens):
     out = []
     for start in range(0, len(tokens), 1 << 15):
         part = tokens[start : start + (1 << 15)]
-        floats, _ = _numtext.parse_lines("".join(f"[{t}]\n" for t in part).encode(), len(part), ONE_FLOAT)
+        floats, _ = _numtext.parse_lines(_numtext.PAD + "".join(f"[{t}]\n" for t in part).encode(), len(part), ONE_FLOAT)
         out.append(floats[:, 0])
     return np.concatenate(out)
 
@@ -852,19 +852,19 @@ INT_AND_FLOAT = _numtext.LineLayout(["[", ",", "]\n"], np.array([False, True]))
 ])
 def test_parse_lines_refuses_a_float_field_json_reads_otherwise(token):
     text = f"[7,1.5]\n[7,{token}]\n".encode()
-    assert _numtext.parse_lines(text, 2, INT_AND_FLOAT) is None
+    assert _numtext.parse_lines(_numtext.PAD + text, 2, INT_AND_FLOAT) is None
 
 
 @pytest.mark.parametrize("token", ["-1", "-0", "1.0", "1e0", "01", "+1", "18446744073709551616", "99999999999999999999", "100000000000000000000"])
 def test_parse_lines_refuses_an_integer_field_of_other_than_digits_below_2_64(token):
     text = f"[7,1.5]\n[{token},1.5]\n".encode()
-    assert _numtext.parse_lines(text, 2, INT_AND_FLOAT) is None
+    assert _numtext.parse_lines(_numtext.PAD + text, 2, INT_AND_FLOAT) is None
 
 
 def test_parse_lines_reads_integer_fields_up_to_2_64():
     tokens = ["0", "7", "18446744073709551615", "18446744073709551614", "10000000000000000000", "9999999999999999999"]
     text = "".join(f"[{t},0.5]\n" for t in tokens).encode()
-    floats, ints = _numtext.parse_lines(text, len(tokens), INT_AND_FLOAT)
+    floats, ints = _numtext.parse_lines(_numtext.PAD + text, len(tokens), INT_AND_FLOAT)
     assert ints[:, 0].tolist() == [int(t) for t in tokens] and floats[:, 0].tolist() == [0.5] * len(tokens)
 
 

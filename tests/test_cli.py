@@ -1091,7 +1091,7 @@ def _chunk_both_ways(lines: list[bytes]):
     spec, master_seed, expected = spec_from_dict(header["spec"]), header["master_seed"], list(range(header["count"]))
     records = lines[1:]
     layout = generate.LineLayout(*generate._line_template(spec))
-    text = b"".join(line + b"\n" for line in records)
+    text = generate.PAD + b"".join(line + b"\n" for line in records)
     fast = generate._layout_columns(text, len(records), layout, spec, master_seed, expected[: len(records)])
     try:
         rows = [generate._fields(generate._load_json(line, "line"), generate._RECORD_KEYS, "line", "record")

@@ -696,3 +696,86 @@ def test_read_allocates_little_beyond_the_columns(tmp_path):
     columns = sum(getattr(read, name).nbytes for name in generate._COLUMNS)
     assert read == data
     assert peak - columns < 1.39e6, (peak, columns)
+
+
+def _with_excluded(spec: GenSpec, count: int, master_seed: int, dropped) -> "generate.LabeledDataset":
+    """The dataset of ``count`` records under ``spec`` without the records ``dropped``, which its header lists as excluded."""
+    data = generate_dataset(spec, count, master_seed)
+    return dataclasses.replace(data.take(np.setdiff1d(np.arange(count), dropped)), excluded=tuple(dropped))
+
+
+class TestChunkBudgets:
+    """A read does not depend on how many bytes the reader takes at a time."""
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        data = _with_excluded(GenSpec(n=3, m=2, k=1, mode=PER_SEGMENT), 640, 11, list(range(5, 640, 47)))
+        path = tmp_path_factory.mktemp("budgets") / "data.jsonl"
+        write_dataset(data, path)
+        return data, path.read_bytes().splitlines(keepends=True)
+
+    @staticmethod
+    def budgets(lines):
+        # One line, 7 lines, the reader's own budget and the whole file.
+        return [len(lines[1]), sum(map(len, lines[1:8])), generate._CHUNK_BYTES, sum(map(len, lines))]
+
+    @pytest.mark.parametrize("layout", ["writer", "json-default-separators", "alternating"])
+    def test_every_budget_reads_the_written_dataset(self, tmp_path, monkeypatch, written, layout):
+        data, lines = written
+        assert len(data) >= 600 and data.excluded
+        relay = {"writer": lambda t, line: line, "json-default-separators": lambda t, line: _relaid(line),
+                 "alternating": lambda t, line: _relaid(line) if t // 10 % 2 else line}[layout]
+        lines = lines[:1] + [relay(t, line) for t, line in enumerate(lines[1:])]
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(b"".join(lines))
+        for budget in self.budgets(lines):
+            monkeypatch.setattr(generate, "_CHUNK_BYTES", budget)
+            assert read_dataset(path) == data, budget
+
+    @pytest.mark.parametrize("fault", ["q", "seed"])
+    def test_every_budget_names_one_bad_line_alike(self, tmp_path, monkeypatch, written, fault):
+        # A value the dataset's rules refuse, and a seed the worded checks refuse, in the writer's layout.
+        _, lines = written
+        record = json.loads(lines[300])
+        if fault == "q":
+            record["q"][0][0] = 1.5
+        else:
+            record["seed"] += 1
+        lines = lines[:300] + [json.dumps(record, separators=(",", ":")).encode() + b"\n"] + lines[301:]
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(b"".join(lines))
+        messages = set()
+        for budget in self.budgets(lines):
+            monkeypatch.setattr(generate, "_CHUNK_BYTES", budget)
+            with pytest.raises(DatasetFormatError) as caught:
+                read_dataset(path)
+            messages.add(str(caught.value))
+        assert len(messages) == 1 and messages.pop().startswith(f"line 301: {fault}")
+
+
+# A full chunk's parse allocates at most this many bytes per byte of its
+# text (3.67 on learn_io's shape, numpy 2.4; 11.0 when chunks were 64 KB),
+# so that its temporaries cannot regrow while a whole read keeps within
+# test_read_allocates_little_beyond_the_columns's bound.
+_CHUNK_PEAK_PER_BYTE = 4.3
+
+
+def test_a_chunk_parse_allocates_few_bytes_per_byte(tmp_path):
+    data = generate_dataset(GenSpec(n=10, m=2, k=1, mode=PER_SEGMENT), 400, 1)
+    path = tmp_path / "data.jsonl"
+    write_dataset(data, path)
+    # One full chunk of record lines, read into a buffer as the reader reads it.
+    with open(path, "rb") as fh:
+        fh.readline()
+        buf = bytearray(generate.PAD) + fh.read(generate._CHUNK_BYTES) + fh.readline()
+    rows, layout = buf.count(b"\n"), generate.LineLayout(*generate._line_template(data.spec))
+    assert rows < len(data)
+    generate.parse_lines(buf, rows, layout)
+    tracemalloc.start()
+    try:
+        floats, _ = generate.parse_lines(buf, rows, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(floats[:, -1], data.r_a[:rows])
+    assert peak / (len(buf) - len(generate.PAD)) < _CHUNK_PEAK_PER_BYTE, peak

@@ -10,10 +10,13 @@ import json
 import numpy as np
 import pytest
 
-from assort_mnl._numtext import FLOAT_CELL, LineLayout, float_cells, parse_lines
+from assort_mnl._numtext import FLOAT_CELL, PAD, LineLayout, float_cells, parse_lines
 from assort_mnl.bench import DEFAULT_MASTER_SEED, PRESET_NAMES, preset, run_case, split_dataset
 from assort_mnl.core import DEFAULT_MAX_ITER, DEFAULT_TOL, ONE_START, PER_SEGMENT, SHARED, _solve_stack, solve_fixed_point
-from assort_mnl.generate import GenSpec, _draw, _indented_json, generate_dataset, generate_instance, read_dataset, record_seed, write_dataset
+from assort_mnl.generate import (
+    GenSpec, _chunk_columns, _draw, _indented_json, _line_template, generate_dataset, generate_instance, read_dataset, record_seed,
+    write_dataset,
+)
 from assort_mnl.learner import _decode_blocks
 
 pytestmark = pytest.mark.microbench
@@ -133,7 +136,7 @@ def test_parse_float_tokens(benchmark, count):
     data = generate_dataset(SPEC, 500, DEFAULT_MASTER_SEED)
     values = np.resize(np.concatenate([data.y.ravel(), data.alpha.ravel(), data.q.ravel(), data.r_a]), count)
     layout = LineLayout(["["] + [","] * 63 + ["]\n"], np.ones(64, bool))
-    text = "".join("[" + ",".join(map(repr, row)) + "]\n" for row in values.reshape(-1, 64).tolist()).encode()
+    text = PAD + "".join("[" + ",".join(map(repr, row)) + "]\n" for row in values.reshape(-1, 64).tolist()).encode()
     floats, _ = benchmark(parse_lines, text, count // 64, layout)
     assert np.array_equal(floats.ravel(), values)
 
@@ -142,6 +145,18 @@ def test_read_dataset_of_2000_records(benchmark, tmp_path):
     path = tmp_path / "dataset.jsonl"
     write_dataset(generate_dataset(LEARN_IO_SPEC, 2000, DEFAULT_MASTER_SEED), path)
     assert len(benchmark(read_dataset, path)) == 2000
+
+
+@pytest.mark.parametrize("lines", [1, 40, 160])
+def test_chunk_columns_of_learn_io_lines(benchmark, tmp_path, lines):
+    # The fixed cost of a chunk and its cost a line: a default chunk of
+    # learn_io's records holds about 160 lines.
+    path = tmp_path / "dataset.jsonl"
+    write_dataset(generate_dataset(LEARN_IO_SPEC, lines, DEFAULT_MASTER_SEED), path)
+    buf = bytearray(PAD) + path.read_bytes().split(b"\n", 1)[1]
+    layout = LineLayout(*_line_template(LEARN_IO_SPEC))
+    columns = benchmark(_chunk_columns, buf, lines, 2, LEARN_IO_SPEC, DEFAULT_MASTER_SEED, list(range(lines)), layout)
+    assert columns[0].tolist() == list(range(lines))
 
 
 def test_read_dataset_of_2000_records_in_a_foreign_layout(benchmark, tmp_path):
