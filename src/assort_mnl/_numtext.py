@@ -253,11 +253,6 @@ def cells(floats: np.ndarray, ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.multiply(chars, keep, out=chars), np.multiply(int_chars, _ROW20 >= first, out=int_chars)
 
 
-def float_cells(values: np.ndarray) -> np.ndarray:
-    """The cells of the finite float64 ``values`` alone (see :func:`cells`)."""
-    return cells(values, np.empty(0, np.uint64))[0]
-
-
 # The reverse direction: JSON number text to numbers.
 
 # The decimal exponents q of the 128-bit powers of five Eisel–Lemire takes.

@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .core import PER_SEGMENT, SHARED
@@ -35,7 +35,6 @@ from .generate import (
     _temporary_name,
     _write_atomic,
     generate_dataset,
-    spec_to_dict,
     write_dataset,
 )
 from .learner import (
@@ -131,9 +130,9 @@ class CaseConfig:
         return int(self.count * self.train_fraction)
 
     def to_dict(self) -> dict:
-        """The report's ``config`` object: the fields but ``reference`` in order, ``spec`` as ``spec_to_dict`` writes it."""
+        """The report's ``config`` object: the fields but ``reference`` in order, ``spec`` as a dataset header holds it."""
         doc = {field.name: getattr(self, field.name) for field in fields(self) if field.name != "reference"}
-        return {**doc, "spec": spec_to_dict(self.spec), "out_dir": str(self.out_dir)}
+        return {**doc, "spec": asdict(self.spec), "out_dir": str(self.out_dir)}
 
 
 # Preset grid: (n, m, k, network_effects, mode).
@@ -170,28 +169,14 @@ _REFERENCES = {
 }
 
 
-def preset(
-    name: str,
-    count: int = 500,
-    train_fraction: float = 0.75,
-    master_seed: int = DEFAULT_MASTER_SEED,
-    out_dir: str = ".",
-) -> CaseConfig:
-    """Build the CaseConfig for a named preset."""
+def preset(name: str, **overrides) -> CaseConfig:
+    """Build the CaseConfig for a named preset; ``overrides`` set its other fields (``count``, ``master_seed``, ...)."""
     if name not in _PRESETS:
         valid = ", ".join(PRESET_NAMES)
         raise ValueError(f"unknown preset {name!r}; valid presets: {valid}")
     n, m, k, network_effects, mode = _PRESETS[name]
-    spec = GenSpec(n=n, m=m, M=50.0, network_effects=network_effects, k=k, mode=mode)
-    return CaseConfig(
-        case_id=name,
-        spec=spec,
-        count=count,
-        train_fraction=train_fraction,
-        master_seed=master_seed,
-        out_dir=out_dir,
-        reference=dict(_REFERENCES[name]),
-    )
+    spec = GenSpec(n=n, m=m, network_effects=network_effects, k=k, mode=mode)
+    return CaseConfig(case_id=name, spec=spec, reference=dict(_REFERENCES[name]), **overrides)
 
 
 def split_dataset(dataset: LabeledDataset, train_fraction: float):

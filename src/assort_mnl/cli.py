@@ -76,10 +76,10 @@ from .learner import (
 def _add_gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=PRESET_NAMES, help="named configuration")
     p.add_argument("--n", type=int, help="product count")
-    p.add_argument("--m", type=int, help="segment count (default 1)")
-    p.add_argument("--k", type=int, help="assortment size (default 1)")
-    p.add_argument("--M", type=float, help="parameter upper bound (default 50)")
-    p.add_argument("--count", type=int, default=500, help="number of records (default 500)")
+    p.add_argument("--m", type=int, help=f"segment count (default {GenSpec.m})")
+    p.add_argument("--k", type=int, help=f"assortment size (default {GenSpec.k})")
+    p.add_argument("--M", type=float, help=f"parameter upper bound (default {GenSpec.M:g})")
+    p.add_argument("--count", type=int, default=CaseConfig.count, help=f"number of records (default {CaseConfig.count})")
     p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED, help="master seed, in [0, 2**64)")
     p.add_argument(
         "--no-network-effects",
@@ -89,32 +89,30 @@ def _add_gen_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--f-mode",
         choices=(UNIT_SCALE, DOLLAR_SCALE),
-        help="funding-gap scale (default unit)",
+        help=f"funding-gap scale (default {GenSpec.f_mode})",
     )
     p.add_argument(
         "--mode",
         choices=(SHARED, PER_SEGMENT),
-        help="assortment mode (default shared)",
+        help=f"assortment mode (default {GenSpec.mode})",
     )
 
 
-# The spec flags and their defaults, which the help strings state; --n has none.
-_SPEC_FLAGS = {"n": None, "m": 1, "k": 1, "M": 50.0, "f_mode": UNIT_SCALE, "mode": SHARED}
+# The spec flags; one not given takes the GenSpec field's default, as the help strings state.
+_SPEC_FLAGS = ("n", "m", "k", "M", "f_mode", "mode")
 
 
 def _spec_from_args(args) -> GenSpec:
-    flags = {name: getattr(args, name) for name in _SPEC_FLAGS}
+    flags = {name: getattr(args, name) for name in _SPEC_FLAGS if getattr(args, name) is not None}
     if args.preset:
-        given = [name for name, value in flags.items() if value is not None]
-        if given:
-            raise ValueError(f"--{given[0].replace('_', '-')} conflicts with --preset, which sets the spec")
+        if flags:
+            raise ValueError(f"--{next(iter(flags)).replace('_', '-')} conflicts with --preset, which sets the spec")
         spec = preset(args.preset).spec
         if args.no_network_effects:
             spec = dataclasses.replace(spec, network_effects=False)
         return spec
     if args.n is None:
         raise ValueError("either --preset or --n is required")
-    flags = {name: _SPEC_FLAGS[name] if value is None else value for name, value in flags.items()}
     return GenSpec(**flags, network_effects=not args.no_network_effects)
 
 
@@ -274,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit the linear predictor on a dataset")
     p.add_argument("dataset", help="input dataset (JSON Lines)")
-    p.add_argument("--train-fraction", type=float, default=0.75)
+    p.add_argument("--train-fraction", type=float, default=CaseConfig.train_fraction)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=_cmd_train)
@@ -282,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a model on a dataset's test split")
     p.add_argument("dataset", help="input dataset (JSON Lines)")
     p.add_argument("model", help="fitted model (JSON)")
-    p.add_argument("--train-fraction", type=float, default=0.75)
+    p.add_argument("--train-fraction", type=float, default=CaseConfig.train_fraction)
     p.add_argument("--out", default=None, help="directory for report.json (optional)")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=_cmd_eval)
@@ -290,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("case", help="run generate/train/evaluate end to end")
     _add_gen_flags(p)
     p.add_argument("--case-id", help="case name for artifact files (default: the preset's, else custom)")
-    p.add_argument("--train-fraction", type=float, default=0.75)
+    p.add_argument("--train-fraction", type=float, default=CaseConfig.train_fraction)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=_cmd_case)

@@ -30,9 +30,15 @@ utilities at the all-ones matrix are finite, which bounds those of every
 iterate; the loop itself checks nothing.  From the zero start this is
 stricter than checking each pass only when ``V(1)`` overflows, near
 1e308.  The loop tests convergence once per block of passes, 4 in the
-first block and up to 16 in the others, and records that finish ride
-along in its buffers, masked out, until half of the stack is done (or
-they grow large); only then is it compacted.
+first block and up to 16 in the others (a float32 BLAS count of the small
+steps for records of up to 96 entries, ``all`` for longer ones), and
+records that finish ride along in its buffers, masked out, until half of
+the stack is done (or they grow large); only then is it compacted.  The
+support mass is one ``matmul``, or the iterate itself when every record
+has one segment of weight exactly 1.  A record stops on a step of at most
+``DEFAULT_TOL`` or after ``DEFAULT_MAX_ITER`` passes, the constants every
+dataset's ``q`` was solved at; only :func:`solve_fixed_point` takes a
+lower cap, to show the iterates.
 
 Everything here is a pure function of its inputs: no mutation, no global
 state, safe to call concurrently.
@@ -66,6 +72,7 @@ ONE_START = "one"
 SHARED = "shared"
 PER_SEGMENT = "per-segment"
 
+# The step tolerance and iteration cap that every dataset's q was solved at.
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
 
@@ -286,24 +293,17 @@ def _utility(c, alpha, lam, q) -> np.ndarray:
     return c + alpha * _mass(q, lam)[..., None]
 
 
-def solve_fixed_point(
-    instance: ProblemInstance,
-    start: str = ONE_START,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SupportSolution:
+def solve_fixed_point(instance: ProblemInstance, start: str = ONE_START, max_iter: int = DEFAULT_MAX_ITER) -> SupportSolution:
     """Solve ``q = sigma(V(q))`` by monotone fixed-point iteration.
 
-    The one-row case of the stacked solve that datasets use.
+    The one-row case of the stacked solve that datasets use, which stops
+    once consecutive iterates differ by at most ``DEFAULT_TOL`` in sup-norm.
 
     Parameters
     ----------
     start : "zero" or "one"
         Starting matrix.  "zero" iterates upward to the smallest fixed
         point, "one" iterates downward to the largest.
-    tol : float
-        Stop once consecutive iterates differ by at most ``tol`` in
-        sup-norm.
     max_iter : int
         Iteration cap.  Exhausting it yields ``converged=False`` with the
         last iterate; it never raises.
@@ -317,8 +317,6 @@ def solve_fixed_point(
     Raises ``ValueError("mean utilities must be finite")`` when the
     utilities at the all-ones matrix overflow, from either start.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if start not in (ZERO_START, ONE_START):
@@ -327,7 +325,7 @@ def solve_fixed_point(
     with np.errstate(over="ignore"):
         c = _fixed_utility(instance.y, instance.beta, instance.F)
     c, alpha, lam = (x[None] for x in (c, instance.alpha, instance.lam))
-    q, iterations, converged = _solve_stack(c, alpha, lam, start, tol, max_iter)
+    q, iterations, converged = _solve_stack(c, alpha, lam, start, max_iter)
     residual = np.max(np.abs(expit(_utility(c, alpha, lam, q)) - q))
     return SupportSolution(
         q=q[0],
@@ -364,9 +362,25 @@ _BLOCK_ENTRIES = 1 << 15
 _FIRST_PASSES = 4
 
 
+# The block test counts a record's small steps with a float32 BLAS product
+# (exact in any order, as it sums at most this many zeros and ones) for 2
+# to this many entries a record, and runs ``all`` over the entries
+# otherwise; over one entry ``all`` wins, as the count makes a copy.  On
+# one Xeon core (SkylakeX kernels), the minimum of 5 x 400 calls at the
+# block shapes the solve builds, the count took this share of ``all``'s
+# time: 0.22-0.61 at 17-48 entries, 0.50-0.87 at 64-96, 0.91-1.20 at 128
+# and 1.17-3.34 at 200 and 400.  tests/test_microbench.py times both.
+_COUNT_ENTRIES = 96
+
+
 def _unit_mass(q, lam, out) -> np.ndarray:
     """The support mass of one segment of weight exactly 1: ``q`` itself, as ``q * 1.0`` is ``q``."""
     return q
+
+
+def _small_records(ok: np.ndarray, ones: np.ndarray | None) -> np.ndarray:
+    """Whether each record's flags in ``ok`` (passes, records, entries) all hold: a float32 count against ``ones``, or ``all``."""
+    return ok.all(axis=2) if ones is None else ok.view(np.uint8).astype(np.float32) @ ones == len(ones)
 
 
 def _block_buffers(stores, like: np.ndarray) -> list[np.ndarray]:
@@ -375,12 +389,12 @@ def _block_buffers(stores, like: np.ndarray) -> list[np.ndarray]:
     return [store[: (passes + i) * like.size].reshape((passes + i,) + like.shape) for store, i in zip(stores, (1, 0, 0))]
 
 
-def _solve_stack(c, alpha, lam, start: str, tol: float, max_iter: int):
+def _solve_stack(c, alpha, lam, start: str, max_iter: int):
     """Monotone fixed-point iteration of every record of a stack.
 
     Instances are stacked on a leading record axis: ``c = y - beta F`` and
     ``alpha`` (N, n, m) and ``lam`` (N, m), all C-contiguous.
-    Each record iterates until its own step is at most ``tol`` or
+    Each record iterates until its own step is at most ``DEFAULT_TOL`` or
     ``max_iter`` passes.  Returns the read-only final iterates ``q`` (N, n,
     m) and per-record ``iterations`` and ``converged``.
 
@@ -400,25 +414,20 @@ def _solve_stack(c, alpha, lam, start: str, tol: float, max_iter: int):
     slab, and from there backward and forward in turn, so that a block
     starts on the slab the last one ended on and nothing is copied between
     blocks.  One test per block finds each record's first pass with a step
-    of at most ``tol``: for records of at most 16 entries, one float32 BLAS
-    count of the small steps, exact on any kernel as it sums zeros and
-    ones, and for longer ones ``all`` over the entries, which is faster
-    there.  A record finishing there stores that pass's iterate, count and
-    flag, then rides along, masked out, until at most half of the working
-    set is live (or the finished records hold ``_RIDE_LIMIT`` entries).
-    Only then are the live records compacted, into buffers of stores
-    allocated once.  Every slab, like every operand, is C-contiguous, so
-    each record's bits are those of the record solved alone; with one
-    segment the mass is one product, which ``multiply`` rounds as
-    ``matmul`` does, and when every weight is exactly 1 it is the slab
-    itself, as ``q * 1.0`` is ``q``.
+    of at most ``DEFAULT_TOL``: for records of 2 to ``_COUNT_ENTRIES`` = 96
+    entries, one float32 BLAS count of the small steps, exact on any kernel
+    as it sums zeros and ones, and for others ``all`` over the entries,
+    which is faster there.  A record finishing there stores that pass's
+    iterate, count and flag, then rides along, masked out, until at most
+    half of the working set is live (or the finished records hold
+    ``_RIDE_LIMIT`` entries).  Only then are the live records compacted,
+    into buffers of stores allocated once.  Every slab, like every operand,
+    is C-contiguous, so each record's bits are those of the record solved
+    alone.  The mass has two paths: ``matmul``, and, when every record has
+    one segment of weight exactly 1, the slab itself, as ``q * 1.0`` is
+    ``q``.
     """
-    if c.shape[-1] > 1:
-        mass = np.matmul
-    elif (lam == 1.0).all():
-        mass = _unit_mass
-    else:
-        mass = np.multiply
+    mass = _unit_mass if c.shape[-1] == 1 and (lam == 1.0).all() else np.matmul
     # Flat stores of every working set's buffers: a set of x entries takes
     # K x <= max(x, min(16 x, _BLOCK_ENTRIES)) steps a block, history K x + x.
     n_steps = max(c.size, min(16 * c.size, _BLOCK_ENTRIES))
@@ -433,10 +442,7 @@ def _solve_stack(c, alpha, lam, start: str, tol: float, max_iter: int):
         raise _RecordFault("mean utilities must be finite", int(np.argmin(np.isfinite(V).all(axis=(1, 2)))))
     history[0] = float(start == ONE_START)
     entries = c[0].size
-    # A float32 count of ones is exact in any order the BLAS kernel sums them.  It beats `all`
-    # over 2-16 entries; `all` wins over one (a copy) and over many (12.8 against 22 us at
-    # (size, records, entries) = (1, 300, 400)).
-    ones = np.ones(entries, np.float32) if 1 < entries <= 16 else None
+    ones = np.ones(entries, np.float32) if 1 < entries <= _COUNT_ENTRIES else None
     q, iterations, converged = np.empty(c.shape), np.full(len(c), max_iter), np.zeros(len(c), dtype=bool)
     active, live, live_count = np.arange(len(q)), np.ones(len(q), dtype=bool), len(q)
     c_a, alpha_a, at, it = c, alpha, 0, 0
@@ -456,9 +462,9 @@ def _solve_stack(c, alpha, lam, start: str, tol: float, max_iter: int):
             it += 1
         lo, at, block = min(at, end), end, steps[:size]
         np.abs(np.subtract(history[lo + 1 : lo + size + 1], history[lo : lo + size], out=block), out=block)
-        # done[j] flags the records whose step on the block's pass j + 1 is at most tol.
-        ok = np.less_equal(block, tol, out=small[:size]).reshape(size, len(live), entries)
-        done = ok.all(axis=2) if ones is None else ok.view(np.uint8).astype(np.float32) @ ones == entries
+        # done[j] flags the records whose step on the block's pass j + 1 is at most DEFAULT_TOL.
+        ok = np.less_equal(block, DEFAULT_TOL, out=small[:size]).reshape(size, len(live), entries)
+        done = _small_records(ok, ones)
         if way < 0:
             done = done[::-1]
         newly = np.flatnonzero(done.any(axis=0) & live)
@@ -510,17 +516,12 @@ def _best_blocks(q, lam, k: int, mode: str) -> np.ndarray:
     return np.where(lam[..., None] > 0.0, _top_k(np.swapaxes(q, -1, -2), k), np.arange(k))
 
 
-def optimize_assortment(
-    instance: ProblemInstance,
-    k: int,
-    mode: str = SHARED,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[Assortment, float, SupportSolution]:
+def optimize_assortment(instance: ProblemInstance, k: int, mode: str = SHARED) -> tuple[Assortment, float, SupportSolution]:
     """Exact revenue-maximizing size-k assortment.
 
     Support probabilities are solved once from the all-ones start (the
-    largest fixed point); they do not depend on the assortment offered.
+    largest fixed point), at the tolerance and cap datasets are labeled
+    at; they do not depend on the assortment offered.
     Revenue is additive over offered products, so the optimum keeps the k
     largest contributions: ``sum_j lam_j q_ij`` per product in "shared"
     mode, ``q_ij`` within each segment in "per-segment" mode, where a
@@ -536,7 +537,7 @@ def optimize_assortment(
         raise ValueError(f"k must lie in [1, {instance.n}], got {k}")
     if mode not in (SHARED, PER_SEGMENT):
         raise ValueError(f"mode must be {SHARED!r} or {PER_SEGMENT!r}, got {mode!r}")
-    solution = solve_fixed_point(instance, ONE_START, tol=tol, max_iter=max_iter)
+    solution = solve_fixed_point(instance, ONE_START)
     if not solution.converged:
         raise NonConvergenceError(solution)
     q, lam = solution.q[None], instance.lam[None]

@@ -66,7 +66,6 @@ import numpy as np
 from ._numtext import FLOAT_CELL, INT_CELL, PAD, LineLayout, cells, mul_hi, parse_lines
 from .core import (
     DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     ONE_START,
     PER_SEGMENT,
     SHARED,
@@ -135,7 +134,7 @@ class GenSpec:
     """
 
     n: int
-    m: int
+    m: int = 1
     M: float = 50.0
     network_effects: bool = True
     f_mode: str = UNIT_SCALE
@@ -231,11 +230,7 @@ class LabeledDataset:
         object.__setattr__(self, "excluded", tuple(_integer("excluded", i) for i in self.excluded))
         for name in _COLUMNS:
             _freeze(self, name, np.asarray(getattr(self, name)))
-        # Rules are tested over whole columns; only a broken one is reduced to records.
-        for rule, ok in _dataset_faults(self):
-            if not ok.all():
-                position = int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))
-                raise _RecordFault(rule, position, f"record {self.idx[position]}: ")
+        _check(self, _dataset_faults(self))
 
     def __len__(self) -> int:
         return len(self.idx)
@@ -253,16 +248,7 @@ class LabeledDataset:
         Records of a checked dataset keep every rule but the order of idx,
         so only that rule is checked again.
         """
-        taken = copy.copy(self)
-        for name in _COLUMNS:
-            _freeze(taken, name, getattr(self, name)[rows])
-        idx = taken.idx
-        if idx.ndim != 1:
-            raise ValueError(f"rows must pick records along one axis, got idx of shape {idx.shape}")
-        unordered = np.flatnonzero(idx[1:] <= idx[:-1])
-        if len(unordered):
-            raise _RecordFault(_IDX_RULE, int(unordered[0]) + 1, f"record {idx[unordered[0] + 1]}: ")
-        return taken
+        return _derive(self, _order_faults, self.spec, **{name: getattr(self, name)[rows] for name in _COLUMNS})
 
     @property
     def records(self) -> tuple[DatasetRecord, ...]:
@@ -279,6 +265,35 @@ class LabeledDataset:
                           q, Assortment(blocks, self.spec.k), r_a)
             for idx, seed, y, alpha, F, lam, q, blocks, r_a in zip(*columns)
         )
+
+
+def _check(dataset: LabeledDataset, faults) -> None:
+    """Raise the first broken rule of ``faults`` (pairs as ``_dataset_faults`` yields) for its first record at fault."""
+    # Rules are tested over whole columns; only a broken one is reduced to records.
+    for rule, ok in faults:
+        if not ok.all():
+            position = int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))
+            raise _RecordFault(rule, position, f"record {dataset.idx[position]}: ")
+
+
+def _derive(dataset: LabeledDataset, faults, spec: GenSpec, **columns) -> LabeledDataset:
+    """A checked ``dataset`` under ``spec`` with new ``columns``, checked by ``faults(derived)``: the rules they may break."""
+    derived = copy.copy(dataset)
+    object.__setattr__(derived, "spec", spec)
+    for name, column in columns.items():
+        _freeze(derived, name, column)
+    _check(derived, faults(derived))
+    return derived
+
+
+def _order_faults(dataset: LabeledDataset):
+    """The rule on the order of idx, the one rule that taking records breaks."""
+    idx = dataset.idx
+    if idx.ndim != 1:
+        raise ValueError(f"rows must pick records along one axis, got idx of shape {idx.shape}")
+    ok = np.ones(len(idx), dtype=bool)
+    ok[1:] = idx[1:] > idx[:-1]
+    yield _IDX_RULE, ok
 
 
 def _layout(spec: GenSpec) -> list[tuple[tuple, type]]:
@@ -318,6 +333,12 @@ def _dataset_faults(dataset: LabeledDataset):
            else (f"F must be an integer in 1..{DOLLAR_MAX} under the header's dollar f_mode",
                  (F >= 1.0) & (F <= DOLLAR_MAX) & (F == np.floor(F))))
     yield "q must lie in [0, 1]", (q >= 0.0) & (q <= 1.0)
+    yield from _label_faults(dataset)
+
+
+def _label_faults(dataset: LabeledDataset):
+    """The rules on the label columns ``blocks`` and ``r_a``, the ones that relabeling may break."""
+    spec, blocks, r_a = dataset.spec, dataset.blocks, dataset.r_a
     ok, increasing = (blocks >= 0) & (blocks < spec.n), blocks[..., 1:] > blocks[..., :-1]
     # Products that increase are distinct; only others are sorted to tell.
     if not increasing.all():
@@ -629,7 +650,7 @@ def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledData
     try:
         y, alpha, F, lam = _draw(spec, _record_seeds(master_seed, np.arange(count)))
         # y - F is y - beta F at beta = 1, bit for bit.
-        q, _, converged = _solve_stack(y - F[..., None], alpha, lam, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        q, _, converged = _solve_stack(y - F[..., None], alpha, lam, ONE_START, DEFAULT_MAX_ITER)
     except _RecordFault as e:
         # Record t sits at position t of the stack.
         raise ValueError(f"record {e.position}: {e}") from None
@@ -647,17 +668,14 @@ def relabel_dataset(dataset: LabeledDataset, k=None, mode=None) -> LabeledDatase
 
     ``q`` depends on neither ``k`` nor ``mode``, so records keep their
     instance, seed and stored ``q`` and ``excluded`` carries over; the
-    ``blocks`` and ``r_a`` columns are recomputed.  Useful for sweeping
-    assortment size over one shared set of instances.
+    ``blocks`` and ``r_a`` columns are recomputed and only their rules
+    checked again.  Useful for sweeping assortment size over one shared set
+    of instances.
     """
-    spec = replace(
-        dataset.spec,
-        k=dataset.spec.k if k is None else k,
-        mode=dataset.spec.mode if mode is None else mode,
-    )
+    spec = replace(dataset.spec, **{name: value for name, value in (("k", k), ("mode", mode)) if value is not None})
     blocks = _best_blocks(dataset.q, dataset.lam, spec.k, spec.mode)
     r_a = _block_revenue(dataset.q, dataset.lam, spec.revenue.per_support, blocks)
-    return replace(dataset, spec=spec, blocks=blocks, r_a=r_a)
+    return _derive(dataset, _label_faults, spec, blocks=blocks, r_a=r_a)
 
 
 _SPEC_KEYS = tuple(field.name for field in fields(GenSpec))
@@ -681,11 +699,6 @@ def _fields(obj, keys, where: str, what: str) -> tuple:
         return tuple(map(obj.__getitem__, keys))
     except KeyError as e:
         raise DatasetFormatError(f"{where}: {what} is missing field {e.args[0]!r}") from None
-
-
-def spec_to_dict(spec: GenSpec) -> dict:
-    """The JSON object of ``spec`` in dataset headers and case reports: its fields in order, ``revenue`` an object."""
-    return asdict(spec)
 
 
 def spec_from_dict(d: dict, where: str = "spec") -> GenSpec:
@@ -820,7 +833,7 @@ def write_dataset(dataset: LabeledDataset, path) -> str:
         raise ValueError(f"expected {dataset.count} records ({len(dataset.excluded)} excluded), found {len(dataset)}")
     header = {
         "format_version": FORMAT_VERSION,
-        "spec": spec_to_dict(dataset.spec),
+        "spec": asdict(dataset.spec),
         "master_seed": dataset.master_seed,
         "count": dataset.count,
         "seed_mix": "splitmix64",

@@ -116,7 +116,7 @@ def loop_write(dataset, path):
     """
     header = {
         "format_version": generate.FORMAT_VERSION,
-        "spec": generate.spec_to_dict(dataset.spec),
+        "spec": dataclasses.asdict(dataset.spec),
         "master_seed": dataset.master_seed,
         "count": dataset.count,
         "seed_mix": "splitmix64",
@@ -275,7 +275,7 @@ def test_features_and_indicators_match_the_loops():
 def test_solve_matches_the_loop(n, m, network_effects, start):
     batch = instances(n, m, network_effects, 60 if n == 100 else 300)
     expected = [loop_solve(instance, start) for instance in batch]
-    assert_solves_match(_solve_stack(*stacked(batch), start, DEFAULT_TOL, DEFAULT_MAX_ITER), expected)
+    assert_solves_match(_solve_stack(*stacked(batch), start, DEFAULT_MAX_ITER), expected)
     # solve_fixed_point is the one-row case of the same kernel; it alone computes a residual.
     for instance, (q, iterations, residual, converged) in zip(batch[:10], expected):
         solution = solve_fixed_point(instance, start)
@@ -291,7 +291,7 @@ def test_solve_stops_each_record_on_its_own(start):
     expected = [loop_solve(instance, start, max_iter=8) for instance in batch]
     converged = [c for *_, c in expected]
     assert any(converged) and not all(converged)
-    assert_solves_match(_solve_stack(*stacked(batch), start, DEFAULT_TOL, 8), expected)
+    assert_solves_match(_solve_stack(*stacked(batch), start, 8), expected)
 
 
 def tangent_instances(fast):
@@ -357,7 +357,7 @@ def test_solve_matches_the_loop_through_compactions_and_the_cap(monkeypatch, sta
         if 2 * live <= working:
             working, compactions = live, compactions + 1
     assert compactions >= 3
-    assert_solves_match(_solve_stack(*stacked(batch), start, DEFAULT_TOL, max_iter), expected)
+    assert_solves_match(_solve_stack(*stacked(batch), start, max_iter), expected)
 
 
 @pytest.mark.parametrize("block_entries", [core._BLOCK_ENTRIES, 1])
@@ -373,7 +373,7 @@ def test_solve_matches_the_loop_at_caps_that_end_mid_block(monkeypatch, start, m
     assert block_entries == 1 or block_entries // stacked(batch)[0].size >= 16
     converged = [c for *_, c in expected]
     assert max_iter < 13 or (any(converged) and not all(converged))
-    assert_solves_match(_solve_stack(*stacked(batch), start, DEFAULT_TOL, max_iter), expected)
+    assert_solves_match(_solve_stack(*stacked(batch), start, max_iter), expected)
 
 
 def test_a_stack_that_converges_at_pass_2_stops_after_the_first_block(monkeypatch):
@@ -383,7 +383,7 @@ def test_a_stack_that_converges_at_pass_2_stops_after_the_first_block(monkeypatc
     calls = []
     monkeypatch.setattr(core, "expit", lambda *args, **kwargs: calls.append(1) or expit(*args, **kwargs))
     y, alpha, F, lam = generate._draw(preset("case1p2").spec, _record_seeds(DEFAULT_MASTER_SEED, np.arange(500)))
-    _, iterations, converged = _solve_stack(y - F[..., None], alpha, lam, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    _, iterations, converged = _solve_stack(y - F[..., None], alpha, lam, ONE_START, DEFAULT_MAX_ITER)
     assert converged.all() and iterations.max() == 2
     assert len(calls) <= 4
 
@@ -391,13 +391,13 @@ def test_a_stack_that_converges_at_pass_2_stops_after_the_first_block(monkeypatc
 @pytest.mark.parametrize("weight", [1.0, 1.0 - 2.0**-53])
 def test_one_segment_of_weight_one_is_its_own_mass(monkeypatch, weight):
     # The slab is the mass only when every weight is exactly 1; one record
-    # of weight 1 - 2**-53 sends the stack through the product.
+    # of weight 1 - 2**-53 sends the stack through matmul.
     batch = instances(5, 1, True, 40)
     batch[7] = dataclasses.replace(batch[7], lam=[weight])
     calls = []
     monkeypatch.setattr(core, "_unit_mass", lambda q, lam, out: calls.append(1) or q)
     expected = [loop_solve(instance, ONE_START) for instance in batch]
-    assert_solves_match(_solve_stack(*stacked(batch), ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER), expected)
+    assert_solves_match(_solve_stack(*stacked(batch), ONE_START, DEFAULT_MAX_ITER), expected)
     assert bool(calls) == (weight == 1.0)
 
 
@@ -416,7 +416,7 @@ def test_solve_stops_at_the_first_small_step_of_a_block(monkeypatch, block_entri
         q, previous = loop_support_map(instance, q), q
         later.append(np.abs(q - previous).max())
     assert max(later) > DEFAULT_TOL
-    assert_solves_match(_solve_stack(*stacked([instance]), ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER), [expected])
+    assert_solves_match(_solve_stack(*stacked([instance]), ONE_START, DEFAULT_MAX_ITER), [expected])
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -432,9 +432,10 @@ def test_solve_stops_at_the_first_small_step_of_a_block(monkeypatch, block_entri
     st.data(),
 )
 def test_one_segment_mass_is_matmuls(q, data):
-    # With one segment the solve's mass is a product, whose bits must be
-    # those of matmul's one-term sum, on zeros, saturated ones and
-    # subnormals alike.
+    # With one segment the solve's mass is matmul's one-term sum, whose bits
+    # must be those of the product q * lam, on zeros, saturated ones and
+    # subnormals alike, so that a weight of exactly 1 leaves q itself, as
+    # the solve's unit mass takes it.
     q = q[..., None]
     elements = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1e-310]), st.floats(0.0, 1.0))
     lam = data.draw(hnp.arrays(float, (len(q), 1), elements=elements))[..., None]
@@ -668,8 +669,13 @@ def cell_texts(cells):
     return lines[lines != 0].tobytes().decode().split("\n")[:-1]
 
 
+def float_cells(values):
+    """The cells of finite float64 ``values`` alone, as ``_numtext.cells`` makes them with no integers."""
+    return _numtext.cells(values, np.empty(0, np.uint64))[0]
+
+
 def float_texts(values):
-    return cell_texts(_numtext.float_cells(np.asarray(values, dtype=np.float64)))
+    return cell_texts(float_cells(np.asarray(values, dtype=np.float64)))
 
 
 def float_of_bits(bits):

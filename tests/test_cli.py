@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 
 from assort_mnl import GenSpec, RevenueTerms, generate_dataset, read_dataset, read_model, write_dataset
 from assort_mnl import cli, generate
-from assort_mnl.bench import CaseConfig, run_case
+from assort_mnl.bench import DEFAULT_MASTER_SEED, CaseConfig, preset, run_case
 from assort_mnl.cli import main
-from assort_mnl.generate import DatasetFormatError, generate_instance, record_seed, spec_from_dict, spec_to_dict
+from assort_mnl.generate import DatasetFormatError, generate_instance, record_seed, spec_from_dict
 
 
 def run(*argv):
@@ -64,6 +64,29 @@ class TestPresetConflicts:
         assert run(command, "--preset", "case3p3", flag, value, "--count", 40, "--out", tmp_path) == 2
         assert capsys.readouterr().err == f"error [config] {flag} conflicts with --preset, which sets the spec\n"
         assert list(tmp_path.iterdir()) == []
+
+
+class TestDefaultsAreTheDataclasses:
+    # A flag not given takes the GenSpec or CaseConfig field's default, which
+    # the CLI and preset() never restate.
+    def test_gen_builds_the_spec_of_the_flags_given(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "generate_dataset", lambda *args: built.append(args) or generate_dataset(*args))
+        assert run("gen", "--n", 3, "--out", tmp_path) == 0
+        assert built == [(GenSpec(n=3), CaseConfig.count, DEFAULT_MASTER_SEED)]
+
+    def test_case_builds_the_preset_config_at_the_class_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        built = []
+        monkeypatch.setattr(cli, "run_case", lambda config: built.append(config) or run_case(config))
+        assert run("case", "--preset", "case1p1") == 0
+        defaults = {f.name: f.default for f in dataclasses.fields(CaseConfig) if f.default is not dataclasses.MISSING}
+        del defaults["reference"]
+        assert built == [preset("case1p1")]
+        assert {name: getattr(built[0], name) for name in defaults} == defaults
+        assert built[0].spec == GenSpec(n=2)
+        # out_dir "." is the working directory.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["case1p1_dataset.jsonl", "case1p1_model.json", "case1p1_report.json"]
 
 
 class TestNonFiniteM:
@@ -513,7 +536,7 @@ class TestHeaderCount:
 
 
 # The header spec of the valid dataset below, as written.
-_SPEC = spec_to_dict(GenSpec(n=3, m=1))
+_SPEC = dataclasses.asdict(GenSpec(n=3, m=1))
 _FIELDS = [("spec", key) for key in _SPEC] + [("revenue", key) for key in _SPEC["revenue"]]
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),

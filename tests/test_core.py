@@ -17,6 +17,7 @@ from assort_mnl import (
     solve_fixed_point,
 )
 from assort_mnl.core import (
+    DEFAULT_MAX_ITER,
     ONE_START,
     PER_SEGMENT,
     SHARED,
@@ -262,8 +263,8 @@ class TestSolveFixedPoint:
 
         low_root = bisect(1e-12, 0.4)
         high_root = bisect(0.6, 1.0 - 1e-12)
-        lo = solve_fixed_point(inst, ZERO_START, tol=1e-10)
-        hi = solve_fixed_point(inst, ONE_START, tol=1e-10)
+        lo = solve_fixed_point(inst, ZERO_START)
+        hi = solve_fixed_point(inst, ONE_START)
         assert lo.converged and hi.converged
         assert lo.q[0, 0] == pytest.approx(low_root, abs=1e-3)
         assert hi.q[0, 0] == pytest.approx(high_root, abs=1e-3)
@@ -301,15 +302,13 @@ class TestSolveFixedPoint:
 
     def test_max_iter_exhaustion_is_not_an_error(self):
         inst = make_instance([[0.0]], [[10.0]], [5.0], [1.0])
-        sol = solve_fixed_point(inst, ZERO_START, tol=1e-16, max_iter=3)
+        sol = solve_fixed_point(inst, ZERO_START, max_iter=3)
         assert not sol.converged
         assert sol.iterations == 3
         assert np.all((sol.q >= 0) & (sol.q <= 1))
 
     def test_argument_validation(self):
         inst = make_instance([[0.0]], [[0.0]], [0.0], [1.0])
-        with pytest.raises(ValueError):
-            solve_fixed_point(inst, ZERO_START, tol=0.0)
         with pytest.raises(ValueError):
             solve_fixed_point(inst, ZERO_START, max_iter=0)
         with pytest.raises(ValueError):
@@ -452,10 +451,16 @@ class TestOptimizeAssortment:
             optimize_assortment(inst, 1, "both")
 
     def test_non_convergence_propagates(self):
-        inst = make_instance([[0.0]], [[10.0]], [5.0], [1.0])
+        # q = sigma(10 q - F) just past the F at which its upper fixed point
+        # vanishes by touching the diagonal (10 - F* of test_array_kernels'
+        # tangent_instances): from the one start the iterates creep past the
+        # vanished point for more than DEFAULT_MAX_ITER passes.
+        sigma = (1.0 - np.sqrt(0.6)) / 2.0
+        tangent_F = 10.0 * sigma - np.log(sigma / (1.0 - sigma))
+        inst = make_instance([[0.0]], [[10.0]], [10.0 - tangent_F + 1e-12], [1.0])
         with pytest.raises(NonConvergenceError) as exc:
-            optimize_assortment(inst, 1, tol=1e-16, max_iter=2)
-        assert exc.value.solution.iterations == 2
+            optimize_assortment(inst, 1)
+        assert exc.value.solution.iterations == DEFAULT_MAX_ITER
 
 
 class TestRevenueOrderedOracle:

@@ -10,9 +10,11 @@ import json
 import numpy as np
 import pytest
 
-from assort_mnl._numtext import FLOAT_CELL, PAD, LineLayout, float_cells, parse_lines
+from assort_mnl._numtext import FLOAT_CELL, PAD, LineLayout, cells, parse_lines
 from assort_mnl.bench import DEFAULT_MASTER_SEED, PRESET_NAMES, preset, run_case, split_dataset
-from assort_mnl.core import DEFAULT_MAX_ITER, DEFAULT_TOL, ONE_START, PER_SEGMENT, SHARED, _solve_stack, solve_fixed_point
+from assort_mnl.core import (
+    _BLOCK_ENTRIES, DEFAULT_MAX_ITER, ONE_START, PER_SEGMENT, SHARED, _small_records, _solve_stack, solve_fixed_point,
+)
 from assort_mnl.generate import (
     GenSpec, _chunk_columns, _draw, _indented_json, _line_template, generate_dataset, generate_instance, read_dataset, record_seed,
     write_dataset,
@@ -37,7 +39,7 @@ def test_solve_one_record(benchmark):
 
 def test_solve_stack_of_500_records(benchmark):
     stacked = solve_operands(SPEC, 500)
-    _, _, converged = benchmark(_solve_stack, *stacked, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    _, _, converged = benchmark(_solve_stack, *stacked, ONE_START, DEFAULT_MAX_ITER)
     assert converged.all()
 
 
@@ -46,7 +48,7 @@ def test_solve_the_preset_stacks(benchmark):
     stacks = [solve_operands(preset(name).spec, 500) for name in PRESET_NAMES]
 
     def solve_all():
-        return [_solve_stack(*stacked, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER) for stacked in stacks]
+        return [_solve_stack(*stacked, ONE_START, DEFAULT_MAX_ITER) for stacked in stacks]
 
     assert all(converged.all() for _, _, converged in benchmark(solve_all))
 
@@ -55,8 +57,21 @@ def test_solve_stack_of_200_records_at_n100_m4(benchmark):
     # 80,000 entries, far more than a block may hold: every block is one
     # pass until compaction shrinks the stack.
     stacked = solve_operands(GenSpec(n=100, m=4), 200)
-    _, _, converged = benchmark(_solve_stack, *stacked, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    _, _, converged = benchmark(_solve_stack, *stacked, ONE_START, DEFAULT_MAX_ITER)
     assert converged.all()
+
+
+@pytest.mark.parametrize("test", ["count", "all"])
+@pytest.mark.parametrize("entries", [16, 24, 96, 128, 400])
+def test_block_test_of_100_records(benchmark, entries, test):
+    # The solve's two block tests at the block a stack of 100 records of
+    # this many entries runs, to measure where the count stops paying: the
+    # solve counts for 2 to _COUNT_ENTRIES entries a record.
+    records = 100
+    passes = max(1, min(16, _BLOCK_ENTRIES // (records * entries)))
+    ok = np.random.default_rng(entries).random((passes, records, entries)) < 0.999
+    ones = np.ones(entries, np.float32) if test == "count" else None
+    assert np.array_equal(benchmark(_small_records, ok, ones), ok.all(axis=2))
 
 
 # The benchmark's wide_menu jobs: (spec, records).
@@ -70,7 +85,7 @@ WIDE_MENU_JOBS = {
 def test_solve_stack_of_a_wide_menu_job(benchmark, job):
     spec, count = WIDE_MENU_JOBS[job]
     stacked = solve_operands(spec, count)
-    _, _, converged = benchmark(_solve_stack, *stacked, ONE_START, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    _, _, converged = benchmark(_solve_stack, *stacked, ONE_START, DEFAULT_MAX_ITER)
     assert converged.all()
 
 
@@ -119,6 +134,11 @@ def test_write_the_preset_datasets_of_500_records(benchmark, tmp_path):
 
     benchmark(write_all)
     assert all(len(path.read_text().splitlines()) == len(dataset) + 1 for dataset, path in zip(datasets, paths))
+
+
+def float_cells(values):
+    """The cells of float64 ``values`` alone, as the writer's ``cells`` makes them with no integers."""
+    return cells(values, np.empty(0, np.uint64))[0]
 
 
 @pytest.mark.parametrize("count", [256, 2560, 8192])
