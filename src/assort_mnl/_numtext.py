@@ -426,8 +426,13 @@ def _number_fields(text, buf: np.ndarray, rows: int, layout: LineLayout):
         return None
     # A field ends at its separator and begins after the one before it.
     ends = separators.reshape(rows, fields)
-    sizes = np.diff(separators, prepend=separators.dtype.type(_ROW - 1)).reshape(rows, fields)
+    # The differences of the separators after one at _ROW - 1, written out:
+    # np.diff with prepend concatenates first and takes twice as long.
+    sizes = np.empty_like(separators)
+    sizes[:1] = separators[:1] - (_ROW - 1)
+    np.subtract(separators[1:], separators[:-1], out=sizes[1:])
     sizes -= 1
+    sizes = sizes.reshape(rows, fields)
     if (sizes[:, layout.literals] != layout.literal_sizes).any():
         return None
     words = _windows(buf, 8)[ends[:, layout.piece_fields] - layout.piece_backs].view(np.uint64)

@@ -58,7 +58,7 @@ import re
 import secrets
 import sys
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import chain, islice, zip_longest
+from itertools import chain, islice, pairwise, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -766,8 +766,18 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 @functools.cache
 def _flat_encoder(depth: int):
-    """json's C encoder, its item separator starting a new line ``depth`` indents deep."""
-    return json.JSONEncoder(separators=(",\n" + _INDENT * depth, ": ")).encode
+    """The text json writes of a container of scalars, or a scalar, its item separator starting a new line ``depth`` indents deep.
+
+    json's C encoder is built once per depth, with ``json.JSONEncoder``'s
+    settings, rather than on each call, as ``JSONEncoder.encode`` builds
+    it.  It keeps no markers of the containers it is in, as it only ever
+    meets containers of scalars here.
+    """
+    encoder = json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+        ": ", ",\n" + _INDENT * depth, False, False, True,
+    )
+    return lambda doc: "".join(encoder(doc, 0))
 
 
 def _indented_json(doc, depth: int = 0) -> str:
@@ -806,9 +816,12 @@ def _indented_json(doc, depth: int = 0) -> str:
 # 36 at 320, and peaks at 0.42, 0.50, 0.64, 0.91, 1.17 and 1.37 MB of
 # allocations above its columns, which must stay below 1.39 MB.
 _CHUNK_BYTES = 256 * 1024
-# Floats the writer formats at a time, at most, in as many whole records
-# as they hold (at least one): a write's allocations peak at about 390-480
-# bytes a float, 3.2-3.9 MB for a full chunk.
+# Floats the writer formats at a time: a dataset of F floats is cut into
+# max(1, round(F / _CHUNK_FLOATS)) chunks of equal record counts, so that a
+# chunk holds 0.5 to 1.5 budgets (or one record).  A write's allocations
+# peak at about 390-460 bytes a float of its largest chunk (numpy 2.4):
+# 5.6 MB at case3p5's shape and 1.49 budgets, 5.0 MB for case3p5's 500
+# records, 3.2 MB for learn_io's chunks of 111 records.
 _CHUNK_FLOATS = 8192
 
 
@@ -816,17 +829,20 @@ def write_dataset(dataset: LabeledDataset, path) -> str:
     """Write a dataset as JSON Lines (see the module docstring for the schema), atomically; returns its SHA-256.
 
     The header goes through ``json.dumps``, the record lines through array
-    code, as many records at a time as ``_CHUNK_FLOATS`` floats hold (at
-    least one), which spreads a chunk's fixed cost in array calls over as
-    many numbers as its memory allows: every number becomes a fixed-width
-    cell of candidate characters, 0 where one is dropped (``_numtext.cells``,
-    one pass over the chunk's floats and integers; a float keeps its
-    shortest round-trip digits, as ``repr`` writes them), the cells go into
-    a buffer of the chunk's lines that holds the literal text
-    ``json.dumps`` writes around the numbers (``_line_template``,
-    ``_line_buffer``), and one compaction of the kept characters gives the
-    bytes ``json.dumps`` writes.  A dataset whose records and ``excluded``
-    fall short of ``count``, as a subset's do, raises ``ValueError``; no
+    code in chunks of equal record counts (within one), as many as the
+    dataset's floats over ``_CHUNK_FLOATS``, rounded (at least one, at most
+    one a record), which spreads a chunk's fixed cost in array calls over
+    as many numbers as its memory allows and leaves no short last chunk to
+    pay it again.
+    Every number becomes a fixed-width cell of candidate characters, 0
+    where one is dropped (``_numtext.cells``, one pass over the chunk's
+    floats and integers; a float keeps its shortest round-trip digits, as
+    ``repr`` writes them), the cells go into a buffer of the chunk's lines
+    that holds the literal text ``json.dumps`` writes around the numbers
+    (``_line_template``, ``_line_buffer``), and one compaction of the kept
+    characters, record by record (``_compact``), gives the bytes
+    ``json.dumps`` writes.  A dataset whose records and ``excluded`` fall
+    short of ``count``, as a subset's do, raises ``ValueError``; no
     file is written.
     """
     if len(dataset) + len(dataset.excluded) != dataset.count:
@@ -842,14 +858,16 @@ def write_dataset(dataset: LabeledDataset, path) -> str:
 
     def chunks():
         yield (json.dumps(header, separators=(",", ":")) + "\n").encode()
-        if not len(dataset):
+        records = len(dataset)
+        if not records:
             # Nothing to lay out, so a spec too large for one line still writes its header.
             return
         floats = [getattr(dataset, name) for name in _FLOAT_COLUMNS]
-        size = max(1, _CHUNK_FLOATS // sum(math.prod(column.shape[1:]) for column in floats))
-        lines, float_slots, int_slots = _line_buffer(dataset.spec, size)
-        for start in range(0, len(dataset), size):
-            rows = slice(start, start + size)
+        per_record = sum(math.prod(column.shape[1:]) for column in floats)
+        parts = min(records, max(1, round(records * per_record / _CHUNK_FLOATS)))
+        lines, float_slots, int_slots = _line_buffer(dataset.spec, math.ceil(records / parts))
+        for start, stop in pairwise(records * part // parts for part in range(parts + 1)):
+            rows = slice(start, stop)
             idx = dataset.idx[rows]
             count = len(idx)
             values = np.concatenate([column[rows].reshape(count, -1) for column in floats], axis=1)
@@ -861,11 +879,24 @@ def write_dataset(dataset: LabeledDataset, path) -> str:
             float_cells, int_cells = cells(values.T.ravel(), ints.ravel())
             lines[float_slots, :count] = float_cells.reshape(*float_slots.shape, count)
             lines[int_slots, :count] = int_cells.reshape(*int_slots.shape, count)
-            # Record by record; the literal text holds no 0, the cells hold 0 where they drop a character.
-            text = lines[:, :count].T.ravel()
-            yield np.compress(text != 0, text)
+            yield _compact(lines[:, :count])
 
     return _write_atomic(path, chunks())
+
+
+def _compact(text: np.ndarray) -> np.ndarray:
+    """The characters of ``text``, a (width, records) part of a line buffer, record by record and without its 0s.
+
+    The literal text holds no 0; the cells hold 0 where they drop a
+    character.  ``compress`` makes an index of 8 bytes a kept character
+    (2.5 MB for a chunk of case3p5), and freeing it lifts glibc's dynamic
+    mmap threshold.  Masking ``text.T`` in place, without the transposed
+    copy, is faster a chunk but makes no such index, so that glibc trims
+    and regrows its heap on every write: about 3,000 more minor page
+    faults and 4-8 ms more system time a presets pass of 90 ms.
+    """
+    text = text.T.ravel()
+    return np.compress(text != 0, text)
 
 
 def _line_template(spec: GenSpec) -> tuple[list[str], np.ndarray]:
@@ -888,20 +919,22 @@ def _line_buffer(spec: GenSpec, size: int) -> tuple[np.ndarray, np.ndarray, np.n
     """A buffer for ``size`` record lines under ``spec``, and where its number cells go.
 
     Character j of line t is entry ``[j, t]`` of the (width, size) uint8
-    buffer, which holds the literal runs of ``_line_template``; between
-    them a float becomes a ``FLOAT_CELL``-wide cell and an integer an
-    ``INT_CELL``-wide one.  Entry ``[i, s]`` of the two (cell width,
-    slots) arrays returned is the position of row i of the s-th float or
-    integer cell.
+    buffer.  Each line is filled, in one broadcast copy, with one template
+    line: the literal runs of ``_line_template``, and between them a
+    ``FLOAT_CELL``-wide cell of NULs for a float and an ``INT_CELL``-wide
+    one for an integer.  Entry ``[i, s]`` of the two (cell width, slots)
+    arrays returned is the position of row i of the s-th float or integer
+    cell.
     """
     runs, is_float = _line_template(spec)
-    widths = np.where(is_float, FLOAT_CELL, INT_CELL)
-    starts = np.cumsum([0] + [len(run) + width for run, width in zip(runs, widths)])
-    cells = starts[:-1] + [len(run) for run in runs[:-1]]
-    lines = np.empty((starts[-1] + len(runs[-1]), size), np.uint8)
-    literal = np.concatenate([start + np.arange(len(run)) for run, start in zip(runs, starts)])
-    lines[literal] = np.frombuffer("".join(runs).encode(), np.uint8)[:, None]
-    return lines, np.arange(FLOAT_CELL)[:, None] + cells[is_float], np.arange(INT_CELL)[:, None] + cells[~is_float]
+    widths = np.where(is_float, FLOAT_CELL, INT_CELL).tolist()
+    line = "".join(run + "\0" * width for run, width in zip_longest(runs, widths, fillvalue=0))
+    line = np.frombuffer(line.encode(), np.uint8)
+    # A cell begins where a NUL follows literal text, which begins and ends a line and holds no NUL.
+    starts = np.flatnonzero((line[1:] == 0) & (line[:-1] != 0)) + 1
+    lines = np.empty((len(line), size), np.uint8)
+    lines[...] = line[:, None]
+    return lines, np.arange(FLOAT_CELL)[:, None] + starts[is_float], np.arange(INT_CELL)[:, None] + starts[~is_float]
 
 
 def _temporary_name(name: str) -> str:

@@ -613,20 +613,39 @@ def with_floats(data, floats):
 
 
 def floats_per_record(spec):
-    """The floats of a record line under ``spec``; a chunk of the writer holds as many records as ``_CHUNK_FLOATS`` floats do."""
+    """The floats of a record line under ``spec``; the writer cuts a dataset into chunks by its floats over ``_CHUNK_FLOATS``."""
     return sum(math.prod(shape) for shape, dtype in generate._layout(spec) if dtype is float)
+
+
+def chunk_records(monkeypatch, spec):
+    """The records of each chunk the writer formats under ``spec`` from now on, as a list it fills."""
+    sizes, cells = [], generate.cells
+    monkeypatch.setattr(generate, "cells", lambda floats, ints: sizes.append(len(floats) // floats_per_record(spec)) or cells(floats, ints))
+    return sizes
 
 
 @pytest.mark.parametrize("f_mode", [UNIT_SCALE, DOLLAR_SCALE])
 @pytest.mark.parametrize("mode", [SHARED, PER_SEGMENT])
 @pytest.mark.parametrize("n,m,k", [(2, 1, 1), (5, 1, 4), (2, 2, 1), (20, 3, 9), (100, 4, 3), (4, 3, 4)])
-def test_writer_matches_the_reference(tmp_path, n, m, k, mode, f_mode):
-    # Two full chunks of the writer and a last chunk of one record.
+def test_writer_matches_the_reference(tmp_path, monkeypatch, n, m, k, mode, f_mode):
+    # Three chunks of the writer, the last one record longer than the two
+    # before it: with R the records a budget holds (3 or more at each
+    # shape here), 3R + 1 records hold over 2.5 and at most 3 + 1/R
+    # budgets of floats.
     spec = GenSpec(n=n, m=m, k=k, mode=mode, f_mode=f_mode)
-    count = 2 * (generate._CHUNK_FLOATS // floats_per_record(spec)) + 1
-    data = generate_dataset(spec, count, 2**64 - n)
+    per_budget = generate._CHUNK_FLOATS // floats_per_record(spec)
+    data = generate_dataset(spec, 3 * per_budget + 1, 2**64 - n)
+    sizes = chunk_records(monkeypatch, spec)
     assert_writes_the_reference(data, tmp_path)
+    assert sizes == [per_budget, per_budget, per_budget + 1]
     assert_writes_the_reference(with_floats(data, FOREIGN_FLOATS), tmp_path)
+
+
+def subset(data, gone):
+    """``data`` without the records at the positions ``gone``, whose idx become excluded."""
+    kept = np.ones(len(data), bool)
+    kept[gone] = False
+    return dataclasses.replace(data.take(kept), excluded=tuple(int(i) for i in data.idx[~kept]))
 
 
 @pytest.mark.parametrize("excluded", [False, True])
@@ -636,16 +655,39 @@ def test_chunking_never_changes_the_bytes(tmp_path, monkeypatch, n, m, f_mode, e
     spec = GenSpec(n=n, m=m, k=1, f_mode=f_mode)
     data = generate_dataset(spec, 20, 2**32 + n)
     if excluded:
-        # Gaps in idx at the start, inside the first 7-record chunk and at the end.
-        kept = np.ones(len(data), bool)
-        kept[[0, 3, -1]] = False
-        data = dataclasses.replace(data.take(kept), excluded=tuple(int(i) for i in data.idx[~kept]))
-    loop_write(data, tmp_path / "reference.jsonl")
-    expected = hashlib.sha256((tmp_path / "reference.jsonl").read_bytes()).hexdigest()
-    # A chunk of 1 record, of 7 and of the whole dataset.
-    for records in (1, 7, len(data)):
-        monkeypatch.setattr(generate, "_CHUNK_FLOATS", records * floats_per_record(spec))
-        assert write_dataset(data, tmp_path / "written.jsonl") == expected, records
+        # Gaps in idx at the start, inside the first chunk and at the end;
+        # and a dataset of which one record of 20 is left.
+        datasets = [subset(data, [0, 3, -1]), subset(data, np.arange(20) != 5)]
+    else:
+        datasets = [data, generate_dataset(spec, 1, 2**32 + n)]
+    for data in datasets:
+        loop_write(data, tmp_path / "reference.jsonl")
+        expected = hashlib.sha256((tmp_path / "reference.jsonl").read_bytes()).hexdigest()
+        floats = len(data) * floats_per_record(spec)
+        # Chunks of 1 record and of about 7, the whole dataset in one, and
+        # the dataset's floats just below and above 1.5 budgets: one chunk
+        # or two.
+        budgets = [floats_per_record(spec) * records for records in (1, 7, len(data))] + [floats // 1.49, floats // 1.51]
+        for budget in budgets:
+            monkeypatch.setattr(generate, "_CHUNK_FLOATS", int(budget))
+            assert write_dataset(data, tmp_path / "written.jsonl") == expected, (len(data), budget)
+
+
+@pytest.mark.parametrize("terms", [
+    RevenueTerms(),
+    RevenueTerms(5e-324, 1e16, 1e-05, 0.1),
+    RevenueTerms(-0.0, 1.7976931348623157e308, 0.0, 1.0),
+    RevenueTerms(1e-300, 1e300, 5e-324, 0.9999999999999999),
+    RevenueTerms(3, 7, 0, 1),
+])
+@pytest.mark.parametrize("n,m,k,f_mode", [(2, 1, 1, UNIT_SCALE), (5, 3, 4, DOLLAR_SCALE)])
+def test_line_template_holds_no_nul(n, m, k, f_mode, terms):
+    # The writer's compaction drops every 0 byte of a line buffer, so the
+    # literal text around the numbers must hold none, whatever the header
+    # writes into it.
+    runs, is_float = generate._line_template(GenSpec(n=n, m=m, k=k, f_mode=f_mode, revenue=terms))
+    assert len(runs) == len(is_float) + 1
+    assert all(run and "\0" not in run for run in runs)
 
 
 def test_writer_matches_the_reference_without_records(tmp_path):

@@ -779,3 +779,29 @@ def test_a_chunk_parse_allocates_few_bytes_per_byte(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(floats[:, -1], data.r_a[:rows])
     assert peak / (len(buf) - len(generate.PAD)) < _CHUNK_PEAK_PER_BYTE, peak
+
+
+# A write allocates at most this many bytes per float of its largest chunk
+# (458 at case3p5's shape, numpy 2.4; at most 1.5 budgets of floats, 6.4 MB
+# at this bound), so that a chunk's temporaries cannot regrow unseen.
+_WRITE_PEAK_PER_FLOAT = 520
+
+
+def test_a_write_allocates_few_bytes_per_float(tmp_path):
+    # The largest chunk the writer makes: a dataset of case3p5's shape whose
+    # floats fall just short of 1.5 budgets, written in one chunk.
+    spec = GenSpec(n=5, m=1, k=4)
+    per_record = sum(int(np.prod(shape)) for shape, dtype in generate._layout(spec) if dtype is float)
+    data = generate_dataset(spec, int(1.49 * generate._CHUNK_FLOATS) // per_record, 1)
+    floats = len(data) * per_record
+    assert 1.45 < floats / generate._CHUNK_FLOATS < 1.5
+    path = tmp_path / "data.jsonl"
+    write_dataset(data, path)
+    tracemalloc.start()
+    try:
+        write_dataset(data, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read_dataset(path) == data
+    assert peak / floats < _WRITE_PEAK_PER_FLOAT, peak

@@ -10,14 +10,15 @@ import json
 import numpy as np
 import pytest
 
+from assort_mnl import generate
 from assort_mnl._numtext import FLOAT_CELL, PAD, LineLayout, cells, parse_lines
 from assort_mnl.bench import DEFAULT_MASTER_SEED, PRESET_NAMES, preset, run_case, split_dataset
 from assort_mnl.core import (
     _BLOCK_ENTRIES, DEFAULT_MAX_ITER, ONE_START, PER_SEGMENT, SHARED, _small_records, _solve_stack, solve_fixed_point,
 )
 from assort_mnl.generate import (
-    GenSpec, _chunk_columns, _draw, _indented_json, _line_template, generate_dataset, generate_instance, read_dataset, record_seed,
-    write_dataset,
+    GenSpec, _chunk_columns, _compact, _draw, _indented_json, _line_template, generate_dataset, generate_instance, read_dataset,
+    record_seed, write_dataset,
 )
 from assort_mnl.learner import _decode_blocks
 
@@ -136,6 +137,29 @@ def test_write_the_preset_datasets_of_500_records(benchmark, tmp_path):
     assert all(len(path.read_text().splitlines()) == len(dataset) + 1 for dataset, path in zip(datasets, paths))
 
 
+def test_write_dataset_of_40_records(benchmark, tmp_path):
+    # The fixed cost of a write: one chunk of 40 case3p5 records, 880 floats.
+    path = tmp_path / "dataset.jsonl"
+    benchmark(write_dataset, generate_dataset(SPEC, 40, DEFAULT_MASTER_SEED), path)
+    assert len(path.read_text().splitlines()) == 41
+
+
+# The datasets whose first chunk test_compact_a_chunk compacts: a presets
+# file of 500 records, written in one chunk, and learn_io's, in 18.
+COMPACTED = {"case3p5": (SPEC, 500), "learn_io": (LEARN_IO_SPEC, 2000)}
+
+
+@pytest.mark.parametrize("shape", sorted(COMPACTED))
+def test_compact_a_chunk(benchmark, monkeypatch, tmp_path, shape):
+    # The writer's line buffer of one chunk, as the write fills it.
+    spec, count = COMPACTED[shape]
+    buffers = []
+    monkeypatch.setattr(generate, "_compact", lambda text: buffers.append(text.copy()) or _compact(text))
+    write_dataset(generate_dataset(spec, count, DEFAULT_MASTER_SEED), tmp_path / "dataset.jsonl")
+    text = benchmark(_compact, buffers[0])
+    assert text.tobytes() == b"".join((tmp_path / "dataset.jsonl").read_bytes().splitlines(keepends=True)[1 : 1 + buffers[0].shape[1]])
+
+
 def float_cells(values):
     """The cells of float64 ``values`` alone, as the writer's ``cells`` makes them with no integers."""
     return cells(values, np.empty(0, np.uint64))[0]
@@ -144,7 +168,8 @@ def float_cells(values):
 @pytest.mark.parametrize("count", [256, 2560, 8192])
 def test_float_cells(benchmark, count):
     # The cost of a call against its size: a presets file holds 5,000 to
-    # 11,000 floats, and a chunk of the writer at most 8,192.
+    # 11,000 floats, which the writer formats in one chunk; a chunk holds
+    # 0.5 to 1.5 times _CHUNK_FLOATS = 8,192 floats, or one record.
     data = generate_dataset(SPEC, 500, DEFAULT_MASTER_SEED)
     values = np.resize(np.concatenate([data.y.ravel(), data.alpha.ravel(), data.q.ravel(), data.r_a]), count)
     assert benchmark(float_cells, values).shape == (FLOAT_CELL, count)
