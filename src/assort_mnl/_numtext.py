@@ -52,12 +52,12 @@ _K_MIN, _K_MAX = -324, 292
 def mul_hi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The high 64 bits of the 128-bit products ``a * b`` of uint64 arrays, from 32-bit halves."""
     a0, a1, b0, b1 = a & _LOW32, a >> _U32, b & _LOW32, b >> _U32
-    # The halves dropped once their products are made, so that few arrays are live.
-    middle, p01, p10 = (a0 * b0) >> _U32, a0 * b1, a1 * b0
-    high = a1 * b1
-    del a0, a1, b0, b1
-    middle += (p01 & _LOW32) + (p10 & _LOW32)
-    return high + (p01 >> _U32) + (p10 >> _U32) + (middle >> _U32)
+    # Neither sum carries, as (2**32 - 1)**2 + 2 * (2**32 - 1) < 2**64; the
+    # halves are dropped once their products are made, so that few arrays are live.
+    cross = a1 * b0 + ((a0 * b0) >> _U32)
+    middle = (cross & _LOW32) + a0 * b1
+    del a0, b0
+    return a1 * b1 + (cross >> _U32) + (middle >> _U32)
 
 
 def _floor_log10_pow2(e):

@@ -32,6 +32,7 @@ from .generate import (
     LabeledDataset,
     _fields,
     _indented_json,
+    _integer,
     _temporary_name,
     _write_atomic,
     generate_dataset,
@@ -114,6 +115,8 @@ class CaseConfig:
                 f"case_id must take at most {_NAME_MAX - (longest - size)} bytes, so that the names of its "
                 f"files fit in {_NAME_MAX}; got {size}"
             )
+        for name in ("count", "master_seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
         if not 0.0 < self.train_fraction < 1.0:

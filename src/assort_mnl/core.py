@@ -29,11 +29,12 @@ arrays when built, and a solve checks once, before its loop, that the
 utilities at the all-ones matrix are finite, which bounds those of every
 iterate; the loop itself checks nothing.  From the zero start this is
 stricter than checking each pass only when ``V(1)`` overflows, near
-1e308.  The loop tests convergence once per block of passes, 4 in the
-first block and up to 16 in the others (a float32 BLAS count of the small
-steps for records of up to 96 entries, ``all`` for longer ones), and
-records that finish ride along in its buffers, masked out, until half of
-the stack is done (or they grow large); only then is it compacted.  The
+1e308.  The loop tests convergence once per block of passes, 8 in the
+first block and up to 16 in the others (a float32 BLAS count of the
+small steps for blocks of many short records, a logical and for others),
+and records that finish ride along in its buffers, masked out, until
+half of the stack is done (or they grow large); only then is it
+compacted.  The
 support mass is one ``matmul``, or the iterate itself when every record
 has one segment of weight exactly 1.  A record stops on a step of at most
 ``DEFAULT_TOL`` or after ``DEFAULT_MAX_ITER`` passes, the constants every
@@ -46,6 +47,8 @@ state, safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -358,19 +361,33 @@ _RIDE_LIMIT = 1 << 14
 # small share.
 _BLOCK_ENTRIES = 1 << 15
 # The solve's first block runs at most this many passes, as a block runs
-# every one of its passes and most generated records stop at pass 2-4.
-_FIRST_PASSES = 4
+# every one of its passes, and most generated records stop at pass 2-9.
+# On one Xeon core (minimum of 15 interleaved rounds), against a first
+# block of 4 passes, a first block of 8 took 0.91 of the time on the
+# wide_menu benchmark's shared stacks of 40 records, 1.00 on its
+# per-segment stacks of 16, 0.90-0.98 on one record of wide_menu or
+# case3p5 and 1.03 on the 11 preset stacks of 500 records; blocks of 4,
+# 4, 8 and 16 passes took 1.02-1.04 on the wide_menu stacks.
+_FIRST_PASSES = 8
 
-
-# The block test counts a record's small steps with a float32 BLAS product
-# (exact in any order, as it sums at most this many zeros and ones) for 2
-# to this many entries a record, and runs ``all`` over the entries
-# otherwise; over one entry ``all`` wins, as the count makes a copy.  On
-# one Xeon core (SkylakeX kernels), the minimum of 5 x 400 calls at the
-# block shapes the solve builds, the count took this share of ``all``'s
-# time: 0.22-0.61 at 17-48 entries, 0.50-0.87 at 64-96, 0.91-1.20 at 128
-# and 1.17-3.34 at 200 and 400.  tests/test_microbench.py times both.
+# The block test counts a row's small steps with a float32 BLAS product
+# (exact in any order, as it sums at most this many zeros and ones) for
+# blocks of at least _COUNT_ROWS rows (record-passes) of 2 to this many
+# entries, and runs a logical and along the rows otherwise.  On one Xeon
+# core (minimum of 7 runs of 3000 calls), the count took 1.1-2.8 times the
+# and's time below 64 rows of 2-96 entries, 0.54-0.90 at 128 rows and
+# 0.11-0.72 from 256 rows up; at 128 entries and more it lost at every
+# size.  tests/test_microbench.py times both.
 _COUNT_ENTRIES = 96
+_COUNT_ROWS = 128
+
+
+@functools.cache
+def _count_ones(entries: int) -> np.ndarray:
+    """The float32 ones the block test's count multiplies a record-pass's flags by, built once per record size."""
+    ones = np.ones(entries, np.float32)
+    ones.setflags(write=False)
+    return ones
 
 
 def _unit_mass(q, lam, out) -> np.ndarray:
@@ -378,15 +395,20 @@ def _unit_mass(q, lam, out) -> np.ndarray:
     return q
 
 
-def _small_records(ok: np.ndarray, ones: np.ndarray | None) -> np.ndarray:
-    """Whether each record's flags in ``ok`` (passes, records, entries) all hold: a float32 count against ``ones``, or ``all``."""
-    return ok.all(axis=2) if ones is None else ok.view(np.uint8).astype(np.float32) @ ones == len(ones)
+def _small_records(ok: np.ndarray) -> np.ndarray:
+    """Whether each row of flags in ``ok`` (rows, entries) all hold: a float32 count or a logical and, by the block's size."""
+    rows, entries = ok.shape
+    if rows < _COUNT_ROWS or not 1 < entries <= _COUNT_ENTRIES:
+        return np.logical_and.reduce(ok, axis=1)
+    return ok.view(np.uint8).astype(np.float32) @ _count_ones(entries) == entries
 
 
-def _block_buffers(stores, like: np.ndarray) -> list[np.ndarray]:
+def _block_buffers(stores, like: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """History ``(K + 1, *like.shape)``, steps ``(K, *like.shape)`` and their test, as views of flat ``stores``."""
-    passes = max(1, min(16, _BLOCK_ENTRIES // like.size))
-    return [store[: (passes + i) * like.size].reshape((passes + i,) + like.shape) for store, i in zip(stores, (1, 0, 0))]
+    passes, size = max(1, min(16, _BLOCK_ENTRIES // like.size)), like.size
+    history, steps, small = stores
+    shape = (passes,) + like.shape
+    return history[: size + passes * size].reshape((passes + 1,) + like.shape), steps[: passes * size].reshape(shape), small[: passes * size].reshape(shape)
 
 
 def _solve_stack(c, alpha, lam, start: str, max_iter: int):
@@ -402,11 +424,13 @@ def _solve_stack(c, alpha, lam, start: str, max_iter: int):
     all-ones matrix, ``V(1)``, must be finite, or :class:`_RecordFault`
     names the first record at fault.  This check is exact: iterates lie in
     [0, 1] and alpha and lam are nonnegative, so, rounding being monotone,
-    every iterate's utilities lie between ``c`` and ``V(1)``.
-    From the one start ``V(1)`` is the first pass's V, so the check costs
-    nothing and gives the verdict that checking every pass gives.  From the
-    zero start it is stricter only when ``V(1)`` overflows while no
-    iterate's utilities do, which takes values near 1e308.
+    every iterate's utilities lie between ``c`` and ``V(1)``.  From the
+    one start ``V(1)`` is the first pass's V, so the check costs one sum,
+    finite exactly when every utility is, and gives the verdict that
+    checking every pass gives; only a sum that is not finite is looked
+    into entry by entry.  From the zero start it is stricter only when
+    ``V(1)`` overflows while no iterate's utilities do, which takes values
+    near 1e308.
 
     The loop runs blocks of passes into a history of up to 17 slabs
     (``_BLOCK_ENTRIES``), each block cut short at ``max_iter``: first
@@ -414,12 +438,12 @@ def _solve_stack(c, alpha, lam, start: str, max_iter: int):
     slab, and from there backward and forward in turn, so that a block
     starts on the slab the last one ended on and nothing is copied between
     blocks.  One test per block finds each record's first pass with a step
-    of at most ``DEFAULT_TOL``: for records of 2 to ``_COUNT_ENTRIES`` = 96
-    entries, one float32 BLAS count of the small steps, exact on any kernel
-    as it sums zeros and ones, and for others ``all`` over the entries,
-    which is faster there.  A record finishing there stores that pass's
-    iterate, count and flag, then rides along, masked out, until at most
-    half of the working set is live (or the finished records hold
+    of at most ``DEFAULT_TOL``: a float32 BLAS count of the small steps,
+    exact on any kernel as it sums zeros and ones, for blocks of many
+    records of 2 to ``_COUNT_ENTRIES`` entries, and a logical and for
+    others, which is faster there.  A record finishing there stores that
+    pass's iterate, count and flag, then rides along, masked out, until at
+    most half of the working set is live (or the finished records hold
     ``_RIDE_LIMIT`` entries).  Only then are the live records compacted,
     into buffers of stores allocated once.  Every slab, like every operand,
     is C-contiguous, so each record's bits are those of the record solved
@@ -438,13 +462,15 @@ def _solve_stack(c, alpha, lam, start: str, max_iter: int):
     history[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         V = np.add(c, np.multiply(alpha, mass(history[0], lam_a, out=s), out=work), out=work)
-    if not np.isfinite(V).all():
+        total = np.add.reduce(V, axis=None)
+    # A finite sum clears every utility; only a sum that is not tests them one by one.
+    if not math.isfinite(total) and not np.isfinite(V).all():
         raise _RecordFault("mean utilities must be finite", int(np.argmin(np.isfinite(V).all(axis=(1, 2)))))
-    history[0] = float(start == ONE_START)
-    entries = c[0].size
-    ones = np.ones(entries, np.float32) if 1 < entries <= _COUNT_ENTRIES else None
-    q, iterations, converged = np.empty(c.shape), np.full(len(c), max_iter), np.zeros(len(c), dtype=bool)
-    active, live, live_count = np.arange(len(q)), np.ones(len(q), dtype=bool), len(q)
+    if start != ONE_START:
+        history[0] = 0.0
+    records, entries = len(c), c[0].size
+    q, iterations, converged = np.empty(c.shape), np.full(records, max_iter), np.zeros(records, dtype=bool)
+    active, live, live_count = np.arange(records), np.ones(records, dtype=bool), records
     c_a, alpha_a, at, it = c, alpha, 0, 0
     while it < max_iter:
         # Passes it + 1 .. it + size, from slab `at` to slab `end`: the solve's first block ends
@@ -463,57 +489,66 @@ def _solve_stack(c, alpha, lam, start: str, max_iter: int):
         lo, at, block = min(at, end), end, steps[:size]
         np.abs(np.subtract(history[lo + 1 : lo + size + 1], history[lo : lo + size], out=block), out=block)
         # done[j] flags the records whose step on the block's pass j + 1 is at most DEFAULT_TOL.
-        ok = np.less_equal(block, DEFAULT_TOL, out=small[:size]).reshape(size, len(live), entries)
-        done = _small_records(ok, ones)
+        ok = np.less_equal(block, DEFAULT_TOL, out=small[:size])
+        done = _small_records(ok.reshape(-1, entries)).reshape(size, len(live))
         if way < 0:
             done = done[::-1]
-        newly = np.flatnonzero(done.any(axis=0) & live)
+        newly = (np.logical_or.reduce(done, axis=0) & live).nonzero()[0]
         if not len(newly):
             continue
         # Pass j + 1 of the block wrote slab lo + 1 + j going forward, lo + size - 1 - j going backward.
-        first, rows = done[:, newly].argmax(axis=0), active[newly]
+        first, rows = done.take(newly, axis=1).argmax(axis=0), active.take(newly)
         q[rows] = history[first + (lo + 1) if way > 0 else (lo + size - 1) - first, newly]
         iterations[rows], converged[rows] = first + (it - size + 1), True
-        live[newly] = False
         live_count -= len(newly)
         if not live_count:
             break
+        live[newly] = False
         if 2 * live_count <= len(live) or (len(live) - live_count) * entries >= _RIDE_LIMIT:
-            active, c_a, alpha_a, lam_a = (x[live] for x in (active, c_a, alpha_a, lam_a))
+            keep = live.nonzero()[0]
+            active, c_a, alpha_a, lam_a = (x.take(keep, axis=0) for x in (active, c_a, alpha_a, lam_a))
             current, (history, steps, small) = history[at], _block_buffers(stores, c_a)
-            history[0] = current[live]
-            slabs, work, s, at = list(history), steps[0], s[:live_count], 0
-            live = np.ones(live_count, dtype=bool)
-    q[active[live]] = history[at][live]
+            current.take(keep, axis=0, out=history[0])
+            slabs, work, s, live, at = list(history), steps[0], s[:live_count], live[:live_count], 0
+            live[:] = True
+    else:
+        q[active[live]] = history[at][live]
     q.setflags(write=False)
     return q, iterations, converged
 
 
 def _block_revenue(q, lam, per_support, blocks) -> np.ndarray:
-    """Revenue of offering ``blocks`` (..., m, k) at supports ``q`` (..., n, m)."""
+    """Revenue of offering ``blocks`` (..., m, k) at supports ``q`` (..., n, m), both of the same leading shape."""
     # Blocks sum over a contiguous axis and segments add in order, as for
     # one record, so stacking records changes no bit of any revenue.
-    picked = np.take_along_axis(np.swapaxes(q, -1, -2), blocks, axis=-1).sum(axis=-1)
-    total = np.zeros(picked.shape[:-1])
-    for j in range(picked.shape[-1]):
-        total = total + lam[..., j] * picked[..., j]
-    return per_support * total
+    (n, m), k = q.shape[-2:], blocks.shape[-1]
+    rows = blocks.reshape(-1, m, k)
+    picked = q.reshape(-1, n, m).swapaxes(1, 2)[np.arange(len(rows))[:, None, None], np.arange(m)[:, None], rows]
+    picked = picked.sum(axis=-1).reshape(blocks.shape[:-1])
+    # Segment j's terms, each leading axis reversed alike, from the first.
+    total = 0.0
+    for term in (lam * picked).T:
+        total = total + term
+    return per_support * total.T
 
 
 def _top_k(values: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries along the last axis, ascending; ties go to the lower index."""
     # Stable sort on the negated values puts ties in ascending index order.
-    return np.sort(np.argsort(-values, axis=-1, kind="stable")[..., :k], axis=-1)
+    top = (-values).argsort(axis=-1, kind="stable")[..., :k].copy()
+    top.sort(axis=-1)
+    return top
 
 
 def _best_blocks(q, lam, k: int, mode: str) -> np.ndarray:
     """Optimal blocks (..., m, k) at supports ``q`` (..., n, m) and weights ``lam`` (..., m)."""
+    m = q.shape[-1]
     if mode == SHARED:
-        block = _top_k(_mass(q, lam), k)
-        return np.repeat(block[..., None, :], q.shape[-1], axis=-2)
+        block = _top_k(_mass(q, lam), k)[..., None, :]
+        return block if m == 1 else np.repeat(block, m, axis=-2)
     # Rank q itself rather than lam_j * q: a positive weight keeps the order,
     # but rounding the products could merge two distinct values into a tie.
-    return np.where(lam[..., None] > 0.0, _top_k(np.swapaxes(q, -1, -2), k), np.arange(k))
+    return np.where(lam[..., None] > 0.0, _top_k(q.swapaxes(-1, -2), k), np.arange(k))
 
 
 def optimize_assortment(instance: ProblemInstance, k: int, mode: str = SHARED) -> tuple[Assortment, float, SupportSolution]:

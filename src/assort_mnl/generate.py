@@ -58,7 +58,7 @@ import re
 import secrets
 import sys
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import chain, islice, pairwise, zip_longest
+from itertools import accumulate, chain, islice, pairwise, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -205,8 +205,10 @@ class LabeledDataset:
     (``spec.revenue``) and :attr:`seed`.  :attr:`records` presents them as
     :class:`DatasetRecord` objects.  Construction checks a file's rules
     (``_dataset_faults``), but records may be a subset: their idx increase
-    strictly through range(count) without ``excluded``.  A broken rule
-    raises ``ValueError`` as ``record {idx}: <rule>``, for the first record.
+    strictly through range(count) without ``excluded``.  One verdict from
+    column reductions (``_keeps_rules``) decides every rule; only when it
+    fails does the rule-by-rule walk run, which raises ``ValueError`` as
+    ``record {idx}: <rule>`` for the first broken rule and its first record.
     The arrays given become read-only columns, so none can change after its
     rules passed, but another writable view of them is beyond numpy's guard.
     """
@@ -225,12 +227,14 @@ class LabeledDataset:
     excluded: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "master_seed", _check_master_seed(_integer("master_seed", self.master_seed)))
+        object.__setattr__(self, "master_seed", _check_master_seed(self.master_seed))
         object.__setattr__(self, "count", _integer("count", self.count))
         object.__setattr__(self, "excluded", tuple(_integer("excluded", i) for i in self.excluded))
         for name in _COLUMNS:
             _freeze(self, name, np.asarray(getattr(self, name)))
-        _check(self, _dataset_faults(self))
+        _check_layout(self)
+        if not _keeps_rules(self):
+            _check(self, _dataset_faults(self))
 
     def __len__(self) -> int:
         return len(self.idx)
@@ -303,10 +307,9 @@ def _layout(spec: GenSpec) -> list[tuple[tuple, type]]:
     return [((), np.int64), *floats, ((m, spec.k), np.int64), ((), float)]
 
 
-def _dataset_faults(dataset: LabeledDataset):
-    """A file's rules for ``dataset``: header, shape and dtype faults raise; record rules yield as in ``_instance_faults``."""
-    spec, count, excluded = dataset.spec, dataset.count, dataset.excluded
-    idx, y, alpha, F, lam, q, blocks, r_a = (getattr(dataset, name) for name in _COLUMNS)
+def _check_layout(dataset: LabeledDataset) -> None:
+    """Raise the first header, shape or dtype fault of ``dataset``: the rules of a file that no record carries."""
+    spec, count, excluded, idx = dataset.spec, dataset.count, dataset.excluded, dataset.idx
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if not all(0 <= i < count for i in excluded) or len(set(excluded)) != len(excluded):
@@ -319,6 +322,49 @@ def _dataset_faults(dataset: LabeledDataset):
             raise ValueError(f"{name} must have shape {(len(idx), *shape)}, got {column.shape}")
         if column.dtype.kind not in kinds:
             raise ValueError(f"{name} must hold {what}, got dtype {column.dtype}")
+
+
+def _keeps_rules(dataset: LabeledDataset) -> bool:
+    """Whether every record of ``dataset``, its layout checked, keeps every rule ``_dataset_faults`` yields.
+
+    One verdict from reductions, rather than a flag per entry and rule: the
+    least and greatest entry of each float column against its range (min
+    and max propagate NaN, which fails every comparison, and a range of
+    finite bounds shuts out both infinities), the first and last idx and
+    one comparison of neighbours for idx and for the products of each
+    block, and the least and greatest weight sum, as a sum's distance from
+    1 grows away from 1 on either side.  Only dollar f_mode's integer F
+    and idx against ``excluded`` are tested per entry.  It is exact, so a
+    dataset it refuses breaks a rule, which ``_dataset_faults`` then names.
+    """
+    spec, idx, F, blocks = dataset.spec, dataset.idx, dataset.F, dataset.blocks
+    if not len(idx):
+        return True
+    least, most = np.minimum.reduce, np.maximum.reduce
+    y, alpha, q, r_a = ((least(c, axis=None), most(c, axis=None)) for c in (dataset.y, dataset.alpha, dataset.q, dataset.r_a))
+    sums, M = np.add.reduce(dataset.lam, axis=1), float(spec.M)
+    return bool(
+        0 <= idx[0] and idx[-1] < dataset.count and np.logical_and.reduce(idx[1:] > idx[:-1])
+        and not (dataset.excluded and np.isin(idx, dataset.excluded).any())
+        and 0.0 <= y[0] and y[1] <= M
+        and (0.0 <= alpha[0] and alpha[1] <= M if spec.network_effects else alpha[0] == alpha[1] == 0.0)
+        and (0.0 <= least(F, axis=None) and most(F, axis=None) <= M if spec.f_mode == UNIT_SCALE
+             else 1.0 <= least(F, axis=None) and most(F, axis=None) <= DOLLAR_MAX
+             and np.logical_and.reduce(F == np.floor(F), axis=None))
+        # Weights of at least 0 whose sum lies near 1 are finite.
+        and 0.0 <= least(dataset.lam, axis=None) and abs(least(sums) - 1.0) <= 1e-12 and abs(most(sums) - 1.0) <= 1e-12
+        and 0.0 <= q[0] and q[1] <= 1.0
+        and -math.inf < r_a[0] and r_a[1] < math.inf
+        and 0 <= least(blocks, axis=None) and most(blocks, axis=None) < spec.n
+        and np.logical_and.reduce(blocks[..., 1:] > blocks[..., :-1], axis=None)
+    )
+
+
+def _dataset_faults(dataset: LabeledDataset):
+    """A file's rules for ``dataset``: header, shape and dtype faults raise; record rules yield as in ``_instance_faults``."""
+    spec, count, excluded = dataset.spec, dataset.count, dataset.excluded
+    idx, y, alpha, F, lam, q, blocks, r_a = (getattr(dataset, name) for name in _COLUMNS)
+    _check_layout(dataset)
     ok = (idx >= 0) & (idx < count)
     ok[1:] &= idx[1:] > idx[:-1]
     if excluded:
@@ -354,16 +400,17 @@ def record_seed(master_seed: int, index: int) -> int:
 
     A pure 64-bit mix of (master_seed, index), so record seeds are
     independent of generation order.  ``master_seed`` must lie in [0,
-    2**64), where the mix tells every seed apart.
+    2**64), where the mix tells every seed apart; both are integers.
     """
-    _check_master_seed(master_seed)
+    master_seed, index = _check_master_seed(master_seed), _integer("index", index)
     if index < 0:
         raise ValueError(f"index must be >= 0, got {index}")
     return int(_record_seeds(master_seed, [index])[0])
 
 
-def _check_master_seed(master_seed: int) -> int:
-    """``master_seed``, which must lie in [0, 2**64), where the seed mix tells every seed apart."""
+def _check_master_seed(master_seed) -> int:
+    """``master_seed`` as an int (``_integer``), which must lie in [0, 2**64), where the seed mix tells every seed apart."""
+    master_seed = _integer("master_seed", master_seed)
     if not 0 <= master_seed <= _MASK64:
         raise ValueError(f"master_seed must lie in [0, 2**64), got {master_seed}")
     return master_seed
@@ -391,27 +438,34 @@ def generate_instance(spec: GenSpec, seed: int) -> ProblemInstance:
     are those of ``np.random.default_rng(seed)``; ``seed`` must lie in
     [0, 2**64), the range of record seeds.
     """
+    seed = _integer("seed", seed)
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     y, alpha, F, lam = (column[0] for column in _draw(spec, [seed]))
     return ProblemInstance(y=y, alpha=alpha, F=F, lam=lam, revenue=spec.revenue)
 
 
-def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (xor, multiply) constants of ``calls`` successive SeedSequence hash calls, as (calls, 1) uint32.
+def _hash_constants(init: int, mult: int, groups) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (xor, multiply) constants of successive SeedSequence hash calls, as (calls, 1) uint32, one pair per group.
 
     Each call XORs with the current constant, advances it by ``mult`` and
     multiplies by the new one; the sequence is the same for every seed.
+    ``groups`` counts the calls of each group, which run as one array
+    operation.
     """
     constants = [init]
-    for _ in range(calls):
+    for _ in range(sum(groups)):
         constants.append(constants[-1] * mult & _MASK32)
-    return np.array(constants[:-1], np.uint32)[:, None], np.array(constants[1:], np.uint32)[:, None]
+    xor, multiply = np.array(constants[:-1], np.uint32)[:, None], np.array(constants[1:], np.uint32)[:, None]
+    bounds = list(accumulate(groups, initial=0))
+    return [(xor[start:stop], multiply[start:stop]) for start, stop in pairwise(bounds)]
 
 
-# Four hash calls mix in the entropy, twelve mix the pool, eight draw the output.
-_HASH_MIX = _hash_constants(_INIT_A, _MULT_A, 16)
-_HASH_OUT = _hash_constants(_INIT_B, _MULT_B, 8)
+# Four hash calls mix in the entropy and three hash each word of the pool
+# for the others; eight draw the output.
+_HASH_MIX = _hash_constants(_INIT_A, _MULT_A, (4, 3, 3, 3, 3))
+(_HASH_OUT,) = _hash_constants(_INIT_B, _MULT_B, (8,))
+_U32_16, _MIX_L, _MIX_R = np.uint32(16), np.uint32(_MIX_MULT_L), np.uint32(_MIX_MULT_R)
 
 
 def _seed_words(seeds) -> np.ndarray:
@@ -424,48 +478,46 @@ def _seed_words(seeds) -> np.ndarray:
     operation, each with its own constants (``_hash_constants``).
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    u32 = np.uint32
 
-    def hashmix(values, calls, constants=_HASH_MIX):
-        xor, mult = (c[calls] for c in constants)
+    def hashmix(values, constants):
+        xor, mult = constants
         values = (values ^ xor) * mult
-        return values ^ (values >> u32(16))
+        values ^= values >> _U32_16
+        return values
 
-    def mix(x, y):
-        result = x * u32(_MIX_MULT_L) - y * u32(_MIX_MULT_R)
-        return result ^ (result >> u32(16))
-
-    pool = np.zeros((4, seeds.size), u32)
+    pool = np.zeros((4, seeds.size), np.uint32)
     pool[0], pool[1] = seeds & np.uint64(_MASK32), seeds >> np.uint64(32)
-    pool = hashmix(pool, slice(0, 4))
+    pool = hashmix(pool, _HASH_MIX[0])
     # Word src is hashed once for each other word, in order, and none of
-    # those words' updates changes it.
-    for src in range(4):
+    # those words' updates changes it; mix(x, y) is (L x - R y) ^ its >> 16.
+    for src, constants in enumerate(_HASH_MIX[1:]):
         others = [dst for dst in range(4) if dst != src]
-        pool[others] = mix(pool[others], hashmix(pool[src], slice(4 + 3 * src, 7 + 3 * src)))
-    state = hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], slice(0, 8), _HASH_OUT).astype(np.uint64)
+        mixed = pool[others] * _MIX_L - hashmix(pool[src], constants) * _MIX_R
+        mixed ^= mixed >> _U32_16
+        pool[others] = mixed
+    state = hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_OUT).astype(np.uint64)
     # uint64 word j is uint32 words 2j (low half) and 2j + 1.
     return (state[0::2] | (state[1::2] << np.uint64(32))).T
 
 
-def _pcg64_seeding(seeds) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+def _pcg64_seeding(seeds) -> tuple[np.ndarray, np.ndarray]:
     """PCG64's state one step before it is seeded, and its increment, for each seed in [0, 2**64).
 
     ``np.random.PCG64(s)`` seeds from the four words w of ``_seed_words``:
     its increment is ``inc = (w[2:4] << 1) | 1`` and its state ``P * MULT +
     inc``, one step from ``P = inc + w[0:2]``, all modulo 2**128.  Returns
-    ``(P, inc)`` in array code, each 128-bit number a (high word, low word)
-    pair of uint64 arrays.
+    the high and the low words of ``P`` (row 0) and ``inc`` (row 1), as two
+    (2, N) uint64 arrays.
     """
     hi, lo, inc_hi, inc_lo = _seed_words(seeds).T
     inc = ((inc_hi << _U1) | (inc_lo >> _U63), (inc_lo << _U1) | _U1)
     before_lo = inc[1] + lo
-    return (inc[0] + hi + (before_lo < lo), before_lo), inc
+    return np.array((inc[0] + hi + (before_lo < lo), inc[0])), np.array((before_lo, inc[1]))
 
 
 def _pcg64_states(seeds) -> list[dict]:
     """``np.random.PCG64(s).state`` for each seed ``s`` in [0, 2**64), built from ``_pcg64_seeding``."""
-    (before_hi, before_lo), (inc_hi, inc_lo) = _pcg64_seeding(seeds)
+    (before_hi, inc_hi), (before_lo, inc_lo) = _pcg64_seeding(seeds)
     states = []
     for bh, bl, ih, il in zip(before_hi.tolist(), before_lo.tolist(), inc_hi.tolist(), inc_lo.tolist()):
         inc = ih << 64 | il
@@ -474,55 +526,44 @@ def _pcg64_states(seeds) -> list[dict]:
     return states
 
 
-def _split(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The 128-bit Python ints ``values`` as a (high words, low words) pair of uint64 arrays."""
-    return np.array([v >> 64 for v in values], np.uint64), np.array([v & _MASK64 for v in values], np.uint64)
-
-
-def _mul_add(a, x, b, y) -> tuple[np.ndarray, np.ndarray]:
-    """``a * x + b * y`` modulo 2**128 for (high, low) uint64 pairs, broadcast elementwise.
-
-    Modulo 2**128 the high word of a product is ``mulhi(a_lo, x_lo) +
-    a_lo * x_hi + a_hi * x_lo``, in wrapping uint64 arithmetic.
-    """
-    (a_hi, a_lo), (x_hi, x_lo), (b_hi, b_lo), (y_hi, y_lo) = a, x, b, y
-    ax_lo = a_lo * x_lo
-    low = ax_lo + b_lo * y_lo
-    high = (
-        mul_hi(a_lo, x_lo) + a_lo * x_hi + a_hi * x_lo
-        + mul_hi(b_lo, y_lo) + b_lo * y_hi + b_hi * y_lo
-        + (low < ax_lo)
-    )
-    return high, low
-
-
 @functools.cache
-def _jump_constants(steps: int) -> tuple:
-    """``MULT**j`` and ``sum(MULT**i for i < j)`` modulo 2**128 for j = 2..steps + 1, as (high, low) pairs.
+def _jump_constants(steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """``MULT**j`` and ``sum(MULT**i for i < j)`` modulo 2**128 for j = 2..steps + 1, as high and low words (2, 1, steps).
 
     PCG64 steps its state S to ``S * MULT + inc``, so j steps take P to
     ``MULT**j * P + sum(MULT**i for i < j) * inc``; from the state P of
-    ``_pcg64_seeding``, output t reads the state j = t + 2 steps on.
+    ``_pcg64_seeding``, output t reads the state j = t + 2 steps on.  Row 0
+    holds the powers, row 1 the sums.
     """
     powers, sums = [1], [0]
     for _ in range(steps + 1):
         powers.append(powers[-1] * _PCG64_MULT & _MASK128)
         sums.append((sums[-1] * _PCG64_MULT + 1) & _MASK128)
-    pairs = (_split(powers[2:]), _split(sums[2:]))
-    for column in (c for pair in pairs for c in pair):
+    rows = np.array([powers[2:], sums[2:]], dtype=object)[:, None, :]
+    words = (rows >> 64).astype(np.uint64), (rows & _MASK64).astype(np.uint64)
+    for column in words:
         column.setflags(write=False)
-    return pairs
+    return words
 
 
-def _pcg64_raw(before, inc, steps: int) -> np.ndarray:
+def _pcg64_raw(x_hi, x_lo, steps: int) -> np.ndarray:
     """The first ``steps`` raw outputs of PCG64 for each ``(P, inc)`` of ``_pcg64_seeding``, as (N, steps) uint64.
 
     Jump-ahead instead of a generator: output t is ``rotr64(hi ^ lo, hi >>
     58)`` of the state after t + 1 steps from the seeded one, (hi, lo) being
-    its words, and ``_jump_constants`` gives all those states at once.
+    its words, and ``_jump_constants`` gives all those states at once.  The
+    two 128-bit products of a state, ``MULT**j * P`` and the sum times
+    ``inc``, run stacked on the leading axis of the words ``x_hi`` and
+    ``x_lo`` and are added at the end; modulo 2**128 the high word of a
+    product is ``mulhi(a_lo, x_lo) + a_lo * x_hi + a_hi * x_lo``, in
+    wrapping uint64 arithmetic.
     """
-    powers, sums = (tuple(word[None, :] for word in pair) for pair in _jump_constants(steps))
-    high, low = _mul_add(powers, tuple(word[:, None] for word in before), sums, tuple(word[:, None] for word in inc))
+    a_hi, a_lo = _jump_constants(steps)
+    x_hi, x_lo = x_hi[..., None], x_lo[..., None]
+    products = a_lo * x_lo
+    low = products[0] + products[1]
+    high = mul_hi(a_lo, x_lo) + a_lo * x_hi + a_hi * x_lo
+    high = high[0] + high[1] + (low < products[0])
     mixed, rotation = high ^ low, high >> _U58
     return (mixed >> rotation) | (mixed << ((_U64 - rotation) & _U63))
 
@@ -539,12 +580,12 @@ def _pcg64_uniforms(seeds, steps: int, high: float) -> np.ndarray:
     which is ``high * ((r >> 11) * 2**-53)`` as the product is never -0.0.
     The raw outputs come from ``_pcg64_raw``, a block of records at a time.
     """
-    before, inc = _pcg64_seeding(seeds)
-    out = np.empty((len(inc[0]), steps))
+    x_hi, x_lo = _pcg64_seeding(seeds)
+    out = np.empty((x_hi.shape[1], steps))
     rows = max(1, _JUMP_BLOCK // steps)
     for start in range(0, len(out), rows):
         block = slice(start, start + rows)
-        raw = _pcg64_raw((before[0][block], before[1][block]), (inc[0][block], inc[1][block]), steps)
+        raw = _pcg64_raw(x_hi[:, block], x_lo[:, block], steps)
         np.multiply((raw >> _U11).astype(float), 2.0**-53, out=out[block])
     out *= high
     return out
@@ -558,30 +599,50 @@ def _pcg64_uniforms(seeds, steps: int, high: float) -> np.ndarray:
 # records up.  Below 16 records the jump-ahead loses under 0.1 ms a call.
 _JUMP_MAX_DRAWS = 192
 
+# Stacks of at most this many records seed a numpy generator per record
+# instead: numpy seeds one in some 10 us, where the array seeding of a
+# stack (_seed_words) takes some 60 us whatever its size.  At 62 draws a
+# record (one thread, 2-core x86-64, minimum of 5 x 2000 calls) seeding
+# per record took 13, 49, 97 and 187 us at 1, 4, 8 and 16 records, the
+# jump-ahead 114, 129, 134 and 143 us.
+_SEEDED_MAX_RECORDS = 8
+
+
+def _generators(seeds):
+    """``np.random.default_rng(s)``'s generator at each seed ``s`` in turn: one each for a small stack, else one reused, set to each state."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    if len(seeds) <= _SEEDED_MAX_RECORDS:
+        for seed in seeds.tolist():
+            yield np.random.Generator(np.random.PCG64(seed))
+        return
+    rng = np.random.Generator(np.random.PCG64(0))
+    for state in _pcg64_states(seeds):
+        rng.bit_generator.state = state
+        yield rng
+
 
 def _draw(spec: GenSpec, seeds) -> list[np.ndarray]:
     """Instances drawn from ``spec``, one per seed, stacked: ``y``, ``alpha``, ``F``, ``lam`` (beta is all ones).
 
     Record t draws what ``np.random.default_rng(seeds[t])`` draws, seeds in
     [0, 2**64), into its row: y | alpha | F | raw weights.  In "unit"
-    f_mode, records of at most ``_JUMP_MAX_DRAWS`` draws jump every PCG64
-    stream ahead at once in array code (``_pcg64_uniforms``).  Other records
-    reuse one ``Generator``, set to each seed's state (``_pcg64_states``):
-    only numpy repeats "dollar" f_mode's F, integers drawn by rejection, and
-    splitting a run of uniform draws into calls changes none of them.
+    f_mode, stacks of more than ``_SEEDED_MAX_RECORDS`` records of at most
+    ``_JUMP_MAX_DRAWS`` draws jump every PCG64 stream ahead at once in
+    array code (``_pcg64_uniforms``).  Other records draw from numpy
+    generators (``_generators``): only numpy repeats "dollar" f_mode's F,
+    integers drawn by rejection, and splitting a run of uniform draws into
+    calls changes none of them.
 
     A record's segment weights are its raw weights over their sum, which
     can overflow or be zero: either raises ``_RecordFault``.
     """
     n, m, nm = spec.n, spec.m, spec.n * spec.m
     size = 2 * nm + n + m
-    if spec.f_mode == UNIT_SCALE and size <= _JUMP_MAX_DRAWS:
+    if spec.f_mode == UNIT_SCALE and size <= _JUMP_MAX_DRAWS and len(seeds) > _SEEDED_MAX_RECORDS:
         draws = _pcg64_uniforms(seeds, size, spec.M)
     else:
         draws = np.empty((len(seeds), size))
-        rng = np.random.Generator(np.random.PCG64(0))
-        for row, state in zip(draws, _pcg64_states(seeds)):
-            rng.bit_generator.state = state
+        for row, rng in zip(draws, _generators(seeds)):
             if spec.f_mode == UNIT_SCALE:
                 row[:] = rng.uniform(0.0, spec.M, size)
             else:
@@ -589,16 +650,16 @@ def _draw(spec: GenSpec, seeds) -> list[np.ndarray]:
                 row[2 * nm : 2 * nm + n] = rng.integers(1, DOLLAR_MAX + 1, size=n)
                 row[2 * nm + n :] = rng.uniform(0.0, spec.M, m)
     # Contiguous copies: matmul rounds a stack of records exactly as it
-    # rounds one only for contiguous operands.
-    y, alpha, F, raw = (np.ascontiguousarray(c) for c in np.split(draws, [nm, 2 * nm, 2 * nm + n], axis=1))
-    y, alpha = y.reshape(-1, n, m), alpha.reshape(-1, n, m)
-    if not spec.network_effects:
-        alpha = np.zeros_like(alpha)
+    # rounds one only for contiguous operands.  The raw weights are only
+    # summed along their rows and divided, which no layout changes.
+    y = np.ascontiguousarray(draws[:, :nm]).reshape(-1, n, m)
+    alpha = np.ascontiguousarray(draws[:, nm : 2 * nm]).reshape(-1, n, m) if spec.network_effects else np.zeros((len(draws), n, m))
+    F, raw = np.ascontiguousarray(draws[:, 2 * nm : 2 * nm + n]), draws[:, 2 * nm + n :]
     with np.errstate(over="ignore"):
-        total = raw.sum(axis=1, keepdims=True)
-    if np.isinf(total).any():
-        raise _RecordFault("segment weights overflowed: their sum exceeds the float maximum", int(np.isinf(total).argmax()))
-    if not np.all(total > 0.0):
+        total = np.add.reduce(raw, axis=1, keepdims=True)
+    if not 0.0 < np.minimum.reduce(total, axis=None) <= np.maximum.reduce(total, axis=None) < math.inf:
+        if np.isinf(total).any():
+            raise _RecordFault("segment weights overflowed: their sum exceeds the float maximum", int(np.isinf(total).argmax()))
         raise _RecordFault("raw weights must not all be zero", int(np.argmin(total > 0.0)))
     return [y, alpha, F, raw / total]
 
@@ -637,9 +698,10 @@ def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledData
     smaller cgroup memory limit, raises ``ValueError`` before anything is
     drawn.
     """
+    count = _integer("count", count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    _check_master_seed(master_seed)
+    master_seed = _check_master_seed(master_seed)
     peak = _PEAK_OVER_COLUMNS * 3 * count * spec.n * spec.m * 8
     memory, source = _memory_limit()
     if peak > memory:
@@ -648,7 +710,8 @@ def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledData
             f"more than {source.format(f'{memory / 1e9:.3g}')}"
         )
     try:
-        y, alpha, F, lam = _draw(spec, _record_seeds(master_seed, np.arange(count)))
+        idx = np.arange(count)
+        y, alpha, F, lam = _draw(spec, _record_seeds(master_seed, idx))
         # y - F is y - beta F at beta = 1, bit for bit.
         q, _, converged = _solve_stack(y - F[..., None], alpha, lam, ONE_START, DEFAULT_MAX_ITER)
     except _RecordFault as e:
@@ -656,11 +719,11 @@ def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledData
         raise ValueError(f"record {e.position}: {e}") from None
     blocks = _best_blocks(q, lam, spec.k, spec.mode)
     r_a = _block_revenue(q, lam, spec.revenue.per_support, blocks)
-    excluded = np.flatnonzero(~converged)
-    columns = (np.arange(count), y, alpha, F, lam, q, blocks, r_a)
+    excluded = (~converged).nonzero()[0]
+    columns = (idx, y, alpha, F, lam, q, blocks, r_a)
     if len(excluded):
         columns = (column[converged] for column in columns)
-    return LabeledDataset(spec, int(master_seed), count, *columns, tuple(excluded.tolist()))
+    return LabeledDataset(spec, master_seed, count, *columns, tuple(excluded.tolist()))
 
 
 def relabel_dataset(dataset: LabeledDataset, k=None, mode=None) -> LabeledDataset:

@@ -361,13 +361,13 @@ def test_solve_matches_the_loop_through_compactions_and_the_cap(monkeypatch, sta
 
 
 @pytest.mark.parametrize("block_entries", [core._BLOCK_ENTRIES, 1])
-@pytest.mark.parametrize("max_iter", [1, 2, 3, 4, 5, 13, 16, 17, 20])
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 4, 5, 7, 8, 9, 13, 15, 16, 17, 20, 31, 32, 33])
 @pytest.mark.parametrize("start", [ONE_START, ZERO_START])
 def test_solve_matches_the_loop_at_caps_that_end_mid_block(monkeypatch, start, max_iter, block_entries):
-    # The default budget gives this stack blocks of passes 1-4, 5-16 and
-    # 17-32, so caps 4 and 16 end a block and the others cut one short.
-    # Under caps of 13 and more some records finish inside a block and the
-    # rest stop at the cap.
+    # The default budget gives this stack blocks of passes 1-8, 9-16 and
+    # 17-32 (BLOCK_ENDS), so caps 8, 16 and 32 end a block and the others
+    # cut one short.  Under caps of 13 and more some records finish inside
+    # a block and the rest stop at the cap.
     monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
     batch, expected = tangent_solves(start, max_iter)
     assert block_entries == 1 or block_entries // stacked(batch)[0].size >= 16
@@ -376,16 +376,73 @@ def test_solve_matches_the_loop_at_caps_that_end_mid_block(monkeypatch, start, m
     assert_solves_match(_solve_stack(*stacked(batch), start, max_iter), expected)
 
 
-def test_a_stack_that_converges_at_pass_2_stops_after_the_first_block(monkeypatch):
+@pytest.mark.parametrize("count", [1, 40, 500])
+def test_a_stack_that_converges_at_pass_2_stops_after_the_first_block(monkeypatch, count):
     # Without network effects a record's second pass repeats its first, so
-    # the solve of case1p2's records needs its first block of 4 passes and
-    # no more; a block of 16 would call expit 16 times.
+    # the solve of case1p2's records needs its first block of passes and no
+    # more; a block of 16 would call expit 16 times.
     calls = []
     monkeypatch.setattr(core, "expit", lambda *args, **kwargs: calls.append(1) or expit(*args, **kwargs))
-    y, alpha, F, lam = generate._draw(preset("case1p2").spec, _record_seeds(DEFAULT_MASTER_SEED, np.arange(500)))
+    y, alpha, F, lam = generate._draw(preset("case1p2").spec, _record_seeds(DEFAULT_MASTER_SEED, np.arange(count)))
     _, iterations, converged = _solve_stack(y - F[..., None], alpha, lam, ONE_START, DEFAULT_MAX_ITER)
     assert converged.all() and iterations.max() == 2
-    assert len(calls) <= 4
+    assert len(calls) == BLOCK_ENDS[0]
+
+
+# The passes after which the solve tests convergence, for a stack whose
+# history holds 16 passes: a first block of 8 passes, then on to the end of
+# the history, and blocks of 16 after that.
+BLOCK_ENDS = [8, 16, 32, 48, 64, 80]
+# Passes a one-record solve stops at: 1 to 3, and each block end up to 64
+# and the passes either side of it.
+STOPPING_PASSES = sorted({1, 2, 3} | {end + shift for end in BLOCK_ENDS[:-1] for shift in (-1, 0, 1)})
+
+
+@functools.cache
+def one_record_instances(start):
+    """One-record instances by the pass their solve from ``start`` stops at, for every pass of ``STOPPING_PASSES``.
+
+    ``q = sigma(a q - a / 2)`` has the fixed point 1/2, which the iteration
+    approaches at the rate a / 4 from either start: a grid of ``a`` below 4
+    finds a record for each pass from 2 on, and a utility of -40 or 40 with
+    no network effect stops at pass 1 (sigma rounds to 0 or 1 within tol).
+    """
+    a = np.append(4.0 * 10.0 ** -np.geomspace(0.1, 8.0, 20_000), 0.0)
+    F, q = a / 2.0, np.full(a.shape, 1.0 if start == ONE_START else 0.0)
+    stops = np.zeros(a.shape, int)
+    for it in range(1, max(STOPPING_PASSES) + 1):
+        q, previous = expit(-F + a * q), q
+        stops[(stops == 0) & (np.abs(q - previous) <= DEFAULT_TOL)] = it
+    found = {1: ProblemInstance([[40.0 if start == ONE_START else -40.0]], [[0.0]], None, [0.0], [1.0])}
+    for stop in STOPPING_PASSES[1:]:
+        at = np.flatnonzero(stops == stop)[0]
+        found[stop] = ProblemInstance([[0.0]], [[a[at]]], None, [F[at]], [1.0])
+    return found
+
+
+@pytest.mark.parametrize("stop", STOPPING_PASSES)
+@pytest.mark.parametrize("start", [ONE_START, ZERO_START])
+def test_a_one_record_solve_runs_to_the_end_of_the_block_it_stops_in(monkeypatch, start, stop):
+    instance = one_record_instances(start)[stop]
+    expected = loop_solve(instance, start)
+    assert expected[1:4:2] == (stop, True)
+    calls = []
+    monkeypatch.setattr(core, "expit", lambda *args, **kwargs: calls.append(1) or expit(*args, **kwargs))
+    assert_solves_match(_solve_stack(*stacked([instance]), start, DEFAULT_MAX_ITER), [expected])
+    assert len(calls) == min(end for end in BLOCK_ENDS if end >= stop)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3] + [end + shift for end in BLOCK_ENDS[:4] for shift in (-1, 0, 1)])
+@pytest.mark.parametrize("start", [ONE_START, ZERO_START])
+def test_a_one_record_solve_stops_at_a_cap_inside_a_block(monkeypatch, start, max_iter):
+    # The record would stop at pass 64; under the cap it keeps the cap's iterate.
+    instance = one_record_instances(start)[64]
+    expected = loop_solve(instance, start, max_iter)
+    assert expected[1:4:2] == (max_iter, False)
+    calls = []
+    monkeypatch.setattr(core, "expit", lambda *args, **kwargs: calls.append(1) or expit(*args, **kwargs))
+    assert_solves_match(_solve_stack(*stacked([instance]), start, max_iter), [expected])
+    assert len(calls) == max_iter
 
 
 @pytest.mark.parametrize("weight", [1.0, 1.0 - 2.0**-53])
@@ -530,6 +587,14 @@ def test_draw_is_default_rng_per_seed(n, m, f_mode):
             assert column[t].tobytes() == getattr(expected, name).tobytes(), (seed, name)
 
 
+def test_mul_hi_is_the_high_word_of_the_product():
+    # Words at the edges of the 32-bit halves, where a carry would show, and random ones.
+    edges = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 2**32, 2**64 - 1]
+    words = edges + np.random.default_rng(2026).integers(0, 2**64, 500, dtype=np.uint64).tolist()
+    a, b = (np.array(column, np.uint64) for column in zip(*((x, y) for x in words[:40] for y in words)))
+    assert _numtext.mul_hi(a, b).tolist() == [(x * y) >> 64 for x, y in zip(a.tolist(), b.tolist())]
+
+
 def test_jump_ahead_raw_outputs_are_pcg64s():
     seeds = EDGE_SEEDS + np.random.default_rng(2025).integers(0, 2**64, 1000, dtype=np.uint64).tolist()
     raw = generate._pcg64_raw(*generate._pcg64_seeding(seeds), 40)
@@ -542,15 +607,16 @@ def test_jump_ahead_raw_outputs_are_pcg64s():
 # 62 draws) among them.
 DRAW_SHAPES = {7: (2, 1), 16: (5, 1), 32: (6, 2), 34: (11, 1), 37: (12, 1), 52: (10, 2), 62: (12, 2), 64: (21, 1),
                66: (9, 3), 192: (5, 17), 193: (64, 1)}
-# Record counts from one record up, the benchmark's among them: the rule
-# reads no count.
-DRAW_COUNTS = [1, 15, 16, 40, 500]
+# Record counts from one record up, the benchmark's among them, on both
+# sides of the count up to which each record seeds its own generator.
+DRAW_COUNTS = [1, 8, 9, 15, 16, 40, 500]
 
 
 def test_draw_shapes_straddle_the_rule():
     assert generate._JUMP_MAX_DRAWS in DRAW_SHAPES and generate._JUMP_MAX_DRAWS + 1 in DRAW_SHAPES
     for draws, (n, m) in DRAW_SHAPES.items():
         assert 2 * n * m + n + m == draws
+    assert generate._SEEDED_MAX_RECORDS in DRAW_COUNTS and generate._SEEDED_MAX_RECORDS + 1 in DRAW_COUNTS
 
 
 @pytest.mark.parametrize("count", DRAW_COUNTS)
@@ -559,12 +625,15 @@ def test_draw_shapes_straddle_the_rule():
 def test_draw_is_default_rng_on_both_sides_of_the_rule(monkeypatch, draws, count, f_mode, network_effects):
     n, m = DRAW_SHAPES[draws]
     spec = GenSpec(n=n, m=m, network_effects=network_effects, f_mode=f_mode)
-    jumped = []
-    uniforms = generate._pcg64_uniforms
+    jumped, stated = [], []
+    uniforms, states = generate._pcg64_uniforms, generate._pcg64_states
     monkeypatch.setattr(generate, "_pcg64_uniforms", lambda *args: jumped.append(args[1]) or uniforms(*args))
+    monkeypatch.setattr(generate, "_pcg64_states", lambda seeds: stated.append(len(seeds)) or states(seeds))
     seeds = _record_seeds(2**64 - draws, np.arange(count))
     stacked_draws = generate._draw(spec, seeds)
-    assert jumped == ([draws] if f_mode == UNIT_SCALE and draws <= generate._JUMP_MAX_DRAWS else [])
+    stacked = count > generate._SEEDED_MAX_RECORDS
+    jumps = stacked and f_mode == UNIT_SCALE and draws <= generate._JUMP_MAX_DRAWS
+    assert (jumped, stated) == ([draws] if jumps else [], [count] if stacked and not jumps else [])
     expected = [loop_instance(spec, seed) for seed in seeds.tolist()]
     for name, column in zip(("y", "alpha", "F", "lam"), stacked_draws, strict=True):
         assert column.tobytes() == np.stack([getattr(instance, name) for instance in expected]).tobytes(), name

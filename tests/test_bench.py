@@ -224,6 +224,17 @@ class TestCaseConfig:
         with pytest.raises(ValueError, match="case_id must be a file name"):
             CaseConfig(case_id="", spec=GenSpec(n=2, m=1))
 
+    @pytest.mark.parametrize("field,value", [("master_seed", 1.5), ("master_seed", "1"), ("count", 500.0), ("count", True)])
+    def test_seed_and_count_must_be_integers(self, field, value):
+        # A float master seed once reached the report as given, and the dataset header as its floor.
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got "):
+            preset("case1p1", **{field: value})
+
+    def test_numpy_integers_become_ints(self):
+        config = preset("case1p1", count=np.int64(40), master_seed=np.uint64(7))
+        assert (config.count, config.master_seed) == (40, 7)
+        assert (type(config.count), type(config.master_seed)) == (int, int)
+
 
 class TestSplit:
     def test_first_records_train(self):

@@ -1,5 +1,6 @@
 """Tests for seeded instance/dataset generation and JSON Lines persistence."""
 
+import copy
 import dataclasses
 import functools
 import gc
@@ -87,6 +88,16 @@ class TestRecordSeed:
         # The mix reads a master seed modulo 2**64: -1 would alias 2**64 - 1.
         with pytest.raises(ValueError, match=r"master_seed must lie in \[0, 2\*\*64\), got "):
             record_seed(master_seed, 0)
+
+    @pytest.mark.parametrize("master_seed,index", [(1.5, 0), (np.float64(7.9), 0), (True, 0), ("1", 0), (1, 0.5), (1, 1.0), (1, None)])
+    def test_seed_and_index_must_be_integers(self, master_seed, index):
+        # A float master seed once mixed as its floor, and a float index as a number.
+        name = "index" if isinstance(master_seed, int) and not isinstance(master_seed, bool) else "master_seed"
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+            record_seed(master_seed, index)
+
+    def test_numpy_integers_mix_as_their_ints(self):
+        assert record_seed(np.uint64(2**64 - 1), np.int32(3)) == record_seed(2**64 - 1, 3)
 
     @pytest.mark.parametrize("master_seed", [0, -1, 2**64 - 1, 2**70])
     def test_array_mix_is_the_scalar_formula(self, master_seed):
@@ -234,6 +245,26 @@ class TestGenerateDataset:
             with pytest.raises(Drew):
                 generate_dataset(spec, count=1000, master_seed=0)
 
+    @pytest.mark.parametrize(
+        "count,master_seed,name",
+        [(3, 1.5, "master_seed"), (3, np.float64(7.9), "master_seed"), (3, "1", "master_seed"), (3, None, "master_seed"),
+         (2.5, 1, "count"), ("3", 1, "count"), (True, 1, "count"), (3.0, 1, "count")],
+    )
+    def test_seed_and_count_must_be_integers_before_drawing(self, monkeypatch, count, master_seed, name):
+        # A float master seed once drew its floor's dataset, and a float
+        # count drew and solved its ceiling's records before it raised.
+        def draw(*args):
+            raise AssertionError("_draw ran")
+
+        monkeypatch.setattr(generate, "_draw", draw)
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+            generate_dataset(GenSpec(n=2, m=1), count, master_seed)
+
+    def test_numpy_integer_count_and_seed_generate_as_their_ints(self):
+        data = generate_dataset(GenSpec(n=2, m=1), np.int64(3), np.uint64(5))
+        assert (type(data.count), type(data.master_seed)) == (int, int)
+        assert data == generate_dataset(GenSpec(n=2, m=1), 3, 5)
+
     @pytest.mark.parametrize("master_seed", [-1, 2**64])
     def test_master_seed_must_fit_64_bits(self, master_seed):
         # The seed mix reads a master seed modulo 2**64: -1 would alias 2**64 - 1.
@@ -369,8 +400,10 @@ def test_what_construction_and_write_let_through_reads_back(tmp_path_factory, ed
 
 def test_take_checks_only_the_order_of_idx(monkeypatch):
     # Records of a checked dataset keep its value rules, so a take runs
-    # only the rule a subset can break; construction still runs them all.
+    # only the rule a subset can break; construction still decides them all,
+    # and walks them where its verdict fails.
     data = generate_dataset(GenSpec(n=3, m=2), 20, 5)
+    monkeypatch.setattr(generate, "_keeps_rules", lambda dataset: False)
     monkeypatch.setattr(generate, "_dataset_faults", lambda dataset: iter([("broken", np.zeros(len(dataset), bool))]))
     with pytest.raises(ValueError, match="broken"):
         dataclasses.replace(data, count=data.count)
@@ -397,6 +430,124 @@ def test_a_column_given_to_a_dataset_is_frozen(tmp_path):
     path = tmp_path / "data.jsonl"
     write_dataset(edited, path)
     assert read_dataset(path) == edited
+
+
+# Valid datasets whose records the verdict tests below plant one fault in.
+_VERDICT_SPECS = {
+    "unit": GenSpec(n=4, m=2, k=2),
+    "dollar": GenSpec(n=4, m=2, k=2, f_mode=DOLLAR_SCALE, mode=PER_SEGMENT),
+    "no-network-effects": GenSpec(n=4, m=1, k=3, network_effects=False),
+}
+
+
+def _set_entry(name, value):
+    """A fault that sets one entry of record ``row`` of column ``name`` to ``value(spec)``, at an entry ``rng`` picks."""
+    def plant(data, row, rng):
+        column = getattr(data, name).copy()
+        entries = column.reshape(len(column), -1)
+        entries[row, rng.integers(entries.shape[1])] = value(data.spec)
+        return {name: column}
+    return plant
+
+
+def _edit_record(name, edit):
+    """A fault that applies ``edit`` to a copy of record ``row`` of column ``name`` (a row of idx is the whole column)."""
+    def plant(data, row, rng):
+        column = getattr(data, name).copy()
+        edit(column if name == "idx" else column[row], row, rng, data)
+        return {name: column}
+    return plant
+
+
+def _swap_neighbours(idx, row, rng, data):
+    row = min(row, len(idx) - 2)
+    idx[row], idx[row + 1] = idx[row + 1], idx[row]
+
+
+def _repeat_product(blocks, row, rng, data):
+    block = blocks[rng.integers(len(blocks))]
+    block[1] = block[0]
+
+
+def _unsort_block(blocks, row, rng, data):
+    block = blocks[rng.integers(len(blocks))]
+    block[[0, 1]] = block[[1, 0]]
+
+
+_ENTRY_FAULTS = {
+    f"{name}-{label}": _set_entry(name, lambda spec, value=value: value)
+    for name in ("y", "alpha", "F", "lam", "q", "r_a")
+    for label, value in (("nan", np.nan), ("inf", np.inf), ("minus-inf", -np.inf), ("minus-zero", -0.0))
+}
+_PLANTED_FAULTS = {
+    **_ENTRY_FAULTS,
+    "y-just-above-M": _set_entry("y", lambda spec: np.nextafter(spec.M, np.inf)),
+    "alpha-just-above-M": _set_entry("alpha", lambda spec: np.nextafter(spec.M, np.inf)),
+    "F-just-above-M": _set_entry("F", lambda spec: np.nextafter(spec.M, np.inf)),
+    "F-not-whole-dollars": _set_entry("F", lambda spec: 1.5),
+    "F-past-dollar-max": _set_entry("F", lambda spec: generate.DOLLAR_MAX + 1.0),
+    "F-zero": _set_entry("F", lambda spec: 0.0),
+    "alpha-subnormal": _set_entry("alpha", lambda spec: 5e-324),
+    "q-just-above-1": _set_entry("q", lambda spec: np.nextafter(1.0, 2.0)),
+    "r_a-huge": _set_entry("r_a", lambda spec: 1e308),
+    "lam-sum-off-by-2e-12": _edit_record("lam", lambda lam, row, rng, data: lam.__setitem__(0, lam[0] + 2e-12)),
+    "lam-sum-off-by-5e-13": _edit_record("lam", lambda lam, row, rng, data: lam.__setitem__(0, lam[0] + 5e-13)),
+    "idx-out-of-order": _edit_record("idx", _swap_neighbours),
+    "idx-negative": _edit_record("idx", lambda idx, row, rng, data: idx.__setitem__(0, -1)),
+    "idx-at-count": _edit_record("idx", lambda idx, row, rng, data: idx.__setitem__(-1, data.count)),
+    "idx-excluded": lambda data, row, rng: {"excluded": (int(data.idx[row]),)},
+    "block-unsorted": _edit_record("blocks", _unsort_block),
+    "block-repeats-a-product": _edit_record("blocks", _repeat_product),
+    "block-product-n": _set_entry("blocks", lambda spec: spec.n),
+    "block-product-negative": _set_entry("blocks", lambda spec: -1),
+    "none": lambda data, row, rng: {},
+}
+
+
+def _outcome(check):
+    """The message of the ValueError ``check()`` raises, or None."""
+    try:
+        check()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def _assert_verdict_is_the_walk(data, **fields):
+    """Construction over ``data`` with ``fields`` raises as the rule walk alone does, and the verdict passes what it passes."""
+    planted = copy.copy(data)
+    for name, value in fields.items():
+        object.__setattr__(planted, name, value)
+    walked = _outcome(lambda: generate._check(planted, generate._dataset_faults(planted)))
+    columns = (getattr(planted, name) for name in generate._COLUMNS)
+    built = _outcome(lambda: generate.LabeledDataset(planted.spec, planted.master_seed, planted.count, *columns, planted.excluded))
+    assert built == walked
+    # The verdict decides the record rules of a dataset whose header and layout hold.
+    if _outcome(lambda: generate._check_layout(planted)) is None:
+        assert generate._keeps_rules(planted) == (walked is None)
+    return walked
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("fault", sorted(_PLANTED_FAULTS))
+@pytest.mark.parametrize("base", sorted(_VERDICT_SPECS))
+def test_construction_names_what_the_rule_walk_names(base, fault, seed):
+    data = generate_dataset(_VERDICT_SPECS[base], 30, 7)
+    rng = np.random.default_rng([seed, sorted(_PLANTED_FAULTS).index(fault)])
+    row = int(rng.integers(len(data)))
+    walked = _assert_verdict_is_the_walk(data, **_PLANTED_FAULTS[fault](data, row, rng))
+    if fault in ("none", "lam-sum-off-by-5e-13") or fault.endswith("minus-zero") and fault[0] not in "Fl":
+        assert walked is None
+    elif fault in _ENTRY_FAULTS and walked is not None or fault.startswith(("block", "lam", "idx-excluded")):
+        assert walked.startswith(f"record {data.idx[row]}: "), walked
+
+
+@pytest.mark.parametrize("base", sorted(_VERDICT_SPECS))
+def test_an_empty_dataset_keeps_every_rule(base):
+    empty = generate_dataset(_VERDICT_SPECS[base], 5, 7).take(slice(0, 0))
+    assert _assert_verdict_is_the_walk(empty) is None
+    assert _assert_verdict_is_the_walk(empty, count=0) is None
+    assert _assert_verdict_is_the_walk(empty, count=-1) == "count must be >= 0, got -1"
 
 
 class TestDatasetRoundTrip:

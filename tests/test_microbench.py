@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from assort_mnl import generate
+from assort_mnl import core, generate
 from assort_mnl._numtext import FLOAT_CELL, PAD, LineLayout, cells, parse_lines
 from assort_mnl.bench import DEFAULT_MASTER_SEED, PRESET_NAMES, preset, run_case, split_dataset
 from assort_mnl.core import (
@@ -62,17 +62,21 @@ def test_solve_stack_of_200_records_at_n100_m4(benchmark):
     assert converged.all()
 
 
-@pytest.mark.parametrize("test", ["count", "all"])
-@pytest.mark.parametrize("entries", [16, 24, 96, 128, 400])
-def test_block_test_of_100_records(benchmark, entries, test):
-    # The solve's two block tests at the block a stack of 100 records of
-    # this many entries runs, to measure where the count stops paying: the
-    # solve counts for 2 to _COUNT_ENTRIES entries a record.
-    records = 100
+@pytest.mark.parametrize("test", ["count", "and"])
+@pytest.mark.parametrize("entries", [2, 12, 24, 96, 128])
+@pytest.mark.parametrize("records", [1, 16, 40, 100])
+def test_block_test(benchmark, monkeypatch, records, entries, test):
+    # The solve's two block tests over a 16-pass block of a stack of this
+    # many records of this many entries, the shapes the solve runs, to
+    # measure where the count starts and stops paying: the solve counts for
+    # blocks of at least _COUNT_ROWS record-passes of 2 to _COUNT_ENTRIES
+    # entries each.
     passes = max(1, min(16, _BLOCK_ENTRIES // (records * entries)))
-    ok = np.random.default_rng(entries).random((passes, records, entries)) < 0.999
-    ones = np.ones(entries, np.float32) if test == "count" else None
-    assert np.array_equal(benchmark(_small_records, ok, ones), ok.all(axis=2))
+    ok = np.random.default_rng(entries).random((passes * records, entries)) < 0.999
+    counts = test == "count"
+    monkeypatch.setattr(core, "_COUNT_ROWS", 0 if counts else len(ok) + 1)
+    monkeypatch.setattr(core, "_COUNT_ENTRIES", entries if counts else 1)
+    assert np.array_equal(benchmark(_small_records, ok), ok.all(axis=1))
 
 
 # The benchmark's wide_menu jobs: (spec, records).
@@ -96,6 +100,20 @@ def test_draw_of_a_wide_menu_job(benchmark, job):
     spec, count = WIDE_MENU_JOBS[job]
     seeds = [record_seed(DEFAULT_MASTER_SEED, t) for t in range(count)]
     assert len(benchmark(_draw, spec, seeds)[0]) == count
+
+
+@pytest.mark.parametrize("job", sorted(WIDE_MENU_JOBS))
+def test_generate_a_wide_menu_job(benchmark, job):
+    # One of the two calls of a wide_menu pass.
+    spec, count = WIDE_MENU_JOBS[job]
+    assert len(benchmark(generate_dataset, spec, count, DEFAULT_MASTER_SEED)) == count
+
+
+@pytest.mark.parametrize("spec", [WIDE_MENU_JOBS["shared"][0], WIDE_MENU_JOBS["per-segment"][0], SPEC], ids=["shared", "per-segment", "case3p5"])
+def test_generate_dataset_of_one_record(benchmark, spec):
+    # What a call costs before its records add work: seeds, draw, solve,
+    # labels and the construction check of one record.
+    assert len(benchmark(generate_dataset, spec, 1, DEFAULT_MASTER_SEED)) == 1
 
 
 def test_generate_dataset_of_500_records(benchmark):
