@@ -403,12 +403,10 @@ def _small_records(ok: np.ndarray) -> np.ndarray:
     return ok.view(np.uint8).astype(np.float32) @ _count_ones(entries) == entries
 
 
-def _block_buffers(stores, like: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _block_buffers(stores, like: np.ndarray) -> list[np.ndarray]:
     """History ``(K + 1, *like.shape)``, steps ``(K, *like.shape)`` and their test, as views of flat ``stores``."""
-    passes, size = max(1, min(16, _BLOCK_ENTRIES // like.size)), like.size
-    history, steps, small = stores
-    shape = (passes,) + like.shape
-    return history[: size + passes * size].reshape((passes + 1,) + like.shape), steps[: passes * size].reshape(shape), small[: passes * size].reshape(shape)
+    passes = max(1, min(16, _BLOCK_ENTRIES // like.size))
+    return [store[: (passes + i) * like.size].reshape((passes + i,) + like.shape) for store, i in zip(stores, (1, 0, 0))]
 
 
 def _solve_stack(c, alpha, lam, start: str, max_iter: int):
@@ -535,20 +533,17 @@ def _block_revenue(q, lam, per_support, blocks) -> np.ndarray:
 def _top_k(values: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries along the last axis, ascending; ties go to the lower index."""
     # Stable sort on the negated values puts ties in ascending index order.
-    top = (-values).argsort(axis=-1, kind="stable")[..., :k].copy()
-    top.sort(axis=-1)
-    return top
+    return np.sort(np.argsort(-values, axis=-1, kind="stable")[..., :k], axis=-1)
 
 
 def _best_blocks(q, lam, k: int, mode: str) -> np.ndarray:
     """Optimal blocks (..., m, k) at supports ``q`` (..., n, m) and weights ``lam`` (..., m)."""
-    m = q.shape[-1]
     if mode == SHARED:
-        block = _top_k(_mass(q, lam), k)[..., None, :]
-        return block if m == 1 else np.repeat(block, m, axis=-2)
+        block = _top_k(_mass(q, lam), k)
+        return np.repeat(block[..., None, :], q.shape[-1], axis=-2)
     # Rank q itself rather than lam_j * q: a positive weight keeps the order,
     # but rounding the products could merge two distinct values into a tie.
-    return np.where(lam[..., None] > 0.0, _top_k(q.swapaxes(-1, -2), k), np.arange(k))
+    return np.where(lam[..., None] > 0.0, _top_k(np.swapaxes(q, -1, -2), k), np.arange(k))
 
 
 def optimize_assortment(instance: ProblemInstance, k: int, mode: str = SHARED) -> tuple[Assortment, float, SupportSolution]:

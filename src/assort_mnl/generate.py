@@ -58,7 +58,7 @@ import re
 import secrets
 import sys
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import accumulate, chain, islice, pairwise, zip_longest
+from itertools import chain, islice, pairwise, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -445,27 +445,21 @@ def generate_instance(spec: GenSpec, seed: int) -> ProblemInstance:
     return ProblemInstance(y=y, alpha=alpha, F=F, lam=lam, revenue=spec.revenue)
 
 
-def _hash_constants(init: int, mult: int, groups) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (xor, multiply) constants of successive SeedSequence hash calls, as (calls, 1) uint32, one pair per group.
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiply) constants of ``calls`` successive SeedSequence hash calls, as (calls, 1) uint32.
 
     Each call XORs with the current constant, advances it by ``mult`` and
     multiplies by the new one; the sequence is the same for every seed.
-    ``groups`` counts the calls of each group, which run as one array
-    operation.
     """
     constants = [init]
-    for _ in range(sum(groups)):
+    for _ in range(calls):
         constants.append(constants[-1] * mult & _MASK32)
-    xor, multiply = np.array(constants[:-1], np.uint32)[:, None], np.array(constants[1:], np.uint32)[:, None]
-    bounds = list(accumulate(groups, initial=0))
-    return [(xor[start:stop], multiply[start:stop]) for start, stop in pairwise(bounds)]
+    return np.array(constants[:-1], np.uint32)[:, None], np.array(constants[1:], np.uint32)[:, None]
 
 
-# Four hash calls mix in the entropy and three hash each word of the pool
-# for the others; eight draw the output.
-_HASH_MIX = _hash_constants(_INIT_A, _MULT_A, (4, 3, 3, 3, 3))
-(_HASH_OUT,) = _hash_constants(_INIT_B, _MULT_B, (8,))
-_U32_16, _MIX_L, _MIX_R = np.uint32(16), np.uint32(_MIX_MULT_L), np.uint32(_MIX_MULT_R)
+# Four hash calls mix in the entropy, twelve mix the pool, eight draw the output.
+_HASH_MIX = _hash_constants(_INIT_A, _MULT_A, 16)
+_HASH_OUT = _hash_constants(_INIT_B, _MULT_B, 8)
 
 
 def _seed_words(seeds) -> np.ndarray:
@@ -478,24 +472,26 @@ def _seed_words(seeds) -> np.ndarray:
     operation, each with its own constants (``_hash_constants``).
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
+    u32 = np.uint32
 
-    def hashmix(values, constants):
-        xor, mult = constants
+    def hashmix(values, calls, constants=_HASH_MIX):
+        xor, mult = (c[calls] for c in constants)
         values = (values ^ xor) * mult
-        values ^= values >> _U32_16
-        return values
+        return values ^ (values >> u32(16))
 
-    pool = np.zeros((4, seeds.size), np.uint32)
+    def mix(x, y):
+        result = x * u32(_MIX_MULT_L) - y * u32(_MIX_MULT_R)
+        return result ^ (result >> u32(16))
+
+    pool = np.zeros((4, seeds.size), u32)
     pool[0], pool[1] = seeds & np.uint64(_MASK32), seeds >> np.uint64(32)
-    pool = hashmix(pool, _HASH_MIX[0])
+    pool = hashmix(pool, slice(0, 4))
     # Word src is hashed once for each other word, in order, and none of
-    # those words' updates changes it; mix(x, y) is (L x - R y) ^ its >> 16.
-    for src, constants in enumerate(_HASH_MIX[1:]):
+    # those words' updates changes it.
+    for src in range(4):
         others = [dst for dst in range(4) if dst != src]
-        mixed = pool[others] * _MIX_L - hashmix(pool[src], constants) * _MIX_R
-        mixed ^= mixed >> _U32_16
-        pool[others] = mixed
-    state = hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_OUT).astype(np.uint64)
+        pool[others] = mix(pool[others], hashmix(pool[src], slice(4 + 3 * src, 7 + 3 * src)))
+    state = hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], slice(0, 8), _HASH_OUT).astype(np.uint64)
     # uint64 word j is uint32 words 2j (low half) and 2j + 1.
     return (state[0::2] | (state[1::2] << np.uint64(32))).T
 
@@ -568,8 +564,10 @@ def _pcg64_raw(x_hi, x_lo, steps: int) -> np.ndarray:
     return (mixed >> rotation) | (mixed << ((_U64 - rotation) & _U63))
 
 
-# Records _pcg64_uniforms draws at a time take at most this many outputs,
-# so its temporaries stay a few 128 KB arrays.
+# Records _pcg64_uniforms draws at a time take at most half this many
+# outputs, as _pcg64_raw stacks two products, so its temporaries stay a
+# few 128 KB arrays: blocks twice that size drew 500 records of 62 draws
+# in about twice the time (one Xeon core).
 _JUMP_BLOCK = 1 << 14
 
 
@@ -582,7 +580,7 @@ def _pcg64_uniforms(seeds, steps: int, high: float) -> np.ndarray:
     """
     x_hi, x_lo = _pcg64_seeding(seeds)
     out = np.empty((x_hi.shape[1], steps))
-    rows = max(1, _JUMP_BLOCK // steps)
+    rows = max(1, _JUMP_BLOCK // (2 * steps))
     for start in range(0, len(out), rows):
         block = slice(start, start + rows)
         raw = _pcg64_raw(x_hi[:, block], x_lo[:, block], steps)
@@ -599,50 +597,30 @@ def _pcg64_uniforms(seeds, steps: int, high: float) -> np.ndarray:
 # records up.  Below 16 records the jump-ahead loses under 0.1 ms a call.
 _JUMP_MAX_DRAWS = 192
 
-# Stacks of at most this many records seed a numpy generator per record
-# instead: numpy seeds one in some 10 us, where the array seeding of a
-# stack (_seed_words) takes some 60 us whatever its size.  At 62 draws a
-# record (one thread, 2-core x86-64, minimum of 5 x 2000 calls) seeding
-# per record took 13, 49, 97 and 187 us at 1, 4, 8 and 16 records, the
-# jump-ahead 114, 129, 134 and 143 us.
-_SEEDED_MAX_RECORDS = 8
-
-
-def _generators(seeds):
-    """``np.random.default_rng(s)``'s generator at each seed ``s`` in turn: one each for a small stack, else one reused, set to each state."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    if len(seeds) <= _SEEDED_MAX_RECORDS:
-        for seed in seeds.tolist():
-            yield np.random.Generator(np.random.PCG64(seed))
-        return
-    rng = np.random.Generator(np.random.PCG64(0))
-    for state in _pcg64_states(seeds):
-        rng.bit_generator.state = state
-        yield rng
-
 
 def _draw(spec: GenSpec, seeds) -> list[np.ndarray]:
     """Instances drawn from ``spec``, one per seed, stacked: ``y``, ``alpha``, ``F``, ``lam`` (beta is all ones).
 
     Record t draws what ``np.random.default_rng(seeds[t])`` draws, seeds in
     [0, 2**64), into its row: y | alpha | F | raw weights.  In "unit"
-    f_mode, stacks of more than ``_SEEDED_MAX_RECORDS`` records of at most
-    ``_JUMP_MAX_DRAWS`` draws jump every PCG64 stream ahead at once in
-    array code (``_pcg64_uniforms``).  Other records draw from numpy
-    generators (``_generators``): only numpy repeats "dollar" f_mode's F,
-    integers drawn by rejection, and splitting a run of uniform draws into
-    calls changes none of them.
+    f_mode, records of at most ``_JUMP_MAX_DRAWS`` draws jump every PCG64
+    stream ahead at once in array code (``_pcg64_uniforms``).  Other records
+    reuse one ``Generator``, set to each seed's state (``_pcg64_states``):
+    only numpy repeats "dollar" f_mode's F, integers drawn by rejection, and
+    splitting a run of uniform draws into calls changes none of them.
 
     A record's segment weights are its raw weights over their sum, which
     can overflow or be zero: either raises ``_RecordFault``.
     """
     n, m, nm = spec.n, spec.m, spec.n * spec.m
     size = 2 * nm + n + m
-    if spec.f_mode == UNIT_SCALE and size <= _JUMP_MAX_DRAWS and len(seeds) > _SEEDED_MAX_RECORDS:
+    if spec.f_mode == UNIT_SCALE and size <= _JUMP_MAX_DRAWS:
         draws = _pcg64_uniforms(seeds, size, spec.M)
     else:
         draws = np.empty((len(seeds), size))
-        for row, rng in zip(draws, _generators(seeds)):
+        rng = np.random.Generator(np.random.PCG64(0))
+        for row, state in zip(draws, _pcg64_states(seeds)):
+            rng.bit_generator.state = state
             if spec.f_mode == UNIT_SCALE:
                 row[:] = rng.uniform(0.0, spec.M, size)
             else:
@@ -719,7 +697,7 @@ def generate_dataset(spec: GenSpec, count: int, master_seed: int) -> LabeledData
         raise ValueError(f"record {e.position}: {e}") from None
     blocks = _best_blocks(q, lam, spec.k, spec.mode)
     r_a = _block_revenue(q, lam, spec.revenue.per_support, blocks)
-    excluded = (~converged).nonzero()[0]
+    excluded = np.flatnonzero(~converged)
     columns = (idx, y, alpha, F, lam, q, blocks, r_a)
     if len(excluded):
         columns = (column[converged] for column in columns)

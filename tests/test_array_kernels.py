@@ -607,16 +607,15 @@ def test_jump_ahead_raw_outputs_are_pcg64s():
 # 62 draws) among them.
 DRAW_SHAPES = {7: (2, 1), 16: (5, 1), 32: (6, 2), 34: (11, 1), 37: (12, 1), 52: (10, 2), 62: (12, 2), 64: (21, 1),
                66: (9, 3), 192: (5, 17), 193: (64, 1)}
-# Record counts from one record up, the benchmark's among them, on both
-# sides of the count up to which each record seeds its own generator.
-DRAW_COUNTS = [1, 8, 9, 15, 16, 40, 500]
+# Record counts from one record up, the benchmark's among them: the rule
+# reads no count.
+DRAW_COUNTS = [1, 15, 16, 40, 500]
 
 
 def test_draw_shapes_straddle_the_rule():
     assert generate._JUMP_MAX_DRAWS in DRAW_SHAPES and generate._JUMP_MAX_DRAWS + 1 in DRAW_SHAPES
     for draws, (n, m) in DRAW_SHAPES.items():
         assert 2 * n * m + n + m == draws
-    assert generate._SEEDED_MAX_RECORDS in DRAW_COUNTS and generate._SEEDED_MAX_RECORDS + 1 in DRAW_COUNTS
 
 
 @pytest.mark.parametrize("count", DRAW_COUNTS)
@@ -631,17 +630,16 @@ def test_draw_is_default_rng_on_both_sides_of_the_rule(monkeypatch, draws, count
     monkeypatch.setattr(generate, "_pcg64_states", lambda seeds: stated.append(len(seeds)) or states(seeds))
     seeds = _record_seeds(2**64 - draws, np.arange(count))
     stacked_draws = generate._draw(spec, seeds)
-    stacked = count > generate._SEEDED_MAX_RECORDS
-    jumps = stacked and f_mode == UNIT_SCALE and draws <= generate._JUMP_MAX_DRAWS
-    assert (jumped, stated) == ([draws] if jumps else [], [count] if stacked and not jumps else [])
+    jumps = f_mode == UNIT_SCALE and draws <= generate._JUMP_MAX_DRAWS
+    assert (jumped, stated) == (([draws], []) if jumps else ([], [count]))
     expected = [loop_instance(spec, seed) for seed in seeds.tolist()]
     for name, column in zip(("y", "alpha", "F", "lam"), stacked_draws, strict=True):
         assert column.tobytes() == np.stack([getattr(instance, name) for instance in expected]).tobytes(), name
 
 
 def test_jump_ahead_blocks_cover_every_record(monkeypatch):
-    # Blocks of 3 records: the last block is partial.
-    monkeypatch.setattr(generate, "_JUMP_BLOCK", 3 * 16)
+    # Blocks of 3 records, each of two stacked products: the last block is partial.
+    monkeypatch.setattr(generate, "_JUMP_BLOCK", 2 * 3 * 16)
     seeds = _record_seeds(5, np.arange(40))
     blocked = generate._pcg64_uniforms(seeds, 16, 50.0)
     assert blocked.tolist() == [np.random.default_rng(s).uniform(0.0, 50.0, 16).tolist() for s in seeds.tolist()]

@@ -477,7 +477,7 @@ def _unsort_block(blocks, row, rng, data):
 _ENTRY_FAULTS = {
     f"{name}-{label}": _set_entry(name, lambda spec, value=value: value)
     for name in ("y", "alpha", "F", "lam", "q", "r_a")
-    for label, value in (("nan", np.nan), ("inf", np.inf), ("minus-inf", -np.inf), ("minus-zero", -0.0))
+    for label, value in (("nan", np.nan), ("inf", np.inf), ("minus-inf", -np.inf), ("minus-zero", -0.0), ("negative", -1.0))
 }
 _PLANTED_FAULTS = {
     **_ENTRY_FAULTS,
@@ -540,6 +540,20 @@ def test_construction_names_what_the_rule_walk_names(base, fault, seed):
         assert walked is None
     elif fault in _ENTRY_FAULTS and walked is not None or fault.startswith(("block", "lam", "idx-excluded")):
         assert walked.startswith(f"record {data.idx[row]}: "), walked
+
+
+@pytest.mark.parametrize("base", sorted(_VERDICT_SPECS))
+def test_every_rule_of_the_walk_has_a_planted_fault(base):
+    # The verdict restates the walk's rules as bounds, so a rule added to the
+    # walk alone would pass unseen unless some planted fault breaks it here.
+    data = generate_dataset(_VERDICT_SPECS[base], 30, 7)
+    rules = [rule for rule, _ in generate._dataset_faults(data)]
+    named = set()
+    for fault, plant in _PLANTED_FAULTS.items():
+        walked = _assert_verdict_is_the_walk(data, **plant(data, 3, np.random.default_rng(0)))
+        if walked is not None:
+            named.add(re.sub(r"^record \d+: ", "", walked))
+    assert [rule for rule in rules if rule not in named] == []
 
 
 @pytest.mark.parametrize("base", sorted(_VERDICT_SPECS))
